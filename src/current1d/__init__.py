@@ -6,6 +6,8 @@ homotopy fillings, geodesic approximation of curve measures, hyperplane
 normalization, and path/fragment decompositions.
 """
 
+import logging
+
 from .spaces import (FiniteMetricSpace, GeometryError, MetricGraph, NormedPlane,
                      QcReport, path_metric, qc_constants)
 from .currents import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
@@ -31,5 +33,7 @@ from .structure import (AtomicMeasure, ConvexBox, Line, NoAdmissibleShift,
 from .decomposition import (Decomposition, EdgeFlow, decompose_flow,
                             fragment_representation)
 from .rickman import build_rug, rug_grid, rug_row
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

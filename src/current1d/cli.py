@@ -39,14 +39,17 @@ class CliInputError(ValueError):
     pass
 
 
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO}
+
+
 def _setup_logging():
-    level = os.environ.get("CURRENT1D_LOG", "off").lower()
-    if level == "debug":
-        logging.basicConfig(level=logging.DEBUG)
-    elif level == "info":
-        logging.basicConfig(level=logging.INFO)
+    """Set the level of the package logger only; other loggers are untouched."""
+    level = _LOG_LEVELS.get(os.environ.get("CURRENT1D_LOG", "off").lower())
+    if level is None:
+        log.setLevel(logging.CRITICAL + 1)
     else:
-        logging.disable(logging.CRITICAL)
+        logging.basicConfig()
+        log.setLevel(level)
 
 
 def _load_json(path: str) -> dict:
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", required=True)
     common(p)
 
-    p = sub.add_parser("flatnorm", help="LP flat norm on a cubical complex")
+    p = sub.add_parser("flatnorm", help="flat norm on a cubical complex")
     p.add_argument("--grid", required=True, help="nx,ny,h")
     p.add_argument("--origin", default=None, help="x,y of the grid origin")
     p.add_argument("--chain", required=True)

@@ -69,6 +69,7 @@ class FlowResult:
     flows: np.ndarray = field(repr=False)
     total_cost: float = 0.0
     potentials: np.ndarray = field(default=None, repr=False)
+    augmentations: int = 0
 
 
 def min_cost_flow(net: FlowNetwork) -> FlowResult:
@@ -76,8 +77,9 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
 
     Returns per-arc flows, the optimal cost, and node potentials pi that are
     feasible duals: cost(u,v) + pi(u) - pi(v) >= 0 on every arc with residual
-    capacity (every arc, in the uncapacitated networks built by this package).
-    Complementary slackness holds on flow-carrying arcs.
+    capacity, and on its reverse (-cost) while it carries flow. So every arc
+    of an uncapacitated network is covered, and complementary slackness holds
+    on flow-carrying arcs. ``augmentations`` counts the augmenting paths.
     """
     n, arcs = net.n, net.arcs
     m = len(arcs)
@@ -97,16 +99,9 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     total_supply = float(np.sum(excess[excess > 0]))
     eps = TOL * max(1.0, total_supply)
 
-    # one Bellman-Ford pass for initial potentials (zeros when costs >= 0)
+    # zero potentials are feasible: FlowNetwork rejects negative costs
     pi = np.zeros(n)
-    for _ in range(n - 1):
-        changed = False
-        for k in range(m):
-            if pi[tail[k]] + cost[k] < pi[head[k]] - 1e-15:
-                pi[head[k]] = pi[tail[k]] + cost[k]
-                changed = True
-        if not changed:
-            break
+    augmentations = 0
 
     def res_cap(a: int) -> float:
         k, rev = divmod(a, 2)
@@ -169,11 +164,13 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             flow[k] += -bottleneck if rev else bottleneck
         excess[source] -= bottleneck
         excess[target] += bottleneck
+        augmentations += 1
         log.debug("augment %s -> %s: %.17g units over %d arcs",
                   source, target, bottleneck, len(path))
 
     total = float(np.dot(flow, cost)) if m else 0.0
-    return FlowResult(flows=flow, total_cost=total, potentials=pi.copy())
+    return FlowResult(flows=flow, total_cost=total, potentials=pi.copy(),
+                      augmentations=augmentations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -208,6 +209,17 @@ class TestDeterminism:
              "--n", "4"], capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["lower_bound_ok"]
+
+
+class TestLogging:
+    def test_main_leaves_other_loggers_enabled(self, fixtures, caplog, capsys, monkeypatch):
+        monkeypatch.delenv("CURRENT1D_LOG", raising=False)
+        assert run_cli(["flatnorm", "--grid", "3,3,1",
+                        "--chain", fixtures["square.json"]]) == 0
+        capsys.readouterr()
+        logging.getLogger("current1d.solvers").warning("package record")
+        logging.getLogger("elsewhere").warning("other record")
+        assert [r.getMessage() for r in caplog.records] == ["other record"]
 
 
 class TestSuiteAggregation:

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import current1d.flatnorm as flatnorm
 from current1d import (Chain1, CubicalComplex, NormedPlane, Polyline,
-                       flat_norm, flat_upper_bound_pair, snap)
-from current1d.flatnorm import GridError, complex_covering
+                       SolverError, flat_norm, flat_upper_bound_pair, snap)
+from current1d.flatnorm import GridError, complex_covering, flat_norm_lp
 
 PL = NormedPlane("l2")
 
@@ -92,6 +96,13 @@ class TestFlatNorm:
         cx = CubicalComplex(h=1.0, nx=2, ny=2)
         assert flat_norm(np.zeros(cx.n_edges), cx).value == 0.0
 
+    def test_non_finite_rejected(self):
+        cx = CubicalComplex(h=1.0, nx=2, ny=2)
+        t = np.zeros(cx.n_edges)
+        t[0] = np.nan
+        with pytest.raises(GridError):
+            flat_norm(t, cx)
+
     def test_unit_square_fills_the_face(self):
         cx = CubicalComplex(h=1.0, nx=3, ny=3)
         t = snap(square_loop(1, 1), cx)
@@ -143,6 +154,45 @@ class TestFlatNorm:
             diff_c = snap(g0.as_chain(PL), coarse) - snap(g1.as_chain(PL), coarse)
             diff_f = snap(g0.as_chain(PL), fine) - snap(g1.as_chain(PL), fine)
             assert flat_norm(diff_f, fine).value <= flat_norm(diff_c, coarse).value + 1e-7
+
+
+class TestFlowAgainstLp:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([0.5, 1.0, 2.0]))
+    def test_flow_matches_lp(self, data, nx, ny, h):
+        cx = CubicalComplex(h=h, nx=nx, ny=ny)
+        t = np.array(data.draw(st.lists(
+            st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+            min_size=cx.n_edges, max_size=cx.n_edges)))
+        flow, lp = flat_norm(t, cx), flat_norm_lp(t, cx)
+        assert abs(flow.value - lp.value) <= 1e-9 * max(1.0, lp.value)
+        assert np.max(np.abs(t - (flow.r + cx.d2_matrix() @ flow.s))) <= 1e-8
+        mass = h * np.abs(flow.r).sum() + h * h * np.abs(flow.s).sum()
+        assert flow.value == pytest.approx(mass, rel=1e-12, abs=1e-12)
+
+    def test_face_field_beyond_lp_reach(self):
+        rng = np.random.Generator(np.random.Philox(key=35))
+        cx = CubicalComplex(h=1.0, nx=24, ny=24)
+        t = cx.d2_matrix() @ rng.integers(-2, 3, size=cx.n_faces).astype(float)
+        noisy = rng.random(cx.n_edges) < 0.1
+        t[noisy] += rng.choice([-1.0, 1.0], size=int(noisy.sum()))
+        res = flat_norm(t, cx)
+        assert np.max(np.abs(t - (res.r + cx.d2_matrix() @ res.s))) <= 1e-8
+        assert res.value <= np.abs(t).sum() * cx.h + 1e-8
+
+    def test_duality_gap_raises(self, monkeypatch):
+        solve = flatnorm.min_cost_flow
+
+        def zero_potentials(net):
+            res = solve(net)
+            return dataclasses.replace(res, potentials=np.zeros_like(res.potentials))
+
+        cx = CubicalComplex(h=1.0, nx=3, ny=3)
+        t = snap(square_loop(1, 1), cx)
+        monkeypatch.setattr(flatnorm, "min_cost_flow", zero_potentials)
+        with pytest.raises(SolverError, match="duality gap"):
+            flat_norm(t, cx)
 
 
 class TestPairBound:

@@ -17,6 +17,7 @@ class TestMinCostFlow:
         res = min_cost_flow(net)
         assert res.total_cost == pytest.approx(2.5, abs=1e-12)
         assert res.flows[0] == pytest.approx(1.0, abs=1e-12)
+        assert res.augmentations == 1
 
     def test_three_node_line(self):
         # line 0 - 1 - 3 with costs 1 and 2; both ends supply one unit into the middle
