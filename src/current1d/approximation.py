@@ -46,9 +46,6 @@ class CurveMeasure:
     def induced_mass(self) -> float:
         return float(sum(w * p.length for w, p in self.entries))
 
-    def total_weight(self) -> float:
-        return float(sum(w for w, _ in self.entries))
-
 
 def truncate(cm: CurveMeasure, cap: float) -> tuple[CurveMeasure, float]:
     """Drop entries longer than the cap; the mass error is the dropped mass."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -18,9 +19,11 @@ import numpy as np
 from . import io as cio
 from .approximation import approximate, truncate
 from .currents import CurrentError, Polyline, restrict, standard_panel
-from .decomposition import EdgeFlow, decompose_flow, fragment_representation
+from .decomposition import (EdgeFlow, _edge_length_lookup, decompose_flow,
+                            fragment_representation)
 from .flatnorm import CubicalComplex, GridError, flat_norm, snap
 from .homotopy import AffineBicombing, fill_residual, homotopy_fill
+from .quadrature import QUAD_TOL
 from .rickman import rug_grid
 from .spaces import GeometryError, MetricGraph, NormedPlane
 from .solvers import Infeasible, IterationLimit, SolverError
@@ -181,7 +184,7 @@ def _cmd_flatnorm(args) -> int:
         chain = chain.as_chain(NormedPlane("l2"))
     t = snap(chain, cx)
     res = flat_norm(t, cx)
-    recon_ok = bool(np.max(np.abs(t - (res.r + cx.d2_matrix() @ res.s))) <= 1e-8)
+    recon_ok = bool(np.max(np.abs(t - (res.r + cx.apply_d2(res.s)))) <= 1e-8)
     mass_ok = res.value <= float(np.sum(np.abs(t)) * h) + 1e-8
     report = {
         "value": res.value,
@@ -201,9 +204,12 @@ def _cmd_homotopy(args) -> int:
     g1 = cio.load_chain(_load_json(args.curve1))
     if not isinstance(g0, Polyline) or not isinstance(g1, Polyline):
         raise CliInputError("homotopy expects polyline documents")
+    quad_tol = QUAD_TOL if args.quad_tol is None else args.quad_tol
+    if not (isinstance(quad_tol, (int, float)) and math.isfinite(quad_tol) and quad_tol > 0):
+        raise CliInputError(f"--quad-tol must be a positive finite number: {quad_tol!r}")
     plane = NormedPlane("l2")
     bic = AffineBicombing(plane)
-    fill = homotopy_fill(g0, g1, bic, quad_tol=args.quad_tol or 1e-8)
+    fill = homotopy_fill(g0, g1, bic, quad_tol=quad_tol)
     seed = args.panel_seed if args.panel_seed is not None else 0
     scale = float(np.abs(np.vstack([g0.points, g1.points])).max() or 1.0)
     panel = standard_panel(seed, count=20, scale=scale)
@@ -301,9 +307,14 @@ def _cmd_decompose(args) -> int:
     err = float(np.max(np.abs(d.reassembled() - np.array(ef.weights)))) \
         if ef.weights else 0.0
     ok = err <= 1e-9 and abs(d.mass_defect) <= 1e-9
-    rows = [{"kind": "path", "weight": w, "length": _route_len(ef.graph, v),
+    lengths = _edge_length_lookup(ef.graph)
+
+    def route_len(verts) -> float:
+        return float(sum(lengths[(verts[i], verts[i + 1])] for i in range(len(verts) - 1)))
+
+    rows = [{"kind": "path", "weight": w, "length": route_len(v),
              "n_vertices": len(v)} for w, v in d.paths]
-    rows += [{"kind": "cycle", "weight": w, "length": _route_len(ef.graph, v),
+    rows += [{"kind": "cycle", "weight": w, "length": route_len(v),
               "n_vertices": len(v)} for w, v in d.cycles]
     report = {
         "paths": [[w, list(v)] for w, v in d.paths],
@@ -314,14 +325,6 @@ def _cmd_decompose(args) -> int:
     }
     _emit(args, report, rows=rows, columns=["kind", "weight", "length", "n_vertices"])
     return 0 if ok else 2
-
-
-def _route_len(g: MetricGraph, verts) -> float:
-    table = {}
-    for u, v, ln in g.edges:
-        table[(u, v)] = ln
-        table[(v, u)] = ln
-    return float(sum(table[(verts[i], verts[i + 1])] for i in range(len(verts) - 1)))
 
 
 def _cmd_fragments(args) -> int:

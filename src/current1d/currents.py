@@ -16,11 +16,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .quadrature import simpson
 from .spaces import MetricGraph, NormedPlane
 
 TOL = 1e-9
-QUAD_TOL = 1e-8
-MAX_PANELS = 2 ** 14
 
 PointKey = Union[tuple, int]
 
@@ -153,10 +152,6 @@ class Chain1:
     def empty(space=None) -> "Chain1":
         return Chain1(space, ())
 
-    def is_planar(self) -> bool:
-        return isinstance(self.space, NormedPlane) or (
-            self.pieces and isinstance(self.pieces[0].start, tuple))
-
     def coords_of(self, key: PointKey) -> tuple[float, float]:
         if isinstance(key, tuple):
             return key
@@ -186,9 +181,6 @@ class Chain1:
     def scale(self, a: float) -> "Chain1":
         return Chain1(self.space, [Piece(p.start, p.end, a * p.weight, p.length) for p in self.pieces],
                       validate=False)
-
-    def drop_zero(self, eps: float = 0.0) -> "Chain1":
-        return Chain1(self.space, [p for p in self.pieces if abs(p.weight) > eps], validate=False)
 
     def __repr__(self) -> str:
         return f"Chain1({len(self.pieces)} pieces, mass={self.mass():.6g})"
@@ -244,9 +236,6 @@ class Polyline:
 
     def end(self) -> tuple[float, float]:
         return _pt(self.points[-1])
-
-    def reversed(self) -> "Polyline":
-        return Polyline(self.points[::-1].copy())
 
     def translate(self, v) -> "Polyline":
         return Polyline(self.points + np.asarray(v, dtype=float))
@@ -626,31 +615,6 @@ def standard_panel(seed: int, count: int = 20, scale: float = 2.0,
 # evaluation
 
 
-def _simpson_vals(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int) -> float:
-    t = np.linspace(a, b, n + 1)
-    v = fn(t)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((b - a) / (3 * n) * np.dot(w, v))
-
-
-def simpson_doubling(fn, a: float, b: float, tol: float = QUAD_TOL,
-                     n0: int = 64, max_n: int = MAX_PANELS) -> float:
-    """Composite Simpson with panel doubling until successive values differ by < tol."""
-    if b <= a:
-        return 0.0
-    n = n0
-    prev = _simpson_vals(fn, a, b, n)
-    while n < max_n:
-        n *= 2
-        cur = _simpson_vals(fn, a, b, n)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
-
-
 def _segment_integral(p, q, form: TestForm, plane: NormedPlane) -> float:
     """Integral of (f o g)(pi o g)' over the unit-parametrized segment g: p->q."""
     p = np.asarray(p, dtype=float)
@@ -667,7 +631,7 @@ def _segment_integral(p, q, form: TestForm, plane: NormedPlane) -> float:
         dpi = np.einsum("ij,j->i", form.pi.grad(pts), d)
         return form.f.value(pts) * dpi
 
-    return simpson_doubling(integrand, 0.0, 1.0)
+    return simpson(integrand)
 
 
 def evaluate(c, form: TestForm, plane: Optional[NormedPlane] = None) -> float:
@@ -740,10 +704,6 @@ class AffineMap:
 
     def matrix(self) -> np.ndarray:
         return np.asarray(self.a, dtype=float)
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return pts @ self.matrix().T + np.asarray(self.b)
 
     def apply_pt(self, p) -> tuple[float, float]:
         m = self.matrix()

@@ -101,6 +101,12 @@ class CubicalComplex:
         v_minus = np.where(i < nx, j * nx + i, outer)  # left of face (i, j)
         return np.concatenate([h_plus, v_plus]), np.concatenate([h_minus, v_minus])
 
+    def apply_d2(self, s) -> np.ndarray:
+        """d2 s for face coefficients s, without building ``d2_matrix``."""
+        f_plus, f_minus = self.edge_faces()
+        s_ext = np.append(np.asarray(s, dtype=float), 0.0)  # the outer face is 0
+        return s_ext[f_plus] - s_ext[f_minus]
+
     def d1_matrix(self) -> np.ndarray:
         d1 = np.zeros((self.n_nodes, self.n_edges), dtype=float)
         for e in range(self.n_edges):
@@ -199,11 +205,8 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     res = min_cost_flow(FlowNetwork(nf + 1, tuple(arcs), tuple(divergence.tolist())))
 
     dual = h * float(np.sum(np.abs(t))) - res.total_cost
-    pi = res.potentials
-    s_ext = pi[outer] - pi
-    s_ext[outer] = 0.0
-    r = t - (s_ext[f_plus] - s_ext[f_minus])
-    s = s_ext[:nf]
+    s = res.potentials[outer] - res.potentials[:nf]
+    r = t - complex_.apply_d2(s)
     value = h * float(np.sum(np.abs(r))) + h * h * float(np.sum(np.abs(s)))
     if abs(value - dual) > 1e-9 * max(1.0, abs(dual)):
         raise SolverError(f"flat norm duality gap: primal {value!r}, dual {dual!r}")

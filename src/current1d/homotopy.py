@@ -2,8 +2,10 @@
 current of chain pushforwards, and piecewise-geodesic interpolation.
 
 The 2-dimensional filling S is never materialized as data. It exists as a weak
-evaluator (adaptive tensor Simpson quadrature over the homotopy square), since
-it is only ever needed through its boundary action and its mass bounds. The
+evaluator, since it is only ever needed through its boundary action and its
+mass bounds: the pullback of each test 2-form is integrated over the cells of
+the homotopy square by ``quadrature.simpson2d``, the package's one Simpson
+panel-doubling rule, which ``currents`` shares for 1-dimensional actions. The
 contractual quantities are the certificates certS = (l0 + l1) d_inf and
 certR = d(starts) + d(ends); the quadrature mass is a reported estimate.
 """
@@ -19,10 +21,8 @@ import numpy as np
 
 from .currents import (AffineMap, Chain1, CurrentError, Polyline,
                        ScalarField, TestForm, d_inf, evaluate, pushforward)
+from .quadrature import QUAD_TOL, simpson, simpson2d
 from .spaces import MetricGraph, NormedPlane
-
-QUAD_TOL = 1e-8
-MAX_PANELS = 2 ** 14
 
 
 def _as_field(f, plane: NormedPlane) -> ScalarField:
@@ -31,51 +31,17 @@ def _as_field(f, plane: NormedPlane) -> ScalarField:
     return ScalarField("const", (float(f),), plane)
 
 
-# ---------------------------------------------------------------------------
-# 2D Simpson quadrature with panel doubling
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
-def _simpson2d(fn, sa, sb, ta, tb, ns, nt) -> float:
-    s = np.linspace(sa, sb, ns + 1)
-    t = np.linspace(ta, tb, nt + 1)
-    vals = fn(s, t)
-    ws = _simpson_weights(ns) * (sb - sa) / ns
-    wt = _simpson_weights(nt) * (tb - ta) / nt
-    return float(ws @ vals @ wt)
-
-
-def _integrate_cell(fn, sa, sb, ta=0.0, tb=1.0, tol=QUAD_TOL, n0=4) -> float:
-    ns = nt = n0
-    prev = _simpson2d(fn, sa, sb, ta, tb, ns, nt)
-    while ns * nt < MAX_PANELS:
-        ns *= 2
-        nt *= 2
-        cur = _simpson2d(fn, sa, sb, ta, tb, ns, nt)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
-
-
-def _integrate_1d(fn, a=0.0, b=1.0, tol=QUAD_TOL, n0=16) -> float:
-    n = n0
-    t = np.linspace(a, b, n + 1)
-    prev = float((_simpson_weights(n) * (b - a) / n) @ fn(t))
-    while n < MAX_PANELS:
-        n *= 2
-        t = np.linspace(a, b, n + 1)
-        cur = float((_simpson_weights(n) * (b - a) / n) @ fn(t))
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
+def _pullback(ff: ScalarField, pi1: ScalarField, pi2: ScalarField,
+              pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The 2-form f dpi1 ^ dpi2 on the tangent pairs (u, v) at pts, all (n, 2):
+    f(x) (dpi1(u) dpi2(v) - dpi1(v) dpi2(u))."""
+    g1 = pi1.grad(pts)
+    g2 = pi2.grad(pts)
+    g1u = np.einsum("ij,ij->i", g1, u)
+    g2v = np.einsum("ij,ij->i", g2, v)
+    g1v = np.einsum("ij,ij->i", g1, v)
+    g2u = np.einsum("ij,ij->i", g2, u)
+    return ff.value(pts) * (g1u * g2v - g1v * g2u)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +272,17 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
         return partials
 
     cell_partials = [(sa, sb, make_partials(sa, sb)) for sa, sb in spans]
+    cell_tol = quad_tol / max(1, len(cell_partials))
 
     def s_evaluator(f, pi1: ScalarField, pi2: ScalarField) -> float:
         ff = _as_field(f, plane)
-        ncells = max(1, len(cell_partials))
         total = 0.0
         for sa, sb, partials in cell_partials:
             def cell_fn(s, t):
                 h, d1h, d2h = partials(s, t)
-                shp = h.shape[:2]
-                pts = h.reshape(-1, 2)
-                gp1 = pi1.grad(pts)
-                gp2 = pi2.grad(pts)
-                g1v = np.einsum("ij,ij->i", gp1, d1h.reshape(-1, 2)).reshape(shp)
-                g2v = np.einsum("ij,ij->i", gp2, d2h.reshape(-1, 2)).reshape(shp)
-                g1w = np.einsum("ij,ij->i", gp1, d2h.reshape(-1, 2)).reshape(shp)
-                g2w = np.einsum("ij,ij->i", gp2, d1h.reshape(-1, 2)).reshape(shp)
-                return ff.value(pts).reshape(shp) * (g1v * g2v - g1w * g2w)
-            total += _integrate_cell(cell_fn, sa, sb, tol=quad_tol / ncells)
+                return _pullback(ff, pi1, pi2, h.reshape(-1, 2), d1h.reshape(-1, 2),
+                                 d2h.reshape(-1, 2)).reshape(h.shape[:2])
+            total += simpson2d(cell_fn, sa, sb, cell_tol)
         return total
 
     measured = 0.0
@@ -331,8 +290,7 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
         def measured_fn(s, t):
             _, d1h, d2h = partials(s, t)
             return np.abs(d1h[..., 0] * d2h[..., 1] - d1h[..., 1] * d2h[..., 0])
-        measured += _integrate_cell(measured_fn, sa, sb,
-                                    tol=quad_tol / max(1, len(cell_partials)))
+        measured += simpson2d(measured_fn, sa, sb, cell_tol)
 
     return FillResult(s_evaluator=s_evaluator, r_chain=r, cert_s=cert_s,
                       cert_r=cert_r, measured_s=measured, measured_r=r.mass(),
@@ -361,8 +319,7 @@ class HomotopyCurrentResult:
 
 
 def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
-                            panel: Optional[Sequence[TestForm]] = None,
-                            quad_tol: float = QUAD_TOL) -> HomotopyCurrentResult:
+                            panel: Optional[Sequence[TestForm]] = None) -> HomotopyCurrentResult:
     """The homotopy 2-current H(T) between two affine pushforwards of a chain.
 
     Realizes phi_# T - psi_# T = dH(T) + H(dT) weakly, with the certified mass
@@ -388,7 +345,7 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
         def disp_norm(ss):
             pts = a[None, :] + ss[:, None] * d[None, :]
             return plane.norm_arr(pts @ dm.T + db)
-        cert += abs(w) * ln * _integrate_1d(disp_norm, tol=quad_tol)
+        cert += abs(w) * ln * simpson(disp_norm)
     cert *= 2.0 * maxop
 
     def h_mid(pts: np.ndarray, tt: np.ndarray) -> np.ndarray:
@@ -405,16 +362,11 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
                 n_s, n_t = len(s), len(t)
                 p_flat = np.repeat(pts, n_t, axis=0)
                 t_flat = np.tile(t, n_s)
-                y = h_mid(p_flat, t_flat)
-                delta = p_flat @ dm.T + db
                 a_t = t_flat[:, None, None] * aphi + (1 - t_flat)[:, None, None] * apsi
                 ad = np.einsum("nij,j->ni", a_t, d)
-                g1 = pi1.grad(y)
-                g2 = pi2.grad(y)
-                term = (np.einsum("ni,ni->n", g1, delta) * np.einsum("ni,ni->n", g2, ad)
-                        - np.einsum("ni,ni->n", g2, delta) * np.einsum("ni,ni->n", g1, ad))
-                return (ff.value(y) * term).reshape(n_s, n_t)
-            total += w * _integrate_cell(cell_fn, 0.0, 1.0, tol=quad_tol)
+                return _pullback(ff, pi1, pi2, h_mid(p_flat, t_flat),
+                                 p_flat @ dm.T + db, ad).reshape(n_s, n_t)
+            total += w * simpson2d(cell_fn, 0.0, 1.0, QUAD_TOL)
         return total
 
     def h_boundary_evaluator(form: TestForm) -> float:
@@ -428,7 +380,7 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
             def fn(tt):
                 y = h_mid(np.tile(x, (len(tt), 1)), tt)
                 return form.f.value(y) * np.einsum("ni,i->n", form.pi.grad(y), delta)
-            total += w * _integrate_1d(fn, tol=quad_tol)
+            total += w * simpson(fn)
         return total
 
     residual = 0.0

@@ -253,9 +253,6 @@ class MetricGraph:
     def d(self, u: int, v: int) -> float:
         return float(self.ambient_dist[u, v])
 
-    def dl(self, u: int, v: int) -> float:
-        return float(self.path_dist[u, v])
-
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {(u, v): k for k, (u, v, _) in enumerate(self.edges)}
 

@@ -85,9 +85,6 @@ class ConvexBox:
         return (abs(p[0] - self.center[0]) <= self.half_widths[0] - margin
                 and abs(p[1] - self.center[1]) <= self.half_widths[1] - margin)
 
-    def min_half_width(self) -> float:
-        return float(min(self.half_widths))
-
 
 @dataclass(frozen=True)
 class AtomicMeasure:

@@ -78,7 +78,7 @@ def _random_molecule(rng, n: int) -> Molecule:
 
 def criterion_1_isomorphism_sandwich(seed: int = 101) -> CriterionResult:
     """qc^-1 ae(d) <= filling <= qc ae(d) and filling = ae(d_l), 50 seeded graphs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed)
     tol = 1e-7
     worst_gap = 0.0
@@ -98,7 +98,7 @@ def criterion_1_isomorphism_sandwich(seed: int = 101) -> CriterionResult:
         gap = abs(filling - aedl) / scale
         worst_gap = max(worst_gap, gap)
         ok &= gap <= tol
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     ok &= secs < 10.0
     return CriterionResult(1, "isomorphism sandwich on 50 random graphs", bool(ok),
                            secs, {"worst_identity_gap": worst_gap, "runtime_s": secs})
@@ -106,7 +106,7 @@ def criterion_1_isomorphism_sandwich(seed: int = 101) -> CriterionResult:
 
 def criterion_2_optimal_constant_witness() -> CriterionResult:
     """V-detour family: filling / ae ratio equals the detour factor exactly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     ratios = {}
     for factor in (1.5, 2.0, 4.0):
@@ -122,16 +122,16 @@ def criterion_2_optimal_constant_witness() -> CriterionResult:
         ok &= abs(ratio - factor) <= 1e-9
         ok &= abs(qc_constants(g).qc_space - factor) <= 1e-9
     return CriterionResult(2, "optimal-constant witness (V-detour family)", bool(ok),
-                           time.time() - t0, {"ratios": ratios})
+                           time.perf_counter() - t0, {"ratios": ratios})
 
 
 def criterion_3_rickman(s_count: int = 32) -> CriterionResult:
     """Rug regression: intrinsic AE bound = 2 at every s while mass = 2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = rug_grid(s_count=s_count, n=32, alpha=0.5)
     worst = max(abs(r.ae_intrinsic - 2.0) for r in rows)
     mass_ok = all(abs(r.mass - 2.0) <= 1e-12 for r in rows)
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     ok = worst <= 1e-6 and mass_ok and secs < 5.0
     return CriterionResult(3, f"Rickman rug lower bound 2.0 at {s_count} offsets",
                            bool(ok), secs,
@@ -156,7 +156,7 @@ def _staircase(rng, steps: int = 4) -> Polyline:
 def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
                                n_grid_pairs: int = 10) -> CriterionResult:
     """Fuzzed homotopy fills: residuals, certificate soundness, LP cross-check."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed)
     plane = NormedPlane("l2")
     bic = AffineBicombing(plane)
@@ -186,7 +186,7 @@ def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
         margin = lp.value - (fill.cert_s + fill.cert_r)
         worst_lp_margin = max(worst_lp_margin, margin)
         ok &= margin <= 1e-6
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     ok &= secs < 30.0
     return CriterionResult(4, f"homotopy lemma on {n_pairs} fuzzed pairs", bool(ok),
                            secs, {"worst_residual_ratio": worst_resid,
@@ -213,7 +213,7 @@ def _translate_family(rng, base: Polyline, count: int, span: float,
 
 def criterion_5_geodesic_approximation(seed: int = 505) -> CriterionResult:
     """Mass non-increase, LP-checked certificates, and eps-halving behavior."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed)
     plane = NormedPlane("l2")
     ok = True
@@ -248,7 +248,7 @@ def criterion_5_geodesic_approximation(seed: int = 505) -> CriterionResult:
             margin = lp.value - cert.flat_bound
             details["lp_margins"].append(margin)
             ok &= margin <= 1e-6
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     details["runtime_s"] = secs
     return CriterionResult(5, "geodesic approximation of 20 curve measures",
                            bool(ok), secs, details)
@@ -256,7 +256,7 @@ def criterion_5_geodesic_approximation(seed: int = 505) -> CriterionResult:
 
 def criterion_6_hyperplane_normalization() -> CriterionResult:
     """Fat-Cantor chains: exact boundary kill, mass ratio, restriction identity."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     plane = NormedPlane("l2")
     line = Line(0.0, 1.0, 0.0)
     ok = True
@@ -271,7 +271,7 @@ def criterion_6_hyperplane_normalization() -> CriterionResult:
         ok &= res.n_chain.mass() <= 2.1 * t.mass() + 1e-9
         frag = restrict(res.n_chain, res.b_set)
         ok &= abs(frag.mass() - t.mass()) <= 1e-9
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     ok &= secs < 5.0
     return CriterionResult(6, "hyperplane normalization of fat-Cantor chains",
                            bool(ok), secs, {"masses": masses, "runtime_s": secs})
@@ -279,7 +279,7 @@ def criterion_6_hyperplane_normalization() -> CriterionResult:
 
 def criterion_7_decomposition(seed: int = 707) -> CriterionResult:
     """Reassembly, mass additivity, marginals on 50 flows; fragment identity on 20 sets."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed)
     ok = True
     worst = 0.0
@@ -330,7 +330,7 @@ def criterion_7_decomposition(seed: int = 707) -> CriterionResult:
         rep = fragment_representation(d, e)
         worst_frag = max(worst_frag, rep.mass_identity_residual)
         ok &= rep.mass_identity_residual <= 1e-9
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     return CriterionResult(7, "decomposition and fragment identities", bool(ok),
                            secs, {"worst_reassembly": worst,
                                   "worst_fragment_residual": worst_frag})
@@ -338,7 +338,7 @@ def criterion_7_decomposition(seed: int = 707) -> CriterionResult:
 
 def criterion_8_solver_cross_validation(seed: int = 808) -> CriterionResult:
     """Flow vs simplex on 100 transportation instances; dual feasibility."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = _rng(seed)
     ok = True
     worst = 0.0
@@ -370,14 +370,14 @@ def criterion_8_solver_cross_validation(seed: int = 808) -> CriterionResult:
             ok &= cst + fres.potentials[u] - fres.potentials[v] >= -1e-9
         red = cost.flatten() - a.T @ lres.y
         ok &= float(red.min()) >= -1e-7
-    secs = time.time() - t0
+    secs = time.perf_counter() - t0
     return CriterionResult(8, "solver cross-validation on 100 instances", bool(ok),
                            secs, {"worst_gap": worst})
 
 
 def criterion_9_flatnorm_closed_forms() -> CriterionResult:
     """Unit square -> 1; 1 x k rectangles -> min(2 + 2k, k)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     plane = NormedPlane("l2")
     ok = True
     values = {}
@@ -396,7 +396,7 @@ def criterion_9_flatnorm_closed_forms() -> CriterionResult:
         values[f"rect_1x{k}"] = v
         ok &= abs(v - min(2 + 2 * k, k)) <= 1e-8
     return CriterionResult(9, "flat-norm LP closed forms", bool(ok),
-                           time.time() - t0, {"values": values})
+                           time.perf_counter() - t0, {"values": values})
 
 
 ALL_CRITERIA = [

@@ -84,6 +84,19 @@ class TestSubcommands:
         assert code == 0
         assert out["value"] == pytest.approx(1.0)
 
+    def test_flatnorm_needs_no_dense_d2(self, fixtures, capsys, monkeypatch):
+        from current1d.flatnorm import CubicalComplex
+
+        args = ["flatnorm", "--grid", "3,3,1", "--chain", fixtures["square.json"]]
+        assert run_cli(args) == 0
+        report = capsys.readouterr().out
+
+        def no_dense(self):
+            raise AssertionError("dense d2_matrix built")
+        monkeypatch.setattr(CubicalComplex, "d2_matrix", no_dense)
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == report
+
     def test_homotopy(self, fixtures, capsys):
         code = run_cli(["homotopy", "--curve0", fixtures["c0.json"],
                         "--curve1", fixtures["c1.json"], "--panel-seed", "5"])
@@ -91,6 +104,13 @@ class TestSubcommands:
         assert code == 0
         assert out["cert_s"] == pytest.approx(2.0)
         assert out["bounds_ok"]
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
+    def test_homotopy_rejects_bad_quad_tol(self, fixtures, capsys, tol):
+        code = run_cli(["homotopy", "--curve0", fixtures["c0.json"],
+                        "--curve1", fixtures["c1.json"], "--quad-tol", tol])
+        assert code == 1
+        assert "--quad-tol" in capsys.readouterr().err
 
     def test_approx(self, fixtures, capsys):
         code = run_cli(["approx", "--input", fixtures["cm.json"],

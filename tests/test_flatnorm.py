@@ -50,6 +50,13 @@ class TestComplex:
         assert cx.n_edges == 3 * 3 + 4 * 2
         assert cx.n_faces == 6
 
+    def test_apply_d2_matches_dense_matrix(self):
+        rng = np.random.default_rng(3)
+        for nx, ny in itertools.product(range(1, 7), range(1, 6)):
+            cx = CubicalComplex(h=0.5, nx=nx, ny=ny)
+            s = rng.integers(-3, 4, size=cx.n_faces).astype(float)
+            assert np.array_equal(cx.apply_d2(s), cx.d2_matrix() @ s)
+
 
 class TestSnap:
     def test_single_horizontal_edge(self):
