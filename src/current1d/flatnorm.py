@@ -107,14 +107,6 @@ class CubicalComplex:
         s_ext = np.append(np.asarray(s, dtype=float), 0.0)  # the outer face is 0
         return s_ext[f_plus] - s_ext[f_minus]
 
-    def d1_matrix(self) -> np.ndarray:
-        d1 = np.zeros((self.n_nodes, self.n_edges), dtype=float)
-        for e in range(self.n_edges):
-            a, b = self.edge_endpoints(e)
-            d1[a, e] -= 1.0
-            d1[b, e] += 1.0
-        return d1
-
     # --- snapping ------------------------------------------------------------
     def node_index_of(self, p) -> tuple[int, int]:
         gx = (p[0] - self.origin[0]) / self.h

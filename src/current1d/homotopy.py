@@ -4,10 +4,12 @@ current of chain pushforwards, and piecewise-geodesic interpolation.
 The 2-dimensional filling S is never materialized as data. It exists as a weak
 evaluator, since it is only ever needed through its boundary action and its
 mass bounds: the pullback of each test 2-form is integrated over the cells of
-the homotopy square by ``quadrature.simpson2d``, the package's one Simpson
-panel-doubling rule, which ``currents`` shares for 1-dimensional actions. The
-contractual quantities are the certificates certS = (l0 + l1) d_inf and
-certR = d(starts) + d(ends); the quadrature mass is a reported estimate.
+the homotopy square by ``quadrature.integrate``, the package's one adaptive
+Gauss-Legendre rule, with every cell one box of a single call; ``currents``
+uses the same rule for 1-dimensional actions. The contractual quantities are
+the certificates certS = (l0 + l1) d_inf and certR = d(starts) + d(ends); the
+reported mass of S is computed exactly, since |det DH| is piecewise
+polynomial on each cell.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .currents import (AffineMap, Chain1, CurrentError, Polyline,
-                       ScalarField, TestForm, d_inf, evaluate, pushforward)
-from .quadrature import QUAD_TOL, simpson, simpson2d
+                       ScalarField, TestForm, action, d_inf, evaluate, pushforward)
+from .quadrature import NODES, QUAD_TOL, WEIGHTS, Quad, integrate
 from .spaces import MetricGraph, NormedPlane
 
 
@@ -200,11 +202,44 @@ def _poly_derivs(poly: Polyline) -> tuple[np.ndarray, np.ndarray]:
     return br, d
 
 
-def _deriv_in_cell(br: np.ndarray, d: np.ndarray, sa: float, sb: float) -> np.ndarray:
-    """Constant parameter derivative on a cell strictly inside one interval."""
-    mid = 0.5 * (sa + sb)
-    idx = int(np.clip(np.searchsorted(br, mid, side="right") - 1, 0, len(d) - 1))
+def _deriv_in_cells(br: np.ndarray, d: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Constant parameter derivative on each cell, given cell midpoints strictly
+    inside one interval of the breakpoints."""
+    idx = np.clip(np.searchsorted(br, mid, side="right") - 1, 0, len(d) - 1)
     return d[idx]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _abs_det_mass(g0: Polyline, g1: Polyline, sa: np.ndarray, sb: np.ndarray,
+                  v0: np.ndarray, v1: np.ndarray) -> float:
+    """Integral of |det(d1H, d2H)| over the cells [sa, sb] x [0, 1], exactly.
+
+    On a cell d1H = (1-t) v0 + t v1 and d2H = g1(s) - g0(s), so det is
+    alpha(s) + beta t with alpha affine in s and beta constant. Its t-integral
+    is |alpha + beta/2| where alpha and alpha + beta share a sign and
+    (alpha^2 + (alpha + beta)^2) / (2 |beta|) where they do not: a polynomial
+    of degree <= 2 in s between the roots of alpha and alpha + beta, where the
+    cells are split, so the 5-point Gauss-Legendre rule is exact on each piece.
+    """
+    da = g1.at(sa) - g0.at(sa)
+    alpha_a, beta, slope = _cross(v0, da), _cross(v1 - v0, da), _cross(v0, v1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = sa[:, None] - np.stack([alpha_a, alpha_a + beta], axis=1) / slope[:, None]
+    roots = np.where(np.isfinite(roots), np.clip(roots, sa[:, None], sb[:, None]), sa[:, None])
+    cuts = np.sort(np.column_stack([sa, sb, roots]), axis=1)
+    width = np.diff(cuts, axis=1)
+    ds = cuts[:, :-1, None] + width[..., None] * NODES - sa[:, None, None]
+    alpha = alpha_a[:, None, None] + slope[:, None, None] * ds
+    beta = beta[:, None, None]
+    end = alpha + beta
+    straddle = alpha * end < 0
+    g = np.where(straddle,
+                 (alpha ** 2 + end ** 2) / (2.0 * np.where(straddle, np.abs(beta), 1.0)),
+                 np.abs(alpha + 0.5 * beta))
+    return float(np.sum(width * (g @ WEIGHTS)))
 
 
 @dataclass(frozen=True)
@@ -217,11 +252,15 @@ class FillResult:
     measured_r: float = 0.0
     d_inf: float = 0.0
 
-    def boundary_eval(self, form: TestForm) -> float:
-        """dS(f, pi) = S(1, f, pi)."""
+    def boundary_quad(self, form: TestForm) -> Quad:
+        """dS(f, pi) per cell of the homotopy square, with the quadrature counts."""
         if self.s_evaluator is None:
             raise CurrentError("quantitative S evaluator is disabled for graph bicombings")
         return self.s_evaluator(1.0, form.f, form.pi)
+
+    def boundary_eval(self, form: TestForm) -> float:
+        """dS(f, pi) = S(1, f, pi)."""
+        return float(self.boundary_quad(form).value.sum())
 
 
 def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillResult:
@@ -231,6 +270,10 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
     H(s,t) between the constant-speed curves, exposed as a weak evaluator; R is
     the chain of the two endpoint geodesics. Graph bicombings provide only the
     R side (certR and the geodesic chain).
+
+    The evaluator integrates over the cells of the square between the merged
+    breakpoints, one box each of a single ``integrate`` call, to ``quad_tol``
+    over the whole square. ``measured_s``, the mass of S, is exact.
     """
     if isinstance(bic, GraphBicombing):
         u0, v0 = int(g0[0]), int(g1[0])
@@ -253,57 +296,40 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
     br0, d0 = _poly_derivs(g0)
     br1, d1 = _poly_derivs(g1)
     cells = np.union1d(br0, br1)
-    spans = [(float(cells[i]), float(cells[i + 1])) for i in range(len(cells) - 1)
-             if cells[i + 1] - cells[i] > 1e-14]
+    keep = np.diff(cells) > 1e-14
+    sa, sb = cells[:-1][keep], cells[1:][keep]
+    mid = 0.5 * (sa + sb)
+    v0 = _deriv_in_cells(br0, d0, mid)
+    v1 = _deriv_in_cells(br1, d1, mid)
+    lo = np.stack([sa, np.zeros_like(sa)], axis=1)
+    width = np.stack([sb - sa, np.ones_like(sa)], axis=1)
 
-    def make_partials(sa: float, sb: float):
-        v0 = _deriv_in_cell(br0, d0, sa, sb)
-        v1 = _deriv_in_cell(br1, d1, sa, sb)
+    def s_evaluator(f, pi1: ScalarField, pi2: ScalarField) -> Quad:
+        ff = _as_field(f, plane)
 
-        def partials(s: np.ndarray, t: np.ndarray):
+        def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            s, t = x[:, 0], x[:, 1, None]
             p0 = g0.at(s)
             p1 = g1.at(s)
-            tt = t[None, :, None]
-            h = (1 - tt) * p0[:, None, :] + tt * p1[:, None, :]
-            d1h = (1 - tt) * v0[None, None, :] + tt * v1[None, None, :]
-            d1h = np.broadcast_to(d1h, h.shape)
-            d2h = np.broadcast_to((p1 - p0)[:, None, :], h.shape)
-            return h, d1h, d2h
-        return partials
+            h = (1 - t) * p0 + t * p1
+            d1h = (1 - t) * v0[owner] + t * v1[owner]
+            return _pullback(ff, pi1, pi2, h, d1h, p1 - p0)
+        return integrate(integrand, lo, width, quad_tol)
 
-    cell_partials = [(sa, sb, make_partials(sa, sb)) for sa, sb in spans]
-    cell_tol = quad_tol / max(1, len(cell_partials))
-
-    def s_evaluator(f, pi1: ScalarField, pi2: ScalarField) -> float:
-        ff = _as_field(f, plane)
-        total = 0.0
-        for sa, sb, partials in cell_partials:
-            def cell_fn(s, t):
-                h, d1h, d2h = partials(s, t)
-                return _pullback(ff, pi1, pi2, h.reshape(-1, 2), d1h.reshape(-1, 2),
-                                 d2h.reshape(-1, 2)).reshape(h.shape[:2])
-            total += simpson2d(cell_fn, sa, sb, cell_tol)
-        return total
-
-    measured = 0.0
-    for sa, sb, partials in cell_partials:
-        def measured_fn(s, t):
-            _, d1h, d2h = partials(s, t)
-            return np.abs(d1h[..., 0] * d2h[..., 1] - d1h[..., 1] * d2h[..., 0])
-        measured += simpson2d(measured_fn, sa, sb, cell_tol)
-
+    measured = _abs_det_mass(g0, g1, sa, sb, v0, v1)
     return FillResult(s_evaluator=s_evaluator, r_chain=r, cert_s=cert_s,
                       cert_r=cert_r, measured_s=measured, measured_r=r.mass(),
                       d_inf=dinf)
 
 
 def fill_residual(g0: Polyline, g1: Polyline, fill: FillResult, form: TestForm,
-                  plane: NormedPlane) -> float:
-    """|[g0](f,pi) - [g1](f,pi) - dS(f,pi) - R(f,pi)| for one panel form."""
-    lhs = (evaluate(g0.as_chain(plane), form, plane)
-           - evaluate(g1.as_chain(plane), form, plane))
-    rhs = fill.boundary_eval(form) + evaluate(fill.r_chain, form, plane)
-    return abs(lhs - rhs)
+                  plane: NormedPlane) -> tuple[float, int]:
+    """|[g0](f,pi) - [g1](f,pi) - dS(f,pi) - R(f,pi)| for one panel form, and
+    the number of boxes where its four quadratures stopped at the cap."""
+    quads = (action(g0.as_chain(plane), form), action(g1.as_chain(plane), form),
+             fill.boundary_quad(form), action(fill.r_chain, form))
+    a0, a1, ds, ar = (float(q.value.sum()) for q in quads)
+    return abs((a0 - a1) - (ds + ar)), sum(q.capped for q in quads)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +351,8 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
     Realizes phi_# T - psi_# T = dH(T) + H(dT) weakly, with the certified mass
     bound 2 * int |phi - psi| max(Lip phi, Lip psi) d|T| (k = 1 instance; the
     pointwise Lipschitz constant of an affine map is its operator norm).
+    Each piece of T (each boundary atom, for H(dT)) is one box of a single
+    ``integrate`` call, integrated to QUAD_TOL.
     """
     if not isinstance(phi, AffineMap) or not isinstance(psi, AffineMap):
         raise CurrentError("homotopy current needs affine maps")
@@ -334,19 +362,19 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
     aphi, apsi = phi.matrix(), psi.matrix()
     bphi, bpsi = np.asarray(phi.b), np.asarray(psi.b)
 
-    segs = []
-    for p in t_chain.pieces:
-        a = np.asarray(t_chain.coords_of(p.start))
-        b = np.asarray(t_chain.coords_of(p.end))
-        segs.append((a, b - a, p.weight, p.length))
+    starts = np.array([t_chain.coords_of(p.start) for p in t_chain.pieces],
+                      dtype=float).reshape(-1, 2)
+    dirs = np.array([t_chain.coords_of(p.end) for p in t_chain.pieces],
+                    dtype=float).reshape(-1, 2) - starts
+    weights = np.array([p.weight for p in t_chain.pieces], dtype=float)
+    lengths = np.array([p.length for p in t_chain.pieces], dtype=float)
+    n = len(weights)
 
-    cert = 0.0
-    for a, d, w, ln in segs:
-        def disp_norm(ss):
-            pts = a[None, :] + ss[:, None] * d[None, :]
-            return plane.norm_arr(pts @ dm.T + db)
-        cert += abs(w) * ln * simpson(disp_norm)
-    cert *= 2.0 * maxop
+    def disp_norm(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        pts = starts[owner] + x * dirs[owner]
+        return plane.norm_arr(pts @ dm.T + db)
+    unit = integrate(disp_norm, np.zeros((n, 1)), np.ones((n, 1)), QUAD_TOL * n)
+    cert = float(np.sum(np.abs(weights) * lengths * unit.value)) * 2.0 * maxop
 
     def h_mid(pts: np.ndarray, tt: np.ndarray) -> np.ndarray:
         """h(t, x) = t phi(x) + (1-t) psi(x); pts (n,2), tt (n,)."""
@@ -355,33 +383,29 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
 
     def h_evaluator(f, pi1: ScalarField, pi2: ScalarField) -> float:
         ff = _as_field(f, plane)
-        total = 0.0
-        for a, d, w, _ in segs:
-            def cell_fn(s, t):
-                pts = a[None, :] + s[:, None] * d[None, :]
-                n_s, n_t = len(s), len(t)
-                p_flat = np.repeat(pts, n_t, axis=0)
-                t_flat = np.tile(t, n_s)
-                a_t = t_flat[:, None, None] * aphi + (1 - t_flat)[:, None, None] * apsi
-                ad = np.einsum("nij,j->ni", a_t, d)
-                return _pullback(ff, pi1, pi2, h_mid(p_flat, t_flat),
-                                 p_flat @ dm.T + db, ad).reshape(n_s, n_t)
-            total += w * simpson2d(cell_fn, 0.0, 1.0, QUAD_TOL)
-        return total
+
+        def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            s, t = x[:, :1], x[:, 1]
+            pts = starts[owner] + s * dirs[owner]
+            a_t = t[:, None, None] * aphi + (1 - t)[:, None, None] * apsi
+            ad = np.einsum("nij,nj->ni", a_t, dirs[owner])
+            return _pullback(ff, pi1, pi2, h_mid(pts, t), pts @ dm.T + db, ad)
+        q = integrate(integrand, np.zeros((n, 2)), np.ones((n, 2)), QUAD_TOL * n)
+        return float(weights @ q.value)
+
+    atoms = t_chain.boundary().atoms
+    points = np.array([t_chain.coords_of(p) for p, _ in atoms], dtype=float).reshape(-1, 2)
+    deltas = points @ dm.T + db
+    atom_w = np.array([w for _, w in atoms], dtype=float)
 
     def h_boundary_evaluator(form: TestForm) -> float:
         """H(dT)(f, pi): the 0-current instance of the defining t-integral."""
-        m = t_chain.boundary()
-        total = 0.0
-        for p, w in m.atoms:
-            x = np.asarray(t_chain.coords_of(p) if not isinstance(p, tuple) else p)
-            delta = dm @ x + db
-
-            def fn(tt):
-                y = h_mid(np.tile(x, (len(tt), 1)), tt)
-                return form.f.value(y) * np.einsum("ni,i->n", form.pi.grad(y), delta)
-            total += w * simpson(fn)
-        return total
+        def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            y = h_mid(points[owner], x[:, 0])
+            return form.f.value(y) * np.einsum("ni,ni->n", form.pi.grad(y), deltas[owner])
+        m = len(atom_w)
+        q = integrate(integrand, np.zeros((m, 1)), np.ones((m, 1)), QUAD_TOL * m)
+        return float(atom_w @ q.value)
 
     residual = 0.0
     if panel:

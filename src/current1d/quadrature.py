@@ -1,66 +1,107 @@
-"""Composite Simpson quadrature with panel doubling, the package's only rule.
+"""Adaptive Gauss-Legendre cubature over batches of boxes, the package's only rule.
 
-Test-form actions of chains (``currents``) integrate over [0, 1] with
-``simpson``; homotopy fillings (``homotopy``) integrate over the cells of the
-homotopy square with ``simpson2d``. Both double the panels per axis until two
-successive values differ by less than the tolerance, and stop at MAX_PANELS
-panels in all, returning the last value. Stopping at the cap is logged at
-``debug`` level on ``current1d.quadrature``.
+``integrate`` refines a batch of 1-D or 2-D boxes level by level. A box is
+accepted when the tensor 5-point Gauss-Legendre rule on its 2^dim halves
+agrees with the rule on the box within ``tol`` times its share of the batch's
+volume. Each level evaluates every active box in one integrand call (chunks
+of at most CHUNK_NODES nodes); ``owner`` tells the integrand which input box a
+node belongs to. Boxes still unconverged at MAX_PANELS leaf-equivalents
+(depth 14 in 1-D, 7 in 2-D) are counted as capped and logged at ``debug``
+level on ``current1d.quadrature``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 QUAD_TOL = 1e-8
 MAX_PANELS = 2 ** 14
+CHUNK_NODES = 2 ** 16
 
 log = logging.getLogger(__name__)
 
+_R1 = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_R2 = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_W1 = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
+_W2 = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
+# The 5-point Gauss-Legendre rule on [0, 1], exact for degree <= 9.
+NODES = 0.5 + 0.5 * np.array([-_R2, -_R1, 0.0, _R1, _R2])
+WEIGHTS = 0.5 * np.array([_W2, _W1, 128.0 / 225.0, _W1, _W2])
 
-def _weights(n: int) -> np.ndarray:
-    """Unscaled composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on n panels."""
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
+
+class Quad(NamedTuple):
+    value: np.ndarray  # the integral over each input box, shape (B,)
+    nodes: int         # integrand evaluations
+    capped: int        # boxes accepted at the cap without converging
 
 
-def _doubling(rule, n0: int, dim: int, tol: float) -> float:
-    """Value of ``rule(n)`` once doubling n changes it by less than tol.
+# Per dimension: the tensor rule's nodes (5^dim, dim) and weights on the unit
+# box, and the lower corners (2^dim, dim) of its halves.
+_TENSORS = {
+    1: (NODES[:, None], WEIGHTS, np.array([[0.0], [0.5]])),
+    2: (np.array([(a, b) for a in NODES for b in NODES]),
+        np.array([a * b for a in WEIGHTS for b in WEIGHTS]),
+        np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])),
+}
 
-    n counts panels per axis of a dim-dimensional tensor rule; doubling stops
-    once n ** dim reaches MAX_PANELS.
+
+def integrate(fn, lo, width, tol: float) -> Quad:
+    """Integrals of ``fn`` over the boxes [lo, lo + width], both of shape (B, dim).
+
+    ``fn(x, owner)`` maps nodes x of shape (N, dim) and the index (N,) of the
+    input box each node came from to N values. The errors of all boxes sum
+    to about ``tol`` at most, unless some box is capped.
     """
-    n = n0
-    prev = rule(n)
-    change = float("nan")
-    while n ** dim < MAX_PANELS:
-        n *= 2
-        cur = rule(n)
-        change = abs(cur - prev)
-        if change < tol:
-            return cur
-        prev = cur
-    log.debug("Simpson rule stopped at the cap of %d panels per axis: "
-              "last change %.3g, tolerance %.3g", n, change, tol)
-    return prev
+    lo = np.asarray(lo, dtype=float)
+    width = np.asarray(width, dtype=float)
+    n_box, dim = lo.shape
+    x_ref, w_ref, corners = _TENSORS[dim]
+    per_box = len(w_ref)
+    n_kids = len(corners)
+    max_depth = round(math.log2(MAX_PANELS)) // dim
+    nodes = 0
 
+    def rule(lo, width, owner):
+        nonlocal nodes
+        out = np.empty(len(lo))
+        step = CHUNK_NODES // per_box
+        for i in range(0, len(lo), step):
+            sl = slice(i, i + step)
+            x = lo[sl, None, :] + width[sl, None, :] * x_ref
+            f = fn(x.reshape(-1, dim), np.repeat(owner[sl], per_box))
+            out[sl] = np.prod(width[sl], axis=1) * (np.reshape(f, (-1, per_box)) @ w_ref)
+            nodes += x.shape[0] * per_box
+        return out
 
-def simpson(fn) -> float:
-    """Integral over [0, 1] of ``fn``, which maps an array of nodes to values."""
-    def rule(n: int) -> float:
-        return float(1.0 / (3 * n) * np.dot(_weights(n), fn(np.linspace(0.0, 1.0, n + 1))))
-    return _doubling(rule, 64, 1, QUAD_TOL)
-
-
-def simpson2d(fn, sa: float, sb: float, tol: float) -> float:
-    """Integral over [sa, sb] x [0, 1] of ``fn(s, t)``, the grid of values on
-    the node vectors s and t (shape ``(len(s), len(t))``)."""
-    def rule(n: int) -> float:
-        w = _weights(n) / 3.0
-        vals = fn(np.linspace(sa, sb, n + 1), np.linspace(0.0, 1.0, n + 1))
-        return float((w * (sb - sa) / n) @ vals @ (w / n))
-    return _doubling(rule, 4, 2, tol)
+    vol = np.prod(width, axis=1)
+    total = float(vol.sum())
+    thr = tol * vol / total if total > 0 else np.zeros(n_box)
+    owner = np.arange(n_box)
+    est = rule(lo, width, owner)
+    value = np.zeros(n_box)
+    capped = 0
+    for depth in range(1, max_depth + 1):
+        if not len(owner):
+            break
+        lo = (lo[:, None, :] + width[:, None, :] * corners).reshape(-1, dim)
+        width = np.repeat(width / 2.0, n_kids, axis=0)
+        owner = np.repeat(owner, n_kids)
+        kids = rule(lo, width, owner)
+        refined = kids.reshape(-1, n_kids).sum(axis=1)
+        done = np.abs(refined - est) <= thr
+        if depth == max_depth:
+            capped = int(np.count_nonzero(~done))
+            done[:] = True
+        value += np.bincount(owner[::n_kids][done], weights=refined[done],
+                             minlength=n_box)
+        keep = np.repeat(~done, n_kids)
+        lo, width, owner, est = lo[keep], width[keep], owner[keep], kids[keep]
+        thr = np.repeat(thr[~done] / n_kids, n_kids)
+    if capped:
+        log.debug("quadrature stopped %d boxes at the cap of %d panels: "
+                  "tolerance %.3g", capped, MAX_PANELS, tol)
+    return Quad(value, nodes, capped)

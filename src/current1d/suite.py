@@ -163,6 +163,7 @@ def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
     panel = standard_panel(seed, count=20, scale=2.0)
     ok = True
     worst_resid = 0.0
+    capped = 0
     for _ in range(n_pairs):
         g0 = _random_polyline(rng)
         g1 = _random_polyline(rng)
@@ -171,7 +172,8 @@ def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
         ok &= fill.r_chain.mass() <= fill.cert_r + 1e-9
         for form in panel:
             allowed = 1e-6 * (1.0 + form.lip_pi * form.sup_f)
-            resid = fill_residual(g0, g1, fill, form, plane)
+            resid, n_capped = fill_residual(g0, g1, fill, form, plane)
+            capped += n_capped
             worst_resid = max(worst_resid, resid / allowed)
             ok &= resid <= allowed
     # grid-snapped pairs: LP flat norm of the difference <= certS + certR
@@ -191,6 +193,7 @@ def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
     return CriterionResult(4, f"homotopy lemma on {n_pairs} fuzzed pairs", bool(ok),
                            secs, {"worst_residual_ratio": worst_resid,
                                   "worst_lp_margin": worst_lp_margin,
+                                  "capped_subcells": capped,
                                   "runtime_s": secs})
 
 

@@ -69,6 +69,38 @@ class TestSubcommands:
         assert out["value"] == pytest.approx(1.0)
         assert out["duality_ok"] and out["lipschitz_ok"]
 
+    @pytest.mark.parametrize("space, atoms", [
+        (None, [[1, 1.0], [0, -1.0]]),
+        ({"kind": "plane", "norm": "l1"}, [[[0, 0], -1.0], [[1, 2], 0.5], [[2, 0], 0.5]])])
+    def test_ae_norm_lipschitz_check_fails_on_a_steep_potential(
+            self, fixtures, capsys, monkeypatch, tmp_path, space, atoms):
+        import dataclasses
+
+        import current1d.cli as cli
+        space_path = fixtures["vdetour.json"]
+        if space is not None:
+            space_path = str(tmp_path / "plane.json")
+            with open(space_path, "w") as fh:
+                json.dump(space, fh)
+        mol_path = str(tmp_path / "atoms.json")
+        with open(mol_path, "w") as fh:
+            json.dump({"atoms": atoms}, fh)
+        args = ["ae-norm", "--space", space_path, "--molecule", mol_path]
+        assert run_cli(args) == 0
+        assert json.loads(capsys.readouterr().out)["lipschitz_ok"]
+
+        real = cli.ae_norm
+
+        def steep(m, metric):
+            res = real(m, metric)
+            return dataclasses.replace(res, potential={k: 3.0 * v
+                                                       for k, v in res.potential.items()})
+        monkeypatch.setattr(cli, "ae_norm", steep)
+        assert run_cli(args) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert not out["lipschitz_ok"]
+        assert out["duality_ok"]
+
     def test_filling(self, fixtures, capsys):
         code = run_cli(["filling", "--space", fixtures["vdetour.json"],
                         "--molecule", fixtures["mol.json"]])

@@ -23,7 +23,7 @@ class TestHomotopyFill:
         assert fill.cert_r == 0.0
         assert fill.r_chain.pieces == ()
         for form in standard_panel(1, count=6, scale=1.0):
-            assert fill_residual(g, g, fill, form, PL) <= 1e-9
+            assert fill_residual(g, g, fill, form, PL)[0] <= 1e-9
 
     def test_unit_square_edges(self):
         g0 = Polyline([[0, 0], [1, 0]])
@@ -35,7 +35,7 @@ class TestHomotopyFill:
         assert fill.r_chain.mass() == pytest.approx(2.0, abs=1e-12)
         for form in standard_panel(2, count=10, scale=1.5):
             allowed = 1e-6 * (1 + form.lip_pi * form.sup_f)
-            assert fill_residual(g0, g1, fill, form, PL) <= allowed
+            assert fill_residual(g0, g1, fill, form, PL)[0] <= allowed
 
     def test_tent_over_same_endpoints(self):
         g0 = Polyline([[0, 0], [1, 0]])
@@ -45,7 +45,7 @@ class TestHomotopyFill:
         assert fill.cert_s == pytest.approx((1.0 + g1.length) * 0.1, abs=1e-12)
         for form in standard_panel(3, count=10, scale=1.5):
             allowed = 1e-6 * (1 + form.lip_pi * form.sup_f)
-            assert fill_residual(g0, g1, fill, form, PL) <= allowed
+            assert fill_residual(g0, g1, fill, form, PL)[0] <= allowed
 
     def test_certificate_chain_inequality(self):
         rng = np.random.Generator(np.random.Philox(key=41))
@@ -71,6 +71,63 @@ class TestHomotopyFill:
             cx = complex_covering([g0, g1], h=1.0)
             diff = snap(g0.as_chain(PL), cx) - snap(g1.as_chain(PL), cx)
             assert flat_norm(diff, cx).value <= fill.cert_s + fill.cert_r + 1e-6
+
+
+def shoelace(g0: Polyline, g1: Polyline) -> float:
+    """Signed area of the loop g0, g1 reversed: the integral of det DH over the square."""
+    loop = np.vstack([g0.points, g1.points[::-1]])
+    x, y = loop[:, 0], loop[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def midpoint_abs_det(g0: Polyline, g1: Polyline, n: int = 2000) -> tuple[float, bool]:
+    """|det DH| integrated by an n x n midpoint grid on each cell of the square,
+    and whether det changes sign somewhere."""
+    cells = np.union1d(g0.breaks(), g1.breaks())
+    t = (np.arange(n) + 0.5) / n
+    total, signs = 0.0, set()
+    for sa, sb in zip(cells[:-1], cells[1:]):
+        if sb - sa <= 1e-14:
+            continue
+        s = sa + (sb - sa) * (np.arange(n) + 0.5) / n
+        dv = (np.array([g0.at(sb)[0] - g0.at(sa)[0], g1.at(sb)[0] - g1.at(sa)[0]])
+              / (sb - sa))
+        d = g1.at(s) - g0.at(s)
+        a = dv[0, 0] * d[:, 1] - dv[0, 1] * d[:, 0]
+        c = dv[1, 0] * d[:, 1] - dv[1, 1] * d[:, 0]
+        det = (1.0 - t)[None, :] * a[:, None] + t[None, :] * c[:, None]
+        signs |= set(np.sign(det[np.abs(det) > 1e-9]).tolist())
+        total += float(np.abs(det).sum()) * (sb - sa) / n ** 2
+    return total, len(signs) > 1
+
+
+class TestMeasuredMass:
+    """measured_s integrates |det(d1H, d2H)| exactly."""
+
+    def test_constant_sign_equals_signed_area(self):
+        rng = np.random.Generator(np.random.Philox(key=45))
+        pairs = [(Polyline([[0, 0], [1, 0]]), Polyline([[0, 1], [3, 1]]))]
+        for n in (2, 3, 5):
+            x = np.sort(rng.uniform(-2, 2, size=n))
+            g0 = Polyline(np.stack([x, rng.uniform(-1, 1, size=n)], axis=1))
+            pairs.append((g0, g0.translate((0.0, float(rng.uniform(0.5, 2.0))))))
+            pairs.append((g0.translate((0.0, -1.5)), g0))
+        for g0, g1 in pairs:
+            fill = homotopy_fill(g0, g1, BIC)
+            assert abs(fill.measured_s - abs(shoelace(g0, g1))) <= 1e-13
+
+    def test_crossing_pairs_match_a_fine_grid(self):
+        rng = np.random.Generator(np.random.Philox(key=46))
+        pairs = [(Polyline([[0, 0], [1, 0]]), Polyline([[1, 1], [0, 1]]))]
+        while len(pairs) < 4:
+            g0 = Polyline(rng.uniform(-2, 2, size=(3, 2)))
+            g1 = Polyline(rng.uniform(-2, 2, size=(int(rng.integers(2, 4)), 2)))
+            if midpoint_abs_det(g0, g1, n=16)[1]:
+                pairs.append((g0, g1))
+        for g0, g1 in pairs:
+            reference, crosses = midpoint_abs_det(g0, g1)
+            assert crosses
+            assert abs(homotopy_fill(g0, g1, BIC).measured_s - reference) <= 1e-5
 
 
 class TestBicombing:
