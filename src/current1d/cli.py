@@ -19,8 +19,7 @@ import numpy as np
 from . import io as cio
 from .approximation import approximate, truncate
 from .currents import CurrentError, Polyline, restrict, standard_panel
-from .decomposition import (EdgeFlow, _edge_length_lookup, decompose_flow,
-                            fragment_representation)
+from .decomposition import EdgeFlow, decompose_flow, fragment_representation
 from .flatnorm import CubicalComplex, GridError, flat_norm, snap
 from .homotopy import AffineBicombing, fill_residual, homotopy_fill
 from .quadrature import QUAD_TOL
@@ -28,11 +27,12 @@ from .rickman import rug_grid
 from .spaces import GeometryError, MetricGraph, NormedPlane
 from .solvers import Infeasible, IterationLimit, SolverError
 from .structure import Line, StructureError, normalize
-from .transport import TransportError, ae_norm, isomorphism_check, minimal_filling
+from .transport import (IDENT_TOL, TransportError, ae_norm, isomorphism_check,
+                        minimal_filling)
 
 log = logging.getLogger("current1d")
 
-_KNOWN_KEYS = {"seed", "tol", "out", "format", "space", "molecule", "chain",
+_KNOWN_KEYS = {"tol", "out", "format", "space", "molecule", "chain",
                "curve0", "curve1", "grid", "origin", "eps", "mesh",
                "length_cap", "hyperplane", "flow", "closedset", "input",
                "panel_seed", "quad_tol", "s_grid", "n", "alpha", "metric"}
@@ -77,6 +77,14 @@ def _emit(args, payload, rows=None, columns=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _positive(flag: str, value, default: float) -> float:
+    """The value of a tolerance flag: ``default`` when unset, else a positive finite number."""
+    value = default if value is None else value
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise CliInputError(f"{flag} must be a positive finite number: {value!r}")
+    return value
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -158,7 +166,7 @@ def _cmd_iso_check(args) -> int:
     if not isinstance(g, MetricGraph):
         raise CliInputError("iso-check needs a graph space")
     t = cio.load_chain(_load_json(args.chain), space=g)
-    rep = isomorphism_check(t, g, tol=args.tol or 1e-7)
+    rep = isomorphism_check(t, g, tol=_positive("--tol", args.tol, IDENT_TOL))
     report = {
         "ae_ambient": rep.ae_ambient, "ae_intrinsic": rep.ae_intrinsic,
         "filling_mass": rep.filling_mass, "qc": rep.qc, "ratio": rep.ratio,
@@ -205,9 +213,7 @@ def _cmd_homotopy(args) -> int:
     g1 = cio.load_chain(_load_json(args.curve1))
     if not isinstance(g0, Polyline) or not isinstance(g1, Polyline):
         raise CliInputError("homotopy expects polyline documents")
-    quad_tol = QUAD_TOL if args.quad_tol is None else args.quad_tol
-    if not (isinstance(quad_tol, (int, float)) and math.isfinite(quad_tol) and quad_tol > 0):
-        raise CliInputError(f"--quad-tol must be a positive finite number: {quad_tol!r}")
+    quad_tol = _positive("--quad-tol", args.quad_tol, QUAD_TOL)
     plane = NormedPlane("l2")
     bic = AffineBicombing(plane)
     fill = homotopy_fill(g0, g1, bic, quad_tol=quad_tol)
@@ -310,15 +316,10 @@ def _cmd_decompose(args) -> int:
     err = float(np.max(np.abs(d.reassembled() - np.array(ef.weights)))) \
         if ef.weights else 0.0
     ok = err <= 1e-9 and abs(d.mass_defect) <= 1e-9
-    lengths = _edge_length_lookup(ef.graph)
-
-    def route_len(verts) -> float:
-        return float(sum(lengths[(verts[i], verts[i + 1])] for i in range(len(verts) - 1)))
-
-    rows = [{"kind": "path", "weight": w, "length": route_len(v),
-             "n_vertices": len(v)} for w, v in d.paths]
-    rows += [{"kind": "cycle", "weight": w, "length": route_len(v),
-              "n_vertices": len(v)} for w, v in d.cycles]
+    rows = [{"kind": kind, "weight": w, "length": ef.graph.route_length(v),
+             "n_vertices": len(v)}
+            for kind, routes in (("path", d.paths), ("cycle", d.cycles))
+            for w, v in routes]
     report = {
         "paths": [[w, list(v)] for w, v in d.paths],
         "cycles": [[w, list(v)] for w, v in d.cycles],
@@ -399,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -418,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso-check", help="quasiconvexity sandwich for a chain's boundary")
     p.add_argument("--space", required=True)
     p.add_argument("--chain", required=True)
+    p.add_argument("--tol", type=float, default=None)
     common(p)
 
     p = sub.add_parser("flatnorm", help="flat norm on a cubical complex")

@@ -137,16 +137,8 @@ class Chain1:
     @classmethod
     def from_graph_edges(cls, g: MetricGraph, flows: Sequence[tuple[int, int, float]]) -> "Chain1":
         """Build a graph chain from (u, v, weight) triples on existing edges."""
-        lengths = {}
-        for u, v, w in g.edges:
-            lengths[(u, v)] = w
-            lengths[(v, u)] = w
-        pieces = []
-        for u, v, w in flows:
-            if (u, v) not in lengths:
-                raise CurrentError(f"({u},{v}) is not an edge of the graph")
-            pieces.append(Piece(int(u), int(v), float(w), lengths[(u, v)]))
-        return cls(g, pieces)
+        return cls(g, [Piece(int(u), int(v), float(w), g.edge_length(u, v))
+                       for u, v, w in flows])
 
     @staticmethod
     def empty(space=None) -> "Chain1":

@@ -31,6 +31,18 @@ class EdgeFlow:
         if len(self.weights) != len(self.graph.edges):
             raise CurrentError("one weight per edge required")
 
+    @classmethod
+    def from_chain(cls, chain: Chain1) -> "EdgeFlow":
+        """Signed weight per edge of a chain on graph edges; inverse of ``as_chain``."""
+        g = chain.space
+        if not isinstance(g, MetricGraph):
+            raise CurrentError("edge flows need a chain on a metric graph")
+        weights = np.zeros(len(g.edges))
+        for p in chain.pieces:
+            k, sgn = g.signed_edge(p.start, p.end)
+            weights[k] += sgn * p.weight
+        return cls(g, tuple(weights))
+
     def as_chain(self) -> Chain1:
         flows = [(u, v, w) for (u, v, _), w in zip(self.graph.edges, self.weights)
                  if w != 0.0]
@@ -53,14 +65,10 @@ class Decomposition:
 
     def reassembled(self) -> np.ndarray:
         """Signed edge-weight vector reconstructed from the paths and cycles."""
-        index = {}
-        for k, (u, v, _) in enumerate(self.graph.edges):
-            index[(u, v)] = (k, 1.0)
-            index[(v, u)] = (k, -1.0)
         out = np.zeros(len(self.graph.edges))
         for w, verts in self.paths + self.cycles:
-            for i in range(len(verts) - 1):
-                k, sgn = index[(verts[i], verts[i + 1])]
+            for a, b in zip(verts, verts[1:]):
+                k, sgn = self.graph.signed_edge(a, b)
                 out[k] += sgn * w
         return out
 
@@ -71,14 +79,6 @@ class Decomposition:
         return cycle_mass(self)
 
 
-def _edge_length_lookup(g: MetricGraph) -> dict[tuple[int, int], float]:
-    table = {}
-    for u, v, ln in g.edges:
-        table[(u, v)] = ln
-        table[(v, u)] = ln
-    return table
-
-
 def decompose_flow(f: EdgeFlow) -> Decomposition:
     """Peel source-to-sink paths through the residual orientation, then cycles.
 
@@ -87,7 +87,6 @@ def decompose_flow(f: EdgeFlow) -> Decomposition:
     the total peeled weight times length equals the flow mass.
     """
     g = f.graph
-    lengths = _edge_length_lookup(g)
     residual: dict[tuple[int, int], float] = {}
     for (u, v, _), w in zip(g.edges, f.weights):
         if w > 0:
@@ -109,6 +108,8 @@ def decompose_flow(f: EdgeFlow) -> Decomposition:
             demand[p] = w
 
     eps = TOL * max(1.0, float(np.sum(np.abs(f.weights))) or 1.0)
+    paths = []
+    cycles = []
 
     def walk_from(s: int):
         """Follow lowest-index live arcs from s until a demand node or a revisit."""
@@ -133,8 +134,12 @@ def decompose_flow(f: EdgeFlow) -> Decomposition:
             seen[nxt] = len(path)
             path.append(nxt)
 
-    paths = []
-    cycles = []
+    def peel_cycle(cyc):
+        w = min(residual[(cyc[i], cyc[i + 1])] for i in range(len(cyc) - 1))
+        for i in range(len(cyc) - 1):
+            residual[(cyc[i], cyc[i + 1])] -= w
+        cycles.append((float(w), tuple(cyc)))
+
     while True:
         sources = [v for v in range(g.n) if supply[v] > eps]
         if not sources:
@@ -142,10 +147,7 @@ def decompose_flow(f: EdgeFlow) -> Decomposition:
         s = sources[0]
         path, cyc = walk_from(s)
         if cyc is not None:
-            w = min(residual[(cyc[i], cyc[i + 1])] for i in range(len(cyc) - 1))
-            for i in range(len(cyc) - 1):
-                residual[(cyc[i], cyc[i + 1])] -= w
-            cycles.append((float(w), tuple(cyc)))
+            peel_cycle(cyc)
             continue
         t = path[-1]
         w = min(supply[s], demand[t])
@@ -157,62 +159,35 @@ def decompose_flow(f: EdgeFlow) -> Decomposition:
         demand[t] -= w
         paths.append((float(w), tuple(path)))
 
-    # pure circulation left over: peel cycles from the lowest live arc
+    # pure circulation left over: with no demand left, every walk from the
+    # lowest live arc ends on a revisit
+    demand[:] = 0.0
     while True:
         live = [uv for uv in arc_list if residual.get(uv, 0.0) > eps]
         if not live:
             break
-        start = live[0][0]
-        _, cyc = _force_cycle(start, arc_list, out_arcs, residual, eps)
-        w = min(residual[(cyc[i], cyc[i + 1])] for i in range(len(cyc) - 1))
-        for i in range(len(cyc) - 1):
-            residual[(cyc[i], cyc[i + 1])] -= w
-        cycles.append((float(w), tuple(cyc)))
+        peel_cycle(walk_from(live[0][0])[1])
 
-    decomposed = 0.0
-    for w, verts in paths + cycles:
-        for i in range(len(verts) - 1):
-            decomposed += w * lengths[(verts[i], verts[i + 1])]
-    defect = f.mass() - decomposed
+    defect = f.mass() - _route_mass(g, paths + cycles)
     return Decomposition(graph=g, paths=tuple(paths), cycles=tuple(cycles),
                          mass_defect=float(defect))
 
 
-def _force_cycle(start: int, arc_list, out_arcs, residual, eps):
-    path = [start]
-    seen = {start: 0}
-    while True:
-        u = path[-1]
-        nxt = None
-        for a in out_arcs[u]:
-            uv = arc_list[a]
-            if residual.get(uv, 0.0) > eps:
-                nxt = uv[1]
-                break
-        if nxt is None:
-            raise CurrentError("circulation peeling lost conservation")
-        if nxt in seen:
-            return None, path[seen[nxt]:] + [nxt]
-        seen[nxt] = len(path)
-        path.append(nxt)
+def _route_mass(g: MetricGraph, routes) -> float:
+    """Sum of weight x edge length over every edge of every route, edge by edge."""
+    tot = 0.0
+    for w, verts in routes:
+        for a, b in zip(verts, verts[1:]):
+            tot += w * g.edge_length(a, b)
+    return float(tot)
 
 
 def path_mass(d: Decomposition) -> float:
-    lengths = _edge_length_lookup(d.graph)
-    tot = 0.0
-    for w, verts in d.paths:
-        for i in range(len(verts) - 1):
-            tot += w * lengths[(verts[i], verts[i + 1])]
-    return float(tot)
+    return _route_mass(d.graph, d.paths)
 
 
 def cycle_mass(d: Decomposition) -> float:
-    lengths = _edge_length_lookup(d.graph)
-    tot = 0.0
-    for w, verts in d.cycles:
-        for i in range(len(verts) - 1):
-            tot += w * lengths[(verts[i], verts[i + 1])]
-    return float(tot)
+    return _route_mass(d.graph, d.cycles)
 
 
 def boundary_marginals(d: Decomposition) -> tuple[Molecule, Molecule]:

@@ -65,14 +65,6 @@ class CubicalComplex:
     def face_id(self, i: int, j: int) -> int:
         return j * self.nx + i
 
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        if e < self.n_h:
-            j, i = divmod(e, self.nx)
-            return self.node_id(i, j), self.node_id(i + 1, j)
-        e -= self.n_h
-        j, i = divmod(e, self.nx + 1)
-        return self.node_id(i, j), self.node_id(i, j + 1)
-
     def d2_matrix(self) -> np.ndarray:
         """Integer incidence: column f holds the signed edges of face f."""
         d2 = np.zeros((self.n_edges, self.n_faces), dtype=float)

@@ -14,7 +14,6 @@ polynomial on each cell.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -67,52 +66,23 @@ class AffineBicombing:
         return self.plane.dist(p, q)
 
 
+@dataclass(frozen=True)
 class GraphBicombing:
-    """Shortest-path selection on a metric graph, ties by lowest-index predecessor.
+    """Shortest-path selection on a metric graph, ties by lowest-index predecessor
+    (``MetricGraph.predecessors``).
 
     Generic graphs need not satisfy the conical inequality; it is only
     sample-checked, and the quantitative S bounds are disabled on graphs.
     """
 
+    g: MetricGraph
+
     tag = "graphGeodesic"
 
-    def __init__(self, g: MetricGraph):
-        self.g = g
-        self._paths: dict[int, tuple[list[float], list[int]]] = {}
-
-    def _sssp(self, src: int):
-        if src in self._paths:
-            return self._paths[src]
-        g = self.g
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-        for u, v, w in g.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for lst in adj:
-            lst.sort()
-        dist = [math.inf] * g.n
-        pred = [-1] * g.n
-        dist[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u] + 1e-15:
-                continue
-            for v, w in adj[u]:
-                nd = du + w
-                if nd < dist[v] - 1e-12:
-                    dist[v] = nd
-                    pred[v] = u
-                    heapq.heappush(heap, (nd, v))
-                elif abs(nd - dist[v]) <= 1e-12 and pred[v] >= 0 and u < pred[v]:
-                    pred[v] = u
-        self._paths[src] = (dist, pred)
-        return dist, pred
-
     def path(self, u: int, v: int) -> list[int]:
-        dist, pred = self._sssp(u)
-        if not math.isfinite(dist[v]):
+        if not math.isfinite(self.g.path_dist[u, v]):
             raise CurrentError(f"vertices {u}, {v} are disconnected")
+        pred = self.g.predecessors(u).tolist()
         out = [v]
         while out[-1] != u:
             out.append(pred[out[-1]])

@@ -131,13 +131,12 @@ def load_chain(doc: dict, space=None):
             s, e = (float(s[0]), float(s[1])), (float(e[0]), float(e[1]))
             length = float(item.get("length", space.dist(s, e)
                            if isinstance(space, NormedPlane) else 0.0))
+        elif not isinstance(space, MetricGraph):
+            raise InputError("vertex-index pieces need a graph space")
         else:
             s, e = int(s), int(e)
-            length = float(item["length"]) if "length" in item else None
-            if length is None:
-                table = {(u, v): ln for u, v, ln in space.edges}
-                table.update({(v, u): ln for u, v, ln in space.edges})
-                length = table[(s, e)]
+            length = (float(item["length"]) if "length" in item
+                      else space.edge_length(s, e))
         pieces.append(Piece(s, e, w, length))
     return Chain1(space, pieces)
 

@@ -153,10 +153,12 @@ class FiniteMetricSpace:
         np.fill_diagonal(off, INF)
         if np.min(off) <= 0:
             raise GeometryError("off-diagonal distances must be positive")
-        # triangle inequality within TOL: d(i,j) <= min_k d(i,k) + d(k,j)
-        via = np.min(d[:, None, :] + d.T[None, :, :], axis=2)
-        if np.min(via - d) < -TOL:
-            raise GeometryError("triangle inequality violated beyond 1e-9")
+        # triangle inequality within TOL: d(i,j) <= d(i,k) + d(k,j), one k at a
+        # time (O(n^2) memory); inf - inf is nan, which compares false
+        with np.errstate(invalid="ignore"):
+            for k in range(n):
+                if np.any(d[:, k, None] + d[None, k, :] - d < -TOL):
+                    raise GeometryError("triangle inequality violated beyond 1e-9")
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +190,10 @@ class MetricGraph:
     ``"euclidean"`` (vertices must carry plane coordinates), or
     ``("d_alpha", a)`` for the Rickman metric ``max(|dx|^a, |dy|)``.
 
-    The all-pairs path metric is memoized eagerly at construction; instances
-    are immutable afterwards and safe for concurrent reads.
+    The all-pairs path metric and the signed edge table are built eagerly at
+    construction; instances are immutable afterwards and safe for concurrent
+    reads. In the table, ``(u, v)`` maps to ``(k, +1)`` and ``(v, u)`` to
+    ``(k, -1)`` for edge ``k = (u, v)``; among parallel edges the last listed wins.
     """
 
     def __init__(self, vertices, edges, ambient="euclidean", validate: bool = True):
@@ -205,6 +209,16 @@ class MetricGraph:
                 raise GeometryError(f"edge ({u},{v}) out of range")
             if w <= 0:
                 raise GeometryError("edge lengths must be positive")
+        self._signed_edges: dict[tuple[int, int], tuple[int, int]] = {}
+        for k, (u, v, _) in enumerate(self.edges):
+            self._signed_edges[(u, v)] = (k, 1)
+            self._signed_edges[(v, u)] = (k, -1)
+        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=int).reshape(-1, 2)
+        lengths = np.array([w for _, _, w in self.edges], dtype=float)
+        # both orientations of every edge, for the shortest-path trees
+        self._arc_tail = np.concatenate([ends[:, 0], ends[:, 1]])
+        self._arc_head = np.concatenate([ends[:, 1], ends[:, 0]])
+        self._arc_len = np.concatenate([lengths, lengths])
         self.path_dist = self._all_pairs()
         self.ambient_dist = self._ambient_matrix()
         if validate:
@@ -253,8 +267,34 @@ class MetricGraph:
     def d(self, u: int, v: int) -> float:
         return float(self.ambient_dist[u, v])
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {(u, v): k for k, (u, v, _) in enumerate(self.edges)}
+    def signed_edge(self, u: int, v: int) -> tuple[int, int]:
+        """(edge index, +1 or -1) of the edge traversed from u to v."""
+        try:
+            return self._signed_edges[(u, v)]
+        except KeyError:
+            raise GeometryError(f"({u},{v}) is not an edge of the graph") from None
+
+    def edge_length(self, u: int, v: int) -> float:
+        return self.edges[self.signed_edge(u, v)[0]][2]
+
+    def route_length(self, verts) -> float:
+        """Length of the edge route through ``verts``, summed edge by edge."""
+        return float(sum(self.edge_length(a, b) for a, b in zip(verts, verts[1:])))
+
+    def predecessors(self, src: int) -> np.ndarray:
+        """Shortest-path tree from ``src`` read off ``path_dist``, as a predecessor array.
+
+        The predecessor of v is the lowest-index u with d(src, u) < d(src, v)
+        and d(src, u) + w(u, v) <= d(src, v) + 1e-12; the strict ``<`` keeps
+        every chain acyclic. It is -1 at ``src`` and at unreachable vertices.
+        """
+        d = self.path_dist[src]
+        du, dv = d[self._arc_tail], d[self._arc_head]
+        tight = (du < dv) & (du + self._arc_len <= dv + 1e-12)
+        pred = np.full(self.n, self.n)
+        np.minimum.at(pred, self._arc_head[tight], self._arc_tail[tight])
+        pred[pred == self.n] = -1
+        return pred
 
 
 def path_metric(g: MetricGraph) -> np.ndarray:

@@ -291,14 +291,7 @@ def criterion_7_decomposition(seed: int = 707) -> CriterionResult:
         g = _random_connected_graph(rng, max_n=15)
         m = _random_molecule(rng, g.n)
         fill = minimal_filling(m, g)
-        weights = np.zeros(len(g.edges))
-        index = g.edge_index()
-        for piece in fill.chain.pieces:
-            if (piece.start, piece.end) in index:
-                weights[index[(piece.start, piece.end)]] += piece.weight
-            else:
-                weights[index[(piece.end, piece.start)]] -= piece.weight
-        ef = EdgeFlow(g, tuple(weights))
+        ef = EdgeFlow.from_chain(fill.chain)
         d = decompose_flow(ef)
         err = float(np.max(np.abs(d.reassembled() - np.array(ef.weights)))) \
             if len(g.edges) else 0.0

@@ -144,6 +144,30 @@ class TestSubcommands:
         assert code == 1
         assert "--quad-tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
+    def test_iso_check_rejects_bad_tol(self, fixtures, capsys, tol):
+        code = run_cli(["iso-check", "--space", fixtures["vdetour.json"],
+                        "--chain", fixtures["chain.json"], f"--tol={tol}"])
+        assert code == 1
+        assert "--tol" in capsys.readouterr().err
+
+    def test_vertex_piece_off_the_graph_is_input_error(self, fixtures, tmp_path, capsys):
+        chain = tmp_path / "offgraph.json"
+        chain.write_text(json.dumps({"pieces": [{"start": 0, "end": 1, "weight": 1.0}]}))
+        code = run_cli(["iso-check", "--space", fixtures["vdetour.json"],
+                        "--chain", str(chain)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GeometryError"
+        assert "not an edge" in err["message"]
+        # the same piece on the default plane has no graph to look up
+        assert run_cli(["flatnorm", "--grid", "4,4,1", "--chain", str(chain)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("extra", [["--seed", "1"], ["--tol", "1e-3"]])
+    def test_options_nothing_reads_are_rejected(self, capsys, extra):
+        assert run_cli(["rickman", "--s-grid", "2"] + extra) == 1
+
     def test_approx(self, fixtures, capsys):
         code = run_cli(["approx", "--input", fixtures["cm.json"],
                         "--eps", "0.1", "--mesh", "0.5"])

@@ -69,16 +69,9 @@ class TestDecomposeFlow:
             m = Molecule([(int(verts[0]), 2.0), (int(verts[1]), -1.25),
                           (int(verts[2]), -0.75)])
             fill = minimal_filling(m, g)
-            weights = np.zeros(len(g.edges))
-            index = g.edge_index()
-            for piece in fill.chain.pieces:
-                if (piece.start, piece.end) in index:
-                    weights[index[(piece.start, piece.end)]] += piece.weight
-                else:
-                    weights[index[(piece.end, piece.start)]] -= piece.weight
-            ef = EdgeFlow(g, tuple(weights))
+            ef = EdgeFlow.from_chain(fill.chain)
             d = decompose_flow(ef)
-            assert np.max(np.abs(d.reassembled() - weights)) <= 1e-9
+            assert np.max(np.abs(d.reassembled() - ef.weights)) <= 1e-9
             assert abs(d.mass_defect) <= 1e-9
             assert path_mass(d) + cycle_mass(d) == pytest.approx(ef.mass(), abs=1e-9)
             starts, ends = boundary_marginals(d)
@@ -86,6 +79,16 @@ class TestDecomposeFlow:
                 assert w == pytest.approx(1.25 if p == verts[1] else 0.75, abs=1e-9)
             for p, w in ends.atoms:
                 assert p == verts[0] and w == pytest.approx(2.0, abs=1e-9)
+
+
+    def test_from_chain_inverts_as_chain(self):
+        rng = np.random.Generator(np.random.Philox(key=64))
+        for _ in range(10):
+            g = random_connected_graph(rng, max_n=12)
+            w = rng.normal(size=len(g.edges))
+            w[rng.uniform(size=len(g.edges)) < 0.3] = 0.0
+            ef = EdgeFlow(g, tuple(w))
+            assert EdgeFlow.from_chain(ef.as_chain()).weights == ef.weights
 
 
 class TestFragmentRepresentation:
@@ -130,14 +133,7 @@ class TestFragmentRepresentation:
         verts = rng.choice(g.n, size=2, replace=False)
         m = Molecule([(int(verts[0]), 1.0), (int(verts[1]), -1.0)])
         fill = minimal_filling(m, g)
-        weights = np.zeros(len(g.edges))
-        index = g.edge_index()
-        for piece in fill.chain.pieces:
-            if (piece.start, piece.end) in index:
-                weights[index[(piece.start, piece.end)]] += piece.weight
-            else:
-                weights[index[(piece.end, piece.start)]] -= piece.weight
-        ef = EdgeFlow(g, tuple(weights))
+        ef = EdgeFlow.from_chain(fill.chain)
         d = decompose_flow(ef)
         chain = Chain1.from_segments(PL, [
             (tuple(g.coords[piece.start]), tuple(g.coords[piece.end]), piece.weight)

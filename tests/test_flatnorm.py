@@ -14,11 +14,20 @@ from current1d.flatnorm import GridError, complex_covering, flat_norm_lp
 PL = NormedPlane("l2")
 
 
+def edge_endpoints(cx: CubicalComplex, e: int) -> tuple[int, int]:
+    if e < cx.n_h:
+        j, i = divmod(e, cx.nx)
+        return cx.node_id(i, j), cx.node_id(i + 1, j)
+    e -= cx.n_h
+    j, i = divmod(e, cx.nx + 1)
+    return cx.node_id(i, j), cx.node_id(i, j + 1)
+
+
 def d1_matrix(cx: CubicalComplex) -> np.ndarray:
     """Dense node-by-edge boundary matrix of the complex's edges."""
     d1 = np.zeros((cx.n_nodes, cx.n_edges), dtype=float)
     for e in range(cx.n_edges):
-        a, b = cx.edge_endpoints(e)
+        a, b = edge_endpoints(cx, e)
         d1[a, e] -= 1.0
         d1[b, e] += 1.0
     return d1

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -35,6 +36,73 @@ class TestPathMetric:
     def test_dijkstra_matches_floyd_warshall(self, seed):
         g = random_connected_graph(np.random.Generator(np.random.Philox(key=seed)))
         assert np.allclose(g.path_dist, floyd_warshall(g), atol=1e-9)
+
+
+def reference_dijkstra(g: MetricGraph, src: int) -> np.ndarray:
+    """Heap Dijkstra over the edges in listed order, the package's accumulation order."""
+    adj = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    dist = np.full(g.n, INF)
+    dist[src] = 0.0
+    done = [False] * g.n
+    heap = [(0.0, src)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u]:
+            if du + w < dist[v]:
+                dist[v] = du + w
+                heapq.heappush(heap, (du + w, v))
+    return dist
+
+
+def grid_graph(rng: np.random.Generator) -> MetricGraph:
+    """Unit integer grid with some edges dropped, shuffled and flipped: exact l1 ties."""
+    nx, ny = (int(k) for k in rng.integers(2, 7, size=2))
+    edges = []
+    for j in range(ny):
+        for i in range(nx):
+            k = j * nx + i
+            if i + 1 < nx:
+                edges.append((k, k + 1, 1.0))
+            if j + 1 < ny:
+                edges.append((k, k + nx, 1.0))
+    edges = [edges[p] if rng.uniform() < 0.5 else (edges[p][1], edges[p][0], 1.0)
+             for p in rng.permutation(len(edges)) if rng.uniform() > 0.15]
+    return MetricGraph([(i, j) for j in range(ny) for i in range(nx)], edges,
+                       ambient="path")
+
+
+class TestShortestPathTrees:
+    def test_path_dist_bit_identical_to_reference_dijkstra(self):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        for _ in range(20):
+            g = random_connected_graph(rng)
+            ref = np.array([reference_dijkstra(g, s) for s in range(g.n)])
+            assert np.array_equal(g.path_dist, ref)
+
+    def test_predecessors_lowest_index_tight_neighbour_on_grids(self):
+        rng = np.random.Generator(np.random.Philox(key=12))
+        for _ in range(20):
+            g = grid_graph(rng)
+            for src in range(g.n):
+                d = g.path_dist[src]
+                pred = g.predecessors(src)
+                for v in range(g.n):
+                    tight = [a for a, b, w in g.edges + [(b, a, w) for a, b, w in g.edges]
+                             if b == v and d[a] < d[v] and d[a] + w <= d[v] + 1e-12]
+                    assert pred[v] == (min(tight) if tight else -1)
+                    if not math.isfinite(d[v]):
+                        continue
+                    chain = [v]
+                    while chain[-1] != src:
+                        chain.append(int(pred[chain[-1]]))
+                        assert len(chain) <= g.n
+                    assert g.route_length(chain) == d[v]
 
 
 class TestQuasiconvexity:
@@ -84,6 +152,22 @@ class TestValidation:
     def test_path_metric_dominates_ambient(self):
         g = make_v_detour(3.0)
         assert np.all(g.path_dist >= g.ambient_dist - 1e-9)
+
+    def test_finite_space_inf_entry_hides_no_triangle_violation(self):
+        # d(a, c) = 5 > d(a, b) + d(b, c) = 2, next to a disconnected point d
+        d = np.array([[0.0, 1.0, 5.0, INF], [1.0, 0.0, 1.0, INF],
+                      [5.0, 1.0, 0.0, INF], [INF, INF, INF, 0.0]])
+        with pytest.raises(GeometryError, match="triangle"):
+            FiniteMetricSpace(["a", "b", "c", "d"], d)
+        d[0, 2] = d[2, 0] = 2.0
+        assert FiniteMetricSpace(["a", "b", "c", "d"], d).d(0, 3) == INF
+
+    def test_path_check_catches_tolerances_adding_up(self):
+        # each edge passes the per-edge check, their sum falls 1.8e-9 below d(0, 2)
+        w = 1.0 - 0.9e-9
+        with pytest.raises(GeometryError, match="path metric below ambient"):
+            MetricGraph([[0, 0], [1, 0], [2, 0]], [(0, 1, w), (1, 2, w)],
+                        ambient="euclidean")
 
 
 class TestNormedPlane:
