@@ -11,10 +11,10 @@ import logging
 from .spaces import (FiniteMetricSpace, GeometryError, MetricGraph, NormedPlane,
                      QcReport, path_metric, qc_constants)
 from .currents import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
-                       Fragment, FragmentChain, HalfPlane, Molecule, Piece,
-                       Polyline, ScalarField, Slab, TestForm, boundary, d_inf,
-                       evaluate, fat_cantor_intervals, mass, pushforward,
-                       restrict, standard_panel)
+                       CurveArray, Fragment, FragmentChain, HalfPlane, Molecule,
+                       Piece, Polyline, ScalarField, Slab, TestForm, boundary,
+                       d_inf, d_inf_many, evaluate, fat_cantor_intervals, mass,
+                       pushforward, restrict, standard_panel)
 from .solvers import (FlowNetwork, Infeasible, IterationLimit, LinearProgram,
                       SolverError, Unbounded, min_cost_flow, simplex_lp)
 from .transport import (AeResult, FillingResult, IsoReport, ae_norm,

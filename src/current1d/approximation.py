@@ -8,16 +8,24 @@ inequality exactly: the min is at most the weighted mean), then interpolate
 representatives by chord chains. The certificate splits into a clustering term
 2 (L+1) eta(A) diam(A) per cluster and a per-representative interpolation term
 from the homotopy pair bound.
+
+The net samples every curve once, on the union of all the curves'
+breakpoints (``currents.CurveArray``), and takes each uniform distance it
+needs as the maximum over that grid, one vectorized row per curve. This is
+exact: between consecutive points of a common refinement of two curves'
+breakpoints their difference is affine, so its norm peaks at a grid point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .currents import Chain1, CurrentError, Polyline, d_inf
+from .currents import Chain1, CurrentError, CurveArray, Polyline, d_inf_many
+from .currents import d_inf  # noqa: F401  kept as approximation.d_inf, which bench/tracing.py wraps
 from .homotopy import interpolate_geodesic
 from .flatnorm import flat_upper_bound_pair
 from .spaces import NormedPlane
@@ -47,10 +55,14 @@ class CurveMeasure:
         return float(sum(w * p.length for w, p in self.entries))
 
 
+def _require_positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise CurrentError(f"{what} must be positive and finite: {value!r}")
+
+
 def truncate(cm: CurveMeasure, cap: float) -> tuple[CurveMeasure, float]:
     """Drop entries longer than the cap; the mass error is the dropped mass."""
-    if cap <= 0:
-        raise CurrentError("length cap must be positive")
+    _require_positive("length cap", cap)
     kept = [(w, p) for w, p in cm.entries if p.length <= cap + 1e-12]
     err = float(sum(w * p.length for w, p in cm.entries if p.length > cap + 1e-12))
     return CurveMeasure(tuple(kept)), err
@@ -71,29 +83,25 @@ def cluster(cm: CurveMeasure, eps: float,
     Each entry joins the first existing center strictly within eps, else
     becomes a new center. The stored diameter is the exact pairwise maximum
     within the cluster; the representative is the member of minimal length,
-    ties resolved by lowest index.
+    ties resolved by lowest index. All distances come from one ``CurveArray``
+    of the measure's curves: one row from each entry to every current center,
+    and one row from each member to the later members of its cluster.
     """
-    if eps <= 0:
-        raise CurrentError("cluster radius must be positive")
-    plane = plane or NormedPlane("l2")
+    _require_positive("cluster radius", eps)
+    curves = CurveArray([p for _, p in cm.entries], plane)
     centers: list[int] = []
     groups: list[list[int]] = []
-    for i, (_, poly) in enumerate(cm.entries):
-        placed = False
-        for k, c in enumerate(centers):
-            if d_inf(poly, cm.entries[c][1], plane) < eps:
-                groups[k].append(i)
-                placed = True
-                break
-        if not placed:
+    for i in range(len(cm.entries)):
+        near = np.flatnonzero(d_inf_many(curves, i, centers) < eps)
+        if near.size:
+            groups[near[0]].append(i)
+        else:
             centers.append(i)
             groups.append([i])
     out = []
-    for k, g in enumerate(groups):
-        diam = 0.0
-        for a in range(len(g)):
-            for b in range(a + 1, len(g)):
-                diam = max(diam, d_inf(cm.entries[g[a]][1], cm.entries[g[b]][1], plane))
+    for g in groups:
+        diam = max((float(np.max(d_inf_many(curves, a, g[k + 1:])))
+                    for k, a in enumerate(g[:-1])), default=0.0)
         lengths = [(cm.entries[i][1].length, i) for i in g]
         rep = min(lengths)[1]
         weight = float(sum(cm.entries[i][0] for i in g))
@@ -126,9 +134,8 @@ def approximate(cm: CurveMeasure, eps: float, mesh: float,
     shortest member; mass(P) <= induced mass of the measure always, and the
     flat distance to the full superposition is at most the certificate.
     """
+    _require_positive("interpolation mesh", mesh)
     plane = plane or NormedPlane("l2")
-    if mesh <= 0:
-        raise CurrentError("interpolation mesh must be positive")
     cap = cm.length_bound
     clusters = cluster(cm, eps, plane)
     part = _uniform_partition(mesh)

@@ -32,12 +32,6 @@ from .transport import (IDENT_TOL, TransportError, ae_norm, isomorphism_check,
 
 log = logging.getLogger("current1d")
 
-_KNOWN_KEYS = {"tol", "out", "format", "space", "molecule", "chain",
-               "curve0", "curve1", "grid", "origin", "eps", "mesh",
-               "length_cap", "hyperplane", "flow", "closedset", "input",
-               "panel_seed", "quad_tol", "s_grid", "n", "alpha", "metric"}
-
-
 class CliInputError(ValueError):
     pass
 
@@ -88,9 +82,12 @@ def _positive(flag: str, value, default: float) -> float:
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill unset options from the --config document; a key must name an option of the subcommand."""
     if getattr(args, "config", None):
         doc = _load_json(args.config)
-        unknown = set(doc) - _KNOWN_KEYS
+        if not isinstance(doc, dict):
+            raise CliInputError(f"{args.config}: a config must be a JSON object")
+        unknown = set(doc) - (set(vars(args)) - {"config", "command"})
         if unknown:
             raise CliInputError(f"unknown config keys: {sorted(unknown)}")
         for k, v in doc.items():
@@ -243,13 +240,13 @@ def _cmd_homotopy(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    eps = float(_positive("--eps", args.eps, 0.1))
+    mesh = float(_positive("--mesh", args.mesh, 0.25))
     cm = cio.load_curvemeasure(_load_json(args.input))
-    if args.length_cap:
-        cm, trunc_err = truncate(cm, float(args.length_cap))
+    if args.length_cap is not None:
+        cm, trunc_err = truncate(cm, float(_positive("--length-cap", args.length_cap, None)))
     else:
         trunc_err = 0.0
-    eps = float(args.eps if args.eps is not None else 0.1)
-    mesh = float(args.mesh if args.mesh is not None else 0.25)
     p, cert = approximate(cm, eps=eps, mesh=mesh)
     mass_ok = cert.mass_p <= cert.mass_n + 1e-9
     report = {

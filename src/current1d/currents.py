@@ -248,15 +248,61 @@ class Polyline:
         return f"Polyline({len(self.points)} pts, len={self.length:.6g})"
 
 
-def d_inf(a: Polyline, b: Polyline, plane: Optional[NormedPlane] = None) -> float:
-    """Exact uniform distance between two constant-speed polylines.
+# ---------------------------------------------------------------------------
+# uniform distance
 
-    On the merged breakpoint partition the pointwise difference is affine per
-    subinterval, so its norm is convex there and attains its max at breakpoints.
+CHUNK_SAMPLES = 2 ** 16  # curve samples held at once; 16 bytes each, so 1 MB
+
+
+class CurveArray:
+    """A family of polylines sampled on one shared parameter grid.
+
+    The grid ``ts`` is the union of every member's breakpoints. Between two
+    consecutive grid points each member is affine in t, so the difference of
+    any two members is affine there and its norm, being convex, peaks at a
+    grid point: the maximum over the grid is the exact uniform distance. When
+    the family has at most CHUNK_SAMPLES samples they are kept as the
+    ``(n, T, 2)`` array ``xy``; above that ``xy`` is None and ``d_inf_many``
+    re-samples the members it needs in blocks of at most CHUNK_SAMPLES.
     """
-    plane = plane or NormedPlane("l2")
-    ts = np.union1d(a.breaks(), b.breaks())
-    return float(np.max(plane.norm_arr(a.at(ts) - b.at(ts))))
+
+    __slots__ = ("polys", "plane", "ts", "xy")
+
+    def __init__(self, polys: Sequence[Polyline], plane: Optional[NormedPlane] = None):
+        self.polys = tuple(polys)
+        self.plane = plane or NormedPlane("l2")
+        self.ts = np.unique(np.concatenate([p.breaks() for p in self.polys] or [[]]))
+        n = len(self.polys)
+        self.xy = self.sample(range(n), self.ts) if n * len(self.ts) <= CHUNK_SAMPLES else None
+
+    def sample(self, idx: Sequence[int], ts: np.ndarray) -> np.ndarray:
+        """Points of the members ``idx`` at the parameters ``ts``, shape (len(idx), len(ts), 2)."""
+        out = np.empty((len(idx), len(ts), 2))
+        for row, k in enumerate(idx):
+            out[row] = self.polys[k].at(ts)
+        return out
+
+
+def d_inf_many(curves: CurveArray, i: int, js: Sequence[int]) -> np.ndarray:
+    """Exact uniform distances from member ``i`` of a curve array to each member ``js``."""
+    js = np.asarray(js, dtype=int)
+    if curves.xy is not None:
+        return curves.plane.norm_arr(curves.xy[js] - curves.xy[i]).max(axis=1)
+    rows = min(len(js), CHUNK_SAMPLES) or 1
+    width = max(1, CHUNK_SAMPLES // rows)
+    out = np.zeros(len(js))
+    for r in range(0, len(js), rows):
+        block = out[r:r + rows]
+        for c in range(0, len(curves.ts), width):
+            ts = curves.ts[c:c + width]
+            diff = curves.sample(js[r:r + rows], ts) - curves.polys[i].at(ts)
+            np.maximum(block, curves.plane.norm_arr(diff).max(axis=1), out=block)
+    return out
+
+
+def d_inf(a: Polyline, b: Polyline, plane: Optional[NormedPlane] = None) -> float:
+    """Exact uniform distance between two constant-speed polylines."""
+    return float(d_inf_many(CurveArray((a, b), plane), 0, [1])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,13 @@ def dump_report(obj: Any) -> str:
     return canonical_json(obj) + "\n"
 
 
+def _field(doc, key: str, what: str):
+    """``doc[key]``, or an InputError naming the key ``what`` lacks."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"{what} needs a {key!r} key")
+    return doc[key]
+
+
 def _parse_inf(v):
     if v == "inf":
         return math.inf
@@ -83,15 +90,17 @@ def load_space(doc: dict):
         return NormedPlane({"l1": "l1", "l2": "l2", "linf": "linf"}.get(
             doc.get("norm", "l2"), doc.get("norm", "l2")))
     if kind == "finite":
-        return FiniteMetricSpace(doc["points"], np.array(
-            [[_parse_inf(x) for x in row] for row in doc["dist"]]))
+        return FiniteMetricSpace(_field(doc, "points", "a finite space"), np.array(
+            [[_parse_inf(x) for x in row] for row in _field(doc, "dist", "a finite space")]))
     if kind == "graph":
         ambient = doc.get("ambient", "euclidean")
         if isinstance(ambient, dict):
-            ambient = ("d_alpha", float(ambient["d_alpha"]))
+            ambient = ("d_alpha", float(_field(ambient, "d_alpha", "a graph ambient")))
+        vertices = _field(doc, "vertices", "a graph space")
+        edges = _field(doc, "edges", "a graph space")
         try:
-            return MetricGraph(doc["vertices"], doc["edges"], ambient=ambient)
-        except (GeometryError, KeyError) as exc:
+            return MetricGraph(vertices, edges, ambient=ambient)
+        except GeometryError as exc:
             raise InputError(f"bad graph: {exc}") from exc
     raise InputError(f"unknown space kind {kind!r}")
 
@@ -125,8 +134,8 @@ def load_chain(doc: dict, space=None):
         load_space(doc["space"]) if "space" in doc else NormedPlane("l2"))
     pieces = []
     for item in doc.get("pieces", []):
-        s, e = item["start"], item["end"]
-        w = float(item["weight"])
+        s, e = _field(item, "start", "a piece"), _field(item, "end", "a piece")
+        w = float(_field(item, "weight", "a piece"))
         if isinstance(s, list):
             s, e = (float(s[0]), float(s[1])), (float(e[0]), float(e[1]))
             length = float(item.get("length", space.dist(s, e)
@@ -152,7 +161,9 @@ def dump_chain(c: Chain1) -> dict:
 
 def load_molecule(doc: dict) -> Molecule:
     atoms = []
-    for item in doc["atoms"]:
+    for item in _field(doc, "atoms", "a molecule"):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise InputError(f"a molecule atom is a [point, weight] pair: {item!r}")
         p, w = item
         if isinstance(p, list):
             p = (float(p[0]), float(p[1]))
@@ -178,7 +189,7 @@ def dump_molecule(m: Molecule) -> dict:
 
 def load_closedset(doc: dict) -> ClosedSet:
     prims = []
-    for item in doc["primitives"]:
+    for item in _field(doc, "primitives", "a closed set"):
         if "box" in item:
             x0, y0, x1, y1 = map(float, item["box"])
             prims.append(Box((x0, y0), (x1, y1)))
@@ -216,8 +227,9 @@ def dump_closedset(e: ClosedSet) -> dict:
 
 def load_curvemeasure(doc: dict) -> CurveMeasure:
     entries = []
-    for item in doc["entries"]:
-        entries.append((float(item["w"]), Polyline(item["polyline"])))
+    for item in _field(doc, "entries", "a curve measure"):
+        entries.append((float(_field(item, "w", "a curve-measure entry")),
+                        Polyline(_field(item, "polyline", "a curve-measure entry"))))
     try:
         return CurveMeasure.of(entries)
     except Exception as exc:

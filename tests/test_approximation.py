@@ -3,16 +3,71 @@ import math
 import numpy as np
 import pytest
 
-from current1d import (CurveMeasure, NormedPlane, Polyline, approximate,
-                       cluster, flat_norm, snap, truncate)
+from current1d import (Cluster, CurrentError, CurveMeasure, NormedPlane, Polyline,
+                       approximate, cluster, currents, d_inf, flat_norm, snap,
+                       truncate)
 from current1d.approximation import measure_as_chain
 from current1d.flatnorm import CubicalComplex
 
 PL = NormedPlane("l2")
+PLANES = [NormedPlane("l2"), NormedPlane("l1"), NormedPlane("linf"),
+          NormedPlane("wmax", (0.5, 2.0))]
+BAD_VALUES = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
 
 def seg(y, x0=0.0, x1=1.0):
     return Polyline([[x0, y], [x1, y]])
+
+
+def pairwise_cluster(cm, eps, plane):
+    """Reference greedy net: one d_inf call per entry-center and member pair."""
+    centers: list[int] = []
+    groups: list[list[int]] = []
+    for i, (_, poly) in enumerate(cm.entries):
+        placed = False
+        for k, c in enumerate(centers):
+            if d_inf(poly, cm.entries[c][1], plane) < eps:
+                groups[k].append(i)
+                placed = True
+                break
+        if not placed:
+            centers.append(i)
+            groups.append([i])
+    out = []
+    for g in groups:
+        diam = 0.0
+        for a in range(len(g)):
+            for b in range(a + 1, len(g)):
+                diam = max(diam, d_inf(cm.entries[g[a]][1], cm.entries[g[b]][1], plane))
+        rep = min((cm.entries[i][1].length, i) for i in g)[1]
+        weight = float(sum(cm.entries[i][0] for i in g))
+        out.append(Cluster(members=tuple(g), representative=rep,
+                           diameter=diam, weight=weight))
+    return out
+
+
+def translates(rng, count, span, plane):
+    """Vertical translates of one random polyline, in jittered order of offset."""
+    base = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), 2))
+    step = span / count
+    offsets = np.sort(step * np.arange(count) + rng.uniform(-0.1 * step, 0.1 * step, count))
+    return CurveMeasure.of([(float(w), Polyline(base + [0.0, off], plane))
+                            for w, off in zip(rng.uniform(0.5, 1.5, count), offsets)])
+
+
+def scattered(rng, count, plane):
+    """Unrelated short polylines (breakpoints differ), some single points."""
+    return CurveMeasure.of([(float(rng.uniform(0.2, 2.0)),
+                             Polyline(0.3 * rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), 2))
+                                      + rng.uniform(-0.3, 0.3, size=2), plane))
+                            for _ in range(count)])
+
+
+def assert_same_clusters(got, ref):
+    assert [(c.members, c.representative, c.weight) for c in got] == \
+        [(c.members, c.representative, c.weight) for c in ref]
+    for g, r in zip(got, ref):
+        assert abs(g.diameter - r.diameter) <= 1e-15
 
 
 class TestTruncate:
@@ -64,6 +119,57 @@ class TestCluster:
         cl = cluster(cm, 0.1)
         assert len(cl) == 1
         assert cl[0].representative == 1
+
+
+class TestClusterAgainstPairwise:
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_translate_families(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=91))
+        for count in (20, 80):
+            cm = translates(rng, count, 2.0, plane)
+            for eps in (0.4, 0.2, 0.05):
+                assert_same_clusters(cluster(cm, eps, plane), pairwise_cluster(cm, eps, plane))
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_scattered_families(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=92))
+        for _ in range(3):
+            cm = scattered(rng, 40, plane)
+            for eps in (0.5, 0.25, 0.1):
+                assert_same_clusters(cluster(cm, eps, plane), pairwise_cluster(cm, eps, plane))
+
+    def test_integer_staircase_translates(self):
+        base = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]], dtype=float)
+        cm = CurveMeasure.of([(1.0, Polyline(base + [dx, dy]))
+                              for dx, dy in [(0, 0), (3, 1), (8, 0), (0, 8), (5, 5), (16, 0)]])
+        assert_same_clusters(cluster(cm, 8.0, PL), pairwise_cluster(cm, 8.0, PL))
+
+    def test_chunked_equals_unchunked(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=93))
+        cm = scattered(rng, 30, PL)
+        whole = cluster(cm, 0.3, PL)
+        monkeypatch.setattr(currents, "CHUNK_SAMPLES", 16)
+        assert cluster(cm, 0.3, PL) == whole
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_cluster_rejects_eps(self, bad):
+        with pytest.raises(CurrentError, match="cluster radius"):
+            cluster(CurveMeasure.of([(1.0, seg(0.0))]), bad)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_approximate_rejects_eps_and_mesh(self, bad):
+        cm = CurveMeasure.of([(1.0, seg(0.0))])
+        with pytest.raises(CurrentError, match="cluster radius"):
+            approximate(cm, eps=bad, mesh=0.25)
+        with pytest.raises(CurrentError, match="interpolation mesh"):
+            approximate(cm, eps=0.1, mesh=bad)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_truncate_rejects_cap(self, bad):
+        with pytest.raises(CurrentError, match="length cap"):
+            truncate(CurveMeasure.of([(1.0, seg(0.0))]), bad)
 
 
 class TestApproximate:

@@ -140,9 +140,10 @@ class TestSubcommands:
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
     def test_homotopy_rejects_bad_quad_tol(self, fixtures, capsys, tol):
         code = run_cli(["homotopy", "--curve0", fixtures["c0.json"],
-                        "--curve1", fixtures["c1.json"], "--quad-tol", tol])
+                        "--curve1", fixtures["c1.json"], f"--quad-tol={tol}"])
         assert code == 1
-        assert "--quad-tol" in capsys.readouterr().err
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("--quad-tol must be a positive finite number")
 
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan", "inf"])
     def test_iso_check_rejects_bad_tol(self, fixtures, capsys, tol):
@@ -175,6 +176,25 @@ class TestSubcommands:
         assert code == 0
         assert out["clustering_term"] == pytest.approx(0.4)
         assert out["mass_ok"]
+
+    @pytest.mark.parametrize("flag", ["--eps", "--mesh", "--length-cap"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_approx_rejects_bad_parameters(self, fixtures, capsys, flag, value):
+        code = run_cli(["approx", "--input", fixtures["cm.json"], f"{flag}={value}"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith(f"{flag} must be a positive finite number")
+
+    @pytest.mark.parametrize("missing", ["w", "polyline"])
+    def test_approx_entry_without_a_key_is_input_error(self, tmp_path, capsys, missing):
+        entry = {"w": 1.0, "polyline": [[0, 0], [1, 0]]}
+        del entry[missing]
+        doc = tmp_path / "cm.json"
+        doc.write_text(json.dumps({"entries": [entry]}))
+        assert run_cli(["approx", "--input", str(doc)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert repr(missing) in err["message"]
 
     def test_normalize(self, fixtures, capsys):
         code = run_cli(["normalize", "--chain", fixtures["seg.json"],
@@ -244,6 +264,20 @@ class TestErrorHandling:
         code = run_cli(["--config", str(cfg), "rickman", "--s-grid", "2"])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_config_keys_of_other_subcommands_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": -5, "quad_tol": "x"}')
+        code = run_cli(["--config", str(cfg), "rickman", "--s-grid", "2"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "unknown config keys: ['quad_tol', 'tol']"
+
+    def test_config_fills_the_subcommand_options(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"s_grid": 3, "n": 8}')
+        assert run_cli(["--config", str(cfg), "rickman"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
 
     def test_infeasible_molecule_is_input_error(self, tmp_path, fixtures, capsys):
         iso = tmp_path / "iso.json"

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from current1d import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
-                       HalfPlane, Molecule, NormedPlane, Polyline, ScalarField,
-                       Slab, d_inf, evaluate, fat_cantor_intervals,
-                       pushforward, restrict, standard_panel)
+                       CurveArray, HalfPlane, Molecule, NormedPlane, Polyline,
+                       ScalarField, Slab, d_inf, d_inf_many, evaluate,
+                       fat_cantor_intervals, pushforward, restrict, standard_panel)
+from current1d import currents
 from current1d import TestForm as Form
 from current1d.currents import Fragment, FragmentChain, intervals_measure
 
@@ -219,6 +220,80 @@ class TestPolyline:
         a = Polyline([[0.0, 0.0], [2.0, 0.0]])
         b = Polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert d_inf(a, b) == 0.0
+
+
+PLANES = [NormedPlane("l2"), NormedPlane("l1"), NormedPlane("linf"),
+          NormedPlane("wmax", (0.5, 2.0))]
+
+
+def pair_d_inf(a, b, plane):
+    """The uniform distance on the union of the two curves' breakpoints only."""
+    ts = np.union1d(a.breaks(), b.breaks())
+    return float(np.max(plane.norm_arr(a.at(ts) - b.at(ts))))
+
+
+def mixed_family(rng, plane, n=12):
+    """Polylines with unrelated breakpoints, plus a single point and a zero-length one."""
+    polys = [Polyline(rng.uniform(-2.0, 2.0, size=(int(rng.integers(2, 6)), 2)), plane)
+             for _ in range(n)]
+    p = rng.uniform(-2.0, 2.0, size=2)
+    polys.insert(3, Polyline([p], plane))
+    polys.insert(7, Polyline([p + 0.5, p + 0.5, p + 0.5], plane))
+    return polys
+
+
+class TestUniformDistance:
+    # The family grid refines each pair's grid, so rows may differ from the
+    # pair value by the rounding of the samples at the extra grid points.
+    ATOL = 8 * np.finfo(float).eps * 2.0
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_rows_match_pairwise(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=77))
+        for _ in range(5):
+            polys = mixed_family(rng, plane)
+            curves = CurveArray(polys, plane)
+            assert curves.xy.shape == (len(polys), len(curves.ts), 2)
+            for i, a in enumerate(polys):
+                row = d_inf_many(curves, i, range(len(polys)))
+                ref = [pair_d_inf(a, b, plane) for b in polys]
+                np.testing.assert_allclose(row, ref, rtol=0, atol=self.ATOL)
+                assert row[i] == 0.0
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_d_inf_is_the_two_curve_case(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=78))
+        polys = mixed_family(rng, plane)
+        for a in polys:
+            for b in polys:
+                assert d_inf(a, b, plane) == pair_d_inf(a, b, plane)
+                assert d_inf(a, b, plane) == d_inf(b, a, plane)
+
+    def test_single_point_and_zero_length(self):
+        dot = Polyline([[1.0, 2.0]])
+        stall = Polyline([[1.0, 2.0], [1.0, 2.0]])
+        seg = Polyline([[1.0, 2.0], [4.0, 6.0]])
+        assert d_inf(dot, stall) == 0.0
+        assert d_inf(dot, seg) == 5.0
+        row = d_inf_many(CurveArray([dot, stall, seg]), 0, [1, 2])
+        assert row.tolist() == [0.0, 5.0]
+
+    def test_empty_rows_and_family(self):
+        curves = CurveArray([Polyline([[0.0, 0.0], [1.0, 0.0]])])
+        assert d_inf_many(curves, 0, []).shape == (0,)
+        assert CurveArray([]).ts.shape == (0,)
+
+    @pytest.mark.parametrize("cap", [1, 5, 64])
+    def test_chunked_rows_equal_unchunked(self, cap, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=79))
+        polys = mixed_family(rng, PL, n=20)
+        whole = CurveArray(polys, PL)
+        rows = [d_inf_many(whole, i, range(len(polys))) for i in range(len(polys))]
+        monkeypatch.setattr(currents, "CHUNK_SAMPLES", cap)
+        chunked = CurveArray(polys, PL)
+        assert chunked.xy is None
+        for i in range(len(polys)):
+            assert np.array_equal(d_inf_many(chunked, i, range(len(polys))), rows[i])
 
 
 class TestTestForms:

@@ -2,13 +2,14 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from current1d import Chain1, ClosedSet, Molecule, NormedPlane, Polyline, Slab
 from current1d.approximation import CurveMeasure
-from current1d.io import (canonical_json, dump_chain, dump_closedset,
+from current1d.io import (InputError, canonical_json, dump_chain, dump_closedset,
                           dump_curvemeasure, dump_molecule, fmt_float,
                           load_chain, load_closedset, load_curvemeasure,
-                          load_molecule, csv_rows)
+                          load_molecule, load_space, csv_rows)
 
 PL = NormedPlane("l2")
 
@@ -63,6 +64,26 @@ class TestDocumentRoundTrips:
         poly = load_chain({"polyline": [[0, 0], [2, 0]]})
         assert isinstance(poly, Polyline)
         assert poly.length == 2.0
+
+
+class TestMissingKeys:
+    @pytest.mark.parametrize("load, doc", [
+        (load_curvemeasure, {}),
+        (load_curvemeasure, {"entries": [{"weight": 1, "points": [[0, 0], [1, 0]]}]}),
+        (load_curvemeasure, {"entries": [{"w": 1}]}),
+        (load_curvemeasure, {"entries": [[1, [[0, 0], [1, 0]]]]}),
+        (load_molecule, {"points": []}),
+        (load_molecule, {"atoms": [[0, 1.0, 2.0]]}),
+        (load_chain, {"pieces": [{"start": [0, 0], "end": [1, 0]}]}),
+        (load_closedset, {"prims": []}),
+        (load_space, {"kind": "finite", "points": [0, 1]}),
+        (load_space, {"kind": "graph", "vertices": [[0, 0]]}),
+        (load_space, {"kind": "graph", "vertices": [[0, 0]], "edges": [],
+                      "ambient": {"alpha": 0.5}}),
+    ])
+    def test_input_error(self, load, doc):
+        with pytest.raises(InputError):
+            load(doc)
 
 
 class TestCsv:
