@@ -9,11 +9,13 @@ representatives by chord chains. The certificate splits into a clustering term
 2 (L+1) eta(A) diam(A) per cluster and a per-representative interpolation term
 from the homotopy pair bound.
 
-The net samples every curve once, on the union of all the curves'
-breakpoints (``currents.CurveArray``), and takes each uniform distance it
-needs as the maximum over that grid, one vectorized row per curve. This is
-exact: between consecutive points of a common refinement of two curves'
-breakpoints their difference is affine, so its norm peaks at a grid point.
+The net takes every uniform distance it needs from one ``currents.CurveArray``
+of the curves, many pairs per vectorized ``d_inf_many`` call. Each pair is
+sampled on the union of its two curves' breakpoints, which is exact: between
+consecutive points of that union the difference of two constant-speed
+polylines is affine, so its norm peaks at one of them. The values are those
+of the pairwise ``d_inf`` bit for bit, whether or not the curves share
+breakpoints.
 """
 
 from __future__ import annotations
@@ -83,25 +85,36 @@ def cluster(cm: CurveMeasure, eps: float,
     Each entry joins the first existing center strictly within eps, else
     becomes a new center. The stored diameter is the exact pairwise maximum
     within the cluster; the representative is the member of minimal length,
-    ties resolved by lowest index. All distances come from one ``CurveArray``
-    of the measure's curves: one row from each entry to every current center,
-    and one row from each member to the later members of its cluster.
+    ties resolved by lowest index.
+
+    Entries are taken in rounds. A round measures a block of entries against
+    every current center in one ``d_inf_many`` call and places them in order
+    up to the first entry far from all centers, which becomes a center; the
+    next block is twice as long as the number of entries just placed. This is
+    the one-at-a-time greedy exactly, since the centers do not change before
+    that entry. Each diameter is one call over the cluster's member pairs.
     """
     _require_positive("cluster radius", eps)
     curves = CurveArray([p for _, p in cm.entries], plane)
     centers: list[int] = []
     groups: list[list[int]] = []
-    for i in range(len(cm.entries)):
-        near = np.flatnonzero(d_inf_many(curves, i, centers) < eps)
-        if near.size:
-            groups[near[0]].append(i)
-        else:
-            centers.append(i)
-            groups.append([i])
+    i, size = 0, 1
+    while i < len(cm.entries):
+        block = np.arange(i, min(i + size, len(cm.entries)))
+        near = d_inf_many(curves, block[:, None], np.array(centers, dtype=int)) < eps
+        far = np.flatnonzero(~near.any(axis=1))
+        placed = int(far[0]) if far.size else len(block)
+        for k in range(placed):
+            groups[int(near[k].argmax())].append(int(block[k]))
+        if far.size:
+            centers.append(int(block[placed]))
+            groups.append([int(block[placed])])
+            placed += 1
+        i += placed
+        size = 2 * placed
     out = []
     for g in groups:
-        diam = max((float(np.max(d_inf_many(curves, a, g[k + 1:])))
-                    for k, a in enumerate(g[:-1])), default=0.0)
+        diam = float(d_inf_many(curves, np.array(g)[:, None], g).max())
         lengths = [(cm.entries[i][1].length, i) for i in g]
         rep = min(lengths)[1]
         weight = float(sum(cm.entries[i][0] for i in g))

@@ -251,58 +251,96 @@ class Polyline:
 # ---------------------------------------------------------------------------
 # uniform distance
 
-CHUNK_SAMPLES = 2 ** 16  # curve samples held at once; 16 bytes each, so 1 MB
+CHUNK_SAMPLES = 2 ** 14  # curve samples evaluated at once by d_inf_many
 
 
 class CurveArray:
-    """A family of polylines sampled on one shared parameter grid.
+    """A family of polylines held as flat arrays for batched evaluation.
 
-    The grid ``ts`` is the union of every member's breakpoints. Between two
-    consecutive grid points each member is affine in t, so the difference of
-    any two members is affine there and its norm, being convex, peaks at a
-    grid point: the maximum over the grid is the exact uniform distance. When
-    the family has at most CHUNK_SAMPLES samples they are kept as the
-    ``(n, T, 2)`` array ``xy``; above that ``xy`` is None and ``d_inf_many``
-    re-samples the members it needs in blocks of at most CHUNK_SAMPLES.
+    ``keys`` pairs each member index with the arc lengths ``cum`` of its
+    vertices as the complex number ``member + 1j * cum``; numpy orders complex
+    numbers lexicographically, so one ``searchsorted`` finds the segment of
+    any (member, parameter) query. A member of length zero keeps only its
+    first vertex. ``breaks`` and ``own`` hold every member's breakpoint
+    parameters and its points there, member k in ``bstart[k]:bstart[k + 1]``.
     """
 
-    __slots__ = ("polys", "plane", "ts", "xy")
+    __slots__ = ("plane", "keys", "cum", "points", "slope", "length", "breaks",
+                 "bstart", "own")
 
     def __init__(self, polys: Sequence[Polyline], plane: Optional[NormedPlane] = None):
-        self.polys = tuple(polys)
         self.plane = plane or NormedPlane("l2")
-        self.ts = np.unique(np.concatenate([p.breaks() for p in self.polys] or [[]]))
-        n = len(self.polys)
-        self.xy = self.sample(range(n), self.ts) if n * len(self.ts) <= CHUNK_SAMPLES else None
+        polys = list(polys)
+        verts = [len(p.cum) if p.length else 1 for p in polys]
+        self.cum = np.concatenate([p.cum[:k] for p, k in zip(polys, verts)] + [[]])
+        self.points = np.concatenate([p.points[:k] for p, k in zip(polys, verts)] + [np.zeros((0, 2))])
+        member = np.arange(len(polys))
+        self.keys = np.repeat(member, verts) + 1j * self.cum
+        # np.interp's slopes; 0 at a member's last vertex and at a vertex with
+        # the arc length of the next, which searchsorted never returns
+        last = np.cumsum(verts, dtype=int) - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.slope = np.diff(self.points, axis=0, append=0.0) / np.diff(self.cum, append=0.0)[:, None]
+        self.slope[last] = 0.0
+        self.slope[~np.isfinite(self.slope)] = 0.0
+        self.length = np.array([p.length for p in polys])
+        brks = [p.breaks() for p in polys]
+        self.breaks = np.concatenate(brks + [[]])
+        self.bstart = np.cumsum([0] + [len(b) for b in brks])
+        self.own = self.at(np.repeat(member, np.diff(self.bstart)), self.breaks)
 
-    def sample(self, idx: Sequence[int], ts: np.ndarray) -> np.ndarray:
-        """Points of the members ``idx`` at the parameters ``ts``, shape (len(idx), len(ts), 2)."""
-        out = np.empty((len(idx), len(ts), 2))
-        for row, k in enumerate(idx):
-            out[row] = self.polys[k].at(ts)
-        return out
+    def at(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Point of member ``rows[k]`` at parameter ``ts[k]``, shape (len(ts), 2).
+
+        The floating-point steps are those of ``Polyline.at`` (``np.interp``:
+        slope * (s - cum[j]) + point[j] in segment j), so the values are the
+        same up to the sign of a zero coordinate.
+        """
+        s = np.clip(ts, 0.0, 1.0) * self.length[rows]
+        j = np.searchsorted(self.keys, rows + 1j * s, side="right") - 1
+        return self.slope[j] * (s - self.cum[j])[:, None] + self.points[j]
+
+    def gap(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """max over the breakpoints t of member y[k] of |x[k](t) - y[k](t)|, per k."""
+        sizes = self.bstart[y + 1] - self.bstart[y]
+        firsts = np.cumsum(sizes) - sizes
+        idx = np.repeat(self.bstart[y] - firsts, sizes) + np.arange(sizes.sum())
+        diff = self.at(np.repeat(x, sizes), self.breaks[idx]) - self.own[idx]
+        return np.maximum.reduceat(self.plane.norm_arr(diff), firsts)
 
 
-def d_inf_many(curves: CurveArray, i: int, js: Sequence[int]) -> np.ndarray:
-    """Exact uniform distances from member ``i`` of a curve array to each member ``js``."""
-    js = np.asarray(js, dtype=int)
-    if curves.xy is not None:
-        return curves.plane.norm_arr(curves.xy[js] - curves.xy[i]).max(axis=1)
-    rows = min(len(js), CHUNK_SAMPLES) or 1
-    width = max(1, CHUNK_SAMPLES // rows)
-    out = np.zeros(len(js))
-    for r in range(0, len(js), rows):
-        block = out[r:r + rows]
-        for c in range(0, len(curves.ts), width):
-            ts = curves.ts[c:c + width]
-            diff = curves.sample(js[r:r + rows], ts) - curves.polys[i].at(ts)
-            np.maximum(block, curves.plane.norm_arr(diff).max(axis=1), out=block)
+def d_inf_many(curves: CurveArray, a, b) -> np.ndarray:
+    """Exact uniform distances between members ``a`` and ``b`` of a curve
+    array, broadcast together like a numpy ufunc.
+
+    Each pair is sampled on the union of its two members' breakpoints, which
+    is exact (see ``d_inf``): member b at the breakpoints of a, and member a
+    at those of b, so every entry equals ``d_inf`` of its pair bit for bit.
+    The pairs are taken in blocks of at most CHUNK_SAMPLES samples; a single
+    pair is never split.
+    """
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=int)),
+                               np.atleast_1d(np.asarray(b, dtype=int)))
+    out = np.empty(a.shape)
+    flat = out.reshape(-1)
+    if flat.size:
+        step = max(1, CHUNK_SAMPLES // (2 * int(np.diff(curves.bstart).max())))
+        for p in range(0, flat.size, step):
+            k = np.unravel_index(np.arange(p, min(p + step, flat.size)), out.shape)
+            x, y = a[k], b[k]
+            flat[p:p + len(x)] = np.maximum(curves.gap(x, y), curves.gap(y, x))
     return out
 
 
 def d_inf(a: Polyline, b: Polyline, plane: Optional[NormedPlane] = None) -> float:
-    """Exact uniform distance between two constant-speed polylines."""
-    return float(d_inf_many(CurveArray((a, b), plane), 0, [1])[0])
+    """Exact uniform distance between two constant-speed polylines.
+
+    On the merged breakpoint partition the pointwise difference is affine per
+    subinterval, so its norm is convex there and attains its max at breakpoints.
+    """
+    plane = plane or NormedPlane("l2")
+    ts = np.union1d(a.breaks(), b.breaks())
+    return float(np.max(plane.norm_arr(a.at(ts) - b.at(ts))))
 
 
 # ---------------------------------------------------------------------------

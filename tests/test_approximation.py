@@ -64,10 +64,8 @@ def scattered(rng, count, plane):
 
 
 def assert_same_clusters(got, ref):
-    assert [(c.members, c.representative, c.weight) for c in got] == \
-        [(c.members, c.representative, c.weight) for c in ref]
-    for g, r in zip(got, ref):
-        assert abs(g.diameter - r.diameter) <= 1e-15
+    # d_inf_many equals d_inf bit for bit, so the diameters are equal too
+    assert got == ref
 
 
 class TestTruncate:
@@ -143,6 +141,14 @@ class TestClusterAgainstPairwise:
         cm = CurveMeasure.of([(1.0, Polyline(base + [dx, dy]))
                               for dx, dy in [(0, 0), (3, 1), (8, 0), (0, 8), (5, 5), (16, 0)]])
         assert_same_clusters(cluster(cm, 8.0, PL), pairwise_cluster(cm, 8.0, PL))
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e9])
+    def test_all_singletons_and_one_cluster(self, eps):
+        rng = np.random.Generator(np.random.Philox(key=94))
+        cm = scattered(rng, 50, PL)
+        got = cluster(cm, eps, PL)
+        assert len(got) == (50 if eps < 1 else 1)
+        assert_same_clusters(got, pairwise_cluster(cm, eps, PL))
 
     def test_chunked_equals_unchunked(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(key=93))

@@ -226,16 +226,14 @@ PLANES = [NormedPlane("l2"), NormedPlane("l1"), NormedPlane("linf"),
           NormedPlane("wmax", (0.5, 2.0))]
 
 
-def pair_d_inf(a, b, plane):
-    """The uniform distance on the union of the two curves' breakpoints only."""
-    ts = np.union1d(a.breaks(), b.breaks())
-    return float(np.max(plane.norm_arr(a.at(ts) - b.at(ts))))
-
-
 def mixed_family(rng, plane, n=12):
-    """Polylines with unrelated breakpoints, plus a single point and a zero-length one."""
+    """Polylines with unrelated breakpoints, a repeated vertex, integer
+    vertices, a single point and a zero-length polyline."""
     polys = [Polyline(rng.uniform(-2.0, 2.0, size=(int(rng.integers(2, 6)), 2)), plane)
              for _ in range(n)]
+    pts = np.round(rng.uniform(-2.0, 2.0, size=(4, 2)))
+    pts[2] = pts[1]
+    polys.insert(1, Polyline(pts, plane))
     p = rng.uniform(-2.0, 2.0, size=2)
     polys.insert(3, Polyline([p], plane))
     polys.insert(7, Polyline([p + 0.5, p + 0.5, p + 0.5], plane))
@@ -243,30 +241,34 @@ def mixed_family(rng, plane, n=12):
 
 
 class TestUniformDistance:
-    # The family grid refines each pair's grid, so rows may differ from the
-    # pair value by the rounding of the samples at the extra grid points.
-    ATOL = 8 * np.finfo(float).eps * 2.0
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_at_equals_polyline_at(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=76))
+        polys = mixed_family(rng, plane)
+        curves = CurveArray(polys, plane)
+        rows = rng.integers(0, len(polys), 400)
+        ts = rng.uniform(-0.2, 1.2, 400)
+        ts[:200] = curves.breaks[rng.integers(0, len(curves.breaks), 200)]
+        ref = np.array([polys[r].at(t)[0] for r, t in zip(rows, ts)])
+        assert np.array_equal(curves.at(rows, ts), ref)
 
     @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
-    def test_rows_match_pairwise(self, plane):
+    def test_matrix_equals_pairwise(self, plane):
         rng = np.random.Generator(np.random.Philox(key=77))
         for _ in range(5):
             polys = mixed_family(rng, plane)
-            curves = CurveArray(polys, plane)
-            assert curves.xy.shape == (len(polys), len(curves.ts), 2)
-            for i, a in enumerate(polys):
-                row = d_inf_many(curves, i, range(len(polys)))
-                ref = [pair_d_inf(a, b, plane) for b in polys]
-                np.testing.assert_allclose(row, ref, rtol=0, atol=self.ATOL)
-                assert row[i] == 0.0
+            idx = np.arange(len(polys))
+            got = d_inf_many(CurveArray(polys, plane), idx[:, None], idx)
+            ref = [[d_inf(a, b, plane) for b in polys] for a in polys]
+            assert np.array_equal(got, ref)
+            assert np.all(np.diag(got) == 0.0)
 
     @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
-    def test_d_inf_is_the_two_curve_case(self, plane):
+    def test_d_inf_is_symmetric(self, plane):
         rng = np.random.Generator(np.random.Philox(key=78))
         polys = mixed_family(rng, plane)
         for a in polys:
             for b in polys:
-                assert d_inf(a, b, plane) == pair_d_inf(a, b, plane)
                 assert d_inf(a, b, plane) == d_inf(b, a, plane)
 
     def test_single_point_and_zero_length(self):
@@ -278,22 +280,36 @@ class TestUniformDistance:
         row = d_inf_many(CurveArray([dot, stall, seg]), 0, [1, 2])
         assert row.tolist() == [0.0, 5.0]
 
-    def test_empty_rows_and_family(self):
-        curves = CurveArray([Polyline([[0.0, 0.0], [1.0, 0.0]])])
+    def test_broadcast_shapes_and_empty(self):
+        polys = [Polyline([[0.0, 0.0], [1.0, 0.0]]), Polyline([[0.0, 1.0]])]
+        curves = CurveArray(polys)
         assert d_inf_many(curves, 0, []).shape == (0,)
-        assert CurveArray([]).ts.shape == (0,)
+        assert d_inf_many(curves, np.array([[0], [1]]), np.zeros(0, dtype=int)).shape == (2, 0)
+        assert d_inf_many(curves, np.array([[0], [1]]), [0, 1]).shape == (2, 2)
+        assert d_inf_many(curves, 1, 0).tolist() == [d_inf(polys[1], polys[0])]
+        assert CurveArray([]).breaks.shape == (0,)
 
     @pytest.mark.parametrize("cap", [1, 5, 64])
-    def test_chunked_rows_equal_unchunked(self, cap, monkeypatch):
+    def test_chunked_equals_unchunked(self, cap, monkeypatch):
         rng = np.random.Generator(np.random.Philox(key=79))
         polys = mixed_family(rng, PL, n=20)
-        whole = CurveArray(polys, PL)
-        rows = [d_inf_many(whole, i, range(len(polys))) for i in range(len(polys))]
+        curves = CurveArray(polys, PL)
+        idx = np.arange(len(polys))
+        whole = d_inf_many(curves, idx[:, None], idx)
         monkeypatch.setattr(currents, "CHUNK_SAMPLES", cap)
-        chunked = CurveArray(polys, PL)
-        assert chunked.xy is None
-        for i in range(len(polys)):
-            assert np.array_equal(d_inf_many(chunked, i, range(len(polys))), rows[i])
+        samples = []
+        gap = CurveArray.gap
+
+        def counting_gap(self, x, y):
+            samples.append(int(np.sum(self.bstart[y + 1] - self.bstart[y])))
+            return gap(self, x, y)
+
+        monkeypatch.setattr(CurveArray, "gap", counting_gap)
+        assert np.array_equal(d_inf_many(curves, idx[:, None], idx), whole)
+        # the two gaps of one block share the cap; one pair is never split
+        pair_max = 2 * int(np.diff(curves.bstart).max())
+        assert max(a + b for a, b in zip(samples[::2], samples[1::2])) <= max(cap, pair_max)
+        assert len(samples) > 2
 
 
 class TestTestForms:
