@@ -31,9 +31,11 @@ def translates(rng, count: int) -> CurveMeasure:
 
 
 def unrelated(rng, count: int) -> CurveMeasure:
-    return CurveMeasure.of([(1.0, Polyline(0.5 * rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), 2))
-                                           + rng.normal(size=2)))
-                            for _ in range(count)])
+    entries = []
+    for _ in range(count):
+        pts = 0.5 * rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), 2)) + rng.normal(size=2)
+        entries.append((1.0, Polyline(pts)))
+    return CurveMeasure.of(entries)
 
 
 def main() -> int:

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import currents
 from .currents import Chain1, CurrentError, CurveArray, Polyline, d_inf_many
 from .currents import d_inf  # noqa: F401  kept as approximation.d_inf, which bench/tracing.py wraps
 from .homotopy import interpolate_geodesic
@@ -92,7 +93,9 @@ def cluster(cm: CurveMeasure, eps: float,
     up to the first entry far from all centers, which becomes a center; the
     next block is twice as long as the number of entries just placed. This is
     the one-at-a-time greedy exactly, since the centers do not change before
-    that entry. Each diameter is one call over the cluster's member pairs.
+    that entry. Each diameter takes blocks of members against the members
+    from the block on. No call measures more than ``currents.CHUNK_SAMPLES``
+    pairs unless one row alone does.
     """
     _require_positive("cluster radius", eps)
     curves = CurveArray([p for _, p in cm.entries], plane)
@@ -111,10 +114,13 @@ def cluster(cm: CurveMeasure, eps: float,
             groups.append([int(block[placed])])
             placed += 1
         i += placed
-        size = 2 * placed
+        size = min(2 * placed, max(1, currents.CHUNK_SAMPLES // max(1, len(centers))))
     out = []
     for g in groups:
-        diam = float(d_inf_many(curves, np.array(g)[:, None], g).max())
+        members = np.array(g)
+        rows = max(1, currents.CHUNK_SAMPLES // len(g))
+        diam = max(float(d_inf_many(curves, members[r:r + rows, None], members[r:]).max())
+                   for r in range(0, len(g), rows))
         lengths = [(cm.entries[i][1].length, i) for i in g]
         rep = min(lengths)[1]
         weight = float(sum(cm.entries[i][0] for i in g))

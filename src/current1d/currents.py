@@ -251,7 +251,7 @@ class Polyline:
 # ---------------------------------------------------------------------------
 # uniform distance
 
-CHUNK_SAMPLES = 2 ** 14  # curve samples evaluated at once by d_inf_many
+CHUNK_SAMPLES = 2 ** 12  # curve samples evaluated at once by d_inf_many
 
 
 class CurveArray:
@@ -273,14 +273,16 @@ class CurveArray:
         polys = list(polys)
         verts = [len(p.cum) if p.length else 1 for p in polys]
         self.cum = np.concatenate([p.cum[:k] for p, k in zip(polys, verts)] + [[]])
-        self.points = np.concatenate([p.points[:k] for p, k in zip(polys, verts)] + [np.zeros((0, 2))])
+        self.points = np.concatenate([p.points[:k] for p, k in zip(polys, verts)]
+                                     + [np.zeros((0, 2))])
         member = np.arange(len(polys))
         self.keys = np.repeat(member, verts) + 1j * self.cum
         # np.interp's slopes; 0 at a member's last vertex and at a vertex with
         # the arc length of the next, which searchsorted never returns
         last = np.cumsum(verts, dtype=int) - 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.slope = np.diff(self.points, axis=0, append=0.0) / np.diff(self.cum, append=0.0)[:, None]
+            self.slope = (np.diff(self.points, axis=0, append=0.0)
+                          / np.diff(self.cum, append=0.0)[:, None])
         self.slope[last] = 0.0
         self.slope[~np.isfinite(self.slope)] = 0.0
         self.length = np.array([p.length for p in polys])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from current1d import (Cluster, CurrentError, CurveMeasure, NormedPlane, Polyline,
-                       approximate, cluster, currents, d_inf, flat_norm, snap,
+                       approximate, cluster, currents, d_inf, d_inf_many, flat_norm, snap,
                        truncate)
+from current1d import approximation
 from current1d.approximation import measure_as_chain
 from current1d.flatnorm import CubicalComplex
 
@@ -155,7 +156,18 @@ class TestClusterAgainstPairwise:
         cm = scattered(rng, 30, PL)
         whole = cluster(cm, 0.3, PL)
         monkeypatch.setattr(currents, "CHUNK_SAMPLES", 16)
+        shapes = []
+
+        def recording(curves, a, b):
+            out = d_inf_many(curves, a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(approximation, "d_inf_many", recording)
         assert cluster(cm, 0.3, PL) == whole
+        # no call measures more than the cap in pairs, unless one row does
+        assert all(math.prod(s) <= max(16, s[-1]) for s in shapes)
+        assert max(s[0] for s in shapes) > 1
 
 
 class TestParameterValidation:
