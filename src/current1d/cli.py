@@ -122,7 +122,7 @@ def _cmd_ae_norm(args) -> int:
     with np.errstate(invalid="ignore"):
         gap = np.abs(pot[:, None] - pot[None, :])
     lip_ok = bool(np.all(gap[checked] <= dist[checked] + 1e-9))
-    pairing = sum(w * res.potential[p] for p, w in m.atoms)
+    pairing = m.pairing(res.potential.__getitem__)
     dual_ok = pairing >= res.value - 1e-7 * max(1.0, res.value)
     report = {
         "value": res.value,
@@ -265,6 +265,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    eps = float(_positive("--eps", args.eps, 0.1))
     chain = cio.load_chain(_load_json(args.chain))
     if isinstance(chain, Polyline):
         chain = chain.as_chain(NormedPlane("l2"))
@@ -272,7 +273,6 @@ def _cmd_normalize(args) -> int:
         a, b, c = map(float, args.hyperplane.split(","))
     except (AttributeError, ValueError) as exc:
         raise CliInputError(f"bad --hyperplane (want a,b,c): {args.hyperplane!r}") from exc
-    eps = float(args.eps if args.eps is not None else 0.1)
     res = normalize(chain, Line(a, b, c), eps)
     frag = restrict(res.n_chain, res.b_set)
     restrict_err = abs(frag.mass() - chain.mass())
@@ -371,7 +371,7 @@ def _cmd_rickman(args) -> int:
 
 def _cmd_suite(args) -> int:
     from .suite import run_all
-    results = run_all(verbose=False)
+    results = run_all()
     for r in results:
         sys.stderr.write(r.line() + "\n")
     passed = sum(1 for r in results if r.passed)

@@ -52,10 +52,6 @@ class Molecule:
         if check_zero_sum and abs(self.total()) > TOL * max(1.0, self.mass0()):
             raise CurrentError(f"molecule weights sum to {self.total()}, not 0")
 
-    @staticmethod
-    def zero() -> "Molecule":
-        return Molecule(())
-
     def total(self) -> float:
         return float(sum(w for _, w in self.atoms))
 
@@ -72,15 +68,6 @@ class Molecule:
 
     def negative_part(self):
         return [(p, -w) for p, w in self.atoms if w < 0]
-
-    def __add__(self, other: "Molecule") -> "Molecule":
-        return Molecule(list(self.atoms) + list(other.atoms), check_zero_sum=False)
-
-    def __neg__(self) -> "Molecule":
-        return Molecule([(p, -w) for p, w in self.atoms], check_zero_sum=False)
-
-    def scale(self, a: float) -> "Molecule":
-        return Molecule([(p, a * w) for p, w in self.atoms], check_zero_sum=False)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Molecule) and self.atoms == other.atoms
@@ -117,6 +104,11 @@ class Chain1:
                 d = self._endpoint_dist(p.start, p.end)
                 if p.length < d - TOL:
                     raise CurrentError(f"piece length {p.length} below endpoint distance {d}")
+
+    @property
+    def plane(self) -> NormedPlane:
+        """The chain's normed plane; the euclidean plane for a graph chain."""
+        return self.space if isinstance(self.space, NormedPlane) else NormedPlane("l2")
 
     def _endpoint_dist(self, a, b) -> float:
         if isinstance(self.space, NormedPlane):
@@ -166,24 +158,12 @@ class Chain1:
         space = self.space if self.space is not None else other.space
         return Chain1(space, self.pieces + other.pieces, validate=False)
 
-    def __neg__(self) -> "Chain1":
-        return Chain1(self.space, [Piece(p.start, p.end, -p.weight, p.length) for p in self.pieces],
-                      validate=False)
-
     def scale(self, a: float) -> "Chain1":
         return Chain1(self.space, [Piece(p.start, p.end, a * p.weight, p.length) for p in self.pieces],
                       validate=False)
 
     def __repr__(self) -> str:
         return f"Chain1({len(self.pieces)} pieces, mass={self.mass():.6g})"
-
-
-def boundary(c: Chain1) -> Molecule:
-    return c.boundary()
-
-
-def mass(c) -> float:
-    return c.mass()
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +354,6 @@ class Box:
     lo: tuple[float, float]
     hi: tuple[float, float]
 
-    def contains(self, p) -> bool:
-        return (self.lo[0] - 1e-15 <= p[0] <= self.hi[0] + 1e-15
-                and self.lo[1] - 1e-15 <= p[1] <= self.hi[1] + 1e-15)
-
     def segment_interval(self, p, q):
         d = (q[0] - p[0], q[1] - p[1])
         ix = _slab_interval(self.lo[0], self.hi[0], p[0], d[0])
@@ -389,9 +365,6 @@ class Box:
 class Ball:
     center: tuple[float, float]
     radius: float
-
-    def contains(self, p) -> bool:
-        return math.hypot(p[0] - self.center[0], p[1] - self.center[1]) <= self.radius + 1e-15
 
     def segment_interval(self, p, q):
         dx, dy = q[0] - p[0], q[1] - p[1]
@@ -415,9 +388,6 @@ class HalfPlane:
     b: float
     c: float
 
-    def contains(self, p) -> bool:
-        return self.a * p[0] + self.b * p[1] <= self.c + 1e-15
-
     def segment_interval(self, p, q):
         v0 = self.a * p[0] + self.b * p[1]
         dv = self.a * (q[0] - p[0]) + self.b * (q[1] - p[1])
@@ -431,10 +401,6 @@ class Slab:
     b: float
     c1: float
     c2: float
-
-    def contains(self, p) -> bool:
-        v = self.a * p[0] + self.b * p[1]
-        return self.c1 - 1e-15 <= v <= self.c2 + 1e-15
 
     def segment_interval(self, p, q):
         v0 = self.a * p[0] + self.b * p[1]
@@ -453,9 +419,6 @@ class ClosedSet:
     @staticmethod
     def of(*prims: Primitive) -> "ClosedSet":
         return ClosedSet(tuple(prims))
-
-    def contains(self, p) -> bool:
-        return any(prim.contains(p) for prim in self.primitives)
 
     def segment_intervals(self, p, q) -> list[tuple[float, float]]:
         """Closure of the preimage of the set along segment p->q, as merged intervals."""
@@ -515,19 +478,14 @@ class FragmentChain:
 
     __slots__ = ("fragments",)
 
-    def __init__(self, fragments: Sequence[Fragment], validate: bool = True):
+    def __init__(self, fragments: Sequence[Fragment]):
         self.fragments = tuple(fragments)
-        if validate:
-            for fr in self.fragments:
-                if fr.weight < 0:
-                    raise CurrentError("fragment weights must be nonnegative")
-                for a, b in fr.domain:
-                    if not (0.0 - 1e-12 <= a <= b <= 1.0 + 1e-12):
-                        raise CurrentError(f"domain interval ({a},{b}) outside [0,1]")
-
-    @staticmethod
-    def empty() -> "FragmentChain":
-        return FragmentChain(())
+        for fr in self.fragments:
+            if fr.weight < 0:
+                raise CurrentError("fragment weights must be nonnegative")
+            for a, b in fr.domain:
+                if not (0.0 - 1e-12 <= a <= b <= 1.0 + 1e-12):
+                    raise CurrentError(f"domain interval ({a},{b}) outside [0,1]")
 
     def mass(self) -> float:
         """Sum over fragments of weight * speed * |domain| (constant-speed metric derivative)."""
@@ -535,9 +493,6 @@ class FragmentChain:
         for fr in self.fragments:
             tot += fr.weight * fr.polyline.length * intervals_measure(fr.domain)
         return float(tot)
-
-    def __add__(self, other: "FragmentChain") -> "FragmentChain":
-        return FragmentChain(self.fragments + other.fragments, validate=False)
 
     def __repr__(self) -> str:
         return f"FragmentChain({len(self.fragments)} fragments, mass={self.mass():.6g})"
@@ -648,8 +603,7 @@ class TestForm:
         return self.pi.lip()
 
 
-def standard_panel(seed: int, count: int = 20, scale: float = 2.0,
-                   plane: Optional[NormedPlane] = None) -> list[TestForm]:
+def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestForm]:
     """Deterministic seeded panel of bounded test forms for a working box of
     half-width `scale` around the origin.
 
@@ -658,7 +612,7 @@ def standard_panel(seed: int, count: int = 20, scale: float = 2.0,
     but smooth where chains of that scale are integrated; quadratures then
     converge fast without losing the clipped/distance semantics.
     """
-    plane = plane or NormedPlane("l2")
+    plane = NormedPlane("l2")
     rng = np.random.Generator(np.random.Philox(key=seed))
     panel = []
     box_reach = 1.5 * scale  # max |p| (euclidean) of points we integrate over
@@ -806,7 +760,7 @@ def pushforward(c: Chain1, phi: AffineMap) -> Chain1:
     """
     if not isinstance(phi, AffineMap):
         raise CurrentError("only affine pushforwards are supported")
-    plane = c.space if isinstance(c.space, NormedPlane) else NormedPlane("l2")
+    plane = c.plane
     m = phi.matrix()
     pieces = []
     for p in c.pieces:
@@ -823,10 +777,10 @@ def pushforward(c: Chain1, phi: AffineMap) -> Chain1:
     return Chain1(plane, pieces, validate=False)
 
 
-def restrict(obj, e: ClosedSet, weight: float = 1.0) -> FragmentChain:
+def restrict(obj, e: ClosedSet) -> FragmentChain:
     """Restriction map Phi: keep the closure of the preimage of a closed set.
 
-    Accepts a planar Chain1 or a weighted Polyline. Domains come out exactly
+    Accepts a planar Chain1 or a Polyline (of weight 1). Domains come out exactly
     from affine-segment/convex-primitive interval arithmetic; degenerate
     single-point intervals are kept (zero mass, closure semantics).
     """
@@ -849,6 +803,6 @@ def restrict(obj, e: ClosedSet, weight: float = 1.0) -> FragmentChain:
                 ivs_global.append((t0 + a * (t1 - t0), t0 + b * (t1 - t0)))
         merged = merge_intervals(ivs_global)
         if merged:
-            frags.append(Fragment(obj, tuple(merged), float(weight)))
+            frags.append(Fragment(obj, tuple(merged), 1.0))
         return FragmentChain(frags)
     raise CurrentError(f"cannot restrict {type(obj)}")

@@ -9,7 +9,7 @@ since the superposition measure is never unique.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,12 +71,6 @@ class Decomposition:
                 k, sgn = self.graph.signed_edge(a, b)
                 out[k] += sgn * w
         return out
-
-    def path_mass(self) -> float:
-        return path_mass(self)
-
-    def cycle_mass(self) -> float:
-        return cycle_mass(self)
 
 
 def decompose_flow(f: EdgeFlow) -> Decomposition:
@@ -212,43 +206,34 @@ class FragmentRepresentation:
     restricted_mass: float
 
 
-def fragment_representation(d: Decomposition, e: ClosedSet,
-                            plane: Optional[NormedPlane] = None,
-                            include_cycles: bool = True) -> FragmentRepresentation:
+def fragment_representation(d: Decomposition, e: ClosedSet) -> FragmentRepresentation:
     """Restrict every decomposed curve to the closed set and check the mass identity.
 
     The residual compares the restricted mass of the whole flow chain against
     the weighted fragment masses; both sides count each edge's traffic in the
     fixed residual orientation, so they agree to rounding.
     """
-    plane = plane or NormedPlane("l2")
-    items = d.paths + (d.cycles if include_cycles else ())
     fragments = []
     total = 0.0
-    for w, verts in items:
+    for w, verts in d.paths + d.cycles:
         poly = curve_polyline(d, verts)
         frag = restrict(poly, e)
         fragments.append((w, frag))
         total += w * frag.mass()
-    flow_chain = _embedded_chain(d)
-    restricted = restrict(flow_chain, e).mass()
-    if not include_cycles:
-        cyc_chain = _embedded_chain(d, cycles_only=True)
-        restricted -= restrict(cyc_chain, e).mass()
+    restricted = restrict(_embedded_chain(d), e).mass()
     residual = abs(restricted - total)
     return FragmentRepresentation(fragments=tuple(fragments),
                                   mass_identity_residual=float(residual),
                                   restricted_mass=float(restricted))
 
 
-def _embedded_chain(d: Decomposition, cycles_only: bool = False) -> Chain1:
+def _embedded_chain(d: Decomposition) -> Chain1:
     g = d.graph
     if g.coords is None:
         raise CurrentError("fragment representation needs embedded vertices")
     plane = NormedPlane("l2")
     acc: dict[tuple[int, int], float] = {}
-    items = d.cycles if cycles_only else d.paths + d.cycles
-    for w, verts in items:
+    for w, verts in d.paths + d.cycles:
         for i in range(len(verts) - 1):
             u, v = verts[i], verts[i + 1]
             if (v, u) in acc:

@@ -224,10 +224,10 @@ def flat_upper_bound_pair(g0: Polyline, g1: Polyline,
     return (g0.length + g1.length + 2.0) * d_inf(g0, g1, plane)
 
 
-def complex_covering(polys: list[Polyline], h: float = 1.0, margin: int = 1) -> CubicalComplex:
-    """Smallest grid complex (with margin cells) containing the given polylines."""
+def complex_covering(polys: list[Polyline]) -> CubicalComplex:
+    """Smallest unit grid complex, with a margin of one cell, containing the given polylines."""
     pts = np.vstack([p.points for p in polys])
-    lo = np.floor(pts.min(axis=0) / h).astype(int) - margin
-    hi = np.ceil(pts.max(axis=0) / h).astype(int) + margin
-    return CubicalComplex(origin=(lo[0] * h, lo[1] * h), h=h,
+    lo = np.floor(pts.min(axis=0)).astype(int) - 1
+    hi = np.ceil(pts.max(axis=0)).astype(int) + 1
+    return CubicalComplex(origin=(float(lo[0]), float(lo[1])), h=1.0,
                           nx=int(hi[0] - lo[0]), ny=int(hi[1] - lo[1]))

@@ -26,23 +26,17 @@ from .quadrature import NODES, QUAD_TOL, WEIGHTS, Quad, integrate
 from .spaces import MetricGraph, NormedPlane
 
 
-def _as_field(f, plane: NormedPlane) -> ScalarField:
-    if isinstance(f, ScalarField):
-        return f
-    return ScalarField("const", (float(f),), plane)
-
-
-def _pullback(ff: ScalarField, pi1: ScalarField, pi2: ScalarField,
+def _pullback(pi1: ScalarField, pi2: ScalarField,
               pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The 2-form f dpi1 ^ dpi2 on the tangent pairs (u, v) at pts, all (n, 2):
-    f(x) (dpi1(u) dpi2(v) - dpi1(v) dpi2(u))."""
+    """The 2-form dpi1 ^ dpi2 on the tangent pairs (u, v) at pts, all (n, 2):
+    dpi1(u) dpi2(v) - dpi1(v) dpi2(u)."""
     g1 = pi1.grad(pts)
     g2 = pi2.grad(pts)
     g1u = np.einsum("ij,ij->i", g1, u)
     g2v = np.einsum("ij,ij->i", g2, v)
     g1v = np.einsum("ij,ij->i", g1, v)
     g2u = np.einsum("ij,ij->i", g2, u)
-    return ff.value(pts) * (g1u * g2v - g1v * g2u)
+    return g1u * g2v - g1v * g2u
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +122,15 @@ class GraphBicombing:
 Bicombing = Union[AffineBicombing, GraphBicombing]
 
 
-def conical_defect(bic: Bicombing, seed: int = 0, n_samples: int = 1000,
-                   t_grid: int = 9, scale: float = 2.0) -> float:
-    """Max sampled violation of d(s_xy(t), s_x'y'(t)) <= (1-t)d(x,x') + t d(y,y')."""
+def conical_defect(bic: Bicombing, seed: int = 0, n_samples: int = 1000) -> float:
+    """Max sampled violation of d(s_xy(t), s_x'y'(t)) <= (1-t)d(x,x') + t d(y,y')
+    at t = 0, 1/8, ..., 1; affine samples come from [-2, 2]^2."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
-    ts = np.linspace(0.0, 1.0, t_grid)
+    ts = np.linspace(0.0, 1.0, 9)
     for _ in range(n_samples):
         if bic.tag == "affine":
-            x, y, x2, y2 = rng.uniform(-scale, scale, size=(4, 2))
+            x, y, x2, y2 = rng.uniform(-2.0, 2.0, size=(4, 2))
             for t in ts:
                 lhs = bic.dist(bic.point(x, y, t), bic.point(x2, y2, t))
                 rhs = (1 - t) * bic.dist(x, x2) + t * bic.dist(y, y2)
@@ -226,7 +220,7 @@ class FillResult:
         """dS(f, pi) per cell of the homotopy square, with the quadrature counts."""
         if self.s_evaluator is None:
             raise CurrentError("quantitative S evaluator is disabled for graph bicombings")
-        return self.s_evaluator(1.0, form.f, form.pi)
+        return self.s_evaluator(form.f, form.pi)
 
     def boundary_eval(self, form: TestForm) -> float:
         """dS(f, pi) = S(1, f, pi)."""
@@ -274,16 +268,15 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
     lo = np.stack([sa, np.zeros_like(sa)], axis=1)
     width = np.stack([sb - sa, np.ones_like(sa)], axis=1)
 
-    def s_evaluator(f, pi1: ScalarField, pi2: ScalarField) -> Quad:
-        ff = _as_field(f, plane)
-
+    def s_evaluator(pi1: ScalarField, pi2: ScalarField) -> Quad:
+        """S(1, pi1, pi2) per cell."""
         def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
             s, t = x[:, 0], x[:, 1, None]
             p0 = g0.at(s)
             p1 = g1.at(s)
             h = (1 - t) * p0 + t * p1
             d1h = (1 - t) * v0[owner] + t * v1[owner]
-            return _pullback(ff, pi1, pi2, h, d1h, p1 - p0)
+            return _pullback(pi1, pi2, h, d1h, p1 - p0)
         return integrate(integrand, lo, width, quad_tol)
 
     measured = _abs_det_mass(g0, g1, sa, sb, v0, v1)
@@ -326,7 +319,7 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
     """
     if not isinstance(phi, AffineMap) or not isinstance(psi, AffineMap):
         raise CurrentError("homotopy current needs affine maps")
-    plane = t_chain.space if isinstance(t_chain.space, NormedPlane) else NormedPlane("l2")
+    plane = t_chain.plane
     dm, db = phi.displacement(psi)
     maxop = max(phi.op_norm(plane), psi.op_norm(plane))
     aphi, apsi = phi.matrix(), psi.matrix()
@@ -351,15 +344,14 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
         return (tt[:, None] * (pts @ aphi.T + bphi)
                 + (1 - tt)[:, None] * (pts @ apsi.T + bpsi))
 
-    def h_evaluator(f, pi1: ScalarField, pi2: ScalarField) -> float:
-        ff = _as_field(f, plane)
-
+    def h_evaluator(pi1: ScalarField, pi2: ScalarField) -> float:
+        """H(T)(1, pi1, pi2)."""
         def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
             s, t = x[:, :1], x[:, 1]
             pts = starts[owner] + s * dirs[owner]
             a_t = t[:, None, None] * aphi + (1 - t)[:, None, None] * apsi
             ad = np.einsum("nij,nj->ni", a_t, dirs[owner])
-            return _pullback(ff, pi1, pi2, h_mid(pts, t), pts @ dm.T + db, ad)
+            return _pullback(pi1, pi2, h_mid(pts, t), pts @ dm.T + db, ad)
         q = integrate(integrand, np.zeros((n, 2)), np.ones((n, 2)), QUAD_TOL * n)
         return float(weights @ q.value)
 
@@ -382,7 +374,7 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
         for form in panel:
             lhs = (evaluate(pushforward(t_chain, phi), form, plane)
                    - evaluate(pushforward(t_chain, psi), form, plane))
-            rhs = h_evaluator(1.0, form.f, form.pi) + h_boundary_evaluator(form)
+            rhs = h_evaluator(form.f, form.pi) + h_boundary_evaluator(form)
             residual = max(residual, abs(lhs - rhs))
 
     return HomotopyCurrentResult(h_evaluator=h_evaluator,

@@ -24,13 +24,11 @@ class InputError(ValueError):
 
 
 def fmt_float(x: float) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        if math.isnan(x):
-            return '"nan"'
-        return format(x, ".17g")
-    return format(float(x), ".17g")
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if math.isnan(x):
+        return '"nan"'
+    return format(x, ".17g")
 
 
 def canonical_json(obj: Any, indent: int = 0) -> str:
@@ -72,6 +70,22 @@ def _field(doc, key: str, what: str):
     return doc[key]
 
 
+def _numbers(v, n: int, what: str) -> tuple[float, ...]:
+    """``v`` as a tuple of ``n`` floats, or an InputError naming ``what``."""
+    try:
+        if len(v) == n:
+            return tuple(float(x) for x in v)
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"{what} must be a list of {n} numbers: {v!r}")
+
+
+def _polyline(v, what: str) -> Polyline:
+    if not isinstance(v, list):
+        raise InputError(f"{what} must be a list of [x, y] points: {v!r}")
+    return Polyline([_numbers(p, 2, f"a point of {what}") for p in v])
+
+
 def _parse_inf(v):
     if v == "inf":
         return math.inf
@@ -87,8 +101,7 @@ def _parse_inf(v):
 def load_space(doc: dict):
     kind = doc.get("kind")
     if kind == "plane":
-        return NormedPlane({"l1": "l1", "l2": "l2", "linf": "linf"}.get(
-            doc.get("norm", "l2"), doc.get("norm", "l2")))
+        return NormedPlane(doc.get("norm", "l2"))
     if kind == "finite":
         return FiniteMetricSpace(_field(doc, "points", "a finite space"), np.array(
             [[_parse_inf(x) for x in row] for row in _field(doc, "dist", "a finite space")]))
@@ -129,7 +142,7 @@ def dump_space(space) -> dict:
 
 def load_chain(doc: dict, space=None):
     if "polyline" in doc:
-        return Polyline(doc["polyline"])
+        return _polyline(doc["polyline"], "a polyline")
     space = space if space is not None else (
         load_space(doc["space"]) if "space" in doc else NormedPlane("l2"))
     pieces = []
@@ -137,7 +150,7 @@ def load_chain(doc: dict, space=None):
         s, e = _field(item, "start", "a piece"), _field(item, "end", "a piece")
         w = float(_field(item, "weight", "a piece"))
         if isinstance(s, list):
-            s, e = (float(s[0]), float(s[1])), (float(e[0]), float(e[1]))
+            s, e = _numbers(s, 2, "a piece start"), _numbers(e, 2, "a piece end")
             length = float(item.get("length", space.dist(s, e)
                            if isinstance(space, NormedPlane) else 0.0))
         elif not isinstance(space, MetricGraph):
@@ -166,7 +179,7 @@ def load_molecule(doc: dict) -> Molecule:
             raise InputError(f"a molecule atom is a [point, weight] pair: {item!r}")
         p, w = item
         if isinstance(p, list):
-            p = (float(p[0]), float(p[1]))
+            p = _numbers(p, 2, "a molecule point")
         else:
             p = int(p)
         atoms.append((p, float(w)))
@@ -191,17 +204,15 @@ def load_closedset(doc: dict) -> ClosedSet:
     prims = []
     for item in _field(doc, "primitives", "a closed set"):
         if "box" in item:
-            x0, y0, x1, y1 = map(float, item["box"])
+            x0, y0, x1, y1 = _numbers(item["box"], 4, "a box")
             prims.append(Box((x0, y0), (x1, y1)))
         elif "ball" in item:
-            cx, cy, r = map(float, item["ball"])
+            cx, cy, r = _numbers(item["ball"], 3, "a ball")
             prims.append(Ball((cx, cy), r))
         elif "halfplane" in item:
-            a, b, c = map(float, item["halfplane"])
-            prims.append(HalfPlane(a, b, c))
+            prims.append(HalfPlane(*_numbers(item["halfplane"], 3, "a halfplane")))
         elif "slab" in item:
-            a, b, c1, c2 = map(float, item["slab"])
-            prims.append(Slab(a, b, c1, c2))
+            prims.append(Slab(*_numbers(item["slab"], 4, "a slab")))
         else:
             raise InputError(f"unknown primitive {item!r}")
     return ClosedSet(tuple(prims))
@@ -229,7 +240,8 @@ def load_curvemeasure(doc: dict) -> CurveMeasure:
     entries = []
     for item in _field(doc, "entries", "a curve measure"):
         entries.append((float(_field(item, "w", "a curve-measure entry")),
-                        Polyline(_field(item, "polyline", "a curve-measure entry"))))
+                        _polyline(_field(item, "polyline", "a curve-measure entry"),
+                                  "a curve-measure polyline")))
     try:
         return CurveMeasure.of(entries)
     except Exception as exc:

@@ -127,11 +127,10 @@ def d_alpha(p, q, alpha: float) -> float:
 class FiniteMetricSpace:
     """A finite point set with an explicit distance matrix."""
 
-    def __init__(self, points, dist, validate: bool = True):
+    def __init__(self, points, dist):
         self.points = list(points)
         self.dist = np.asarray(dist, dtype=float)
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def n(self) -> int:
@@ -196,7 +195,7 @@ class MetricGraph:
     ``(k, -1)`` for edge ``k = (u, v)``; among parallel edges the last listed wins.
     """
 
-    def __init__(self, vertices, edges, ambient="euclidean", validate: bool = True):
+    def __init__(self, vertices, edges, ambient="euclidean"):
         self.vertices = list(vertices)
         self.edges = [(int(u), int(v), float(w)) for u, v, w in edges]
         self.ambient = ambient
@@ -221,8 +220,7 @@ class MetricGraph:
         self._arc_len = np.concatenate([lengths, lengths])
         self.path_dist = self._all_pairs()
         self.ambient_dist = self._ambient_matrix()
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def n(self) -> int:
@@ -295,11 +293,6 @@ class MetricGraph:
         np.minimum.at(pred, self._arc_head[tight], self._arc_tail[tight])
         pred[pred == self.n] = -1
         return pred
-
-
-def path_metric(g: MetricGraph) -> np.ndarray:
-    """All-pairs intrinsic distance matrix; inf marks disconnected pairs."""
-    return g.path_dist.copy()
 
 
 @dataclass(frozen=True)

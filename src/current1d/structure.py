@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .currents import (AffineMap, Chain1, ClosedSet, Molecule, Piece, Slab,
-                       pushforward)
+                       fat_cantor_intervals, pushforward)
 from .spaces import MetricGraph, NormedPlane
 from .transport import ae_norm, minimal_filling
 
@@ -33,6 +33,11 @@ class StructureError(ValueError):
 
 class NoAdmissibleShift(StructureError):
     pass
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise StructureError(f"eps must be a positive finite number: {eps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +72,8 @@ class Line:
     def contains(self, p, tol: float = TOL) -> bool:
         return abs(self.signed_dist(p)) <= tol
 
-    def as_closed_set(self, thickness: float = 0.0) -> ClosedSet:
-        th = thickness if thickness > 0 else GEOM_EPS * (1.0 + abs(self.c))
+    def as_closed_set(self) -> ClosedSet:
+        th = GEOM_EPS * (1.0 + abs(self.c))
         return ClosedSet.of(Slab(self.a, self.b, self.c - th, self.c + th))
 
 
@@ -91,9 +96,9 @@ class AtomicMeasure:
     atoms: tuple[tuple[tuple[float, float], float], ...]
 
     @staticmethod
-    def of(points: Sequence, weight: float = 1.0) -> "AtomicMeasure":
-        return AtomicMeasure(tuple(((float(p[0]), float(p[1])), float(weight))
-                                   for p in points))
+    def of(points: Sequence) -> "AtomicMeasure":
+        """Unit atoms at the given points."""
+        return AtomicMeasure(tuple(((float(p[0]), float(p[1])), 1.0) for p in points))
 
     @staticmethod
     def empty() -> "AtomicMeasure":
@@ -113,12 +118,12 @@ def _seg_point_dist(p, a, b) -> float:
     return math.hypot(px - t * ax, py - t * ay)
 
 
-def _atom_on_interior(p, a, b, tol: float = GEOM_EPS) -> bool:
+def _atom_on_interior(p, a, b) -> bool:
     """Atom strictly inside segment (a, b): on the segment but at neither endpoint."""
-    if _seg_point_dist(p, a, b) > tol:
+    if _seg_point_dist(p, a, b) > GEOM_EPS:
         return False
-    return (math.hypot(p[0] - a[0], p[1] - a[1]) > tol
-            and math.hypot(p[0] - b[0], p[1] - b[1]) > tol)
+    return (math.hypot(p[0] - a[0], p[1] - a[1]) > GEOM_EPS
+            and math.hypot(p[0] - b[0], p[1] - b[1]) > GEOM_EPS)
 
 
 def _piece_coords(chain: Chain1, piece: Piece):
@@ -132,18 +137,17 @@ def piece_inside_line(a, b, line: Line, tol: float = GEOM_EPS) -> bool:
     return abs(line.signed_dist(a)) <= tol and abs(line.signed_dist(b)) <= tol
 
 
-def is_admissible(chain: Chain1, mu: AtomicMeasure, line: Optional[Line],
-                  tol: float = GEOM_EPS) -> bool:
+def is_admissible(chain: Chain1, mu: AtomicMeasure, line: Optional[Line]) -> bool:
     """Desk-scale mutual singularity: no mu atom on a piece's relative interior,
     no positive-length piece inside the line."""
     for piece in chain.pieces:
         if piece.weight == 0.0:
             continue
         a, b = _piece_coords(chain, piece)
-        if line is not None and piece_inside_line(a, b, line, tol):
+        if line is not None and piece_inside_line(a, b, line):
             return False
         for p in mu.points():
-            if _atom_on_interior(p, a, b, tol):
+            if _atom_on_interior(p, a, b):
                 return False
     return True
 
@@ -160,9 +164,8 @@ def rescale_interior(p_chain: Chain1, box: ConvexBox, eps: float) -> tuple[Chain
     h_{1-eta}; eta is chosen to keep the certificate at most eps, capped at
     1/4, floored at 1e-9 to guarantee a strictly positive interior margin.
     """
-    if eps <= 0:
-        raise StructureError("eps must be positive")
-    plane = p_chain.space if isinstance(p_chain.space, NormedPlane) else NormedPlane("l2")
+    _check_eps(eps)
+    plane = p_chain.plane
     cx, cy = box.center
     rate = 0.0
     for piece in p_chain.pieces:
@@ -174,16 +177,12 @@ def rescale_interior(p_chain: Chain1, box: ConvexBox, eps: float) -> tuple[Chain
         nb = plane.norm((b[0] - cx, b[1] - cy))
         rate += 2.0 * abs(piece.weight) * piece.length * (na + nb) / 2.0
     for p, w in p_chain.boundary().atoms:
-        q = p if isinstance(p, tuple) else _pt_of(p_chain, p)
+        q = p_chain.coords_of(p)
         rate += abs(w) * plane.norm((q[0] - cx, q[1] - cy))
     eta = min(0.25, eps / rate) if rate > 0 else 0.25
     eta = max(eta, 1e-9)
     scaled = pushforward(p_chain, AffineMap.scaling(1.0 - eta, center=box.center))
     return scaled, float(eta * rate)
-
-
-def _pt_of(chain: Chain1, key):
-    return chain.coords_of(key)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ class TranslateResult:
     connectors: Chain1 = field(repr=False, default=None)
 
 
-def _candidate_direction(p_chain: Chain1, line: Optional[Line], plane: NormedPlane):
+def _candidate_direction(p_chain: Chain1, line: Optional[Line]):
     """First unit direction transverse to the line and to every piece direction."""
     dirs = []
     for piece in p_chain.pieces:
@@ -233,8 +232,8 @@ def translate_singular(p_chain: Chain1, mu: AtomicMeasure, line: Optional[Line],
     """
     if t1 <= 0:
         raise StructureError("translation budget must be positive")
-    plane = p_chain.space if isinstance(p_chain.space, NormedPlane) else NormedPlane("l2")
-    w = _candidate_direction(p_chain, line, plane)
+    plane = p_chain.plane
+    w = _candidate_direction(p_chain, line)
     m = p_chain.boundary()
 
     for level in range(3):
@@ -267,7 +266,7 @@ def _connector_chain(p_chain: Chain1, m: Molecule, tv, plane: NormedPlane) -> Ch
     """Exact remainder of a translation: -H(dT) = sum_j (-w_j) [x_j -> x_j + tv]."""
     segs = []
     for p, wgt in m.atoms:
-        q = p if isinstance(p, tuple) else p_chain.coords_of(p)
+        q = p_chain.coords_of(p)
         segs.append((q, (q[0] + tv[0], q[1] + tv[1]), -wgt))
     return Chain1.from_segments(plane, segs)
 
@@ -306,7 +305,7 @@ def lift_off_line(chain: Chain1, line: Line, mu: AtomicMeasure, eps: float) -> C
     height is walked down a 64-point grid if a tent segment hits an atom of mu.
     Pieces not inside the line pass through unchanged.
     """
-    plane = chain.space if isinstance(chain.space, NormedPlane) else NormedPlane("l2")
+    plane = chain.plane
     nrm = line.normal()
     out = []
     for piece in chain.pieces:
@@ -360,7 +359,7 @@ class RectifiableFilling:
 
 
 def rectifiable_filling(t_chain: Chain1, eps: float, mu: AtomicMeasure,
-                        line: Optional[Line], max_rounds: int = 40) -> RectifiableFilling:
+                        line: Optional[Line]) -> RectifiableFilling:
     """Chain R with dR = dT, mass(R) <= (1 + eps) mass(T), support avoiding the
     atoms of mu (piece interiors) and never lying inside the line.
 
@@ -369,11 +368,10 @@ def rectifiable_filling(t_chain: Chain1, eps: float, mu: AtomicMeasure,
     resolved by translating the current remainder and keeping the exact
     connector chains as the next remainder, with geometrically shrinking
     budgets. The final remainder is absorbed exactly once admissible, so the
-    boundary gap is zero in the generic case.
+    boundary gap is zero in the generic case. At most 40 rounds are run.
     """
-    if eps <= 0:
-        raise StructureError("eps must be positive")
-    plane = t_chain.space if isinstance(t_chain.space, NormedPlane) else NormedPlane("l2")
+    _check_eps(eps)
+    plane = t_chain.plane
     total_mass = t_chain.mass()
     if total_mass == 0.0:
         return RectifiableFilling(Chain1.empty(plane), (), 0.0)
@@ -385,7 +383,7 @@ def rectifiable_filling(t_chain: Chain1, eps: float, mu: AtomicMeasure,
     acc: list[Piece] = []
     rounds: list[FillingRound] = []
     budget_total = total_mass * eps / 4.0
-    for n in range(max_rounds):
+    for n in range(40):
         if is_admissible(remaining, mu, line):
             acc.extend(remaining.pieces)
             rounds.append(FillingRound(n, "absorb", remaining.mass(), 0.0, 0.0))
@@ -481,9 +479,8 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
     factor is 1 + 0.9 eps; R touches the line only at finitely many endpoints,
     so the restriction of N to the line reproduces T exactly.
     """
-    if eps <= 0:
-        raise StructureError("eps must be positive")
-    plane = t_chain.space if isinstance(t_chain.space, NormedPlane) else NormedPlane("l2")
+    _check_eps(eps)
+    plane = t_chain.plane
     for piece in t_chain.pieces:
         a, b = _piece_coords(t_chain, piece)
         if not (line.contains(a, tol=TOL) and line.contains(b, tol=TOL)):
@@ -509,10 +506,7 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
                            rounds=r.rounds)
 
 
-def fat_cantor_chain(k: int, plane: Optional[NormedPlane] = None,
-                     weight: float = 1.0) -> Chain1:
-    """Stage-k fat-Cantor intervals on the x-axis as a chain."""
-    from .currents import fat_cantor_intervals
-    plane = plane or NormedPlane("l2")
-    segs = [((a, 0.0), (b, 0.0), weight) for a, b in fat_cantor_intervals(k)]
-    return Chain1.from_segments(plane, segs)
+def fat_cantor_chain(k: int) -> Chain1:
+    """Stage-k fat-Cantor intervals on the x-axis as a euclidean chain of unit weight."""
+    segs = [((a, 0.0), (b, 0.0), 1.0) for a, b in fat_cantor_intervals(k)]
+    return Chain1.from_segments(NormedPlane("l2"), segs)

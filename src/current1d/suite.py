@@ -76,10 +76,10 @@ def _random_molecule(rng, n: int) -> Molecule:
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_isomorphism_sandwich(seed: int = 101) -> CriterionResult:
+def criterion_1_isomorphism_sandwich() -> CriterionResult:
     """qc^-1 ae(d) <= filling <= qc ae(d) and filling = ae(d_l), 50 seeded graphs."""
     t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = _rng(101)
     tol = 1e-7
     worst_gap = 0.0
     ok = True
@@ -125,15 +125,15 @@ def criterion_2_optimal_constant_witness() -> CriterionResult:
                            time.perf_counter() - t0, {"ratios": ratios})
 
 
-def criterion_3_rickman(s_count: int = 32) -> CriterionResult:
+def criterion_3_rickman() -> CriterionResult:
     """Rug regression: intrinsic AE bound = 2 at every s while mass = 2."""
     t0 = time.perf_counter()
-    rows = rug_grid(s_count=s_count, n=32, alpha=0.5)
+    rows = rug_grid(s_count=32, n=32, alpha=0.5)
     worst = max(abs(r.ae_intrinsic - 2.0) for r in rows)
     mass_ok = all(abs(r.mass - 2.0) <= 1e-12 for r in rows)
     secs = time.perf_counter() - t0
     ok = worst <= 1e-6 and mass_ok and secs < 5.0
-    return CriterionResult(3, f"Rickman rug lower bound 2.0 at {s_count} offsets",
+    return CriterionResult(3, "Rickman rug lower bound 2.0 at 32 offsets",
                            bool(ok), secs,
                            {"worst_deviation": worst, "runtime_s": secs})
 
@@ -143,9 +143,9 @@ def _random_polyline(rng, scale: float = 2.0) -> Polyline:
     return Polyline(rng.uniform(-scale, scale, size=(n, 2)))
 
 
-def _staircase(rng, steps: int = 4) -> Polyline:
+def _staircase(rng) -> Polyline:
     pts = [np.zeros(2)]
-    for k in range(steps):
+    for k in range(4):
         step = np.array([1.0, 0.0]) if k % 2 == 0 else np.array([0.0, 1.0])
         if rng.integers(0, 2) == 1 and k > 0:
             step = step[::-1].copy()
@@ -153,18 +153,17 @@ def _staircase(rng, steps: int = 4) -> Polyline:
     return Polyline(np.array(pts))
 
 
-def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
-                               n_grid_pairs: int = 10) -> CriterionResult:
+def criterion_4_homotopy_lemma() -> CriterionResult:
     """Fuzzed homotopy fills: residuals, certificate soundness, LP cross-check."""
     t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = _rng(404)
     plane = NormedPlane("l2")
     bic = AffineBicombing(plane)
-    panel = standard_panel(seed, count=20, scale=2.0)
+    panel = standard_panel(404, count=20, scale=2.0)
     ok = True
     worst_resid = 0.0
     capped = 0
-    for _ in range(n_pairs):
+    for _ in range(100):
         g0 = _random_polyline(rng)
         g1 = _random_polyline(rng)
         fill = homotopy_fill(g0, g1, bic)
@@ -178,11 +177,11 @@ def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
             ok &= resid <= allowed
     # grid-snapped pairs: LP flat norm of the difference <= certS + certR
     worst_lp_margin = -math.inf
-    for _ in range(n_grid_pairs):
+    for _ in range(10):
         g0 = _staircase(rng)
         g1 = _staircase(rng).translate((0.0, float(rng.integers(0, 3))))
         fill = homotopy_fill(g0, g1, bic)
-        cx = complex_covering([g0, g1], h=1.0, margin=1)
+        cx = complex_covering([g0, g1])
         diff = snap(g0.as_chain(plane), cx) - snap(g1.as_chain(plane), cx)
         lp = flat_norm(diff, cx)
         margin = lp.value - (fill.cert_s + fill.cert_r)
@@ -190,7 +189,7 @@ def criterion_4_homotopy_lemma(seed: int = 404, n_pairs: int = 100,
         ok &= margin <= 1e-6
     secs = time.perf_counter() - t0
     ok &= secs < 30.0
-    return CriterionResult(4, f"homotopy lemma on {n_pairs} fuzzed pairs", bool(ok),
+    return CriterionResult(4, "homotopy lemma on 100 fuzzed pairs", bool(ok),
                            secs, {"worst_residual_ratio": worst_resid,
                                   "worst_lp_margin": worst_lp_margin,
                                   "capped_subcells": capped,
@@ -214,10 +213,10 @@ def _translate_family(rng, base: Polyline, count: int, span: float,
     return CurveMeasure.of(entries)
 
 
-def criterion_5_geodesic_approximation(seed: int = 505) -> CriterionResult:
+def criterion_5_geodesic_approximation() -> CriterionResult:
     """Mass non-increase, LP-checked certificates, and eps-halving behavior."""
     t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = _rng(505)
     plane = NormedPlane("l2")
     ok = True
     details: dict = {"halving_ratios": [], "lp_margins": []}
@@ -245,7 +244,7 @@ def criterion_5_geodesic_approximation(seed: int = 505) -> CriterionResult:
             ok &= 0.4 <= ratio <= 0.6
         if grid_case:
             n_chain = measure_as_chain(cm, plane)
-            cx = complex_covering([poly for _, poly in cm.entries] + [base], h=1.0)
+            cx = complex_covering([poly for _, poly in cm.entries] + [base])
             diff = snap(n_chain, cx) - snap(p, cx)
             lp = flat_norm(diff, cx)
             margin = lp.value - cert.flat_bound
@@ -260,12 +259,11 @@ def criterion_5_geodesic_approximation(seed: int = 505) -> CriterionResult:
 def criterion_6_hyperplane_normalization() -> CriterionResult:
     """Fat-Cantor chains: exact boundary kill, mass ratio, restriction identity."""
     t0 = time.perf_counter()
-    plane = NormedPlane("l2")
     line = Line(0.0, 1.0, 0.0)
     ok = True
     masses = []
     for k in range(0, 7):
-        t = fat_cantor_chain(k, plane)
+        t = fat_cantor_chain(k)
         expected = 0.5 + 2.0 ** (-(k + 1))
         masses.append(t.mass())
         ok &= t.mass() == expected
@@ -280,10 +278,10 @@ def criterion_6_hyperplane_normalization() -> CriterionResult:
                            bool(ok), secs, {"masses": masses, "runtime_s": secs})
 
 
-def criterion_7_decomposition(seed: int = 707) -> CriterionResult:
+def criterion_7_decomposition() -> CriterionResult:
     """Reassembly, mass additivity, marginals on 50 flows; fragment identity on 20 sets."""
     t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = _rng(707)
     ok = True
     worst = 0.0
     flows = []
@@ -332,10 +330,10 @@ def criterion_7_decomposition(seed: int = 707) -> CriterionResult:
                                   "worst_fragment_residual": worst_frag})
 
 
-def criterion_8_solver_cross_validation(seed: int = 808) -> CriterionResult:
+def criterion_8_solver_cross_validation() -> CriterionResult:
     """Flow vs simplex on 100 transportation instances; dual feasibility."""
     t0 = time.perf_counter()
-    rng = _rng(seed)
+    rng = _rng(808)
     ok = True
     worst = 0.0
     for _ in range(100):
@@ -408,11 +406,5 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(verbose: bool = True) -> list[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        res = fn()
-        results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
-    return results
+def run_all() -> list[CriterionResult]:
+    return [fn() for fn in ALL_CRITERIA]

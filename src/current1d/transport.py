@@ -31,17 +31,6 @@ class TransportError(ValueError):
     pass
 
 
-def _metric_fn(metric):
-    """Accept a distance matrix, a NormedPlane, or a callable d(p, q)."""
-    if isinstance(metric, np.ndarray):
-        return lambda p, q: float(metric[p, q])
-    if isinstance(metric, NormedPlane):
-        return metric.dist
-    if callable(metric):
-        return metric
-    raise TransportError(f"unsupported metric object {type(metric)}")
-
-
 @dataclass(frozen=True)
 class AeResult:
     value: float
@@ -49,55 +38,44 @@ class AeResult:
     potential: dict = field(default_factory=dict, repr=False)
 
 
-def ae_norm(m: Molecule, metric, extra_points=()) -> AeResult:
+def ae_norm(m: Molecule, metric) -> AeResult:
     """Arens-Eells norm of a molecule with an optimal coupling and a dual certificate.
 
-    ``metric`` is a dense matrix (integer atom keys), a NormedPlane (tuple
-    keys), or a callable. The returned potential is 1-Lipschitz and pairs with
-    the molecule to the value (Kantorovich duality); it is defined on the atom
-    keys plus any ``extra_points``.
+    ``metric`` is a dense matrix (integer atom keys) or a NormedPlane (tuple
+    keys). One block of distances, from every atom to the negative atoms,
+    gives both the flow arcs and the potential. The potential is 1-Lipschitz,
+    pairs with the molecule to the value (Kantorovich duality), and is defined
+    on the atom keys.
     """
-    d = _metric_fn(metric)
     pos = m.positive_part()
     neg = m.negative_part()
     if not pos and not neg:
-        pot = {p: 0.0 for p in extra_points}
-        return AeResult(0.0, (), pot)
+        return AeResult(0.0, (), {})
+    keys = [p for p, _ in m.atoms]
+    neg_keys = [q for q, _ in neg]
+    if isinstance(metric, np.ndarray):
+        block = metric[np.ix_(keys, neg_keys)].astype(float, copy=False)
+    elif isinstance(metric, NormedPlane):
+        block = np.array([[metric.dist(x, q) for q in neg_keys] for x in keys])
+    else:
+        raise TransportError(f"unsupported metric object {type(metric)}")
 
-    points = [p for p, _ in pos] + [q for q, _ in neg]
-    np_, nn = len(pos), len(neg)
-    arcs = []
-    for i, (p, _) in enumerate(pos):
-        for j, (q, _) in enumerate(neg):
-            c = d(p, q)
-            if math.isfinite(c):
-                arcs.append((i, np_ + j, c, math.inf))
+    # arcs in row-major order: positive atom i to negative atom j where finite
+    np_ = len(pos)
+    costs = block[[w > 0 for _, w in m.atoms]]
+    ii, jj = np.nonzero(np.isfinite(costs))
+    arcs = tuple(zip(ii.tolist(), (jj + np_).tolist(), costs[ii, jj].tolist(),
+                     [math.inf] * len(ii)))
     divergence = [w for _, w in pos] + [-w for _, w in neg]
-    net = FlowNetwork(np_ + nn, tuple(arcs), tuple(divergence))
-    res = min_cost_flow(net)
+    res = min_cost_flow(FlowNetwork(np_ + len(neg), arcs, tuple(divergence)))
 
-    coupling = []
-    for k, (i, j, c, _) in enumerate(net.arcs):
-        if res.flows[k] > TOL:
-            coupling.append((points[i], points[j], float(res.flows[k])))
-
-    # dual potential anchored at the negative atoms: u(x) = min_q d(x, q) - pi(q)
-    anchors = [(points[np_ + j], -res.potentials[np_ + j]) for j in range(nn)]
-
-    def u(x):
-        return min(d(x, q) + val for q, val in anchors)
-
-    support = [p for p, _ in m.atoms]
-    pot = {}
-    base = None
-    for x in list(support) + list(extra_points):
-        if x in pot:
-            continue
-        val = u(x)
-        if base is None:
-            base = val
-        pot[x] = float(val - base)
-    return AeResult(float(res.total_cost), tuple(coupling), pot)
+    points = [p for p, _ in pos] + neg_keys
+    coupling = tuple((points[i], points[j], float(f))
+                     for (i, j, _, _), f in zip(arcs, res.flows) if f > TOL)
+    # McShane extension from the negative atoms: u(x) = min_q d(x, q) - pi(q)
+    u = (block - res.potentials[np_:]).min(axis=1)
+    pot = {x: float(v) for x, v in zip(keys, u - u[0])}
+    return AeResult(float(res.total_cost), coupling, pot)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,14 @@ class TestSubcommands:
         assert out["ok"]
         assert out["mass_ratio"] <= 2.1 + 1e-9
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_normalize_rejects_bad_eps(self, fixtures, capsys, value):
+        code = run_cli(["normalize", "--chain", fixtures["seg.json"],
+                        "--hyperplane", "0,1,0", f"--eps={value}"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("--eps must be a positive finite number")
+
     def test_decompose(self, fixtures, capsys):
         code = run_cli(["decompose", "--space", fixtures["pathgraph.json"],
                         "--flow", fixtures["flow.json"]])
@@ -234,6 +242,46 @@ class TestSubcommands:
         lines = text.strip().split("\n")
         assert lines[0] == "s,ae_intrinsic,ae_ambient,mass,qc"
         assert len(lines) == 5
+
+
+class TestMalformedValues:
+    """Malformed coordinates and primitive arities exit 1 with an InputError."""
+
+    def expect_input_error(self, capsys, args, needle):
+        assert run_cli(args) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert needle in err["message"]
+
+    def test_planar_piece_with_one_coordinate(self, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"pieces": [
+            {"start": [0.0], "end": [1.0, 0.0], "weight": 1.0}]}))
+        self.expect_input_error(capsys, ["flatnorm", "--grid", "4,4,1", "--chain", str(chain)],
+                                "a piece start must be a list of 2 numbers")
+
+    def test_curve_measure_point_that_is_not_a_number(self, tmp_path, capsys):
+        cm = tmp_path / "cm.json"
+        cm.write_text(json.dumps({"entries": [{"w": 1.0, "polyline": [[0, 0], [0, "a"]]}]}))
+        self.expect_input_error(capsys, ["approx", "--input", str(cm)],
+                                "must be a list of 2 numbers: [0, 'a']")
+
+    def test_box_with_two_numbers(self, fixtures, tmp_path, capsys):
+        cs = tmp_path / "cs.json"
+        cs.write_text(json.dumps({"primitives": [{"box": [0, 1]}]}))
+        self.expect_input_error(capsys, ["fragments", "--space", fixtures["pathgraph.json"],
+                                         "--flow", fixtures["flow.json"],
+                                         "--closedset", str(cs)],
+                                "a box must be a list of 4 numbers")
+
+    def test_molecule_point_of_the_wrong_length(self, fixtures, tmp_path, capsys):
+        mol = tmp_path / "mol.json"
+        mol.write_text(json.dumps({"atoms": [[[0.0, 0.0, 1.0], 1.0], [[1.0, 0.0], -1.0]]}))
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps({"kind": "plane", "norm": "l2"}))
+        self.expect_input_error(capsys, ["ae-norm", "--space", str(plane),
+                                         "--molecule", str(mol)],
+                                "a molecule point must be a list of 2 numbers")
 
 
 class TestErrorHandling:

@@ -170,7 +170,7 @@ class TestRestrict:
     def test_polyline_restriction_merges_across_breakpoints(self):
         poly = Polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         e = ClosedSet.of(Box((0.5, -1.0), (1.5, 1.0)))
-        frag = restrict(poly, e, weight=1.0)
+        frag = restrict(poly, e)
         assert frag.fragments[0].domain == ((0.25, 0.75),)
         assert frag.mass() == pytest.approx(1.0, abs=1e-15)
 

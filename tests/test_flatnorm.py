@@ -174,7 +174,7 @@ class TestFlatNorm:
         for trial in range(20):
             g0 = random_staircase(rng)
             g1 = random_staircase(rng).translate((0.0, float(rng.integers(0, 2))))
-            coarse = complex_covering([g0, g1], h=1.0)
+            coarse = complex_covering([g0, g1])
             fine = CubicalComplex(origin=coarse.origin, h=0.5,
                                   nx=2 * coarse.nx, ny=2 * coarse.ny)
             diff_c = snap(g0.as_chain(PL), coarse) - snap(g1.as_chain(PL), coarse)
@@ -236,7 +236,7 @@ class TestPairBound:
         for _ in range(50):
             g0 = random_staircase(rng)
             g1 = random_staircase(rng).translate((0.0, float(rng.integers(0, 3))))
-            cx = complex_covering([g0, g1], h=1.0)
+            cx = complex_covering([g0, g1])
             diff = snap(g0.as_chain(PL), cx) - snap(g1.as_chain(PL), cx)
             lp = flat_norm(diff, cx).value
             assert flat_upper_bound_pair(g0, g1) >= lp - 1e-7

@@ -68,7 +68,7 @@ class TestHomotopyFill:
             g0 = Polyline(np.array(pts))
             g1 = g0.translate((0.0, float(rng.integers(0, 3))))
             fill = homotopy_fill(g0, g1, BIC)
-            cx = complex_covering([g0, g1], h=1.0)
+            cx = complex_covering([g0, g1])
             diff = snap(g0.as_chain(PL), cx) - snap(g1.as_chain(PL), cx)
             assert flat_norm(diff, cx).value <= fill.cert_s + fill.cert_r + 1e-6
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from current1d import (FiniteMetricSpace, GeometryError, MetricGraph,
-                       NormedPlane, path_metric, qc_constants)
+                       NormedPlane, qc_constants)
 from current1d.io import dump_space, load_space
 
 from conftest import floyd_warshall, make_v_detour, random_connected_graph
@@ -18,18 +18,18 @@ INF = math.inf
 class TestPathMetric:
     def test_path_graph(self):
         g = MetricGraph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)], ambient="path")
-        assert path_metric(g)[0, 2] == 2.0
+        assert g.path_dist[0, 2] == 2.0
 
     def test_isolated_vertices(self):
         g = MetricGraph(["a", "b"], [], ambient="path")
-        assert path_metric(g)[0, 1] == INF
+        assert g.path_dist[0, 1] == INF
 
     def test_four_cycle_vs_floyd_warshall(self):
         g = MetricGraph([[0, 0], [1, 0], [1, 1], [0, 1]],
                         [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
                         ambient="euclidean")
-        assert path_metric(g)[0, 2] == 2.0
-        assert np.allclose(path_metric(g), floyd_warshall(g), atol=1e-9)
+        assert g.path_dist[0, 2] == 2.0
+        assert np.allclose(g.path_dist, floyd_warshall(g), atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -167,6 +167,16 @@ class TestNormalize:
         with pytest.raises(StructureError):
             normalize(t, AXIS, eps=0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_eps_that_is_not_positive_and_finite(self, eps):
+        box = ConvexBox((0.5, 0.0), (1.0, 1.0))
+        with pytest.raises(StructureError, match="positive finite"):
+            normalize(unit_segment(), AXIS, eps)
+        with pytest.raises(StructureError, match="positive finite"):
+            rescale_interior(unit_segment(), box, eps)
+        with pytest.raises(StructureError, match="positive finite"):
+            rectifiable_filling(unit_segment(), eps, AtomicMeasure.empty(), AXIS)
+
     def test_support_disjointness(self):
         t = fat_cantor_chain(2)
         res = normalize(t, AXIS, eps=0.1)

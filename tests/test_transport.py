@@ -72,6 +72,29 @@ class TestAeNorm:
         check_ae_invariants(m, g.ambient_dist, res)
 
 
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_plane_equals_its_distance_matrix_bit_for_bit(self, tag, seed):
+        plane = NormedPlane(tag)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        k = int(rng.integers(3, 25))
+        wts = rng.normal(size=k)
+        wts[-1] -= wts.sum()
+        m = Molecule(list(zip(map(tuple, rng.uniform(-3.0, 3.0, size=(k, 2)).tolist()),
+                              wts.tolist())))
+        # index i stands for the i-th atom, so both molecules list atoms alike
+        pts = [p for p, _ in m.atoms]
+        dist = np.array([[plane.dist(p, q) for q in pts] for p in pts])
+        by_point = ae_norm(m, plane)
+        by_index = ae_norm(Molecule([(i, w) for i, (_, w) in enumerate(m.atoms)]), dist)
+        # repr tells 0.0 from -0.0, so equal reprs are equal bits
+        assert repr(by_point.value) == repr(by_index.value)
+        assert repr(by_point.coupling) \
+            == repr(tuple((pts[i], pts[j], w) for i, j, w in by_index.coupling))
+        assert repr(list(by_point.potential.items())) \
+            == repr([(pts[i], v) for i, v in by_index.potential.items()])
+
+
 class TestMinimalFilling:
     def test_unit_edge(self):
         g = MetricGraph(["x", "y"], [(0, 1, 1.0)], ambient="path")
