@@ -71,7 +71,6 @@ class TestAeNorm:
         res = ae_norm(m, g.ambient_dist)
         check_ae_invariants(m, g.ambient_dist, res)
 
-
     @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_plane_equals_its_distance_matrix_bit_for_bit(self, tag, seed):
