@@ -15,9 +15,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from current1d.io import csv_rows
-from current1d.spaces import qc_constants
 from current1d.suite import _random_connected_graph, _random_molecule
-from current1d.transport import ae_norm, minimal_filling
+from current1d.transport import isomorphism_check
 
 
 def main() -> int:
@@ -34,17 +33,12 @@ def main() -> int:
     for i in range(args.instances):
         g = _random_connected_graph(rng, max_n=args.max_vertices)
         m = _random_molecule(rng, g.n)
-        aed = ae_norm(m, g.ambient_dist).value
-        aedl = ae_norm(m, g.path_dist).value
-        fill = minimal_filling(m, g).mass_value
-        qc = qc_constants(g).qc_space
-        ratio = fill / aed if aed > 0 else 1.0
-        ok = (aed / qc <= fill + 1e-7 and fill <= qc * aed + 1e-7
-              and abs(fill - aedl) <= 1e-7 * max(1.0, fill))
+        rep = isomorphism_check(m, g)
+        ok = rep.all_ok()
         violations += 0 if ok else 1
-        rows.append({"instance": i, "n": g.n, "qc": qc, "ae_ambient": aed,
-                     "filling": fill, "ratio": ratio, "identity_gap":
-                     abs(fill - aedl), "ok": ok})
+        rows.append({"instance": i, "n": g.n, "qc": rep.qc, "ae_ambient": rep.ae_ambient,
+                     "filling": rep.filling_mass, "ratio": rep.ratio, "identity_gap":
+                     abs(rep.filling_mass - rep.ae_intrinsic), "ok": ok})
     text = csv_rows(rows, ["instance", "n", "qc", "ae_ambient", "filling",
                            "ratio", "identity_gap", "ok"])
     if args.out:

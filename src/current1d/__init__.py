@@ -26,10 +26,9 @@ from .homotopy import (AffineBicombing, FillResult, GraphBicombing,
                        interpolate_geodesic)
 from .approximation import (ApproxCertificate, Cluster, CurveMeasure,
                             approximate, cluster, truncate)
-from .structure import (AtomicMeasure, ConvexBox, Line, NoAdmissibleShift,
-                        NormalizeResult, fat_cantor_chain, lift_off_line,
-                        normalize, rectifiable_filling, rescale_interior,
-                        translate_singular)
+from .structure import (ConvexBox, Line, NoAdmissibleShift, NormalizeResult,
+                        fat_cantor_chain, lift_off_line, normalize,
+                        rectifiable_filling, rescale_interior, translate_singular)
 from .decomposition import (Decomposition, EdgeFlow, decompose_flow,
                             fragment_representation)
 from .rickman import build_rug, rug_grid, rug_row

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import io as cio
 from .approximation import approximate, truncate
-from .currents import CurrentError, Polyline, restrict, standard_panel
+from .currents import CurrentError, Polyline, standard_panel
 from .decomposition import EdgeFlow, decompose_flow, fragment_representation
 from .flatnorm import CubicalComplex, GridError, flat_norm, snap
-from .homotopy import AffineBicombing, fill_residual, homotopy_fill
+from .homotopy import AffineBicombing, check_fill, homotopy_fill
 from .quadrature import QUAD_TOL
 from .rickman import rug_grid
 from .spaces import GeometryError, MetricGraph, NormedPlane
@@ -73,12 +73,30 @@ def _emit(args, payload, rows=None, columns=None) -> None:
         sys.stdout.write(text)
 
 
-def _positive(flag: str, value, default: float) -> float:
-    """The value of a tolerance flag: ``default`` when unset, else a positive finite number."""
+_WANT = {  # what a numeric flag may be, and its test
+    "a positive finite number": lambda v: math.isfinite(v) and v > 0,
+    "a positive integer": lambda v: isinstance(v, int) and v > 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def _flag(flag: str, value, default, want: str = "a positive finite number"):
+    """The value of a numeric flag: ``default`` when unset, else a number that is ``want``."""
     value = default if value is None else value
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise CliInputError(f"{flag} must be a positive finite number: {value!r}")
+    if not (isinstance(value, (int, float)) and _WANT[want](value)):
+        raise CliInputError(f"{flag} must be {want}: {value!r}")
     return value
+
+
+def _reals(flag: str, text, want: str) -> list[float]:
+    """A comma-separated flag value as one finite number per name in ``want``."""
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except (AttributeError, ValueError):
+        vals = []
+    if len(vals) != want.count(",") + 1 or not all(map(math.isfinite, vals)):
+        raise CliInputError(f"bad {flag} (want {want}): {text!r}")
+    return vals
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -163,7 +181,7 @@ def _cmd_iso_check(args) -> int:
     if not isinstance(g, MetricGraph):
         raise CliInputError("iso-check needs a graph space")
     t = cio.load_chain(_load_json(args.chain), space=g)
-    rep = isomorphism_check(t, g, tol=_positive("--tol", args.tol, IDENT_TOL))
+    rep = isomorphism_check(t.boundary(), g, tol=_flag("--tol", args.tol, IDENT_TOL))
     report = {
         "ae_ambient": rep.ae_ambient, "ae_intrinsic": rep.ae_intrinsic,
         "filling_mass": rep.filling_mass, "qc": rep.qc, "ratio": rep.ratio,
@@ -180,10 +198,7 @@ def _cmd_flatnorm(args) -> int:
         nx, ny, h = int(nx), int(ny), float(h)
     except (AttributeError, ValueError) as exc:
         raise CliInputError(f"bad --grid (want nx,ny,h): {args.grid!r}") from exc
-    origin = (0.0, 0.0)
-    if args.origin:
-        ox, oy = args.origin.split(",")
-        origin = (float(ox), float(oy))
+    origin = _reals("--origin", args.origin, "x,y") if args.origin else (0.0, 0.0)
     cx = CubicalComplex(origin=origin, h=h, nx=nx, ny=ny)
     chain = cio.load_chain(_load_json(args.chain))
     if isinstance(chain, Polyline):
@@ -210,41 +225,30 @@ def _cmd_homotopy(args) -> int:
     g1 = cio.load_chain(_load_json(args.curve1))
     if not isinstance(g0, Polyline) or not isinstance(g1, Polyline):
         raise CliInputError("homotopy expects polyline documents")
-    quad_tol = _positive("--quad-tol", args.quad_tol, QUAD_TOL)
+    quad_tol = _flag("--quad-tol", args.quad_tol, QUAD_TOL)
     plane = NormedPlane("l2")
     bic = AffineBicombing(plane)
     fill = homotopy_fill(g0, g1, bic, quad_tol=quad_tol)
     seed = args.panel_seed if args.panel_seed is not None else 0
     scale = float(np.abs(np.vstack([g0.points, g1.points])).max() or 1.0)
-    panel = standard_panel(seed, count=20, scale=scale)
-    worst = 0.0
-    capped = 0
-    ok = True
-    for form in panel:
-        allowed = 1e-6 * (1.0 + form.lip_pi * form.sup_f)
-        resid, n_capped = fill_residual(g0, g1, fill, form, plane)
-        worst = max(worst, resid)
-        capped += n_capped
-        ok &= resid <= allowed
-    ok &= fill.measured_s <= fill.cert_s + 1e-6
-    ok &= fill.r_chain.mass() <= fill.cert_r + 1e-9
+    chk = check_fill(g0, g1, fill, standard_panel(seed, count=20, scale=scale), plane)
     report = {
         "seed": seed,
         "cert_s": fill.cert_s, "cert_r": fill.cert_r,
         "measured_s": fill.measured_s, "measured_r": fill.measured_r,
-        "d_inf": fill.d_inf, "worst_residual": worst,
-        "capped_subcells": capped, "bounds_ok": bool(ok),
+        "d_inf": fill.d_inf, "worst_residual": chk.worst_residual,
+        "capped_subcells": chk.capped, "bounds_ok": chk.ok,
     }
     _emit(args, report)
-    return 0 if ok else 2
+    return 0 if chk.ok else 2
 
 
 def _cmd_approx(args) -> int:
-    eps = float(_positive("--eps", args.eps, 0.1))
-    mesh = float(_positive("--mesh", args.mesh, 0.25))
+    eps = float(_flag("--eps", args.eps, 0.1))
+    mesh = float(_flag("--mesh", args.mesh, 0.25))
     cm = cio.load_curvemeasure(_load_json(args.input))
     if args.length_cap is not None:
-        cm, trunc_err = truncate(cm, float(_positive("--length-cap", args.length_cap, None)))
+        cm, trunc_err = truncate(cm, float(_flag("--length-cap", args.length_cap, None)))
     else:
         trunc_err = 0.0
     p, cert = approximate(cm, eps=eps, mesh=mesh)
@@ -265,25 +269,19 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    eps = float(_positive("--eps", args.eps, 0.1))
+    eps = float(_flag("--eps", args.eps, 0.1))
     chain = cio.load_chain(_load_json(args.chain))
     if isinstance(chain, Polyline):
         chain = chain.as_chain(NormedPlane("l2"))
-    try:
-        a, b, c = map(float, args.hyperplane.split(","))
-    except (AttributeError, ValueError) as exc:
-        raise CliInputError(f"bad --hyperplane (want a,b,c): {args.hyperplane!r}") from exc
-    res = normalize(chain, Line(a, b, c), eps)
-    frag = restrict(res.n_chain, res.b_set)
-    restrict_err = abs(frag.mass() - chain.mass())
+    res = normalize(chain, Line(*_reals("--hyperplane", args.hyperplane, "a,b,c")), eps)
     ok = (res.boundary_residual <= 1e-9
           and res.mass_ratio <= 2.0 + eps + 1e-9
-          and restrict_err <= 1e-9)
+          and res.restriction_error <= 1e-9)
     report = {
         "eps": eps,
         "mass_ratio": res.mass_ratio,
         "boundary_residual": res.boundary_residual,
-        "restriction_mass_error": restrict_err,
+        "restriction_mass_error": res.restriction_error,
         "rounds": [{"index": r.index, "action": r.action,
                     "added_mass": r.added_mass,
                     "remainder_mass": r.remainder_mass, "budget": r.budget}
@@ -300,11 +298,7 @@ def _load_flow(args) -> EdgeFlow:
     g = cio.load_space(_load_json(args.space))
     if not isinstance(g, MetricGraph):
         raise CliInputError("decompose needs a graph space")
-    doc = _load_json(args.flow)
-    weights = doc.get("weights")
-    if weights is None or len(weights) != len(g.edges):
-        raise CliInputError("flow document needs one weight per graph edge")
-    return EdgeFlow(g, tuple(float(w) for w in weights))
+    return cio.load_flow(_load_json(args.flow), g)
 
 
 def _cmd_decompose(args) -> int:
@@ -355,9 +349,9 @@ def _cmd_fragments(args) -> int:
 
 
 def _cmd_rickman(args) -> int:
-    s_count = int(args.s_grid if args.s_grid is not None else 32)
-    n = int(args.n if args.n is not None else 32)
-    alpha = float(args.alpha if args.alpha is not None else 0.5)
+    s_count = _flag("--s-grid", args.s_grid, 32, "a positive integer")
+    n = _flag("--n", args.n, 32, "a positive integer")
+    alpha = float(_flag("--alpha", args.alpha, 0.5, "in (0, 1]"))
     rows = rug_grid(s_count=s_count, n=n, alpha=alpha)
     ok = all(abs(r.ae_intrinsic - 2.0) <= 1e-6 for r in rows)
     row_dicts = [{"s": r.s, "ae_intrinsic": r.ae_intrinsic,
@@ -396,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config merged into the arguments")
     sub = ap.add_subparsers(dest="command")
 
-    def common(p):
+    def common(p, csv=False):
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if csv:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("ae-norm", help="Arens-Eells norm of a molecule")
     p.add_argument("--space", required=True)
@@ -446,19 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="flow decomposition into paths and cycles")
     p.add_argument("--space", required=True)
     p.add_argument("--flow", required=True)
-    common(p)
+    common(p, csv=True)
 
     p = sub.add_parser("fragments", help="restrict decomposed curves to a closed set")
     p.add_argument("--space", required=True)
     p.add_argument("--flow", required=True)
     p.add_argument("--closedset", required=True)
-    common(p)
+    common(p, csv=True)
 
     p = sub.add_parser("rickman", help="Rickman rug regression grid")
     p.add_argument("--s-grid", dest="s_grid", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    common(p)
+    common(p, csv=True)
 
     p = sub.add_parser("suite", help="run the acceptance battery")
     common(p)

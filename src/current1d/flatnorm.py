@@ -38,8 +38,8 @@ class CubicalComplex:
     """
 
     def __init__(self, origin=(0.0, 0.0), h: float = 1.0, nx: int = 1, ny: int = 1):
-        if nx < 1 or ny < 1 or h <= 0:
-            raise GridError("need nx, ny >= 1 and h > 0")
+        if not (nx >= 1 and ny >= 1 and np.isfinite(h) and h > 0):
+            raise GridError("need nx, ny >= 1 and a finite h > 0")
         self.origin = (float(origin[0]), float(origin[1]))
         self.h = float(h)
         self.nx = int(nx)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -285,14 +285,32 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
                       d_inf=dinf)
 
 
-def fill_residual(g0: Polyline, g1: Polyline, fill: FillResult, form: TestForm,
-                  plane: NormedPlane) -> tuple[float, int]:
-    """|[g0](f,pi) - [g1](f,pi) - dS(f,pi) - R(f,pi)| for one panel form, and
-    the number of boxes where its four quadratures stopped at the cap."""
-    quads = (action(g0.as_chain(plane), form), action(g1.as_chain(plane), form),
-             fill.boundary_quad(form), action(fill.r_chain, form))
-    a0, a1, ds, ar = (float(q.value.sum()) for q in quads)
-    return abs((a0 - a1) - (ds + ar)), sum(q.capped for q in quads)
+class FillCheck(NamedTuple):
+    worst_residual: float
+    worst_ratio: float  # of a residual to its allowance
+    capped: int  # boxes where a quadrature stopped at the cap
+    ok: bool
+
+
+def check_fill(g0: Polyline, g1: Polyline, fill: FillResult,
+               panel: Sequence[TestForm], plane: NormedPlane) -> FillCheck:
+    """The homotopy lemma [g0] - [g1] = dS + R on a panel of test forms: each residual
+    within 1e-6 (1 + lip(pi) sup|f|), mass(S) <= certS + 1e-6, mass(R) <= certR + 1e-9."""
+    worst = worst_ratio = 0.0
+    capped = 0
+    ok = fill.measured_s <= fill.cert_s + 1e-6
+    ok &= fill.r_chain.mass() <= fill.cert_r + 1e-9
+    for form in panel:
+        allowed = 1e-6 * (1.0 + form.lip_pi * form.sup_f)
+        quads = (action(g0.as_chain(plane), form), action(g1.as_chain(plane), form),
+                 fill.boundary_quad(form), action(fill.r_chain, form))
+        a0, a1, ds, ar = (float(q.value.sum()) for q in quads)
+        resid = abs((a0 - a1) - (ds + ar))
+        worst = max(worst, resid)
+        worst_ratio = max(worst_ratio, resid / allowed)
+        capped += sum(q.capped for q in quads)
+        ok &= resid <= allowed
+    return FillCheck(worst, worst_ratio, capped, bool(ok))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .currents import (Ball, Box, Chain1, ClosedSet, HalfPlane, Molecule, Piece,
                        Polyline, Slab)
 from .spaces import FiniteMetricSpace, GeometryError, MetricGraph, NormedPlane
 from .approximation import CurveMeasure
+from .decomposition import EdgeFlow
 
 
 class InputError(ValueError):
@@ -70,6 +71,14 @@ def _field(doc, key: str, what: str):
     return doc[key]
 
 
+def _number(v, what: str, kind=float):
+    """``v`` as one ``kind`` (float, or int for a vertex), or an InputError naming ``what``."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be a number: {v!r}") from exc
+
+
 def _numbers(v, n: int, what: str) -> tuple[float, ...]:
     """``v`` as a tuple of ``n`` floats, or an InputError naming ``what``."""
     try:
@@ -86,14 +95,6 @@ def _polyline(v, what: str) -> Polyline:
     return Polyline([_numbers(p, 2, f"a point of {what}") for p in v])
 
 
-def _parse_inf(v):
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
-
-
 # ---------------------------------------------------------------------------
 # space.json
 
@@ -104,13 +105,17 @@ def load_space(doc: dict):
         return NormedPlane(doc.get("norm", "l2"))
     if kind == "finite":
         return FiniteMetricSpace(_field(doc, "points", "a finite space"), np.array(
-            [[_parse_inf(x) for x in row] for row in _field(doc, "dist", "a finite space")]))
+            [[_number(x, "a finite-space distance") for x in row]
+             for row in _field(doc, "dist", "a finite space")]))
     if kind == "graph":
         ambient = doc.get("ambient", "euclidean")
         if isinstance(ambient, dict):
-            ambient = ("d_alpha", float(_field(ambient, "d_alpha", "a graph ambient")))
+            ambient = ("d_alpha", _number(_field(ambient, "d_alpha", "a graph ambient"),
+                                          "a graph ambient d_alpha"))
         vertices = _field(doc, "vertices", "a graph space")
-        edges = _field(doc, "edges", "a graph space")
+        if vertices and not isinstance(vertices[0], str):  # coordinates, not labels
+            vertices = [_numbers(v, 2, "a graph vertex") for v in vertices]
+        edges = [_numbers(e, 3, "a graph edge") for e in _field(doc, "edges", "a graph space")]
         try:
             return MetricGraph(vertices, edges, ambient=ambient)
         except GeometryError as exc:
@@ -148,16 +153,16 @@ def load_chain(doc: dict, space=None):
     pieces = []
     for item in doc.get("pieces", []):
         s, e = _field(item, "start", "a piece"), _field(item, "end", "a piece")
-        w = float(_field(item, "weight", "a piece"))
+        w = _number(_field(item, "weight", "a piece"), "a piece weight")
         if isinstance(s, list):
             s, e = _numbers(s, 2, "a piece start"), _numbers(e, 2, "a piece end")
-            length = float(item.get("length", space.dist(s, e)
-                           if isinstance(space, NormedPlane) else 0.0))
+            length = _number(item.get("length", space.dist(s, e)
+                             if isinstance(space, NormedPlane) else 0.0), "a piece length")
         elif not isinstance(space, MetricGraph):
             raise InputError("vertex-index pieces need a graph space")
         else:
-            s, e = int(s), int(e)
-            length = (float(item["length"]) if "length" in item
+            s, e = _number(s, "a piece start", int), _number(e, "a piece end", int)
+            length = (_number(item["length"], "a piece length") if "length" in item
                       else space.edge_length(s, e))
         pieces.append(Piece(s, e, w, length))
     return Chain1(space, pieces)
@@ -181,8 +186,8 @@ def load_molecule(doc: dict) -> Molecule:
         if isinstance(p, list):
             p = _numbers(p, 2, "a molecule point")
         else:
-            p = int(p)
-        atoms.append((p, float(w)))
+            p = _number(p, "a molecule vertex", int)
+        atoms.append((p, _number(w, "a molecule weight")))
     try:
         return Molecule(atoms)
     except Exception as exc:
@@ -194,6 +199,16 @@ def dump_molecule(m: Molecule) -> dict:
     for p, w in m.atoms:
         atoms.append([list(p) if isinstance(p, tuple) else p, w])
     return {"atoms": atoms}
+
+
+# ---------------------------------------------------------------------------
+# flow.json
+
+
+def load_flow(doc: dict, g: MetricGraph) -> EdgeFlow:
+    """One weight per edge of ``g``."""
+    return EdgeFlow(g, _numbers(_field(doc, "weights", "a flow"), len(g.edges),
+                                "the weights of a flow"))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,7 @@ def dump_closedset(e: ClosedSet) -> dict:
 def load_curvemeasure(doc: dict) -> CurveMeasure:
     entries = []
     for item in _field(doc, "entries", "a curve measure"):
-        entries.append((float(_field(item, "w", "a curve-measure entry")),
+        entries.append((_number(_field(item, "w", "a curve-measure entry"), "a curve weight"),
                         _polyline(_field(item, "polyline", "a curve-measure entry"),
                                   "a curve-measure polyline")))
     try:

@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .currents import (AffineMap, Chain1, ClosedSet, Molecule, Piece, Slab,
-                       fat_cantor_intervals, pushforward)
+                       fat_cantor_intervals, pushforward, restrict)
 from .spaces import MetricGraph, NormedPlane
 from .transport import ae_norm, minimal_filling
 
 TOL = 1e-9
 GEOM_EPS = 1e-12
+
+Points = Sequence[tuple[float, float]]  # an atomic measure of unit atoms, by its points
 
 
 class StructureError(ValueError):
@@ -91,23 +93,6 @@ class ConvexBox:
                 and abs(p[1] - self.center[1]) <= self.half_widths[1] - margin)
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
-    atoms: tuple[tuple[tuple[float, float], float], ...]
-
-    @staticmethod
-    def of(points: Sequence) -> "AtomicMeasure":
-        """Unit atoms at the given points."""
-        return AtomicMeasure(tuple(((float(p[0]), float(p[1])), 1.0) for p in points))
-
-    @staticmethod
-    def empty() -> "AtomicMeasure":
-        return AtomicMeasure(())
-
-    def points(self):
-        return [p for p, _ in self.atoms]
-
-
 def _seg_point_dist(p, a, b) -> float:
     ax, ay = b[0] - a[0], b[1] - a[1]
     px, py = p[0] - a[0], p[1] - a[1]
@@ -137,7 +122,7 @@ def piece_inside_line(a, b, line: Line, tol: float = GEOM_EPS) -> bool:
     return abs(line.signed_dist(a)) <= tol and abs(line.signed_dist(b)) <= tol
 
 
-def is_admissible(chain: Chain1, mu: AtomicMeasure, line: Optional[Line]) -> bool:
+def is_admissible(chain: Chain1, mu: Points, line: Optional[Line]) -> bool:
     """Desk-scale mutual singularity: no mu atom on a piece's relative interior,
     no positive-length piece inside the line."""
     for piece in chain.pieces:
@@ -146,7 +131,7 @@ def is_admissible(chain: Chain1, mu: AtomicMeasure, line: Optional[Line]) -> boo
         a, b = _piece_coords(chain, piece)
         if line is not None and piece_inside_line(a, b, line):
             return False
-        for p in mu.points():
+        for p in mu:
             if _atom_on_interior(p, a, b):
                 return False
     return True
@@ -219,7 +204,7 @@ def _candidate_direction(p_chain: Chain1, line: Optional[Line]):
     raise NoAdmissibleShift("no direction clears the line and all piece directions")
 
 
-def translate_singular(p_chain: Chain1, mu: AtomicMeasure, line: Optional[Line],
+def translate_singular(p_chain: Chain1, mu: Points, line: Optional[Line],
                        t1: float) -> TranslateResult:
     """Translate the chain by t*w, t in (0, t1], so its support avoids the atoms
     of mu and no piece lies inside the line.
@@ -248,7 +233,7 @@ def translate_singular(p_chain: Chain1, mu: AtomicMeasure, line: Optional[Line],
                 if line is not None and piece_inside_line(a, b, line):
                     ok = False
                     break
-                for p in mu.points():
+                for p in mu:
                     if _seg_point_dist(p, a, b) <= GEOM_EPS:
                         ok = False
                         break
@@ -297,7 +282,7 @@ def _tent_height(length: float, eps: float, plane: NormedPlane, a, b, nrm) -> fl
     return lo
 
 
-def lift_off_line(chain: Chain1, line: Line, mu: AtomicMeasure, eps: float) -> Chain1:
+def lift_off_line(chain: Chain1, line: Line, mu: Points, eps: float) -> Chain1:
     """Replace every positive-length piece inside the line by an isoceles tent.
 
     The apex sits at height h off the line, with h solved from the (1 + eps)
@@ -323,7 +308,7 @@ def lift_off_line(chain: Chain1, line: Line, mu: AtomicMeasure, eps: float) -> C
                 break
             apex = (mid[0] + h * nrm[0], mid[1] + h * nrm[1])
             clean = True
-            for p in mu.points():
+            for p in mu:
                 if (_atom_on_interior(p, a, apex) or _atom_on_interior(p, apex, b)
                         or (abs(p[0] - apex[0]) <= GEOM_EPS and abs(p[1] - apex[1]) <= GEOM_EPS)):
                     clean = False
@@ -358,7 +343,7 @@ class RectifiableFilling:
     boundary_gap: float  # AE norm of d(R) - d(T); 0 when the tail was absorbed
 
 
-def rectifiable_filling(t_chain: Chain1, eps: float, mu: AtomicMeasure,
+def rectifiable_filling(t_chain: Chain1, eps: float, mu: Points,
                         line: Optional[Line]) -> RectifiableFilling:
     """Chain R with dR = dT, mass(R) <= (1 + eps) mass(T), support avoiding the
     atoms of mu (piece interiors) and never lying inside the line.
@@ -377,7 +362,7 @@ def rectifiable_filling(t_chain: Chain1, eps: float, mu: AtomicMeasure,
         return RectifiableFilling(Chain1.empty(plane), (), 0.0)
 
     remaining = t_chain
-    if line is not None and not is_admissible(t_chain, AtomicMeasure.empty(), line):
+    if line is not None and not is_admissible(t_chain, (), line):
         remaining = lift_off_line(t_chain, line, mu, eps / 2.0)
 
     acc: list[Piece] = []
@@ -417,6 +402,7 @@ class NormalizeResult:
     mass_ratio: float
     boundary_residual: float
     rounds: tuple[FillingRound, ...] = ()
+    restriction_error: float = 0.0  # |mass(N restricted to the line) - mass(T)|
 
 
 def line_filling(m: Molecule, line: Line, plane: NormedPlane) -> Chain1:
@@ -455,19 +441,15 @@ def line_filling(m: Molecule, line: Line, plane: NormedPlane) -> Chain1:
     return Chain1.from_segments(plane, segs)
 
 
-def sample_support_measure(t_chain: Chain1) -> AtomicMeasure:
+def sample_support_measure(t_chain: Chain1) -> Points:
     """Atoms sampling the support of the chain: piece endpoints and midpoints."""
-    pts = []
+    out: list[tuple[float, float]] = []
     for piece in t_chain.pieces:
         a, b = _piece_coords(t_chain, piece)
-        pts.extend([a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)])
-    seen = []
-    out = []
-    for p in pts:
-        if p not in seen:
-            seen.append(p)
-            out.append(p)
-    return AtomicMeasure.of(out)
+        for p in (a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)):
+            if p not in out:
+                out.append(p)
+    return out
 
 
 def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
@@ -501,9 +483,10 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
     n_chain = t_chain + r.chain.scale(-1.0)
     bres = ae_norm(n_chain.boundary(), plane).value if n_chain.boundary().atoms else 0.0
     ratio = n_chain.mass() / t_chain.mass() if t_chain.mass() > 0 else 0.0
+    restriction_error = abs(restrict(n_chain, b_set).mass() - t_chain.mass())
     return NormalizeResult(n_chain=n_chain, r_chain=r.chain, b_set=b_set,
                            mass_ratio=float(ratio), boundary_residual=float(bres),
-                           rounds=r.rounds)
+                           rounds=r.rounds, restriction_error=restriction_error)
 
 
 def fat_cantor_chain(k: int) -> Chain1:

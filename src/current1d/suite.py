@@ -1,12 +1,15 @@
-"""Acceptance battery: one runner per criterion, shared by the CLI `suite`
+"""Acceptance battery: one check per criterion, shared by the CLI `suite`
 subcommand and the pytest acceptance module.
 
 Each criterion is seeded and deterministic; the details dict records the
-measured extremes so reports carry evidence, not just verdicts.
+measured extremes so reports carry evidence, not just verdicts. A criterion
+returns ``(ok, details)``; ``_criterion`` times it, applies its wall-clock
+limit and builds its ``CriterionResult``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -15,16 +18,16 @@ import numpy as np
 
 from .approximation import CurveMeasure, approximate, measure_as_chain
 from .currents import (Ball, Box, Chain1, ClosedSet, HalfPlane, Molecule,
-                       Polyline, fat_cantor_intervals, restrict, standard_panel)
+                       Polyline, fat_cantor_intervals, standard_panel)
 from .decomposition import EdgeFlow, boundary_marginals, decompose_flow, \
     fragment_representation
 from .flatnorm import CubicalComplex, complex_covering, flat_norm, snap
-from .homotopy import AffineBicombing, fill_residual, homotopy_fill
+from .homotopy import AffineBicombing, check_fill, homotopy_fill
 from .rickman import rug_grid
-from .spaces import MetricGraph, NormedPlane, qc_constants
+from .spaces import MetricGraph, NormedPlane
 from .structure import Line, fat_cantor_chain, normalize
 from .solvers import FlowNetwork, LinearProgram, min_cost_flow, simplex_lp
-from .transport import ae_norm, minimal_filling
+from .transport import isomorphism_check, minimal_filling
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,20 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.index}: {self.name} ({self.seconds:.2f}s)"
+
+
+def _criterion(index: int, name: str, limit_s: float = math.inf):
+    """Run a check returning ``(ok, details)`` as criterion ``index``: time it,
+    fail it when it takes ``limit_s`` seconds or more, and build the result."""
+    def wrap(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, details = check()
+            secs = time.perf_counter() - t0
+            return CriterionResult(index, name, bool(ok) and secs < limit_s, secs, details)
+        return run
+    return wrap
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -76,37 +93,25 @@ def _random_molecule(rng, n: int) -> Molecule:
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_isomorphism_sandwich() -> CriterionResult:
-    """qc^-1 ae(d) <= filling <= qc ae(d) and filling = ae(d_l), 50 seeded graphs."""
-    t0 = time.perf_counter()
+@_criterion(1, "isomorphism sandwich on 50 random graphs", limit_s=10.0)
+def criterion_1_isomorphism_sandwich():
+    """qc^-1 ae(d) <= filling <= qc ae(d), ae(d) <= filling and filling = ae(d_l),
+    50 seeded graphs."""
     rng = _rng(101)
-    tol = 1e-7
     worst_gap = 0.0
     ok = True
     for _ in range(50):
         g = _random_connected_graph(rng)
-        m = _random_molecule(rng, g.n)
-        if not m.atoms:
-            continue
-        aed = ae_norm(m, g.ambient_dist).value
-        aedl = ae_norm(m, g.path_dist).value
-        filling = minimal_filling(m, g).mass_value
-        qc = qc_constants(g).qc_space
-        scale = max(1.0, filling)
-        ok &= (aed / qc) <= filling + tol * scale
-        ok &= filling <= qc * aed + tol * scale
-        gap = abs(filling - aedl) / scale
+        rep = isomorphism_check(_random_molecule(rng, g.n), g)
+        ok &= rep.all_ok()
+        gap = abs(rep.filling_mass - rep.ae_intrinsic) / max(1.0, rep.filling_mass)
         worst_gap = max(worst_gap, gap)
-        ok &= gap <= tol
-    secs = time.perf_counter() - t0
-    ok &= secs < 10.0
-    return CriterionResult(1, "isomorphism sandwich on 50 random graphs", bool(ok),
-                           secs, {"worst_identity_gap": worst_gap, "runtime_s": secs})
+    return ok, {"worst_identity_gap": worst_gap}
 
 
-def criterion_2_optimal_constant_witness() -> CriterionResult:
+@_criterion(2, "optimal-constant witness (V-detour family)")
+def criterion_2_optimal_constant_witness():
     """V-detour family: filling / ae ratio equals the detour factor exactly."""
-    t0 = time.perf_counter()
     ok = True
     ratios = {}
     for factor in (1.5, 2.0, 4.0):
@@ -114,28 +119,20 @@ def criterion_2_optimal_constant_witness() -> CriterionResult:
         h = math.sqrt(half * half - 0.25)
         g = MetricGraph([[0.0, 0.0], [1.0, 0.0], [0.5, h]],
                         [(0, 2, half), (2, 1, half)], ambient="euclidean")
-        m = Molecule([(1, 1.0), (0, -1.0)])
-        aed = ae_norm(m, g.ambient_dist).value
-        filling = minimal_filling(m, g).mass_value
-        ratio = filling / aed
-        ratios[str(factor)] = ratio
-        ok &= abs(ratio - factor) <= 1e-9
-        ok &= abs(qc_constants(g).qc_space - factor) <= 1e-9
-    return CriterionResult(2, "optimal-constant witness (V-detour family)", bool(ok),
-                           time.perf_counter() - t0, {"ratios": ratios})
+        rep = isomorphism_check(Molecule([(1, 1.0), (0, -1.0)]), g)
+        ratios[str(factor)] = rep.ratio
+        ok &= abs(rep.ratio - factor) <= 1e-9
+        ok &= abs(rep.qc - factor) <= 1e-9
+    return ok, {"ratios": ratios}
 
 
-def criterion_3_rickman() -> CriterionResult:
+@_criterion(3, "Rickman rug lower bound 2.0 at 32 offsets", limit_s=5.0)
+def criterion_3_rickman():
     """Rug regression: intrinsic AE bound = 2 at every s while mass = 2."""
-    t0 = time.perf_counter()
     rows = rug_grid(s_count=32, n=32, alpha=0.5)
     worst = max(abs(r.ae_intrinsic - 2.0) for r in rows)
     mass_ok = all(abs(r.mass - 2.0) <= 1e-12 for r in rows)
-    secs = time.perf_counter() - t0
-    ok = worst <= 1e-6 and mass_ok and secs < 5.0
-    return CriterionResult(3, "Rickman rug lower bound 2.0 at 32 offsets",
-                           bool(ok), secs,
-                           {"worst_deviation": worst, "runtime_s": secs})
+    return worst <= 1e-6 and mass_ok, {"worst_deviation": worst}
 
 
 def _random_polyline(rng, scale: float = 2.0) -> Polyline:
@@ -153,9 +150,9 @@ def _staircase(rng) -> Polyline:
     return Polyline(np.array(pts))
 
 
-def criterion_4_homotopy_lemma() -> CriterionResult:
+@_criterion(4, "homotopy lemma on 100 fuzzed pairs", limit_s=30.0)
+def criterion_4_homotopy_lemma():
     """Fuzzed homotopy fills: residuals, certificate soundness, LP cross-check."""
-    t0 = time.perf_counter()
     rng = _rng(404)
     plane = NormedPlane("l2")
     bic = AffineBicombing(plane)
@@ -166,15 +163,10 @@ def criterion_4_homotopy_lemma() -> CriterionResult:
     for _ in range(100):
         g0 = _random_polyline(rng)
         g1 = _random_polyline(rng)
-        fill = homotopy_fill(g0, g1, bic)
-        ok &= fill.measured_s <= (g0.length + g1.length) * fill.d_inf + 1e-6
-        ok &= fill.r_chain.mass() <= fill.cert_r + 1e-9
-        for form in panel:
-            allowed = 1e-6 * (1.0 + form.lip_pi * form.sup_f)
-            resid, n_capped = fill_residual(g0, g1, fill, form, plane)
-            capped += n_capped
-            worst_resid = max(worst_resid, resid / allowed)
-            ok &= resid <= allowed
+        chk = check_fill(g0, g1, homotopy_fill(g0, g1, bic), panel, plane)
+        capped += chk.capped
+        worst_resid = max(worst_resid, chk.worst_ratio)
+        ok &= chk.ok
     # grid-snapped pairs: LP flat norm of the difference <= certS + certR
     worst_lp_margin = -math.inf
     for _ in range(10):
@@ -187,13 +179,8 @@ def criterion_4_homotopy_lemma() -> CriterionResult:
         margin = lp.value - (fill.cert_s + fill.cert_r)
         worst_lp_margin = max(worst_lp_margin, margin)
         ok &= margin <= 1e-6
-    secs = time.perf_counter() - t0
-    ok &= secs < 30.0
-    return CriterionResult(4, "homotopy lemma on 100 fuzzed pairs", bool(ok),
-                           secs, {"worst_residual_ratio": worst_resid,
-                                  "worst_lp_margin": worst_lp_margin,
-                                  "capped_subcells": capped,
-                                  "runtime_s": secs})
+    return ok, {"worst_residual_ratio": worst_resid, "worst_lp_margin": worst_lp_margin,
+                "capped_subcells": capped}
 
 
 def _translate_family(rng, base: Polyline, count: int, span: float,
@@ -213,9 +200,9 @@ def _translate_family(rng, base: Polyline, count: int, span: float,
     return CurveMeasure.of(entries)
 
 
-def criterion_5_geodesic_approximation() -> CriterionResult:
+@_criterion(5, "geodesic approximation of 20 curve measures")
+def criterion_5_geodesic_approximation():
     """Mass non-increase, LP-checked certificates, and eps-halving behavior."""
-    t0 = time.perf_counter()
     rng = _rng(505)
     plane = NormedPlane("l2")
     ok = True
@@ -250,15 +237,12 @@ def criterion_5_geodesic_approximation() -> CriterionResult:
             margin = lp.value - cert.flat_bound
             details["lp_margins"].append(margin)
             ok &= margin <= 1e-6
-    secs = time.perf_counter() - t0
-    details["runtime_s"] = secs
-    return CriterionResult(5, "geodesic approximation of 20 curve measures",
-                           bool(ok), secs, details)
+    return ok, details
 
 
-def criterion_6_hyperplane_normalization() -> CriterionResult:
+@_criterion(6, "hyperplane normalization of fat-Cantor chains", limit_s=5.0)
+def criterion_6_hyperplane_normalization():
     """Fat-Cantor chains: exact boundary kill, mass ratio, restriction identity."""
-    t0 = time.perf_counter()
     line = Line(0.0, 1.0, 0.0)
     ok = True
     masses = []
@@ -270,17 +254,13 @@ def criterion_6_hyperplane_normalization() -> CriterionResult:
         res = normalize(t, line, eps=0.1)
         ok &= res.boundary_residual <= 1e-9
         ok &= res.n_chain.mass() <= 2.1 * t.mass() + 1e-9
-        frag = restrict(res.n_chain, res.b_set)
-        ok &= abs(frag.mass() - t.mass()) <= 1e-9
-    secs = time.perf_counter() - t0
-    ok &= secs < 5.0
-    return CriterionResult(6, "hyperplane normalization of fat-Cantor chains",
-                           bool(ok), secs, {"masses": masses, "runtime_s": secs})
+        ok &= res.restriction_error <= 1e-9
+    return ok, {"masses": masses}
 
 
-def criterion_7_decomposition() -> CriterionResult:
+@_criterion(7, "decomposition and fragment identities")
+def criterion_7_decomposition():
     """Reassembly, mass additivity, marginals on 50 flows; fragment identity on 20 sets."""
-    t0 = time.perf_counter()
     rng = _rng(707)
     ok = True
     worst = 0.0
@@ -324,15 +304,12 @@ def criterion_7_decomposition() -> CriterionResult:
         rep = fragment_representation(d, e)
         worst_frag = max(worst_frag, rep.mass_identity_residual)
         ok &= rep.mass_identity_residual <= 1e-9
-    secs = time.perf_counter() - t0
-    return CriterionResult(7, "decomposition and fragment identities", bool(ok),
-                           secs, {"worst_reassembly": worst,
-                                  "worst_fragment_residual": worst_frag})
+    return ok, {"worst_reassembly": worst, "worst_fragment_residual": worst_frag}
 
 
-def criterion_8_solver_cross_validation() -> CriterionResult:
+@_criterion(8, "solver cross-validation on 100 instances")
+def criterion_8_solver_cross_validation():
     """Flow vs simplex on 100 transportation instances; dual feasibility."""
-    t0 = time.perf_counter()
     rng = _rng(808)
     ok = True
     worst = 0.0
@@ -364,14 +341,12 @@ def criterion_8_solver_cross_validation() -> CriterionResult:
             ok &= cst + fres.potentials[u] - fres.potentials[v] >= -1e-9
         red = cost.flatten() - a.T @ lres.y
         ok &= float(red.min()) >= -1e-7
-    secs = time.perf_counter() - t0
-    return CriterionResult(8, "solver cross-validation on 100 instances", bool(ok),
-                           secs, {"worst_gap": worst})
+    return ok, {"worst_gap": worst}
 
 
-def criterion_9_flatnorm_closed_forms() -> CriterionResult:
+@_criterion(9, "flat-norm LP closed forms")
+def criterion_9_flatnorm_closed_forms():
     """Unit square -> 1; 1 x k rectangles -> min(2 + 2k, k)."""
-    t0 = time.perf_counter()
     plane = NormedPlane("l2")
     ok = True
     values = {}
@@ -389,8 +364,7 @@ def criterion_9_flatnorm_closed_forms() -> CriterionResult:
         v = flat_norm(snap(rect, cxk), cxk).value
         values[f"rect_1x{k}"] = v
         ok &= abs(v - min(2 + 2 * k, k)) <= 1e-8
-    return CriterionResult(9, "flat-norm LP closed forms", bool(ok),
-                           time.perf_counter() - t0, {"values": values})
+    return ok, {"values": values}
 
 
 ALL_CRITERIA = [

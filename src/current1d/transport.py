@@ -133,21 +133,20 @@ class IsoReport:
         return self.lower_ok and self.upper_ok and self.ae_lower_ok and self.identity_ok
 
 
-def isomorphism_check(t: Chain1, g: MetricGraph, tol: float = IDENT_TOL) -> IsoReport:
-    """Verify the quasiconvexity sandwich for the boundary of a chain.
+def isomorphism_check(m: Molecule, g: MetricGraph, tol: float = IDENT_TOL) -> IsoReport:
+    """Verify the quasiconvexity sandwich for a molecule on a connected graph.
 
     Checks qc^-1 * ae(d) <= filling <= qc * ae(d), the solver identity
     filling = ae(d_l), and the unconditional lower bound ae(d) <= filling
-    (the boundary operator has norm one).
+    (the boundary operator has norm one), each to ``tol * max(1, filling)``.
     """
     if np.any(np.isinf(g.path_dist)):
         raise TransportError("isomorphism check needs a connected graph")
-    m = t.boundary()
     ae_amb = ae_norm(m, g.ambient_dist).value
     ae_intr = ae_norm(m, g.path_dist).value
     filling = minimal_filling(m, g).mass_value
     qc = qc_constants(g).qc_space
-    scale = max(1.0, filling, ae_amb)
+    scale = max(1.0, filling)
     lower_ok = (ae_amb / qc) <= filling + tol * scale
     upper_ok = filling <= qc * ae_amb + tol * scale
     ae_lower_ok = ae_amb <= filling + tol * scale

@@ -284,6 +284,40 @@ class TestMalformedValues:
                                 "a molecule point must be a list of 2 numbers")
 
 
+    @pytest.mark.parametrize("doc_name, doc, argv, needle", [
+        ("mol.json", {"atoms": [[[0, 0], "a"], [[1, 0], -1.0]]},
+         ["ae-norm", "--space", "vdetour.json", "--molecule", "mol.json"],
+         "a molecule weight must be a number: 'a'"),
+        ("mol.json", {"atoms": [["x", 1.0], [1, -1.0]]},
+         ["ae-norm", "--space", "vdetour.json", "--molecule", "mol.json"],
+         "a molecule vertex must be a number: 'x'"),
+        ("space.json", {"kind": "graph", "vertices": [[0, 0], [1, 0]], "edges": [[0, 1, "z"]]},
+         ["ae-norm", "--space", "space.json", "--molecule", "mol.json"],
+         "a graph edge must be a list of 3 numbers: [0, 1, 'z']"),
+        ("space.json", {"kind": "graph", "vertices": [[0, "a"], [1, 0]], "edges": [[0, 1, 1.0]]},
+         ["ae-norm", "--space", "space.json", "--molecule", "mol.json"],
+         "a graph vertex must be a list of 2 numbers: [0, 'a']"),
+        ("space.json", {"kind": "finite", "points": ["a", "b"], "dist": [[0, "q"], ["q", 0]]},
+         ["ae-norm", "--space", "space.json", "--molecule", "mol.json"],
+         "a finite-space distance must be a number: 'q'"),
+        ("chain.json", {"pieces": [{"start": [0, 0], "end": [1, 0], "weight": "w"}]},
+         ["flatnorm", "--grid", "4,4,1", "--chain", "chain.json"],
+         "a piece weight must be a number: 'w'"),
+        ("cm.json", {"entries": [{"w": "x", "polyline": [[0, 0], [1, 0]]}]},
+         ["approx", "--input", "cm.json"],
+         "a curve weight must be a number: 'x'"),
+        ("flow.json", {"weights": [1.0, "y"]},
+         ["decompose", "--space", "pathgraph.json", "--flow", "flow.json"],
+         "the weights of a flow must be a list of 2 numbers: [1.0, 'y']"),
+    ], ids=["molecule-weight", "molecule-vertex", "graph-edge", "graph-vertex", "finite-distance",
+            "piece-weight", "curve-measure-weight", "flow-weight"])
+    def test_scalar_that_is_not_a_number(self, fixtures, tmp_path, capsys,
+                                         doc_name, doc, argv, needle):
+        (tmp_path / doc_name).write_text(json.dumps(doc))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        self.expect_input_error(capsys, argv, needle)
+
+
 class TestErrorHandling:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run_cli(["definitely-not-a-command"]) == 1
@@ -335,6 +369,60 @@ class TestErrorHandling:
         mol.write_text(json.dumps({"atoms": [[0, 1.0], [1, -1.0]]}))
         code = run_cli(["filling", "--space", str(iso), "--molecule", str(mol)])
         assert code == 1
+
+
+class TestFlagValidation:
+    """Numeric flags are checked after the config merge: a bad value exits 1
+    with a JSON error, given as a flag or, for an optional flag, through --config."""
+
+    def expect_rejected(self, capsys, tmp_path, argv, key, value):
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(argv + [f"{flag}={value}"]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+        if key in ("grid", "hyperplane"):
+            return  # required flags cannot come from the config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(["--config", str(cfg)] + argv) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["3,3,nan", "3,3,inf", "3,3,0", "0,3,1", "3,3", "3,x,1"])
+    def test_grid(self, fixtures, tmp_path, capsys, value):
+        self.expect_rejected(capsys, tmp_path, ["flatnorm", "--chain", fixtures["square.json"]],
+                             "grid", value)
+
+    @pytest.mark.parametrize("value", ["1", "1,x", "1,nan", "inf,0", "1,2,3"])
+    def test_origin(self, fixtures, tmp_path, capsys, value):
+        self.expect_rejected(capsys, tmp_path, ["flatnorm", "--grid", "3,3,1", "--chain",
+                                                fixtures["square.json"]], "origin", value)
+
+    @pytest.mark.parametrize("value", ["0,1", "0,1,nan", "inf,1,0", "0,x,0"])
+    def test_hyperplane(self, fixtures, tmp_path, capsys, value):
+        self.expect_rejected(capsys, tmp_path, ["normalize", "--chain", fixtures["seg.json"]],
+                             "hyperplane", value)
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_s_grid(self, tmp_path, capsys, value):
+        self.expect_rejected(capsys, tmp_path, ["rickman", "--n", "4"], "s_grid", value)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_n(self, tmp_path, capsys, value):
+        self.expect_rejected(capsys, tmp_path, ["rickman", "--s-grid", "2"], "n", value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.5, 1.5])
+    def test_alpha(self, tmp_path, capsys, value):
+        self.expect_rejected(capsys, tmp_path, ["rickman", "--s-grid", "2", "--n", "4"],
+                             "alpha", value)
+
+    def test_config_sizes_must_be_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": 2.5}')
+        assert run_cli(["--config", str(cfg), "rickman", "--s-grid", "2"]) == 1
+        assert "--n must be a positive integer" in capsys.readouterr().err
+
+    def test_format_only_where_a_csv_form_exists(self, fixtures, capsys):
+        assert run_cli(["ae-norm", "--space", fixtures["vdetour.json"],
+                        "--molecule", fixtures["mol.json"], "--format", "csv"]) == 1
 
 
 class TestDeterminism:

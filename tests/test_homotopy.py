@@ -9,7 +9,7 @@ from current1d import (AffineBicombing, AffineMap, Chain1, CurrentError,
                        flat_norm, homotopy_fill, interpolate_geodesic, snap,
                        standard_panel)
 from current1d.flatnorm import complex_covering
-from current1d.homotopy import fill_residual
+from current1d.homotopy import check_fill
 
 PL = NormedPlane("l2")
 BIC = AffineBicombing(PL)
@@ -22,8 +22,8 @@ class TestHomotopyFill:
         assert fill.cert_s == 0.0
         assert fill.cert_r == 0.0
         assert fill.r_chain.pieces == ()
-        for form in standard_panel(1, count=6, scale=1.0):
-            assert fill_residual(g, g, fill, form, PL)[0] <= 1e-9
+        chk = check_fill(g, g, fill, standard_panel(1, count=6, scale=1.0), PL)
+        assert chk.ok and chk.worst_residual <= 1e-9
 
     def test_unit_square_edges(self):
         g0 = Polyline([[0, 0], [1, 0]])
@@ -33,9 +33,7 @@ class TestHomotopyFill:
         assert fill.measured_s == pytest.approx(1.0, abs=1e-6)
         assert fill.cert_r == pytest.approx(2.0, abs=1e-12)
         assert fill.r_chain.mass() == pytest.approx(2.0, abs=1e-12)
-        for form in standard_panel(2, count=10, scale=1.5):
-            allowed = 1e-6 * (1 + form.lip_pi * form.sup_f)
-            assert fill_residual(g0, g1, fill, form, PL)[0] <= allowed
+        assert check_fill(g0, g1, fill, standard_panel(2, count=10, scale=1.5), PL).ok
 
     def test_tent_over_same_endpoints(self):
         g0 = Polyline([[0, 0], [1, 0]])
@@ -43,9 +41,7 @@ class TestHomotopyFill:
         fill = homotopy_fill(g0, g1, BIC)
         assert fill.cert_r == 0.0
         assert fill.cert_s == pytest.approx((1.0 + g1.length) * 0.1, abs=1e-12)
-        for form in standard_panel(3, count=10, scale=1.5):
-            allowed = 1e-6 * (1 + form.lip_pi * form.sup_f)
-            assert fill_residual(g0, g1, fill, form, PL)[0] <= allowed
+        assert check_fill(g0, g1, fill, standard_panel(3, count=10, scale=1.5), PL).ok
 
     def test_certificate_chain_inequality(self):
         rng = np.random.Generator(np.random.Philox(key=41))

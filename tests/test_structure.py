@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from current1d import (AtomicMeasure, Chain1, ConvexBox, CurveMeasure, Line,
-                       NormedPlane, Polyline, ae_norm, approximate,
-                       fat_cantor_chain, lift_off_line, normalize,
-                       rectifiable_filling, rescale_interior, restrict,
-                       translate_singular)
+from current1d import (Chain1, ConvexBox, CurveMeasure, Line, NormedPlane,
+                       Polyline, ae_norm, approximate, fat_cantor_chain,
+                       lift_off_line, normalize, rectifiable_filling,
+                       rescale_interior, restrict, translate_singular)
 from current1d.structure import StructureError, is_admissible, line_filling
 
 PL = NormedPlane("l2")
@@ -48,12 +47,12 @@ class TestRescaleInterior:
 
 class TestTranslateSingular:
     def test_empty_measure_first_grid_point(self):
-        res = translate_singular(unit_segment(), AtomicMeasure.empty(), None, t1=0.64)
+        res = translate_singular(unit_segment(), (), None, t1=0.64)
         assert res.t == pytest.approx(0.64 / 64, abs=1e-15)
         assert res.flat_cert == pytest.approx(res.t * (2 * 1.0 + 2.0), abs=1e-12)
 
     def test_atom_on_support_is_avoided(self):
-        mu = AtomicMeasure.of([(0.5, 0.0)])
+        mu = [(0.5, 0.0)]
         res = translate_singular(unit_segment(), mu, None, t1=0.1)
         for piece in res.chain.pieces:
             a, b = piece.start, piece.end
@@ -61,13 +60,13 @@ class TestTranslateSingular:
             assert not is_on_segment((0.5, 0.0), a, b)
 
     def test_piece_inside_line_leaves_it(self):
-        res = translate_singular(unit_segment(), AtomicMeasure.empty(), AXIS, t1=0.1)
+        res = translate_singular(unit_segment(), (), AXIS, t1=0.1)
         for piece in res.chain.pieces:
             assert abs(AXIS.signed_dist(piece.start)) > 0
 
     def test_connectors_close_the_boundary(self):
         c = unit_segment()
-        res = translate_singular(c, AtomicMeasure.empty(), AXIS, t1=0.05)
+        res = translate_singular(c, (), AXIS, t1=0.05)
         total = res.chain + res.connectors
         assert total.boundary() == c.boundary()
         assert res.connectors.mass() == pytest.approx(res.t * 2.0, abs=1e-12)
@@ -84,7 +83,7 @@ def is_on_segment(p, a, b, tol=1e-12):
 class TestRectifiableFilling:
     def test_admissible_chain_returns_in_one_round(self):
         c = Chain1.from_segments(PL, [((0.0, 0.1), (1.0, 0.2), 1.0)])
-        res = rectifiable_filling(c, 0.1, AtomicMeasure.empty(), AXIS)
+        res = rectifiable_filling(c, 0.1, (), AXIS)
         assert len(res.rounds) == 1
         assert res.rounds[0].action == "absorb"
         assert res.chain.mass() == c.mass()
@@ -92,15 +91,15 @@ class TestRectifiableFilling:
 
     def test_segment_on_line_becomes_tent(self):
         c = unit_segment()
-        res = rectifiable_filling(c, 0.1, AtomicMeasure.empty(), AXIS)
+        res = rectifiable_filling(c, 0.1, (), AXIS)
         assert res.chain.boundary() == c.boundary()
         assert res.chain.mass() <= (1 + 0.1) * c.mass() + 1e-9
-        assert is_admissible(res.chain, AtomicMeasure.empty(), AXIS)
+        assert is_admissible(res.chain, (), AXIS)
 
     def test_atom_collision_resolved_by_translation(self):
         c = Chain1.from_segments(PL, [((0.0, 0.5), (1.0, 0.5), 1.0)])
-        mu = AtomicMeasure.of([(0.5, 0.5)])
-        res = rectifiable_filling(c, 0.2, AtomicMeasure.of([(0.5, 0.5)]), AXIS)
+        mu = [(0.5, 0.5)]
+        res = rectifiable_filling(c, 0.2, [(0.5, 0.5)], AXIS)
         assert res.chain.mass() <= 1.2 * c.mass() + 1e-9
         assert is_admissible(res.chain, mu, AXIS)
         # translated rounds happened and the boundary still matches exactly
@@ -109,7 +108,7 @@ class TestRectifiableFilling:
 
     def test_mass_budget_bookkeeping(self):
         c = fat_cantor_chain(2)
-        mu = AtomicMeasure.of([(0.1, 0.0)])  # on a piece interior: forces rounds
+        mu = [(0.1, 0.0)]  # on a piece interior: forces rounds
         res = rectifiable_filling(c, 0.3, mu, AXIS)
         assert res.chain.mass() <= 1.3 * c.mass() + 1e-9
         budgets = [r.budget for r in res.rounds if r.action == "translate"]
@@ -175,7 +174,7 @@ class TestNormalize:
         with pytest.raises(StructureError, match="positive finite"):
             rescale_interior(unit_segment(), box, eps)
         with pytest.raises(StructureError, match="positive finite"):
-            rectifiable_filling(unit_segment(), eps, AtomicMeasure.empty(), AXIS)
+            rectifiable_filling(unit_segment(), eps, (), AXIS)
 
     def test_support_disjointness(self):
         t = fat_cantor_chain(2)
@@ -200,7 +199,7 @@ class TestNormalize:
 class TestLiftOffLine:
     def test_tent_height_solves_mass_factor(self):
         c = unit_segment()
-        lifted = lift_off_line(c, AXIS, AtomicMeasure.empty(), eps=0.2)
+        lifted = lift_off_line(c, AXIS, (), eps=0.2)
         assert len(lifted.pieces) == 2
         assert lifted.mass() == pytest.approx(1.2, abs=1e-9)
         assert lifted.boundary() == c.boundary()
@@ -208,7 +207,7 @@ class TestLiftOffLine:
     def test_linf_plane_uses_bisection(self):
         plane = NormedPlane("linf")
         c = Chain1.from_segments(plane, [((0.0, 0.0), (1.0, 0.0), 1.0)])
-        lifted = lift_off_line(c, AXIS, AtomicMeasure.empty(), eps=0.2)
+        lifted = lift_off_line(c, AXIS, (), eps=0.2)
         assert lifted.mass() <= 1.2 + 1e-6
         assert lifted.mass() >= 1.0
 
@@ -216,7 +215,7 @@ class TestLiftOffLine:
         c = unit_segment()
         # place an atom exactly at the default apex
         h = 0.5 * math.sqrt(1.2 ** 2 - 1.0)
-        mu = AtomicMeasure.of([(0.5, h)])
+        mu = [(0.5, h)]
         lifted = lift_off_line(c, AXIS, mu, eps=0.2)
         apex = lifted.pieces[0].end
         assert apex != (0.5, h)

@@ -141,14 +141,14 @@ class TestIsomorphismCheck:
     def test_geodesic_graph_equality(self):
         g = MetricGraph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 2.0)], ambient="path")
         t = Chain1.from_graph_edges(g, [(0, 1, 1.0), (1, 2, 1.0)])
-        rep = isomorphism_check(t, g)
+        rep = isomorphism_check(t.boundary(), g)
         assert rep.all_ok()
         assert rep.filling_mass == pytest.approx(rep.ae_ambient, abs=1e-7)
 
     def test_v_detour_both_bounds_tight(self):
         g = make_v_detour(2.0)
         t = Chain1.from_graph_edges(g, [(0, 2, 1.0), (2, 1, 1.0)])
-        rep = isomorphism_check(t, g)
+        rep = isomorphism_check(t.boundary(), g)
         assert rep.all_ok()
         assert rep.ae_ambient == pytest.approx(1.0, abs=1e-12)
         assert rep.filling_mass == pytest.approx(2.0, abs=1e-12)
@@ -165,7 +165,7 @@ class TestIsomorphismCheck:
             u, v, _ = g.edges[int(rng.integers(0, len(g.edges)))]
             flows.append((u, v, float(rng.normal())))
         t = Chain1.from_graph_edges(g, flows)
-        assert isomorphism_check(t, g).all_ok()
+        assert isomorphism_check(t.boundary(), g).all_ok()
 
 
 class TestInvariants:
