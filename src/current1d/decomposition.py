@@ -176,14 +176,6 @@ def _route_mass(g: MetricGraph, routes) -> float:
     return float(tot)
 
 
-def path_mass(d: Decomposition) -> float:
-    return _route_mass(d.graph, d.paths)
-
-
-def cycle_mass(d: Decomposition) -> float:
-    return _route_mass(d.graph, d.cycles)
-
-
 def boundary_marginals(d: Decomposition) -> tuple[Molecule, Molecule]:
     """(start marginal, end marginal) of the peeled paths, as point measures."""
     starts = [(verts[0], w) for w, verts in d.paths]

@@ -51,9 +51,6 @@ class CubicalComplex:
         self.n_nodes = (nx + 1) * (ny + 1)
 
     # --- indexing -----------------------------------------------------------
-    def node_id(self, i: int, j: int) -> int:
-        return j * (self.nx + 1) + i
-
     def h_edge(self, i: int, j: int) -> int:
         """Edge from node (i, j) to (i+1, j); 0 <= i < nx."""
         return j * self.nx + i

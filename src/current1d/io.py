@@ -64,11 +64,26 @@ def dump_report(obj: Any) -> str:
     return canonical_json(obj) + "\n"
 
 
+def _object(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object, or an InputError naming ``what``."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def _field(doc, key: str, what: str):
     """``doc[key]``, or an InputError naming the key ``what`` lacks."""
-    if not isinstance(doc, dict) or key not in doc:
+    if key not in _object(doc, what):
         raise InputError(f"{what} needs a {key!r} key")
     return doc[key]
+
+
+def _items(doc, key: str, what: str) -> list:
+    """``doc[key]`` if it is a JSON list, or an InputError naming ``what``."""
+    v = _field(doc, key, what)
+    if not isinstance(v, list):
+        raise InputError(f"the {key!r} of {what} must be a list, not {type(v).__name__}")
+    return v
 
 
 def _number(v, what: str, kind=float):
@@ -100,22 +115,24 @@ def _polyline(v, what: str) -> Polyline:
 
 
 def load_space(doc: dict):
-    kind = doc.get("kind")
+    kind = _object(doc, "a space").get("kind")
     if kind == "plane":
         return NormedPlane(doc.get("norm", "l2"))
     if kind == "finite":
-        return FiniteMetricSpace(_field(doc, "points", "a finite space"), np.array(
-            [[_number(x, "a finite-space distance") for x in row]
-             for row in _field(doc, "dist", "a finite space")]))
+        dist = _items(doc, "dist", "a finite space")
+        if not all(isinstance(row, list) and len(row) == len(dist) for row in dist):
+            raise InputError("the 'dist' of a finite space must be a square list of lists")
+        return FiniteMetricSpace(_items(doc, "points", "a finite space"), np.array(
+            [[_number(x, "a finite-space distance") for x in row] for row in dist]))
     if kind == "graph":
         ambient = doc.get("ambient", "euclidean")
         if isinstance(ambient, dict):
             ambient = ("d_alpha", _number(_field(ambient, "d_alpha", "a graph ambient"),
                                           "a graph ambient d_alpha"))
-        vertices = _field(doc, "vertices", "a graph space")
+        vertices = _items(doc, "vertices", "a graph space")
         if vertices and not isinstance(vertices[0], str):  # coordinates, not labels
             vertices = [_numbers(v, 2, "a graph vertex") for v in vertices]
-        edges = [_numbers(e, 3, "a graph edge") for e in _field(doc, "edges", "a graph space")]
+        edges = [_numbers(e, 3, "a graph edge") for e in _items(doc, "edges", "a graph space")]
         try:
             return MetricGraph(vertices, edges, ambient=ambient)
         except GeometryError as exc:
@@ -123,35 +140,17 @@ def load_space(doc: dict):
     raise InputError(f"unknown space kind {kind!r}")
 
 
-def dump_space(space) -> dict:
-    if isinstance(space, NormedPlane):
-        return {"kind": "plane", "norm": space.tag}
-    if isinstance(space, FiniteMetricSpace):
-        return {"kind": "finite", "points": list(space.points),
-                "dist": [[float(x) for x in row] for row in space.dist]}
-    if isinstance(space, MetricGraph):
-        amb = space.ambient
-        if isinstance(amb, tuple):
-            amb = {"d_alpha": amb[1]}
-        verts = ([list(map(float, v)) for v in space.coords]
-                 if space.coords is not None else list(space.vertices))
-        return {"kind": "graph", "vertices": verts,
-                "edges": [[u, v, float(w)] for u, v, w in space.edges],
-                "ambient": amb}
-    raise InputError(f"cannot serialize space {type(space)}")
-
-
 # ---------------------------------------------------------------------------
 # chain.json / molecule.json
 
 
 def load_chain(doc: dict, space=None):
-    if "polyline" in doc:
+    if "polyline" in _object(doc, "a chain"):
         return _polyline(doc["polyline"], "a polyline")
     space = space if space is not None else (
         load_space(doc["space"]) if "space" in doc else NormedPlane("l2"))
     pieces = []
-    for item in doc.get("pieces", []):
+    for item in _items(doc, "pieces", "a chain") if "pieces" in doc else []:
         s, e = _field(item, "start", "a piece"), _field(item, "end", "a piece")
         w = _number(_field(item, "weight", "a piece"), "a piece weight")
         if isinstance(s, list):
@@ -179,7 +178,7 @@ def dump_chain(c: Chain1) -> dict:
 
 def load_molecule(doc: dict) -> Molecule:
     atoms = []
-    for item in _field(doc, "atoms", "a molecule"):
+    for item in _items(doc, "atoms", "a molecule"):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise InputError(f"a molecule atom is a [point, weight] pair: {item!r}")
         p, w = item
@@ -192,13 +191,6 @@ def load_molecule(doc: dict) -> Molecule:
         return Molecule(atoms)
     except Exception as exc:
         raise InputError(f"bad molecule: {exc}") from exc
-
-
-def dump_molecule(m: Molecule) -> dict:
-    atoms = []
-    for p, w in m.atoms:
-        atoms.append([list(p) if isinstance(p, tuple) else p, w])
-    return {"atoms": atoms}
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +209,8 @@ def load_flow(doc: dict, g: MetricGraph) -> EdgeFlow:
 
 def load_closedset(doc: dict) -> ClosedSet:
     prims = []
-    for item in _field(doc, "primitives", "a closed set"):
-        if "box" in item:
+    for item in _items(doc, "primitives", "a closed set"):
+        if "box" in _object(item, "a closed-set primitive"):
             x0, y0, x1, y1 = _numbers(item["box"], 4, "a box")
             prims.append(Box((x0, y0), (x1, y1)))
         elif "ball" in item:
@@ -233,27 +225,13 @@ def load_closedset(doc: dict) -> ClosedSet:
     return ClosedSet(tuple(prims))
 
 
-def dump_closedset(e: ClosedSet) -> dict:
-    prims = []
-    for p in e.primitives:
-        if isinstance(p, Box):
-            prims.append({"box": [p.lo[0], p.lo[1], p.hi[0], p.hi[1]]})
-        elif isinstance(p, Ball):
-            prims.append({"ball": [p.center[0], p.center[1], p.radius]})
-        elif isinstance(p, HalfPlane):
-            prims.append({"halfplane": [p.a, p.b, p.c]})
-        elif isinstance(p, Slab):
-            prims.append({"slab": [p.a, p.b, p.c1, p.c2]})
-    return {"primitives": prims}
-
-
 # ---------------------------------------------------------------------------
 # curvemeasure.json
 
 
 def load_curvemeasure(doc: dict) -> CurveMeasure:
     entries = []
-    for item in _field(doc, "entries", "a curve measure"):
+    for item in _items(doc, "entries", "a curve measure"):
         entries.append((_number(_field(item, "w", "a curve-measure entry"), "a curve weight"),
                         _polyline(_field(item, "polyline", "a curve-measure entry"),
                                   "a curve-measure polyline")))
@@ -261,11 +239,6 @@ def load_curvemeasure(doc: dict) -> CurveMeasure:
         return CurveMeasure.of(entries)
     except Exception as exc:
         raise InputError(f"bad curve measure: {exc}") from exc
-
-
-def dump_curvemeasure(cm: CurveMeasure) -> dict:
-    return {"entries": [{"w": w, "polyline": [list(map(float, pt)) for pt in p.points]}
-                        for w, p in cm.entries]}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,17 @@
 Both are deterministic: the flow solver orders arcs by input index and breaks
 shortest-path ties by lowest node index; the simplex uses Bland's rule, which
 also precludes cycling. Desk-scale instances only (a few thousand variables).
+
+The flow solver's inner loops run on plain Python lists, where numpy scalars
+would cost more than the arithmetic. Residual arc 2k is arc k forward and
+2k + 1 its reverse, with heads and signed costs in lists indexed by a, and
+a >> 1 and a & 1 recover the arc and the direction. A residual capacity is
+read fresh as cap - flow or flow, never kept as a running residual, which
+would round differently on finite capacities. Every float operation keeps
+one fixed order: the reduced distance du + (c + pi[u] - pi[v]), the 1e-15
+relaxation margin, the eps * 1e-3 arc floor and pi += min(d, d_target). So
+flows, potentials, cost and augmentation count are reproducible bit for bit;
+``tests/golden/engine_digests.json`` pins them.
 """
 
 from __future__ import annotations
@@ -83,93 +94,90 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     """
     n, arcs = net.n, net.arcs
     m = len(arcs)
-    head = np.array([v for _, v, _, _ in arcs], dtype=int) if m else np.zeros(0, dtype=int)
-    tail = np.array([u for u, _, _, _ in arcs], dtype=int) if m else np.zeros(0, dtype=int)
+    # residual arc a = 2k is arc k forward (capacity cap[k] - flow[k], cost c),
+    # a = 2k + 1 its reverse (capacity flow[k], cost -c); the tail of a is
+    # the head of its partner a ^ 1
     cost = np.array([c for _, _, c, _ in arcs], dtype=float)
-    cap = np.array([ca for _, _, _, ca in arcs], dtype=float)
-    flow = np.zeros(m)
-    # residual arc id: 2k forward (tail->head, cap-flow, +cost),
-    #                  2k+1 reverse (head->tail, flow, -cost)
+    rcost = np.column_stack([cost, -cost]).ravel().tolist()
+    rhead = [w for u, v, _, _ in arcs for w in (v, u)]
     adj: list[list[int]] = [[] for _ in range(n)]
-    for k in range(m):
-        adj[tail[k]].append(2 * k)
-        adj[head[k]].append(2 * k + 1)
+    for a in range(2 * m):
+        adj[rhead[a ^ 1]].append(a)
+    cap = [float(ca) for _, _, _, ca in arcs]
+    flow = [0.0] * m
 
-    excess = np.array(net.divergence, dtype=float)
-    total_supply = float(np.sum(excess[excess > 0]))
+    excess = [float(d) for d in net.divergence]
+    total_supply = float(np.sum([x for x in excess if x > 0]))
     eps = TOL * max(1.0, total_supply)
+    floor = eps * 1e-3
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     # zero potentials are feasible: FlowNetwork rejects negative costs
-    pi = np.zeros(n)
+    pi = [0.0] * n
     augmentations = 0
-
-    def res_cap(a: int) -> float:
-        k, rev = divmod(a, 2)
-        return flow[k] if rev else cap[k] - flow[k]
 
     while True:
         sources = [v for v in range(n) if excess[v] > eps]
         if not sources:
-            if np.any(excess < -eps) and m == 0:
+            if m == 0 and any(x < -eps for x in excess):
                 raise Infeasible("demand with no arcs")
             break
-        dist = np.full(n, math.inf)
+        dist = [math.inf] * n
         pred = [-1] * n
         settled = [False] * n
-        heap: list[tuple[float, int]] = []
-        for s in sorted(sources):
+        heap = [(0.0, s) for s in sources]  # sorted, so already a heap
+        for s in sources:
             dist[s] = 0.0
-            heapq.heappush(heap, (0.0, s))
         target = -1
         while heap:
-            du, u = heapq.heappop(heap)
+            du, u = heappop(heap)
             if settled[u] or du > dist[u]:
                 continue
             settled[u] = True
             if excess[u] < -eps:
                 target = u
                 break
+            piu = pi[u]
             for a in adj[u]:
-                if res_cap(a) <= eps * 1e-3:
+                k = a >> 1
+                if (flow[k] if a & 1 else cap[k] - flow[k]) <= floor:
                     continue
-                k, rev = divmod(a, 2)
-                v = tail[k] if rev else head[k]
+                v = rhead[a]
                 if settled[v]:
                     continue
-                rc = (-cost[k] if rev else cost[k]) + pi[u] - pi[v]
-                nd = du + rc
+                nd = du + (rcost[a] + piu - pi[v])
                 if nd < dist[v] - 1e-15:
                     dist[v] = nd
                     pred[v] = a
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v))
         if target < 0:
             raise Infeasible("supply cannot reach demand under the given arcs")
         dt = dist[target]
-        for v in range(n):
-            pi[v] += min(dist[v], dt) if math.isfinite(dist[v]) else dt
+        # pi[v] += min(dist[v], dt); an unreached v (dist inf) gets dt
+        pi = [p + (dt if dt < d else d) for p, d in zip(pi, dist)]
         # trace the augmenting path back to its source
         path = []
         v = target
         while pred[v] >= 0:
             a = pred[v]
             path.append(a)
-            k, rev = divmod(a, 2)
-            v = head[k] if rev else tail[k]
+            v = rhead[a ^ 1]
         source = v
         bottleneck = min(excess[source], -excess[target])
         for a in path:
-            bottleneck = min(bottleneck, res_cap(a))
+            k = a >> 1
+            bottleneck = min(bottleneck, flow[k] if a & 1 else cap[k] - flow[k])
         for a in path:
-            k, rev = divmod(a, 2)
-            flow[k] += -bottleneck if rev else bottleneck
+            flow[a >> 1] += -bottleneck if a & 1 else bottleneck
         excess[source] -= bottleneck
         excess[target] += bottleneck
         augmentations += 1
         log.debug("augment %s -> %s: %.17g units over %d arcs",
                   source, target, bottleneck, len(path))
 
-    total = float(np.dot(flow, cost)) if m else 0.0
-    return FlowResult(flows=flow, total_cost=total, potentials=pi.copy(),
+    flows = np.array(flow, dtype=float)
+    total = float(np.dot(flows, cost)) if m else 0.0
+    return FlowResult(flows=flows, total_cost=total, potentials=np.array(pi, dtype=float),
                       augmentations=augmentations)
 
 

@@ -164,13 +164,14 @@ class FiniteMetricSpace:
 # metric graphs
 
 
-def _dijkstra(n: int, adj: list[list[tuple[int, float]]], src: int) -> np.ndarray:
-    dist = np.full(n, INF)
+def _dijkstra(n: int, adj: list[list[tuple[int, float]]], src: int) -> list[float]:
+    dist = [INF] * n
     dist[src] = 0.0
     done = [False] * n
     heap = [(0.0, src)]
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        du, u = heapq.heappop(heap)
+        du, u = heappop(heap)
         if done[u]:
             continue
         done[u] = True
@@ -178,7 +179,7 @@ def _dijkstra(n: int, adj: list[list[tuple[int, float]]], src: int) -> np.ndarra
             nd = du + w
             if nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                heappush(heap, (nd, v))
     return dist
 
 

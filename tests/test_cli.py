@@ -317,6 +317,34 @@ class TestMalformedValues:
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         self.expect_input_error(capsys, argv, needle)
 
+    @pytest.mark.parametrize("doc_name, doc, argv, needle", [
+        ("space.json", [1, 2], ["ae-norm", "--space", "space.json", "--molecule", "mol.json"],
+         "a space must be a JSON object, not list"),
+        ("space.json", {"kind": "finite", "points": ["a", "b"], "dist": 5},
+         ["ae-norm", "--space", "space.json", "--molecule", "mol.json"],
+         "the 'dist' of a finite space must be a list, not int"),
+        ("space.json", {"kind": "finite", "points": ["a", "b"], "dist": [[0, 1], 1]},
+         ["ae-norm", "--space", "space.json", "--molecule", "mol.json"],
+         "the 'dist' of a finite space must be a square list of lists"),
+        ("chain.json", [1, 2], ["flatnorm", "--grid", "3,3,1", "--chain", "chain.json"],
+         "a chain must be a JSON object, not list"),
+        ("mol.json", [1, 2], ["ae-norm", "--space", "vdetour.json", "--molecule", "mol.json"],
+         "a molecule must be a JSON object, not list"),
+        ("flow.json", "w", ["decompose", "--space", "pathgraph.json", "--flow", "flow.json"],
+         "a flow must be a JSON object, not str"),
+        ("cs.json", {"primitives": ["box"]},
+         ["fragments", "--space", "pathgraph.json", "--flow", "flow.json", "--closedset",
+          "cs.json"], "a closed-set primitive must be a JSON object, not str"),
+        ("cm.json", {"entries": 3}, ["approx", "--input", "cm.json"],
+         "the 'entries' of a curve measure must be a list, not int"),
+    ], ids=["space", "finite-dist-scalar", "finite-dist-ragged", "chain", "molecule", "flow",
+            "closedset", "curve-measure"])
+    def test_document_of_the_wrong_type(self, fixtures, tmp_path, capsys,
+                                        doc_name, doc, argv, needle):
+        (tmp_path / doc_name).write_text(json.dumps(doc))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        self.expect_input_error(capsys, argv, needle)
+
 
 class TestErrorHandling:
     def test_unknown_subcommand_exits_one(self, capsys):

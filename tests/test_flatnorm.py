@@ -14,13 +14,17 @@ from current1d.flatnorm import GridError, complex_covering, flat_norm_lp
 PL = NormedPlane("l2")
 
 
+def node_id(cx: CubicalComplex, i: int, j: int) -> int:
+    return j * (cx.nx + 1) + i
+
+
 def edge_endpoints(cx: CubicalComplex, e: int) -> tuple[int, int]:
     if e < cx.n_h:
         j, i = divmod(e, cx.nx)
-        return cx.node_id(i, j), cx.node_id(i + 1, j)
+        return node_id(cx, i, j), node_id(cx, i + 1, j)
     e -= cx.n_h
     j, i = divmod(e, cx.nx + 1)
-    return cx.node_id(i, j), cx.node_id(i, j + 1)
+    return node_id(cx, i, j), node_id(cx, i, j + 1)
 
 
 def d1_matrix(cx: CubicalComplex) -> np.ndarray:

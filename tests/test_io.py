@@ -4,14 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from current1d import Chain1, ClosedSet, Molecule, NormedPlane, Polyline, Slab
+from current1d import (Ball, Box, Chain1, ClosedSet, HalfPlane, Molecule, NormedPlane,
+                       Polyline, Slab)
 from current1d.approximation import CurveMeasure
-from current1d.io import (InputError, canonical_json, dump_chain, dump_closedset,
-                          dump_curvemeasure, dump_molecule, fmt_float,
+from current1d.io import (InputError, canonical_json, dump_chain, fmt_float,
                           load_chain, load_closedset, load_curvemeasure,
                           load_molecule, load_space, csv_rows)
 
 PL = NormedPlane("l2")
+
+
+def dump_molecule(m: Molecule) -> dict:
+    return {"atoms": [[list(p) if isinstance(p, tuple) else p, w] for p, w in m.atoms]}
+
+
+def dump_closedset(e: ClosedSet) -> dict:
+    prims = []
+    for p in e.primitives:
+        if isinstance(p, Box):
+            prims.append({"box": [p.lo[0], p.lo[1], p.hi[0], p.hi[1]]})
+        elif isinstance(p, Ball):
+            prims.append({"ball": [p.center[0], p.center[1], p.radius]})
+        elif isinstance(p, HalfPlane):
+            prims.append({"halfplane": [p.a, p.b, p.c]})
+        elif isinstance(p, Slab):
+            prims.append({"slab": [p.a, p.b, p.c1, p.c2]})
+    return {"primitives": prims}
+
+
+def dump_curvemeasure(cm: CurveMeasure) -> dict:
+    return {"entries": [{"w": w, "polyline": [list(map(float, pt)) for pt in p.points]}
+                        for w, p in cm.entries]}
 
 
 class TestCanonicalJson:

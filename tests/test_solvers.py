@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,12 @@ from current1d import (FlowNetwork, Infeasible, LinearProgram, Unbounded,
                        min_cost_flow, simplex_lp)
 
 INF = math.inf
+GOLDEN = Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("make_engine_digests",
+                                               GOLDEN / "make_engine_digests.py")
+engine_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(engine_digests)
+DIGESTS = json.loads((GOLDEN / "engine_digests.json").read_text())
 
 
 class TestMinCostFlow:
@@ -156,3 +165,61 @@ class TestIterationLimit:
         from current1d import IterationLimit
         with pytest.raises(IterationLimit):
             solvers.simplex_lp(lp)
+
+
+class TestEngineDigests:
+    """``tests/golden/make_engine_digests.py`` replays seeded networks and graphs;
+    the flow engine and the all-pairs Dijkstra reproduce them bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS["networks"]))
+    def test_flow_is_bit_identical(self, name):
+        net = engine_digests.NETWORKS[name]()
+        assert engine_digests.flow_digest(net) == DIGESTS["networks"][name]
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS["graphs"]))
+    def test_path_dist_is_bit_identical(self, name):
+        g = engine_digests.GRAPHS[name]()
+        assert engine_digests.graph_digest(g) == DIGESTS["graphs"][name]
+
+
+class TestHighsOracle:
+    """min_cost_flow against HiGHS on the node-arc LP: min c.x subject to
+    out-flow minus in-flow = divergence at every node and 0 <= x <= capacity."""
+
+    @staticmethod
+    def _random_network(rng) -> FlowNetwork:
+        n = int(rng.integers(3, 13))
+        ends = rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2)).tolist()
+        arcs = []
+        for u, v in [(u, (u + 1) % n) for u in range(n)] + ends:  # a cycle, then chords
+            if u != v:
+                cap = float(rng.uniform(0.1, 1.5)) if rng.uniform() < 0.5 else INF
+                arcs.append((u, v, float(rng.uniform(0.0, 3.0)), cap))
+        div = rng.uniform(-1.0, 1.0, size=n)
+        div -= div.mean()
+        return FlowNetwork(n, tuple(arcs), tuple(div.tolist()))
+
+    def test_cost_matches_linprog(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.Generator(np.random.Philox(key=18))
+        solved = infeasible = 0
+        for _ in range(60):
+            net = self._random_network(rng)
+            a_eq = np.zeros((net.n, len(net.arcs)))
+            for k, (u, v, _, _) in enumerate(net.arcs):
+                a_eq[u, k] += 1.0
+                a_eq[v, k] -= 1.0
+            lp = optimize.linprog([c for _, _, c, _ in net.arcs], A_eq=a_eq,
+                                  b_eq=net.divergence, method="highs",
+                                  bounds=[(0.0, None if cap == INF else cap)
+                                          for _, _, _, cap in net.arcs])
+            assert lp.status in (0, 2)
+            if lp.status == 2:
+                with pytest.raises(Infeasible):
+                    min_cost_flow(net)
+                infeasible += 1
+                continue
+            res = min_cost_flow(net)
+            assert res.total_cost == pytest.approx(lp.fun, rel=1e-9, abs=1e-9)
+            solved += 1
+        assert solved >= 40 and infeasible >= 3

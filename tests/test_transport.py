@@ -211,3 +211,48 @@ class TestInvariants:
             assert aed / qc <= fill + 1e-7
             assert fill <= qc * aed + 1e-7
             assert fill == pytest.approx(aedl, abs=1e-7 * max(1.0, fill))
+
+
+def random_tree(rng, n: int, reach: int) -> tuple[MetricGraph, list[int]]:
+    """A Euclidean tree on n plane points; vertex i > 0 hangs from a parent
+    drawn among the ``reach`` vertices before it (reach n: bushy, small: long)."""
+    pts = rng.uniform(0.0, 10.0, size=(n, 2))
+    parent = [-1] + [int(rng.integers(max(0, i - reach), i)) for i in range(1, n)]
+    edges = [(parent[i], i, float(np.hypot(*(pts[i] - pts[parent[i]]))))
+             for i in range(1, n)]
+    return MetricGraph(pts.tolist(), edges, ambient="euclidean"), parent
+
+
+class TestTreeClosedForm:
+    """On a metric tree ae(m) = sum over edges of l(e) |m(subtree below e)|, and
+    the minimal filling is unique, with that flux on every edge (Godard, Proc.
+    AMS 2010)."""
+
+    @pytest.mark.parametrize("reach", [3, 1000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ae_and_filling_equal_subtree_sum(self, seed, reach):
+        rng = np.random.Generator(np.random.Philox(key=(seed, reach)))
+        n = int(rng.integers(20, 200))
+        g, parent = random_tree(rng, n, reach)
+        k = int(rng.integers(2, min(n, 60) + 1))
+        w = rng.uniform(-2.0, 2.0, size=k)
+        w[-1] -= w.sum()
+        m = Molecule(list(zip(rng.choice(n, size=k, replace=False).tolist(), w.tolist())))
+        below = np.zeros(n)  # m(subtree of i); parents precede children
+        for p, x in m.atoms:
+            below[p] += x
+        for i in range(n - 1, 0, -1):
+            below[parent[i]] += below[i]
+        lengths = np.array([length for _, _, length in g.edges])
+        closed = float(np.sum(lengths * np.abs(below[1:])))
+
+        assert ae_norm(m, g.path_dist).value == pytest.approx(closed, rel=1e-12)
+        fill = minimal_filling(m, g)
+        assert fill.mass_value == pytest.approx(closed, rel=1e-12)
+        flux = np.zeros(n)  # signed weight of the filling on edge parent(i) -> i
+        for piece in fill.chain.pieces:
+            if parent[piece.end] == piece.start:
+                flux[piece.end] += piece.weight
+            else:
+                flux[piece.start] -= piece.weight
+        assert np.allclose(flux[1:], below[1:], rtol=0, atol=1e-12 * max(1.0, m.mass0()))
