@@ -16,7 +16,8 @@ from .currents import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
                        d_inf_many, evaluate, fat_cantor_intervals, pushforward,
                        restrict, standard_panel)
 from .solvers import (FlowNetwork, Infeasible, IterationLimit, LinearProgram,
-                      SolverError, Unbounded, min_cost_flow, simplex_lp)
+                      SolverError, Unbounded, check_flow, min_cost_flow,
+                      simplex_lp)
 from .transport import (AeResult, FillingResult, IsoReport, ae_norm,
                         isomorphism_check, minimal_filling)
 from .flatnorm import (CubicalComplex, FlatResult, flat_norm,

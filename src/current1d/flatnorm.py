@@ -19,8 +19,8 @@ import numpy as np
 
 from .currents import Chain1, Polyline
 from .spaces import NormedPlane
-from .solvers import (FlowNetwork, LinearProgram, SolverError, min_cost_flow,
-                      simplex_lp)
+from .solvers import (FlowNetwork, LinearProgram, SolverError, check_flow,
+                      min_cost_flow, simplex_lp)
 
 SNAP_TOL = 1e-9
 
@@ -166,7 +166,7 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     counts flow augmentations.
 
     Raises SolverError if the primal value read from the potentials does not
-    match the dual value of the flow.
+    match the dual value of the flow, or if ``check_flow`` rejects the flow.
     """
     t = _check_chain(t, complex_)
     nf, h = complex_.n_faces, complex_.h
@@ -183,7 +183,8 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
             zip(undo_tail.tolist(), undo_head.tolist(), np.abs(t).tolist())]
     for f in range(nf):
         arcs += [(f, outer, 0.0, h * h), (outer, f, 0.0, h * h)]
-    res = min_cost_flow(FlowNetwork(nf + 1, tuple(arcs), tuple(divergence.tolist())))
+    net = FlowNetwork(nf + 1, tuple(arcs), tuple(divergence.tolist()))
+    res = min_cost_flow(net)
 
     dual = h * float(np.sum(np.abs(t))) - res.total_cost
     s = res.potentials[outer] - res.potentials[:nf]
@@ -191,6 +192,7 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     value = h * float(np.sum(np.abs(r))) + h * h * float(np.sum(np.abs(s)))
     if abs(value - dual) > 1e-9 * max(1.0, abs(dual)):
         raise SolverError(f"flat norm duality gap: primal {value!r}, dual {dual!r}")
+    check_flow(net, res)
     return FlatResult(value=value, r=r, s=s, iterations=res.augmentations)
 
 

@@ -4,15 +4,28 @@ Both are deterministic: the flow solver orders arcs by input index and breaks
 shortest-path ties by lowest node index; the simplex uses Bland's rule, which
 also precludes cycling. Desk-scale instances only (a few thousand variables).
 
-The flow solver's inner loops run on plain Python lists, where numpy scalars
-would cost more than the arithmetic. Residual arc 2k is arc k forward and
-2k + 1 its reverse, with heads and signed costs in lists indexed by a, and
-a >> 1 and a & 1 recover the arc and the direction. A residual capacity is
-read fresh as cap - flow or flow, never kept as a running residual, which
-would round differently on finite capacities. Every float operation keeps
-one fixed order: the reduced distance du + (c + pi[u] - pi[v]), the 1e-15
-relaxation margin, the eps * 1e-3 arc floor and pi += min(d, d_target). So
-flows, potentials, cost and augmentation count are reproducible bit for bit;
+The flow solver is successive shortest paths with Johnson potentials, where
+one Dijkstra search from all sources at once serves several sinks (the
+primal-dual step of Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9).
+Each reached node carries the source whose tree reached it, and each settled
+deficit node claims min(supply left at that source, its deficit). The search
+stops at the first deficit node whose source has nothing left, which stays
+unsettled, or once every deficit node is settled. Settled nodes get
+pi += dist and all others pi += d_stop, the distance at which the search
+stopped, so every residual reduced cost stays >= 0 and every tree arc has
+reduced cost 0. The sinks' tree paths are then augmented in settle order,
+each after re-reading its bottleneck; a path that earlier ones have blocked
+is skipped, and the first never is. ``check_flow`` certifies a result in
+O(m) from its flows and potentials alone.
+
+The inner loops run on plain Python lists, where numpy scalars would cost
+more than the arithmetic. Residual arc 2k is arc k forward and 2k + 1 its
+reverse, with heads and signed costs in lists indexed by a, and a >> 1 and
+a & 1 recover the arc and the direction. A residual capacity is read fresh
+as cap - flow or flow, never kept as a running residual. Every float
+operation keeps one fixed order (the reduced distance du + (c + pi[u] -
+pi[v]), the 1e-15 relaxation margin, the eps * 1e-3 arc floor), so flows,
+potentials, cost and the counts are reproducible bit for bit;
 ``tests/golden/engine_digests.json`` pins them.
 """
 
@@ -46,7 +59,7 @@ class IterationLimit(SolverError):
 
 
 # ---------------------------------------------------------------------------
-# min-cost flow: successive shortest augmenting paths with Johnson potentials
+# min-cost flow: successive shortest paths, several sinks per search
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,7 @@ class FlowResult:
     total_cost: float = 0.0
     potentials: np.ndarray = field(default=None, repr=False)
     augmentations: int = 0
+    searches: int = 0
 
 
 def min_cost_flow(net: FlowNetwork) -> FlowResult:
@@ -90,7 +104,8 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     feasible duals: cost(u,v) + pi(u) - pi(v) >= 0 on every arc with residual
     capacity, and on its reverse (-cost) while it carries flow. So every arc
     of an uncapacitated network is covered, and complementary slackness holds
-    on flow-carrying arcs. ``augmentations`` counts the augmenting paths.
+    on flow-carrying arcs. ``augmentations`` counts the augmenting paths and
+    ``searches`` the shortest-path searches that found them.
     """
     n, arcs = net.n, net.arcs
     m = len(arcs)
@@ -114,7 +129,7 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
 
     # zero potentials are feasible: FlowNetwork rejects negative costs
     pi = [0.0] * n
-    augmentations = 0
+    augmentations = searches = 0
 
     while True:
         sources = [v for v in range(n) if excess[v] > eps]
@@ -122,22 +137,33 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             if m == 0 and any(x < -eps for x in excess):
                 raise Infeasible("demand with no arcs")
             break
+        deficits = sum(1 for x in excess if x < -eps)
         dist = [math.inf] * n
         pred = [-1] * n
+        root = list(range(n))  # the source whose tree reached v
+        left = excess[:]  # supply of each source not yet claimed by a sink
         settled = [False] * n
         heap = [(0.0, s) for s in sources]  # sorted, so already a heap
         for s in sources:
             dist[s] = 0.0
-        target = -1
+        sinks = []
+        d_stop = 0.0
+        searches += 1
         while heap:
             du, u = heappop(heap)
             if settled[u] or du > dist[u]:
                 continue
-            settled[u] = True
+            d_stop = du
             if excess[u] < -eps:
-                target = u
+                r = root[u]
+                if left[r] <= eps:
+                    break  # u stays unsettled: its root's supply is all claimed
+                left[r] -= min(left[r], -excess[u])
+                sinks.append(u)
+            settled[u] = True
+            if len(sinks) == deficits:
                 break
-            piu = pi[u]
+            piu, ru = pi[u], root[u]
             for a in adj[u]:
                 k = a >> 1
                 if (flow[k] if a & 1 else cap[k] - flow[k]) <= floor:
@@ -149,36 +175,83 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
                 if nd < dist[v] - 1e-15:
                     dist[v] = nd
                     pred[v] = a
+                    root[v] = ru
                     heappush(heap, (nd, v))
-        if target < 0:
+        if not sinks:
             raise Infeasible("supply cannot reach demand under the given arcs")
-        dt = dist[target]
-        # pi[v] += min(dist[v], dt); an unreached v (dist inf) gets dt
-        pi = [p + (dt if dt < d else d) for p, d in zip(pi, dist)]
-        # trace the augmenting path back to its source
-        path = []
-        v = target
-        while pred[v] >= 0:
-            a = pred[v]
-            path.append(a)
-            v = rhead[a ^ 1]
-        source = v
-        bottleneck = min(excess[source], -excess[target])
-        for a in path:
-            k = a >> 1
-            bottleneck = min(bottleneck, flow[k] if a & 1 else cap[k] - flow[k])
-        for a in path:
-            flow[a >> 1] += -bottleneck if a & 1 else bottleneck
-        excess[source] -= bottleneck
-        excess[target] += bottleneck
-        augmentations += 1
-        log.debug("augment %s -> %s: %.17g units over %d arcs",
-                  source, target, bottleneck, len(path))
+        # settled v gets pi[v] += dist[v]; every other v, reached or not, d_stop
+        pi = [p + (d if s else d_stop) for p, d, s in zip(pi, dist, settled)]
+        for target in sinks:
+            # trace the tree path back to its source; earlier augmentations
+            # may have used up its supply, its demand or an arc on it
+            path = []
+            v = target
+            while pred[v] >= 0:
+                a = pred[v]
+                path.append(a)
+                v = rhead[a ^ 1]
+            source = v
+            bottleneck = min(excess[source], -excess[target])
+            if bottleneck <= eps:
+                continue
+            for a in path:
+                k = a >> 1
+                bottleneck = min(bottleneck, flow[k] if a & 1 else cap[k] - flow[k])
+            if bottleneck <= floor:
+                continue
+            for a in path:
+                flow[a >> 1] += -bottleneck if a & 1 else bottleneck
+            excess[source] -= bottleneck
+            excess[target] += bottleneck
+            augmentations += 1
+            log.debug("augment %s -> %s: %.17g units over %d arcs",
+                      source, target, bottleneck, len(path))
 
     flows = np.array(flow, dtype=float)
     total = float(np.dot(flows, cost)) if m else 0.0
     return FlowResult(flows=flows, total_cost=total, potentials=np.array(pi, dtype=float),
-                      augmentations=augmentations)
+                      augmentations=augmentations, searches=searches)
+
+
+def check_flow(net: FlowNetwork, res: FlowResult) -> None:
+    """Certify ``res`` as an optimal flow of ``net`` in O(m), or raise SolverError.
+
+    Checks conservation to eps, 0 <= flow <= capacity, reduced cost
+    c + pi(u) - pi(v) >= -tol on every residual arc (forward while the flow is
+    below capacity, reverse while it is positive; a residual at or below the
+    engine's arc floor counts as none), and strong duality: the cost equals
+    -sum(div pi) - sum(cap max(0, -rc)) to tol times the size of its terms.
+    """
+    n, m = net.n, len(net.arcs)
+    div = np.asarray(net.divergence, dtype=float)
+    arcs = np.array(net.arcs, dtype=float).reshape(m, 4)
+    tail, head = arcs[:, 0].astype(np.intp), arcs[:, 1].astype(np.intp)
+    cost, cap = arcs[:, 2], arcs[:, 3]
+    x, pi = np.asarray(res.flows, dtype=float), np.asarray(res.potentials, dtype=float)
+    if x.shape != (m,) or pi.shape != (n,):
+        raise SolverError("flow result does not match the network")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(pi))):
+        raise SolverError("flow result has non-finite entries")
+    eps = TOL * max(1.0, float(np.abs(div).sum()))
+    imbalance = np.bincount(tail, x, n) - np.bincount(head, x, n) - div
+    worst = float(np.max(np.abs(imbalance), initial=0.0))
+    if worst > eps:
+        raise SolverError(f"flow breaks conservation by {worst!r}")
+    if np.any(x < -eps) or np.any(x > cap + eps):
+        raise SolverError("flow outside [0, capacity]")
+    rc = cost + pi[tail] - pi[head]
+    floor = TOL * max(1.0, float(div[div > 0].sum())) * 1e-3
+    tol = TOL * max(1.0, float(np.max(np.abs(cost), initial=0.0)),
+                    float(np.max(np.abs(pi), initial=0.0)))
+    worst = min(float(np.min(rc[cap - x > floor], initial=math.inf)),
+                float(np.min(-rc[x > floor], initial=math.inf)))
+    if worst < -tol:
+        raise SolverError(f"reduced cost {worst!r} on a residual arc")
+    finite = np.isfinite(cap)
+    primal = float(cost @ x)
+    dual = -float(div @ pi) + float(cap[finite] @ np.minimum(rc[finite], 0.0))
+    if abs(primal - dual) > TOL * max(1.0, abs(primal), float(np.abs(div) @ np.abs(pi))):
+        raise SolverError(f"flow duality gap: primal {primal!r}, dual {dual!r}")
 
 
 # ---------------------------------------------------------------------------

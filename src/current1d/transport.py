@@ -21,7 +21,7 @@ import numpy as np
 
 from .currents import Chain1, Molecule
 from .spaces import MetricGraph, NormedPlane, qc_constants
-from .solvers import FlowNetwork, Infeasible, min_cost_flow
+from .solvers import FlowNetwork, Infeasible, check_flow, min_cost_flow
 
 TOL = 1e-9
 IDENT_TOL = 1e-7
@@ -41,11 +41,12 @@ class AeResult:
 def ae_norm(m: Molecule, metric) -> AeResult:
     """Arens-Eells norm of a molecule with an optimal coupling and a dual certificate.
 
-    ``metric`` is a dense matrix (integer atom keys) or a NormedPlane (tuple
-    keys). One block of distances, from every atom to the negative atoms,
-    gives both the flow arcs and the potential. The potential is 1-Lipschitz,
-    pairs with the molecule to the value (Kantorovich duality), and is defined
-    on the atom keys.
+    ``metric`` is a dense matrix (integer atom keys in [0, n), else
+    TransportError) or a NormedPlane (tuple keys). One block of distances,
+    from every atom to the negative atoms, gives both the flow arcs and the
+    potential. The potential is 1-Lipschitz, pairs with the molecule to the
+    value (Kantorovich duality), and is defined on the atom keys. The flow is
+    certified by ``check_flow``.
     """
     pos = m.positive_part()
     neg = m.negative_part()
@@ -54,6 +55,9 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     keys = [p for p, _ in m.atoms]
     neg_keys = [q for q, _ in neg]
     if isinstance(metric, np.ndarray):
+        for p in keys:
+            if not isinstance(p, (int, np.integer)) or not (0 <= p < len(metric)):
+                raise TransportError(f"molecule atom {p!r} is not a point of the space")
         block = metric[np.ix_(keys, neg_keys)].astype(float, copy=False)
     elif isinstance(metric, NormedPlane):
         block = np.array([[metric.dist(x, q) for q in neg_keys] for x in keys])
@@ -67,7 +71,9 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     arcs = tuple(zip(ii.tolist(), (jj + np_).tolist(), costs[ii, jj].tolist(),
                      [math.inf] * len(ii)))
     divergence = [w for _, w in pos] + [-w for _, w in neg]
-    res = min_cost_flow(FlowNetwork(np_ + len(neg), arcs, tuple(divergence)))
+    net = FlowNetwork(np_ + len(neg), arcs, tuple(divergence))
+    res = min_cost_flow(net)
+    check_flow(net, res)
 
     points = [p for p, _ in pos] + neg_keys
     coupling = tuple((points[i], points[j], float(f))
@@ -108,6 +114,7 @@ def minimal_filling(m: Molecule, g: MetricGraph) -> FillingResult:
         res = min_cost_flow(net)
     except Infeasible as exc:
         raise Infeasible(f"molecule not balanceable within components: {exc}") from exc
+    check_flow(net, res)
     flows = []
     for k, (u, v, w) in enumerate(g.edges):
         netw = float(res.flows[2 * k] - res.flows[2 * k + 1])

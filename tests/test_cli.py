@@ -350,6 +350,20 @@ class TestErrorHandling:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run_cli(["definitely-not-a-command"]) == 1
 
+    @pytest.mark.parametrize("key", [-1, 5], ids=["negative", "past-the-end"])
+    def test_atom_key_outside_a_finite_space_exits_one(self, tmp_path, capsys, key):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"kind": "finite", "points": ["a", "b"],
+                                     "dist": [[0, 1], [1, 0]]}))
+        mol = tmp_path / "mol.json"
+        mol.write_text(json.dumps({"atoms": [[key, 1], [0, -1]]}))
+        assert run_cli(["ae-norm", "--space", str(space), "--molecule", str(mol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "TransportError"
+        assert f"molecule atom {key} is not a point of the space" in err["message"]
+
     def test_no_subcommand_exits_one(self, capsys):
         assert run_cli([]) == 1
 

@@ -211,6 +211,34 @@ class TestFlowAgainstLp:
         assert np.max(np.abs(t - (res.r + cx.d2_matrix() @ res.s))) <= 1e-8
         assert res.value <= np.abs(t).sum() * cx.h + 1e-8
 
+    @pytest.mark.parametrize("kind", ["field", "staircase"])
+    def test_matches_linprog_on_the_dual_graph(self, kind):
+        """HiGHS on the node-arc LP of the dual graph: max t.x over a flow x_e
+        in [-h, h] across each edge (from the face on its minus side to the
+        one on its plus side) and a flow y_f in [-h^2, h^2] from each face to
+        the outer node, conserved at every face: d2^T x - y = 0."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.Generator(np.random.Philox(key=(21, kind == "field")))
+        for _ in range(6):
+            n = int(rng.integers(4, 11))
+            h = float(rng.choice([0.5, 1.0, 2.0]))
+            cx = CubicalComplex(h=h, nx=n, ny=n)
+            if kind == "field":
+                t = cx.d2_matrix() @ rng.integers(-2, 3, size=cx.n_faces).astype(float)
+                noisy = rng.random(cx.n_edges) < 0.1
+                t[noisy] += rng.normal(size=int(noisy.sum()))
+            else:  # a staircase from node (1, 1) and the reverse of a copy 1-2 rows up
+                g0 = Polyline((random_staircase(rng, steps=n - 3).points + 1.0) * h)
+                g1 = g0.translate((0.0, float(rng.integers(1, 3)) * h))
+                t = snap(g0.as_chain(PL), cx) - snap(g1.as_chain(PL), cx)
+            ne, nf = cx.n_edges, cx.n_faces
+            a_eq = np.hstack([cx.d2_matrix().T, -np.eye(nf)])
+            bounds = [(-h, h)] * ne + [(-h * h, h * h)] * nf
+            lp = optimize.linprog(np.concatenate([-t, np.zeros(nf)]), A_eq=a_eq,
+                                  b_eq=np.zeros(nf), bounds=bounds, method="highs")
+            assert lp.status == 0
+            assert flat_norm(t, cx).value == pytest.approx(-lp.fun, rel=1e-9, abs=1e-12)
+
     def test_duality_gap_raises(self, monkeypatch):
         solve = flatnorm.min_cost_flow
 

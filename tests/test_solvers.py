@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from current1d import (FlowNetwork, Infeasible, LinearProgram, Unbounded,
-                       min_cost_flow, simplex_lp)
+from current1d import (FlowNetwork, Infeasible, LinearProgram, SolverError,
+                       Unbounded, check_flow, min_cost_flow, simplex_lp)
 
 INF = math.inf
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,6 +80,89 @@ class TestMinCostFlow:
         res = min_cost_flow(net)
         assert res.flows[0] <= 0.5 + 1e-12
         assert res.total_cost == pytest.approx(0.5 * 1.0 + 0.5 * 3.0, abs=1e-9)
+
+
+class TestSearches:
+    """One shortest-path search serves several sinks; each augmentation still
+    writes one ``augment`` debug record, which the benchmark tracer counts."""
+
+    @staticmethod
+    def _solve_recording_augments(net):
+        records = []
+
+        class Collect(logging.Handler):
+            def emit(self, record):
+                if record.msg.startswith("augment"):
+                    records.append(record)
+
+        log = logging.getLogger("current1d.solvers")
+        handler, old_level = Collect(logging.DEBUG), log.level
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+        try:
+            res = min_cost_flow(net)
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(old_level)
+        return res, records
+
+    @pytest.mark.parametrize("name", ["ae_plane_k60", "ae_lattice_k40", "filling_n120_k24",
+                                      "flat_field_8x8", "mixed_caps_n30"])
+    def test_one_augment_record_per_augmentation(self, name):
+        res, records = self._solve_recording_augments(engine_digests.NETWORKS[name]())
+        assert len(records) == res.augmentations
+        assert 1 <= res.searches <= res.augmentations
+        # a path that earlier augmentations blocked is skipped, not run with 0 units
+        assert min(record.args[2] for record in records) > 0.0
+
+    def test_a_search_serves_several_sinks_on_a_bipartite_network(self):
+        res = min_cost_flow(engine_digests._bipartite(60, 60, lattice=False))
+        assert res.searches < res.augmentations
+
+
+class TestCheckFlow:
+    """``check_flow`` accepts the engine's results and rejects perturbed ones."""
+
+    @pytest.mark.parametrize("name", sorted(set(engine_digests.NETWORKS) - {"infeasible_caps"}))
+    def test_accepts_engine_results(self, name):
+        net = engine_digests.NETWORKS[name]()
+        check_flow(net, min_cost_flow(net))
+
+    def test_rejects_a_flow_that_breaks_conservation(self):
+        net = engine_digests.NETWORKS["ae_plane_k60"]()
+        res = min_cost_flow(net)
+        flows = res.flows.copy()
+        flows[int(np.argmax(flows))] *= 1.0 + 1e-6
+        with pytest.raises(SolverError, match="conservation"):
+            check_flow(net, dataclasses.replace(res, flows=flows))
+
+    def test_rejects_a_flow_above_capacity(self):
+        net = FlowNetwork(3, ((0, 1, 1.0, 0.5), (0, 2, 2.0, INF), (2, 1, 1.0, INF)),
+                          (1.0, -1.0, 0.0))
+        res = min_cost_flow(net)
+        # one unit straight over the capped arc conserves flow but breaks its capacity
+        over = dataclasses.replace(res, flows=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(SolverError, match="capacity"):
+            check_flow(net, over)
+
+    def test_rejects_a_flow_that_is_not_optimal(self):
+        net = engine_digests.NETWORKS["mixed_caps_n30"]()
+        res = min_cost_flow(net)
+        # push 0.1 around the spanning cycle 0 -> 1 -> ... -> 0 (arcs 0..n-1):
+        # conservation holds, the cost grows
+        flows = res.flows.copy()
+        flows[:net.n] += 0.1
+        with pytest.raises(SolverError, match="duality gap|reduced cost"):
+            check_flow(net, dataclasses.replace(res, flows=flows))
+
+    @pytest.mark.parametrize("name", ["ae_plane_k60", "filling_n120_k24", "flat_field_8x8"])
+    def test_rejects_a_perturbed_potential(self, name):
+        net = engine_digests.NETWORKS[name]()
+        res = min_cost_flow(net)
+        pi = res.potentials.copy()
+        pi[int(np.argmax(net.divergence))] -= 1e-3
+        with pytest.raises(SolverError, match="reduced cost|duality gap"):
+            check_flow(net, dataclasses.replace(res, potentials=pi))
 
 
 class TestSimplex:

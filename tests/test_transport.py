@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from current1d import (Chain1, FiniteMetricSpace, Infeasible, MetricGraph,
                        Molecule, NormedPlane, ae_norm, isomorphism_check,
                        minimal_filling, qc_constants)
+from current1d.transport import TransportError
 
 from conftest import make_v_detour, random_connected_graph
 
@@ -51,6 +52,12 @@ class TestAeNorm:
 
     def test_zero_molecule(self):
         assert ae_norm(Molecule([]), PL).value == 0.0
+
+    @pytest.mark.parametrize("key", [-1, 2, 5, (0.0, 0.0)])
+    def test_atom_key_outside_the_matrix_raises(self, key):
+        dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(TransportError, match="not a point of the space"):
+            ae_norm(Molecule([(key, 1.0), (0, -1.0)]), dist)
 
     def test_planar_molecule(self):
         m = Molecule([((0.0, 0.0), -1.0), ((3.0, 4.0), 1.0)])
@@ -135,6 +142,76 @@ class TestMinimalFilling:
             assert set(got) == set(want)
             for k in got:
                 assert got[k] == pytest.approx(want[k], abs=1e-9)
+
+
+def balanced_weights(rng, k: int) -> np.ndarray:
+    w = rng.uniform(-2.0, 2.0, size=k)
+    w[-1] -= w.sum()
+    return w
+
+
+class TestHighsOracle:
+    """``ae_norm`` and ``minimal_filling`` against HiGHS on their node-arc LPs:
+    the bipartite transport LP between the positive and negative atoms, and
+    the edge LP min sum l(e) x(e) over both orientations of every edge with
+    boundary = molecule."""
+
+    @staticmethod
+    def _transport_lp(optimize, m: Molecule, dist: np.ndarray) -> float:
+        pos = [(p, w) for p, w in m.atoms if w > 0]
+        neg = [(q, -w) for q, w in m.atoms if w < 0]
+        a_eq = np.zeros((len(pos) + len(neg), len(pos) * len(neg)))
+        cost = np.zeros(len(pos) * len(neg))
+        for i, (p, _) in enumerate(pos):
+            for j, (q, _) in enumerate(neg):
+                col = i * len(neg) + j
+                a_eq[i, col] = a_eq[len(pos) + j, col] = 1.0
+                cost[col] = dist[p, q]
+        b_eq = [w for _, w in pos] + [w for _, w in neg]
+        lp = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+        assert lp.status == 0
+        return lp.fun
+
+    @pytest.mark.parametrize("family", ["plane_l2", "lattice_l1"])
+    def test_ae_norm_matches_linprog(self, family):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.Generator(np.random.Philox(key=(19, family == "lattice_l1")))
+        for _ in range(12):
+            k = int(rng.integers(2, 41))
+            if family == "lattice_l1":  # integer points under l1: many equal costs
+                pts = rng.integers(0, 5, size=(k, 2)).astype(float)
+                dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+            else:
+                pts = rng.uniform(0.0, 10.0, size=(k, 2))
+                dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+            m = Molecule(list(zip(rng.permutation(k).tolist(),
+                                  balanced_weights(rng, k).tolist())))
+            want = self._transport_lp(optimize, m, dist)
+            assert ae_norm(m, dist).value == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_minimal_filling_matches_linprog(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.Generator(np.random.Philox(key=20))
+        for _ in range(15):
+            g = random_connected_graph(rng, max_n=40)
+            k = int(rng.integers(2, g.n + 1))
+            m = Molecule(list(zip(rng.choice(g.n, size=k, replace=False).tolist(),
+                                  balanced_weights(rng, k).tolist())))
+            # column 2i is edge i from u to v, 2i + 1 from v to u; a unit on
+            # u -> v adds +1 to the boundary at v and -1 at u
+            a_eq = np.zeros((g.n, 2 * len(g.edges)))
+            for i, (u, v, _) in enumerate(g.edges):
+                a_eq[v, 2 * i] = a_eq[u, 2 * i + 1] = 1.0
+                a_eq[u, 2 * i] = a_eq[v, 2 * i + 1] = -1.0
+            b_eq = np.zeros(g.n)
+            for p, w in m.atoms:
+                b_eq[p] += w
+            cost = np.repeat([length for _, _, length in g.edges], 2)
+            lp = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
+                                  method="highs")
+            assert lp.status == 0
+            assert minimal_filling(m, g).mass_value == pytest.approx(lp.fun, rel=1e-9,
+                                                                     abs=1e-12)
 
 
 class TestIsomorphismCheck:
@@ -235,8 +312,7 @@ class TestTreeClosedForm:
         n = int(rng.integers(20, 200))
         g, parent = random_tree(rng, n, reach)
         k = int(rng.integers(2, min(n, 60) + 1))
-        w = rng.uniform(-2.0, 2.0, size=k)
-        w[-1] -= w.sum()
+        w = balanced_weights(rng, k)
         m = Molecule(list(zip(rng.choice(n, size=k, replace=False).tolist(), w.tolist())))
         below = np.zeros(n)  # m(subtree of i); parents precede children
         for p, x in m.atoms:
@@ -246,7 +322,18 @@ class TestTreeClosedForm:
         lengths = np.array([length for _, _, length in g.edges])
         closed = float(np.sum(lengths * np.abs(below[1:])))
 
-        assert ae_norm(m, g.path_dist).value == pytest.approx(closed, rel=1e-12)
+        ae = ae_norm(m, g.path_dist)
+        assert ae.value == pytest.approx(closed, rel=1e-12)
+        # the potential, extended to every vertex by u(x) = min_y u(y) + d(x, y)
+        # (1-Lipschitz, equal to u on the atoms), is tight on every edge that
+        # carries flux: such an edge lies on a geodesic the coupling uses
+        keys = list(ae.potential)
+        u = (np.array([ae.potential[y] for y in keys]) + g.path_dist[:, keys]).min(axis=1)
+        scale = max(1.0, float(np.max(g.path_dist)))
+        carries = np.abs(below[1:]) > 1e-12 * max(1.0, m.mass0())
+        steps = np.abs(u[1:] - u[parent[1:]])
+        assert carries.any()
+        assert np.allclose(steps[carries], lengths[carries], rtol=0, atol=1e-12 * scale)
         fill = minimal_filling(m, g)
         assert fill.mass_value == pytest.approx(closed, rel=1e-12)
         flux = np.zeros(n)  # signed weight of the filling on edge parent(i) -> i
