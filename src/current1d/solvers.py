@@ -35,6 +35,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -224,7 +225,7 @@ def check_flow(net: FlowNetwork, res: FlowResult) -> None:
     """
     n, m = net.n, len(net.arcs)
     div = np.asarray(net.divergence, dtype=float)
-    arcs = np.array(net.arcs, dtype=float).reshape(m, 4)
+    arcs = np.fromiter(chain.from_iterable(net.arcs), dtype=float, count=4 * m).reshape(m, 4)
     tail, head = arcs[:, 0].astype(np.intp), arcs[:, 1].astype(np.intp)
     cost, cap = arcs[:, 2], arcs[:, 3]
     x, pi = np.asarray(res.flows, dtype=float), np.asarray(res.potentials, dtype=float)

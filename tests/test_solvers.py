@@ -86,30 +86,12 @@ class TestSearches:
     """One shortest-path search serves several sinks; each augmentation still
     writes one ``augment`` debug record, which the benchmark tracer counts."""
 
-    @staticmethod
-    def _solve_recording_augments(net):
-        records = []
-
-        class Collect(logging.Handler):
-            def emit(self, record):
-                if record.msg.startswith("augment"):
-                    records.append(record)
-
-        log = logging.getLogger("current1d.solvers")
-        handler, old_level = Collect(logging.DEBUG), log.level
-        log.addHandler(handler)
-        log.setLevel(logging.DEBUG)
-        try:
-            res = min_cost_flow(net)
-        finally:
-            log.removeHandler(handler)
-            log.setLevel(old_level)
-        return res, records
-
     @pytest.mark.parametrize("name", ["ae_plane_k60", "ae_lattice_k40", "filling_n120_k24",
                                       "flat_field_8x8", "mixed_caps_n30"])
-    def test_one_augment_record_per_augmentation(self, name):
-        res, records = self._solve_recording_augments(engine_digests.NETWORKS[name]())
+    def test_one_augment_record_per_augmentation(self, name, caplog):
+        caplog.set_level(logging.DEBUG, logger="current1d.solvers")
+        res = min_cost_flow(engine_digests.NETWORKS[name]())
+        records = [r for r in caplog.records if r.msg.startswith("augment")]
         assert len(records) == res.augmentations
         assert 1 <= res.searches <= res.augmentations
         # a path that earlier augmentations blocked is skipped, not run with 0 units
