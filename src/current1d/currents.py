@@ -46,6 +46,9 @@ class Molecule:
         for p, w in atoms:
             key = _pt(p) if isinstance(p, (tuple, list, np.ndarray)) else int(p)
             agg[key] = agg.get(key, 0.0) + float(w)
+        bad = [w for w in agg.values() if not math.isfinite(w)]
+        if bad:
+            raise CurrentError(f"molecule weights must be finite, not {bad}")
         items = [(k, w) for k, w in agg.items() if w != 0.0]
         items.sort(key=lambda kw: (repr(type(kw[0])), kw[0]))
         self.atoms = tuple(items)

@@ -177,13 +177,12 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     divergence = np.zeros(nf + 1)
     np.add.at(divergence, f_plus, sign * h)
     np.add.at(divergence, f_minus, -sign * h)
-    undo_tail = np.where(up, f_plus, f_minus)
-    undo_head = np.where(up, f_minus, f_plus)
-    arcs = [(u, v, c, 2 * h) for u, v, c in
-            zip(undo_tail.tolist(), undo_head.tolist(), np.abs(t).tolist())]
-    for f in range(nf):
-        arcs += [(f, outer, 0.0, h * h), (outer, f, 0.0, h * h)]
-    net = FlowNetwork(nf + 1, tuple(arcs), tuple(divergence.tolist()))
+    undo = np.column_stack([np.where(up, f_plus, f_minus), np.where(up, f_minus, f_plus),
+                            np.abs(t), np.full(len(t), 2 * h)])
+    # then face f to the outer node and back, pair by pair
+    out = np.column_stack([np.arange(nf), np.full(nf, outer), np.zeros(nf), np.full(nf, h * h)])
+    pairs = np.stack([out, out[:, [1, 0, 2, 3]]], axis=1).reshape(-1, 4)
+    net = FlowNetwork(nf + 1, np.vstack([undo, pairs]), divergence)
     res = min_cost_flow(net)
 
     dual = h * float(np.sum(np.abs(t))) - res.total_cost

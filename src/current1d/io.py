@@ -86,12 +86,20 @@ def _items(doc, key: str, what: str) -> list:
     return v
 
 
-def _number(v, what: str, kind=float):
-    """``v`` as one ``kind`` (float, or int for a vertex), or an InputError naming ``what``."""
+def _number(v, what: str) -> float:
+    """``v`` as one float, or an InputError naming ``what``."""
     try:
-        return kind(v)
+        return float(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be a number: {v!r}") from exc
+
+
+def _vertex(v, what: str) -> int:
+    """``v`` if it is a JSON integer (not a bool), or an InputError naming ``what``."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    kind = "an integer" if isinstance(v, (int, float)) else "a number"
+    raise InputError(f"{what} must be {kind}: {v!r}")
 
 
 def _numbers(v, n: int, what: str) -> tuple[float, ...]:
@@ -160,7 +168,7 @@ def load_chain(doc: dict, space=None):
         elif not isinstance(space, MetricGraph):
             raise InputError("vertex-index pieces need a graph space")
         else:
-            s, e = _number(s, "a piece start", int), _number(e, "a piece end", int)
+            s, e = _vertex(s, "a piece start"), _vertex(e, "a piece end")
             length = (_number(item["length"], "a piece length") if "length" in item
                       else space.edge_length(s, e))
         pieces.append(Piece(s, e, w, length))
@@ -185,7 +193,7 @@ def load_molecule(doc: dict) -> Molecule:
         if isinstance(p, list):
             p = _numbers(p, 2, "a molecule point")
         else:
-            p = _number(p, "a molecule vertex", int)
+            p = _vertex(p, "a molecule vertex")
         atoms.append((p, _number(w, "a molecule weight")))
     try:
         return Molecule(atoms)

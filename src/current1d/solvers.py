@@ -18,15 +18,16 @@ each after re-reading its bottleneck; a path that earlier ones have blocked
 is skipped, and the first never is. ``check_flow`` certifies a result in
 O(m) from its flows and potentials alone.
 
-The inner loops run on plain Python lists, where numpy scalars would cost
-more than the arithmetic. Residual arc 2k is arc k forward and 2k + 1 its
-reverse, with heads and signed costs in lists indexed by a, and a >> 1 and
-a & 1 recover the arc and the direction. A residual capacity is read fresh
-as cap - flow or flow, never kept as a running residual. Every float
-operation keeps one fixed order (the reduced distance du + (c + pi[u] -
-pi[v]), the 1e-15 relaxation margin, the eps * 1e-3 arc floor), so flows,
-potentials, cost and the counts are reproducible bit for bit;
-``tests/golden/engine_digests.json`` pins them.
+A ``FlowNetwork`` is one (m, 4) arc table, validated by column. The engine
+takes its columns once with ``tolist`` and loops on plain lists, where numpy
+scalars would cost more than the arithmetic; ``check_flow`` reads the columns.
+Residual arc 2k is arc k forward and 2k + 1 its reverse, with heads and
+signed costs in lists indexed by a; a >> 1 and a & 1 recover the arc and the
+direction. A residual capacity is read fresh as cap - flow or flow. Every
+float operation keeps one fixed order (du + (c + pi[u] - pi[v]), the 1e-15
+relaxation margin, the eps * 1e-3 arc floor, the cost as a dot product with
+a contiguous cost column), so flows, potentials, cost and the counts are
+bit for bit reproducible; ``tests/golden/engine_digests.json`` pins them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -63,33 +63,36 @@ class IterationLimit(SolverError):
 # min-cost flow: successive shortest paths, several sinks per search
 
 
-@dataclass(frozen=True)
 class FlowNetwork:
-    """Directed arcs (u, v, cost >= 0, capacity in (0, inf]) with node divergences.
+    """A read-only float table ``arcs`` of rows (tail, head, cost, capacity),
+    from any (m, 4) array-like, and n read-only node divergences.
 
-    divergence[v] > 0 is supply leaving v, < 0 is demand arriving at v;
-    divergences must sum to zero.
+    Endpoints are integers in [0, n), costs finite and >= 0, capacities in
+    (0, inf]. divergence[v] > 0 is supply leaving v, < 0 is demand arriving
+    at v; they are finite and sum to zero.
     """
 
-    n: int
-    arcs: tuple[tuple[int, int, float, float], ...]
-    divergence: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.divergence) != self.n:
-            raise SolverError("divergence length mismatch")
-        tot = sum(self.divergence)
-        scale = max(1.0, sum(abs(d) for d in self.divergence))
-        if abs(tot) > TOL * scale:
+    def __init__(self, n: int, arcs, divergence):
+        arcs, div = np.array(arcs, dtype=float), np.array(divergence, dtype=float)
+        if arcs.shape == (0,):  # an empty sequence: no arcs
+            arcs = arcs.reshape(0, 4)
+        arcs.flags.writeable = div.flags.writeable = False
+        self.n, self.arcs, self.divergence = n, arcs, div
+        if arcs.ndim != 2 or arcs.shape[1] != 4:
+            raise SolverError(f"arcs must be an (m, 4) table, not {arcs.shape}")
+        if div.shape != (n,) or not np.all(np.isfinite(div)):
+            raise SolverError(f"need {n} finite divergences")
+        tot = float(div.sum())
+        if abs(tot) > TOL * max(1.0, float(np.abs(div).sum())):
             raise SolverError(f"divergences sum to {tot}, not 0")
-        for u, v, c, cap in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise SolverError("arc endpoint out of range")
-            if c < 0 or cap <= 0:
-                raise SolverError("need cost >= 0 and capacity > 0")
+        ends, cost, cap = arcs[:, :2], arcs[:, 2], arcs[:, 3]
+        if np.any((ends != np.floor(ends)) | (ends < 0) | (ends >= n)):
+            raise SolverError(f"arc endpoints must be integers in [0, {n})")
+        if not np.all((cost >= 0) & (cost < math.inf) & (cap > 0)):
+            raise SolverError("need finite cost >= 0 and capacity > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowResult:
     flows: np.ndarray = field(repr=False)
     total_cost: float = 0.0
@@ -113,16 +116,16 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     # residual arc a = 2k is arc k forward (capacity cap[k] - flow[k], cost c),
     # a = 2k + 1 its reverse (capacity flow[k], cost -c); the tail of a is
     # the head of its partner a ^ 1
-    cost = np.array([c for _, _, c, _ in arcs], dtype=float)
+    cost = arcs[:, 2].copy()  # contiguous: np.dot sums a strided view in another order
     rcost = np.column_stack([cost, -cost]).ravel().tolist()
-    rhead = [w for u, v, _, _ in arcs for w in (v, u)]
+    rhead = arcs[:, [1, 0]].astype(np.intp).ravel().tolist()
     adj: list[list[int]] = [[] for _ in range(n)]
     for a in range(2 * m):
         adj[rhead[a ^ 1]].append(a)
-    cap = [float(ca) for _, _, _, ca in arcs]
+    cap = arcs[:, 3].tolist()
     flow = [0.0] * m
 
-    excess = [float(d) for d in net.divergence]
+    excess = net.divergence.tolist()
     total_supply = float(np.sum([x for x in excess if x > 0]))
     eps = TOL * max(1.0, total_supply)
     floor = eps * 1e-3
@@ -223,9 +226,7 @@ def check_flow(net: FlowNetwork, res: FlowResult) -> None:
     engine's arc floor counts as none), and strong duality: the cost equals
     -sum(div pi) - sum(cap max(0, -rc)) to tol times the size of its terms.
     """
-    n, m = net.n, len(net.arcs)
-    div = np.asarray(net.divergence, dtype=float)
-    arcs = np.fromiter(chain.from_iterable(net.arcs), dtype=float, count=4 * m).reshape(m, 4)
+    n, m, arcs, div = net.n, len(net.arcs), net.arcs, net.divergence
     tail, head = arcs[:, 0].astype(np.intp), arcs[:, 1].astype(np.intp)
     cost, cap = arcs[:, 2], arcs[:, 3]
     x, pi = np.asarray(res.flows, dtype=float), np.asarray(res.potentials, dtype=float)

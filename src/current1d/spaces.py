@@ -190,10 +190,13 @@ class MetricGraph:
     ``"euclidean"`` (vertices must carry plane coordinates), or
     ``("d_alpha", a)`` for the Rickman metric ``max(|dx|^a, |dy|)``.
 
-    The all-pairs path metric and the signed edge table are built eagerly at
-    construction; instances are immutable afterwards and safe for concurrent
-    reads. In the table, ``(u, v)`` maps to ``(k, +1)`` and ``(v, u)`` to
-    ``(k, -1)`` for edge ``k = (u, v)``; among parallel edges the last listed wins.
+    Everything is built eagerly at construction; instances are immutable
+    afterwards and safe for concurrent reads. ``arcs`` is the one read-only
+    (2m, 3) table of rows (tail, head, length), arc 2k being edge k as listed
+    and 2k + 1 its reverse; the adjacency, the shortest-path trees and the
+    filling's flow network all read it. The signed edge table maps ``(u, v)``
+    to ``(k, +1)`` and ``(v, u)`` to ``(k, -1)`` for edge ``k = (u, v)``; among
+    parallel edges the last listed wins.
     """
 
     def __init__(self, vertices, edges, ambient="euclidean"):
@@ -203,22 +206,17 @@ class MetricGraph:
         self.coords = None
         if self.vertices and not isinstance(self.vertices[0], str):
             self.coords = np.asarray(self.vertices, dtype=float).reshape(len(self.vertices), 2)
-        n = self.n
-        for u, v, w in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GeometryError(f"edge ({u},{v}) out of range")
-            if w <= 0:
-                raise GeometryError("edge lengths must be positive")
-        self._signed_edges: dict[tuple[int, int], tuple[int, int]] = {}
-        for k, (u, v, _) in enumerate(self.edges):
-            self._signed_edges[(u, v)] = (k, 1)
-            self._signed_edges[(v, u)] = (k, -1)
-        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=int).reshape(-1, 2)
-        lengths = np.array([w for _, _, w in self.edges], dtype=float)
-        # both orientations of every edge, for the shortest-path trees
-        self._arc_tail = np.concatenate([ends[:, 0], ends[:, 1]])
-        self._arc_head = np.concatenate([ends[:, 1], ends[:, 0]])
-        self._arc_len = np.concatenate([lengths, lengths])
+        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        self.arcs = np.stack([table, table[:, [1, 0, 2]]], axis=1).reshape(-1, 3)
+        self.arcs.flags.writeable = False
+        out = np.any((table[:, :2] < 0) | (table[:, :2] >= self.n), axis=1)
+        bad = np.flatnonzero(out | (table[:, 2] <= 0))  # the first bad edge is named
+        if bad.size:
+            u, v, _ = self.edges[bad[0]]
+            raise GeometryError(f"edge ({u},{v}) out of range" if out[bad[0]]
+                                else "edge lengths must be positive")
+        self._signed_edges = {key: (k, sign) for k, (u, v, _) in enumerate(self.edges)
+                              for key, sign in (((u, v), 1), ((v, u), -1))}
         self.path_dist = self._all_pairs()
         self.ambient_dist = self._ambient_matrix()
         self._validate()
@@ -227,15 +225,12 @@ class MetricGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def _adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
-
     def _all_pairs(self) -> np.ndarray:
-        adj = self._adjacency()
+        # arc order puts (v, w) on adj[u] before (u, w) on adj[v], edge by edge
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+        ends = self.arcs[:, :2].astype(np.intp).tolist()
+        for (u, v), w in zip(ends, self.arcs[:, 2].tolist()):
+            adj[u].append((v, w))
         out = np.empty((self.n, self.n))
         for s in range(self.n):
             out[s] = _dijkstra(self.n, adj, s)
@@ -255,10 +250,13 @@ class MetricGraph:
         raise GeometryError(f"unknown ambient tag {self.ambient!r}")
 
     def _validate(self):
-        for u, v, w in self.edges:
-            if w < self.ambient_dist[u, v] - TOL:
-                raise GeometryError(
-                    f"edge ({u},{v}) shorter than ambient distance: {w} < {self.ambient_dist[u, v]}")
+        tail, head = self.arcs[0::2, :2].astype(np.intp).T
+        amb = self.ambient_dist[tail, head]
+        short = np.flatnonzero(self.arcs[0::2, 2] < amb - TOL)
+        if short.size:
+            u, v, w = self.edges[short[0]]
+            raise GeometryError(
+                f"edge ({u},{v}) shorter than ambient distance: {w} < {amb[short[0]]}")
         finite = np.isfinite(self.path_dist)
         if np.any(self.path_dist[finite] < (self.ambient_dist[finite] - TOL)):
             raise GeometryError("path metric below ambient metric beyond 1e-9")
@@ -288,10 +286,11 @@ class MetricGraph:
         every chain acyclic. It is -1 at ``src`` and at unreachable vertices.
         """
         d = self.path_dist[src]
-        du, dv = d[self._arc_tail], d[self._arc_head]
-        tight = (du < dv) & (du + self._arc_len <= dv + 1e-12)
+        tail, head = self.arcs[:, :2].astype(np.intp).T
+        du, dv = d[tail], d[head]
+        tight = (du < dv) & (du + self.arcs[:, 2] <= dv + 1e-12)
         pred = np.full(self.n, self.n)
-        np.minimum.at(pred, self._arc_head[tight], self._arc_tail[tight])
+        np.minimum.at(pred, head[tight], tail[tight])
         pred[pred == self.n] = -1
         return pred
 

@@ -320,15 +320,12 @@ def criterion_8_solver_cross_validation():
         sup = rng.uniform(0.1, 2.0, size=ns)
         dem = rng.uniform(0.1, 2.0, size=nd)
         dem *= sup.sum() / dem.sum()
-        arcs = tuple((i, ns + j, float(cost[i, j]), math.inf)
-                     for i in range(ns) for j in range(nd))
-        net = FlowNetwork(ns + nd, arcs, tuple(np.concatenate([sup, -dem])))
-        fres = min_cost_flow(net)
+        k = np.arange(ns * nd)
+        i, j = divmod(k, nd)  # arc k runs from source i to sink ns + j
+        arcs = np.column_stack([i, ns + j, cost.ravel(), np.full(ns * nd, math.inf)])
+        fres = min_cost_flow(FlowNetwork(ns + nd, arcs, np.concatenate([sup, -dem])))
         a = np.zeros((ns + nd, ns * nd))
-        for i in range(ns):
-            for j in range(nd):
-                a[i, i * nd + j] = 1.0
-                a[ns + j, i * nd + j] = 1.0
+        a[i, k] = a[ns + j, k] = 1.0
         lres = simplex_lp(LinearProgram(c=cost.flatten(), a=a,
                                         b=np.concatenate([sup, dem])))
         scale = max(1.0, abs(lres.optimum))
@@ -337,8 +334,8 @@ def criterion_8_solver_cross_validation():
                        - float(np.concatenate([sup, dem]) @ lres.y)) / scale
         worst = max(worst, gap, dual_gap)
         ok &= gap <= 1e-7 and dual_gap <= 1e-7
-        for (u, v, cst, _) in net.arcs:
-            ok &= cst + fres.potentials[u] - fres.potentials[v] >= -1e-9
+        pi = fres.potentials
+        ok &= bool(np.all(cost.ravel() + pi[i] - pi[ns + j] >= -1e-9))
         red = cost.flatten() - a.T @ lres.y
         ok &= float(red.min()) >= -1e-7
     return ok, {"worst_gap": worst}

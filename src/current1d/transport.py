@@ -68,16 +68,14 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     np_ = len(pos)
     costs = block[[w > 0 for _, w in m.atoms]]
     ii, jj = np.nonzero(np.isfinite(costs))
-    arcs = tuple(zip(ii.tolist(), (jj + np_).tolist(), costs[ii, jj].tolist(),
-                     [math.inf] * len(ii)))
+    arcs = np.column_stack([ii, jj + np_, costs[ii, jj], np.full(len(ii), math.inf)])
     divergence = [w for _, w in pos] + [-w for _, w in neg]
-    net = FlowNetwork(np_ + len(neg), arcs, tuple(divergence))
+    net = FlowNetwork(np_ + len(neg), arcs, divergence)
     res = min_cost_flow(net)
     check_flow(net, res)
 
-    points = [p for p, _ in pos] + neg_keys
-    coupling = tuple((points[i], points[j], float(f))
-                     for (i, j, _, _), f in zip(arcs, res.flows) if f > TOL)
+    coupling = tuple((pos[i][0], neg_keys[j], f)
+                     for i, j, f in zip(ii.tolist(), jj.tolist(), res.flows.tolist()) if f > TOL)
     # McShane extension from the negative atoms: u(x) = min_q d(x, q) - pi(q)
     u = (block - res.potentials[np_:]).min(axis=1)
     pot = {x: float(v) for x, v in zip(keys, u - u[0])}
@@ -105,22 +103,15 @@ def minimal_filling(m: Molecule, g: MetricGraph) -> FillingResult:
     divergence = np.zeros(g.n)
     for p, w in m.atoms:
         divergence[p] -= w
-    arcs = []
-    for u, v, w in g.edges:
-        arcs.append((u, v, w, math.inf))
-        arcs.append((v, u, w, math.inf))
-    net = FlowNetwork(g.n, tuple(arcs), tuple(divergence))
+    net = FlowNetwork(g.n, np.column_stack([g.arcs, np.full(len(g.arcs), math.inf)]), divergence)
     try:
         res = min_cost_flow(net)
     except Infeasible as exc:
         raise Infeasible(f"molecule not balanceable within components: {exc}") from exc
     check_flow(net, res)
-    flows = []
-    for k, (u, v, w) in enumerate(g.edges):
-        netw = float(res.flows[2 * k] - res.flows[2 * k + 1])
-        if abs(netw) > 1e-12:
-            flows.append((u, v, netw))
-    chain = Chain1.from_graph_edges(g, flows)
+    netw = (res.flows[0::2] - res.flows[1::2]).tolist()  # arc 2k is edge k, 2k + 1 its reverse
+    chain = Chain1.from_graph_edges(g, [(u, v, w) for (u, v, _), w in zip(g.edges, netw)
+                                        if abs(w) > 1e-12])
     return FillingResult(chain=chain, mass_value=chain.mass())
 
 

@@ -345,6 +345,22 @@ class TestMalformedValues:
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         self.expect_input_error(capsys, argv, needle)
 
+    @pytest.mark.parametrize("atoms, needle", [
+        ([[1.5, 1], [0, -1]], "a molecule vertex must be an integer: 1.5"),
+        ([["1", 1], [0, -1]], "a molecule vertex must be a number: '1'"),
+        ([[True, 1], [0, -1]], "a molecule vertex must be an integer: True"),
+        ([[1, math.inf], [0, -math.inf]], "molecule weights must be finite, not [inf, -inf]"),
+        ([[1, math.nan], [0, math.nan]], "molecule weights must be finite, not [nan, nan]"),
+    ], ids=["float-vertex", "string-vertex", "bool-vertex", "infinite-weight", "nan-weight"])
+    def test_molecule_atom_on_a_finite_space(self, tmp_path, capsys, atoms, needle):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"kind": "finite", "points": ["a", "b"],
+                                     "dist": [[0, 1], [1, 0]]}))
+        mol = tmp_path / "mol.json"
+        mol.write_text(json.dumps({"atoms": atoms}))
+        self.expect_input_error(capsys, ["ae-norm", "--space", str(space),
+                                         "--molecule", str(mol)], needle)
+
 
 class TestErrorHandling:
     def test_unknown_subcommand_exits_one(self, capsys):

@@ -23,6 +23,12 @@ class TestMolecule:
         with pytest.raises(CurrentError):
             Molecule([((0.0, 0.0), 1.0)])
 
+    @pytest.mark.parametrize("w", [np.inf, np.nan])
+    def test_non_finite_weight_rejected(self, w):
+        # inf - inf would aggregate to nan, and a nan weight passes the zero-sum test
+        with pytest.raises(CurrentError, match="must be finite"):
+            Molecule([(0, w), (1, -w)], check_zero_sum=False)
+
     def test_aggregation(self):
         m = Molecule([((0.0, 0.0), 1.0), ((0.0, 0.0), 2.0), ((1.0, 0.0), -3.0)])
         assert m.atoms == (((0.0, 0.0), 3.0), ((1.0, 0.0), -3.0))

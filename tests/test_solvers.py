@@ -3,6 +3,7 @@ import importlib.util
 import json
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,45 @@ class TestMinCostFlow:
         res = min_cost_flow(net)
         assert res.flows[0] <= 0.5 + 1e-12
         assert res.total_cost == pytest.approx(0.5 * 1.0 + 0.5 * 3.0, abs=1e-9)
+
+
+class TestFlowNetwork:
+    """The arc table is validated column by column at construction."""
+
+    def test_holds_a_read_only_table(self):
+        arcs = ((0, 1, 1.0, INF), (1, 2, 2.0, 0.5), (2, 0, 0.0, 3.0))
+        net = FlowNetwork(3, arcs, (1.0, 0.0, -1.0))
+        assert net.arcs.shape == (len(arcs), 4)
+        assert not net.arcs.flags.writeable and not net.divergence.flags.writeable
+        np.testing.assert_array_equal(net.arcs, np.array(arcs))
+        assert FlowNetwork(2, (), (0.0, 0.0)).arcs.shape == (0, 4)
+
+    def test_equality_is_identity(self):
+        # array fields would make a field-wise == raise on truth testing
+        arcs, div = ((0, 1, 1.0, INF), (1, 2, 1.0, INF)), (1.0, 0.0, -1.0)
+        net = FlowNetwork(3, arcs, div)
+        res = min_cost_flow(net)
+        assert net == net and net != FlowNetwork(3, arcs, div)
+        assert res == res and res != dataclasses.replace(res)
+
+    @pytest.mark.parametrize("arcs, div, needle", [
+        (((0, 0.5, 1.0, INF),), (1.0, -1.0), "integers in"),
+        (((0, 1, math.nan, INF),), (1.0, -1.0), "cost"),
+        (((0, 1, INF, INF),), (1.0, -1.0), "cost"),
+        (((0, 1, 1.0, math.nan),), (1.0, -1.0), "capacity"),
+        (((0, 1, 1.0, INF),), (math.nan, math.nan), "finite divergences"),
+        (((0, 1, 1.0, INF),), (INF, -1.0), "finite divergences"),
+        (((0, 1, 1.0),), (1.0, -1.0), "(m, 4)"),
+        (((0, 1, 1.0, INF, 0.0),), (1.0, -1.0), "(m, 4)"),
+        ((0, 1, 1.0, INF), (1.0, -1.0), "(m, 4)"),
+        (((0, 2, 1.0, INF),), (1.0, -1.0), "in [0, 2)"),
+        (((0, 1, 1.0, INF),), (1.0,), "2 finite divergences"),
+    ], ids=["half-endpoint", "nan-cost", "inf-cost", "nan-capacity", "nan-divergence",
+            "inf-divergence", "three-columns", "five-columns", "flat-row",
+            "endpoint-out-of-range", "short-divergence"])
+    def test_rejects_a_malformed_table(self, arcs, div, needle):
+        with pytest.raises(SolverError, match=re.escape(needle)):
+            FlowNetwork(2, arcs, div)
 
 
 class TestSearches:
@@ -272,14 +312,14 @@ class TestHighsOracle:
         solved = infeasible = 0
         for _ in range(60):
             net = self._random_network(rng)
+            tail, head, cost, caps = net.arcs.T
+            k = np.arange(len(net.arcs))
             a_eq = np.zeros((net.n, len(net.arcs)))
-            for k, (u, v, _, _) in enumerate(net.arcs):
-                a_eq[u, k] += 1.0
-                a_eq[v, k] -= 1.0
-            lp = optimize.linprog([c for _, _, c, _ in net.arcs], A_eq=a_eq,
-                                  b_eq=net.divergence, method="highs",
+            np.add.at(a_eq, (tail.astype(int), k), 1.0)
+            np.add.at(a_eq, (head.astype(int), k), -1.0)
+            lp = optimize.linprog(cost, A_eq=a_eq, b_eq=net.divergence, method="highs",
                                   bounds=[(0.0, None if cap == INF else cap)
-                                          for _, _, _, cap in net.arcs])
+                                          for cap in caps.tolist()])
             assert lp.status in (0, 2)
             if lp.status == 2:
                 with pytest.raises(Infeasible):
