@@ -334,8 +334,7 @@ def criterion_8_solver_cross_validation():
                        - float(np.concatenate([sup, dem]) @ lres.y)) / scale
         worst = max(worst, gap, dual_gap)
         ok &= gap <= 1e-7 and dual_gap <= 1e-7
-        pi = fres.potentials
-        ok &= bool(np.all(cost.ravel() + pi[i] - pi[ns + j] >= -1e-9))
+        ok &= bool(np.all(cost.ravel() + fres.potentials[i] - fres.potentials[ns + j] >= -1e-9))
         red = cost.flatten() - a.T @ lres.y
         ok &= float(red.min()) >= -1e-7
     return ok, {"worst_gap": worst}
