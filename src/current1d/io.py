@@ -140,7 +140,11 @@ def load_space(doc: dict):
         vertices = _items(doc, "vertices", "a graph space")
         if vertices and not isinstance(vertices[0], str):  # coordinates, not labels
             vertices = [_numbers(v, 2, "a graph vertex") for v in vertices]
-        edges = [_numbers(e, 3, "a graph edge") for e in _items(doc, "edges", "a graph space")]
+        edges = []
+        for e in _items(doc, "edges", "a graph space"):
+            w = _numbers(e, 3, "a graph edge")[2]
+            u, v, _ = e
+            edges.append((_vertex(u, "a graph edge end"), _vertex(v, "a graph edge end"), w))
         try:
             return MetricGraph(vertices, edges, ambient=ambient)
         except GeometryError as exc:

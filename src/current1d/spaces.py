@@ -8,7 +8,7 @@ boundary map stops being an isomorphism there).
 
 from __future__ import annotations
 
-import heapq
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +16,7 @@ import numpy as np
 
 TOL = 1e-9
 INF = math.inf
+log = logging.getLogger("current1d.spaces")
 
 
 class GeometryError(ValueError):
@@ -164,25 +165,6 @@ class FiniteMetricSpace:
 # metric graphs
 
 
-def _dijkstra(n: int, adj: list[list[tuple[int, float]]], src: int) -> list[float]:
-    dist = [INF] * n
-    dist[src] = 0.0
-    done = [False] * n
-    heap = [(0.0, src)]
-    heappush, heappop = heapq.heappush, heapq.heappop
-    while heap:
-        du, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            nd = du + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return dist
-
-
 class MetricGraph:
     """An embedded (or abstract) graph with edge lengths and an ambient metric.
 
@@ -190,33 +172,48 @@ class MetricGraph:
     ``"euclidean"`` (vertices must carry plane coordinates), or
     ``("d_alpha", a)`` for the Rickman metric ``max(|dx|^a, |dy|)``.
 
+    Edges are ``(u, v, length)`` with integer endpoints in [0, n) and a
+    positive length. A self-loop or a second edge between the same two
+    vertices is rejected: the path metric of a multigraph is that of the graph
+    keeping the shortest edge of each parallel class.
+
     Everything is built eagerly at construction; instances are immutable
     afterwards and safe for concurrent reads. ``arcs`` is the one read-only
     (2m, 3) table of rows (tail, head, length), arc 2k being edge k as listed
-    and 2k + 1 its reverse; the adjacency, the shortest-path trees and the
-    filling's flow network all read it. The signed edge table maps ``(u, v)``
-    to ``(k, +1)`` and ``(v, u)`` to ``(k, -1)`` for edge ``k = (u, v)``; among
-    parallel edges the last listed wins.
+    and 2k + 1 its reverse; the all-pairs pass, the shortest-path trees and
+    the filling's flow network all read it. The signed edge table maps
+    ``(u, v)`` to ``(k, +1)`` and ``(v, u)`` to ``(k, -1)`` for edge
+    ``k = (u, v)``.
     """
 
     def __init__(self, vertices, edges, ambient="euclidean"):
         self.vertices = list(vertices)
-        self.edges = [(int(u), int(v), float(w)) for u, v, w in edges]
         self.ambient = ambient
         self.coords = None
         if self.vertices and not isinstance(self.vertices[0], str):
             self.coords = np.asarray(self.vertices, dtype=float).reshape(len(self.vertices), 2)
-        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        edges = list(edges)
+        table = np.array(edges, dtype=float).reshape(-1, 3)
+        ends = table[:, :2]
+        frac = np.any(ends != np.floor(ends), axis=1)
+        out = np.any((ends < 0) | (ends >= self.n), axis=1)
+        bad = np.flatnonzero(frac | out | ~(table[:, 2] > 0))  # the first bad edge is named
+        if bad.size:
+            u, v, _ = edges[bad[0]]
+            raise GeometryError(f"edge ({u},{v}) needs integer endpoints" if frac[bad[0]]
+                                else f"edge ({u},{v}) out of range" if out[bad[0]]
+                                else "edge lengths must be positive")
+        self.edges = [(int(u), int(v), w) for u, v, w in table.tolist()]
+        self._signed_edges = {}
+        for k, (u, v, _) in enumerate(self.edges):
+            if u == v:
+                raise GeometryError(f"edge {k} = ({u},{v}) is a self-loop")
+            if (u, v) in self._signed_edges:
+                raise GeometryError(f"edge {k} = ({u},{v}) joins the same vertices as "
+                                    f"edge {self._signed_edges[u, v][0]}")
+            self._signed_edges[u, v], self._signed_edges[v, u] = (k, 1), (k, -1)
         self.arcs = np.stack([table, table[:, [1, 0, 2]]], axis=1).reshape(-1, 3)
         self.arcs.flags.writeable = False
-        out = np.any((table[:, :2] < 0) | (table[:, :2] >= self.n), axis=1)
-        bad = np.flatnonzero(out | (table[:, 2] <= 0))  # the first bad edge is named
-        if bad.size:
-            u, v, _ = self.edges[bad[0]]
-            raise GeometryError(f"edge ({u},{v}) out of range" if out[bad[0]]
-                                else "edge lengths must be positive")
-        self._signed_edges = {key: (k, sign) for k, (u, v, _) in enumerate(self.edges)
-                              for key, sign in (((u, v), 1), ((v, u), -1))}
         self.path_dist = self._all_pairs()
         self.ambient_dist = self._ambient_matrix()
         self._validate()
@@ -226,15 +223,49 @@ class MetricGraph:
         return len(self.vertices)
 
     def _all_pairs(self) -> np.ndarray:
-        # arc order puts (v, w) on adj[u] before (u, w) on adj[v], edge by edge
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        ends = self.arcs[:, :2].astype(np.intp).tolist()
-        for (u, v), w in zip(ends, self.arcs[:, 2].tolist()):
-            adj[u].append((v, w))
-        out = np.empty((self.n, self.n))
-        for s in range(self.n):
-            out[s] = _dijkstra(self.n, adj, s)
-        return out
+        """Shortest-path distances from every source at once, by label setting.
+
+        In each phase, each source row settles every open vertex v whose
+        tentative distance is at most ``low + minin[v]``: ``low`` is the row's
+        least open tentative distance and ``minin[v]`` the shortest arc into v
+        (the IN criterion of Crauser, Mehlhorn, Meyer and Sanders, MFCS 1998).
+        The arcs leaving the settled vertices are then relaxed in one scatter.
+        An open u offers v at best fl(d(u) + w) >= fl(low + minin[v]), since
+        rounding is monotone, so each distance is the minimum over neighbours
+        of fl(d(u) + w), the value heap Dijkstra forms: bit for bit the same.
+        """
+        n = self.n
+        tail, head = self.arcs[:, :2].astype(np.intp).T
+        order = np.argsort(tail, kind="stable")  # CSR: the arcs leaving u, in arc order
+        start = np.searchsorted(tail[order], np.arange(n + 1))
+        head, length = head[order], self.arcs[order, 2]
+        minin = np.full(n, INF)
+        np.minimum.at(minin, head, length)
+        minin[minin == INF] = 0.0  # a vertex no arc enters is reached only as its source
+        dist = np.full(n * n, INF)  # settled entries, every one finite
+        tent = np.full((n, n), INF)  # tentative distances of the open entries
+        np.fill_diagonal(tent, 0.0)
+        open_dist, bound = tent.reshape(-1), np.empty((n, n))
+        phases = 0
+        while True:
+            low = tent.min(axis=1, initial=INF)
+            if not np.any(low < INF):
+                break
+            low[low == INF] = -INF  # a finished row settles nothing
+            np.add(low[:, None], minin, out=bound)
+            done = np.flatnonzero(tent <= bound)  # row-major cells s * n + u
+            us, du = done % n, open_dist[done]
+            dist[done], open_dist[done] = du, INF
+            counts = start[us + 1] - start[us]
+            owner = np.repeat(np.arange(us.size), counts)
+            arc = np.arange(owner.size) + (start[us] - np.cumsum(counts) + counts)[owner]
+            cell = (done - us)[owner] + head[arc]
+            # a settled cell keeps its INF placeholder: its distance is final
+            np.minimum.at(open_dist, cell, np.where(dist[cell] == INF,
+                                                    du[owner] + length[arc], INF))
+            phases += 1
+        log.debug("all pairs: %d vertices settled in %d phases", n, phases)
+        return dist.reshape(n, n)
 
     def _ambient_matrix(self) -> np.ndarray:
         if self.ambient == "path":

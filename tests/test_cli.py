@@ -362,6 +362,22 @@ class TestMalformedValues:
                                          "--molecule", str(mol)], needle)
 
 
+    @pytest.mark.parametrize("vertices, edges, needle", [
+        ([[0, 0], [1, 0], [2, 0]], [[0, 1.5, 1.0], [1, 2, 1.0]],
+         "a graph edge end must be an integer: 1.5"),
+        ([[0, 0], [1, 0]], [[0, 1, 1.0], [0, 1, 2.0]],
+         "bad graph: edge 1 = (0,1) joins the same vertices as edge 0"),
+        ([[0, 0], [1, 0]], [[0, 1, 1.0], [1, 1, 1.0]], "bad graph: edge 1 = (1,1) is a self-loop"),
+    ], ids=["fractional-end", "parallel-edges", "self-loop"])
+    def test_graph_edge_that_is_not_a_simple_edge(self, fixtures, tmp_path, capsys,
+                                                  vertices, edges, needle):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"kind": "graph", "vertices": vertices, "edges": edges,
+                                     "ambient": "euclidean"}))
+        self.expect_input_error(capsys, ["filling", "--space", str(space),
+                                         "--molecule", fixtures["mol.json"]], needle)
+
+
 class TestErrorHandling:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert run_cli(["definitely-not-a-command"]) == 1

@@ -1,4 +1,5 @@
 import heapq
+import logging
 import math
 
 import numpy as np
@@ -88,13 +89,90 @@ def grid_graph(rng: np.random.Generator) -> MetricGraph:
                        ambient="path")
 
 
+def transport_graph(rng: np.random.Generator, n: int) -> MetricGraph:
+    """A random spanning path plus n random chords on uniform points, as the
+    transport benchmark builds its graphs."""
+    pts = rng.uniform(0.0, 10.0, size=(n, 2))
+    order = rng.permutation(n).tolist()
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(order[:-1], order[1:])}
+    pairs |= {(min(a, b), max(a, b)) for a, b in rng.integers(0, n, size=(n, 2)).tolist()
+              if a != b}
+    edges = [(a, b, float(np.hypot(*(pts[a] - pts[b])))) for a, b in sorted(pairs)]
+    return MetricGraph(pts.tolist(), edges, ambient="euclidean")
+
+
+def integer_graph(rng: np.random.Generator, n: int, isolated: int = 0) -> MetricGraph:
+    """Random edges of length 1, 2 or 3 among the first n - isolated vertices:
+    many equal sums, possibly several components, and isolated vertices."""
+    k = n - isolated
+    pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, k, size=(k, 2)).tolist()
+             if a != b}
+    edges = [(b, a, float(rng.integers(1, 4))) for a, b in sorted(pairs)]
+    return MetricGraph(list(map(str, range(n))), edges, ambient="path")
+
+
+def assert_matches_reference(g: MetricGraph):
+    ref = np.array([reference_dijkstra(g, s) for s in range(g.n)]).reshape(g.n, g.n)
+    assert np.array_equal(g.path_dist, ref)
+
+
+class TestAllPairs:
+    """path_dist is heap Dijkstra's, bit for bit, on every source."""
+
+    @pytest.mark.parametrize("n", [100, 250, 400])
+    def test_transport_graphs(self, n):
+        assert_matches_reference(transport_graph(np.random.Generator(np.random.Philox(key=n)), n))
+
+    def test_disconnected_graphs_with_isolated_vertices(self):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        for n in (5, 12, 30, 60):
+            g = integer_graph(rng, n, isolated=n // 5)
+            assert np.isinf(g.path_dist[-1, :-1]).all() and g.path_dist[-1, -1] == 0.0
+            assert_matches_reference(g)
+
+    def test_integer_lengths_with_ties(self):
+        rng = np.random.Generator(np.random.Philox(key=14))
+        for n in (8, 40, 120):
+            assert_matches_reference(integer_graph(rng, n))
+        for _ in range(5):
+            assert_matches_reference(grid_graph(rng))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_edges(self, n):
+        g = MetricGraph(list(map(str, range(n))), [], ambient="path")
+        assert g.path_dist.shape == (n, n)
+        assert_matches_reference(g)
+
+    def test_networkx_oracle(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.Generator(np.random.Philox(key=15))
+        for g in (transport_graph(rng, 150), integer_graph(rng, 50, isolated=5)):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_weighted_edges_from(g.edges)
+            want = np.full((g.n, g.n), INF)
+            for s, row in nx.all_pairs_dijkstra_path_length(h):
+                want[s, list(row)] = list(row.values())
+            assert np.allclose(g.path_dist, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n, edges, phases", [
+        (5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)], 5),
+        (4, [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)], 2),
+        (0, [], 0),
+    ], ids=["path", "complete", "empty"])
+    def test_one_debug_record_with_the_phase_count(self, caplog, n, edges, phases):
+        caplog.set_level(logging.DEBUG, logger="current1d.spaces")
+        MetricGraph(list(map(str, range(n))), edges, ambient="path")
+        assert [(r.name, r.levelno, r.args) for r in caplog.records] == [
+            ("current1d.spaces", logging.DEBUG, (n, phases))]
+
+
 class TestShortestPathTrees:
     def test_path_dist_bit_identical_to_reference_dijkstra(self):
         rng = np.random.Generator(np.random.Philox(key=11))
         for _ in range(20):
-            g = random_connected_graph(rng)
-            ref = np.array([reference_dijkstra(g, s) for s in range(g.n)])
-            assert np.array_equal(g.path_dist, ref)
+            assert_matches_reference(random_connected_graph(rng))
+
 
     def test_predecessors_lowest_index_tight_neighbour_on_grids(self):
         rng = np.random.Generator(np.random.Philox(key=12))
@@ -145,6 +223,25 @@ class TestValidation:
     def test_nonpositive_edge_rejected(self):
         with pytest.raises(GeometryError):
             MetricGraph(["a", "b"], [(0, 1, 0.0)], ambient="path")
+
+    def test_nan_length_rejected(self):
+        with pytest.raises(GeometryError, match="positive"):
+            MetricGraph(["a", "b"], [(0, 1, math.nan)], ambient="path")
+
+    @pytest.mark.parametrize("edges, needle", [
+        ([(0, 1, 1.0), (1, 1.5, 1.0)], r"edge \(1,1.5\) needs integer endpoints"),
+        ([(0, 1, 1.0), (2, 2, 1.0), (1, 1, 1.0)], r"edge 1 = \(2,2\) is a self-loop"),
+        ([(0, 1, 1.0), (1, 2, 1.0), (2, 1, 2.0), (0, 1, 3.0)],
+         r"edge 2 = \(2,1\) joins the same vertices as edge 1"),
+    ], ids=["fractional-endpoint", "self-loop", "parallel"])
+    def test_edges_that_are_not_simple_graph_edges_rejected(self, edges, needle):
+        with pytest.raises(GeometryError, match=needle):
+            MetricGraph(["a", "b", "c"], edges, ambient="path")
+
+    def test_integral_float_endpoints_become_ints(self):
+        g = MetricGraph(["a", "b"], [(0.0, 1.0, 2.0)], ambient="path")
+        assert g.edges == [(0, 1, 2.0)] and type(g.edges[0][0]) is int
+        assert g.signed_edge(1, 0) == (0, -1)
 
     def test_finite_space_asymmetric_rejected(self):
         with pytest.raises(GeometryError):
