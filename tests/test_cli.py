@@ -361,7 +361,6 @@ class TestMalformedValues:
         self.expect_input_error(capsys, ["ae-norm", "--space", str(space),
                                          "--molecule", str(mol)], needle)
 
-
     @pytest.mark.parametrize("vertices, edges, needle", [
         ([[0, 0], [1, 0], [2, 0]], [[0, 1.5, 1.0], [1, 2, 1.0]],
          "a graph edge end must be an integer: 1.5"),

@@ -102,10 +102,11 @@ def transport_graph(rng: np.random.Generator, n: int) -> MetricGraph:
 
 
 def integer_graph(rng: np.random.Generator, n: int, isolated: int = 0) -> MetricGraph:
-    """Random edges of length 1, 2 or 3 among the first n - isolated vertices:
-    many equal sums, possibly several components, and isolated vertices."""
+    """About 1.5 (n - isolated) random edges of length 1, 2 or 3 among the first
+    n - isolated vertices: many equal sums, edges longer than a detour, possibly
+    several components, and isolated vertices."""
     k = n - isolated
-    pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, k, size=(k, 2)).tolist()
+    pairs = {(min(a, b), max(a, b)) for a, b in rng.integers(0, k, size=(3 * k // 2, 2)).tolist()
              if a != b}
     edges = [(b, a, float(rng.integers(1, 4))) for a, b in sorted(pairs)]
     return MetricGraph(list(map(str, range(n))), edges, ambient="path")
@@ -136,6 +137,12 @@ class TestAllPairs:
             assert_matches_reference(integer_graph(rng, n))
         for _ in range(5):
             assert_matches_reference(grid_graph(rng))
+
+    def test_long_edge_waits_for_a_shorter_detour(self):
+        # after the source, the open u at 1 could still improve v from 10 to 2
+        g = MetricGraph(["s", "u", "v"], [(0, 2, 10.0), (0, 1, 1.0), (1, 2, 1.0)],
+                        ambient="path")
+        assert g.path_dist[0].tolist() == [0.0, 1.0, 2.0]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_edges(self, n):
@@ -172,7 +179,6 @@ class TestShortestPathTrees:
         rng = np.random.Generator(np.random.Philox(key=11))
         for _ in range(20):
             assert_matches_reference(random_connected_graph(rng))
-
 
     def test_predecessors_lowest_index_tight_neighbour_on_grids(self):
         rng = np.random.Generator(np.random.Philox(key=12))
