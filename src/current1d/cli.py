@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -182,13 +183,7 @@ def _cmd_iso_check(args) -> int:
         raise CliInputError("iso-check needs a graph space")
     t = cio.load_chain(_load_json(args.chain), space=g)
     rep = isomorphism_check(t.boundary(), g, tol=_flag("--tol", args.tol, IDENT_TOL))
-    report = {
-        "ae_ambient": rep.ae_ambient, "ae_intrinsic": rep.ae_intrinsic,
-        "filling_mass": rep.filling_mass, "qc": rep.qc, "ratio": rep.ratio,
-        "lower_ok": rep.lower_ok, "upper_ok": rep.upper_ok,
-        "ae_lower_ok": rep.ae_lower_ok, "identity_ok": rep.identity_ok,
-    }
-    _emit(args, report)
+    _emit(args, asdict(rep))
     return 0 if rep.all_ok() else 2
 
 
@@ -282,10 +277,7 @@ def _cmd_normalize(args) -> int:
         "mass_ratio": res.mass_ratio,
         "boundary_residual": res.boundary_residual,
         "restriction_mass_error": res.restriction_error,
-        "rounds": [{"index": r.index, "action": r.action,
-                    "added_mass": r.added_mass,
-                    "remainder_mass": r.remainder_mass, "budget": r.budget}
-                   for r in res.rounds],
+        "rounds": [asdict(r) for r in res.rounds],
         "n_chain": cio.dump_chain(res.n_chain),
         "r_chain": cio.dump_chain(res.r_chain),
         "ok": bool(ok),
@@ -354,9 +346,7 @@ def _cmd_rickman(args) -> int:
     alpha = float(_flag("--alpha", args.alpha, 0.5, "in (0, 1]"))
     rows = rug_grid(s_count=s_count, n=n, alpha=alpha)
     ok = all(abs(r.ae_intrinsic - 2.0) <= 1e-6 for r in rows)
-    row_dicts = [{"s": r.s, "ae_intrinsic": r.ae_intrinsic,
-                  "ae_ambient": r.ae_ambient, "mass": r.mass,
-                  "qc": r.qc} for r in rows]
+    row_dicts = [asdict(r) for r in rows]
     report = {"alpha": alpha, "n": n, "rows": row_dicts, "lower_bound_ok": bool(ok)}
     _emit(args, report, rows=row_dicts,
           columns=["s", "ae_intrinsic", "ae_ambient", "mass", "qc"])

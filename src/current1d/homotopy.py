@@ -10,6 +10,14 @@ uses the same rule for 1-dimensional actions. The contractual quantities are
 the certificates certS = (l0 + l1) d_inf and certR = d(starts) + d(ends); the
 reported mass of S is computed exactly, since |det DH| is piecewise
 polynomial on each cell.
+
+``affine_homotopy_current`` is the package's one implementation of the
+homotopy formula phi_# T - psi_# T = dH(T) + H(dT) for affine maps, and
+``structure`` takes its rescaling and translation certificates from it. H(dT)
+is an exact chain of connector segments, and H(T) is checked on a panel
+through the fills of the pieces' images. Its mass bound uses the trapezoid
+rule on |phi - psi|, which is convex along each piece, so the bound holds
+without a quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -319,85 +327,63 @@ def check_fill(g0: Polyline, g1: Polyline, fill: FillResult,
 
 @dataclass(frozen=True)
 class HomotopyCurrentResult:
-    h_evaluator: Callable = field(repr=False, default=None)
-    h_boundary_evaluator: Callable = field(repr=False, default=None)
-    cert_mass: float = 0.0
+    connectors: Chain1  # H(dT), exactly
+    cert_mass: float  # bound on the mass of H(T)
+    flat_bound: float  # cert_mass + mass(connectors), a flat-norm bound on phi_# T - psi_# T
     boundary_residual: float = 0.0
 
 
 def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
                             panel: Optional[Sequence[TestForm]] = None) -> HomotopyCurrentResult:
-    """The homotopy 2-current H(T) between two affine pushforwards of a chain.
+    """The homotopy current of h(t, x) = t phi(x) + (1-t) psi(x) on a planar chain T.
 
-    Realizes phi_# T - psi_# T = dH(T) + H(dT) weakly, with the certified mass
-    bound 2 * int |phi - psi| max(Lip phi, Lip psi) d|T| (k = 1 instance; the
-    pointwise Lipschitz constant of an affine map is its operator norm).
-    Each piece of T (each boundary atom, for H(dT)) is one box of a single
-    ``integrate`` call, integrated to QUAD_TOL.
+    phi_# T - psi_# T = dH(T) + H(dT). The 1-current H(dT) is the exact chain
+    sum_j w_j [psi(x_j) -> phi(x_j)] over the atoms w_j x_j of dT, returned as
+    ``connectors``. The mass of the 2-current H(T) is at most
+    2 max(Lip phi, Lip psi) int |phi - psi| d|T| (the Lipschitz constant of an
+    affine map is its operator norm); ``cert_mass`` bounds the integral on each
+    piece by the trapezoid rule, L (|delta(a)| + |delta(b)|) / 2 with
+    delta = phi - psi. The trapezoid is an upper bound, not an estimate, since
+    |delta| is convex along a segment; it is exact where |delta| is affine
+    along each piece, as for translations. ``flat_bound`` adds the mass of the
+    connectors.
+
+    With a panel, the formula is checked on each test form, with
+    H(T) = -sum_k w_k S_k: S_k is the fill of ``homotopy_fill`` from the curve
+    psi o piece_k to phi o piece_k, whose homotopy square runs the other way
+    round. ``boundary_residual`` is the largest misfit.
     """
     if not isinstance(phi, AffineMap) or not isinstance(psi, AffineMap):
         raise CurrentError("homotopy current needs affine maps")
     plane = t_chain.plane
     dm, db = phi.displacement(psi)
     maxop = max(phi.op_norm(plane), psi.op_norm(plane))
-    aphi, apsi = phi.matrix(), psi.matrix()
-    bphi, bpsi = np.asarray(phi.b), np.asarray(psi.b)
-
-    starts = np.array([t_chain.coords_of(p.start) for p in t_chain.pieces],
-                      dtype=float).reshape(-1, 2)
-    dirs = np.array([t_chain.coords_of(p.end) for p in t_chain.pieces],
-                    dtype=float).reshape(-1, 2) - starts
+    ends = np.array([(t_chain.coords_of(p.start), t_chain.coords_of(p.end))
+                     for p in t_chain.pieces], dtype=float).reshape(-1, 2, 2)
     weights = np.array([p.weight for p in t_chain.pieces], dtype=float)
     lengths = np.array([p.length for p in t_chain.pieces], dtype=float)
-    n = len(weights)
+    delta = plane.norm_arr(ends @ dm.T + db)
+    cert = 2.0 * maxop * float(np.sum(np.abs(weights) * lengths * delta.mean(axis=1)))
 
-    def disp_norm(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        pts = starts[owner] + x * dirs[owner]
-        return plane.norm_arr(pts @ dm.T + db)
-    unit = integrate(disp_norm, np.zeros((n, 1)), np.ones((n, 1)), QUAD_TOL * n)
-    cert = float(np.sum(np.abs(weights) * lengths * unit.value)) * 2.0 * maxop
-
-    def h_mid(pts: np.ndarray, tt: np.ndarray) -> np.ndarray:
-        """h(t, x) = t phi(x) + (1-t) psi(x); pts (n,2), tt (n,)."""
-        return (tt[:, None] * (pts @ aphi.T + bphi)
-                + (1 - tt)[:, None] * (pts @ apsi.T + bpsi))
-
-    def h_evaluator(pi1: ScalarField, pi2: ScalarField) -> float:
-        """H(T)(1, pi1, pi2)."""
-        def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            s, t = x[:, :1], x[:, 1]
-            pts = starts[owner] + s * dirs[owner]
-            a_t = t[:, None, None] * aphi + (1 - t)[:, None, None] * apsi
-            ad = np.einsum("nij,nj->ni", a_t, dirs[owner])
-            return _pullback(pi1, pi2, h_mid(pts, t), pts @ dm.T + db, ad)
-        q = integrate(integrand, np.zeros((n, 2)), np.ones((n, 2)), QUAD_TOL * n)
-        return float(weights @ q.value)
-
-    atoms = t_chain.boundary().atoms
-    points = np.array([t_chain.coords_of(p) for p, _ in atoms], dtype=float).reshape(-1, 2)
-    deltas = points @ dm.T + db
-    atom_w = np.array([w for _, w in atoms], dtype=float)
-
-    def h_boundary_evaluator(form: TestForm) -> float:
-        """H(dT)(f, pi): the 0-current instance of the defining t-integral."""
-        def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            y = h_mid(points[owner], x[:, 0])
-            return form.f.value(y) * np.einsum("ni,ni->n", form.pi.grad(y), deltas[owner])
-        m = len(atom_w)
-        q = integrate(integrand, np.zeros((m, 1)), np.ones((m, 1)), QUAD_TOL * m)
-        return float(atom_w @ q.value)
+    atoms = [(t_chain.coords_of(p), w) for p, w in t_chain.boundary().atoms]
+    connectors = Chain1.from_segments(plane, [(psi.apply_pt(x), phi.apply_pt(x), w)
+                                              for x, w in atoms])
 
     residual = 0.0
     if panel:
+        bic = AffineBicombing(plane)
+        fills = [homotopy_fill(Polyline([psi.apply_pt(a), psi.apply_pt(b)]),
+                               Polyline([phi.apply_pt(a), phi.apply_pt(b)]), bic)
+                 for a, b in ends]
+        phi_t, psi_t = pushforward(t_chain, phi), pushforward(t_chain, psi)
         for form in panel:
-            lhs = (evaluate(pushforward(t_chain, phi), form, plane)
-                   - evaluate(pushforward(t_chain, psi), form, plane))
-            rhs = h_evaluator(form.f, form.pi) + h_boundary_evaluator(form)
-            residual = max(residual, abs(lhs - rhs))
+            lhs = evaluate(phi_t, form) - evaluate(psi_t, form)
+            h_t = -sum(w * fill.boundary_eval(form) for w, fill in zip(weights, fills))
+            residual = max(residual, abs(lhs - (h_t + evaluate(connectors, form))))
 
-    return HomotopyCurrentResult(h_evaluator=h_evaluator,
-                                 h_boundary_evaluator=h_boundary_evaluator,
-                                 cert_mass=cert, boundary_residual=residual)
+    return HomotopyCurrentResult(connectors=connectors, cert_mass=cert,
+                                 flat_bound=cert + connectors.mass(),
+                                 boundary_residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ class MetricGraph:
     ``("d_alpha", a)`` for the Rickman metric ``max(|dx|^a, |dy|)``.
 
     Edges are ``(u, v, length)`` with integer endpoints in [0, n) and a
-    positive length. A self-loop or a second edge between the same two
+    positive finite length. A self-loop or a second edge between the same two
     vertices is rejected: the path metric of a multigraph is that of the graph
     keeping the shortest edge of each parallel class.
 
@@ -197,12 +197,13 @@ class MetricGraph:
         ends = table[:, :2]
         frac = np.any(ends != np.floor(ends), axis=1)
         out = np.any((ends < 0) | (ends >= self.n), axis=1)
-        bad = np.flatnonzero(frac | out | ~(table[:, 2] > 0))  # the first bad edge is named
+        length_ok = (table[:, 2] > 0) & np.isfinite(table[:, 2])
+        bad = np.flatnonzero(frac | out | ~length_ok)  # the first bad edge is named
         if bad.size:
-            u, v, _ = edges[bad[0]]
+            u, v, w = edges[bad[0]]
             raise GeometryError(f"edge ({u},{v}) needs integer endpoints" if frac[bad[0]]
                                 else f"edge ({u},{v}) out of range" if out[bad[0]]
-                                else "edge lengths must be positive")
+                                else f"edge ({u},{v}) needs a positive finite length, not {w}")
         self.edges = [(int(u), int(v), w) for u, v, w in table.tolist()]
         self._signed_edges = {}
         for k, (u, v, _) in enumerate(self.edges):

@@ -9,7 +9,9 @@ singular to the line when no positive-length piece lies inside it (touching
 the line at finitely many endpoints carries zero length). Remainders of the
 affine-homotopy translation are exact chains: the connector segments at the
 boundary atoms, which lets the iteration close the boundary exactly instead
-of leaving a flat-norm tail.
+of leaving a flat-norm tail. The connectors and the flat certificates of the
+rescaling and of each translation all come from
+``homotopy.affine_homotopy_current``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional, Sequence
 
 from .currents import (AffineMap, Chain1, ClosedSet, Molecule, Piece, Slab,
                        fat_cantor_intervals, pushforward, restrict)
+from .homotopy import affine_homotopy_current
 from .spaces import MetricGraph, NormedPlane
 from .transport import ae_norm, minimal_filling
 
@@ -144,26 +147,20 @@ def is_admissible(chain: Chain1, mu: Points, line: Optional[Line]) -> bool:
 def rescale_interior(p_chain: Chain1, box: ConvexBox, eps: float) -> tuple[Chain1, float]:
     """Shrink a chain toward the box center so its support is strictly interior.
 
-    Returns (P', flat certificate). The certificate is the affine-homotopy
-    bound eta * (2 int |x - c| d|P| + sum |dw_j| |x_j - c|) for the scaling
-    h_{1-eta}; eta is chosen to keep the certificate at most eps, capped at
-    1/4, floored at 1e-9 to guarantee a strictly positive interior margin.
+    Returns (P', flat certificate). The scaling h_{1-eta} moves x by eta (x - c),
+    so its affine-homotopy flat bound against the identity is eta times the
+    rate, the ``flat_bound`` of the constant map to the center c:
+    2 int |x - c| d|P| + sum |dw_j| |x_j - c|. eta is chosen to keep the
+    certificate at most eps, capped at 1/4, floored at 1e-9 to guarantee a
+    strictly positive interior margin.
     """
     _check_eps(eps)
-    plane = p_chain.plane
-    cx, cy = box.center
-    rate = 0.0
     for piece in p_chain.pieces:
         a, b = _piece_coords(p_chain, piece)
         if not box.contains(a) or not box.contains(b):
             raise StructureError("chain support must lie inside the box")
-        # |x - c| is convex along the segment, so the trapezoid overestimates
-        na = plane.norm((a[0] - cx, a[1] - cy))
-        nb = plane.norm((b[0] - cx, b[1] - cy))
-        rate += 2.0 * abs(piece.weight) * piece.length * (na + nb) / 2.0
-    for p, w in p_chain.boundary().atoms:
-        q = p_chain.coords_of(p)
-        rate += abs(w) * plane.norm((q[0] - cx, q[1] - cy))
+    rate = affine_homotopy_current(p_chain, AffineMap.identity(),
+                                   AffineMap.scaling(0.0, center=box.center)).flat_bound
     eta = min(0.25, eps / rate) if rate > 0 else 0.25
     eta = max(eta, 1e-9)
     scaled = pushforward(p_chain, AffineMap.scaling(1.0 - eta, center=box.center))
@@ -184,7 +181,7 @@ class TranslateResult:
 
 
 def _candidate_direction(p_chain: Chain1, line: Optional[Line]):
-    """First unit direction transverse to the line and to every piece direction."""
+    """First euclidean unit direction transverse to the line and to every piece direction."""
     dirs = []
     for piece in p_chain.pieces:
         a, b = _piece_coords(p_chain, piece)
@@ -209,17 +206,16 @@ def translate_singular(p_chain: Chain1, mu: Points, line: Optional[Line],
     """Translate the chain by t*w, t in (0, t1], so its support avoids the atoms
     of mu and no piece lies inside the line.
 
-    Scans a 64-point grid on (0, t1], refining twice on failure; the flat cost
-    certificate is t (2 mass + boundary mass), the affine-homotopy bound for a
-    unit translation direction. The connector chain (segments from the shifted
-    boundary atoms back to the originals) is the exact remainder:
-    T - tau_t T = d(-H(T)) + connectors.
+    Scans a 64-point grid on (0, t1], refining twice on failure. With the
+    homotopy H from the identity to tau_t, the connector chain -H(dT) (segments
+    from the boundary atoms to their shifts, weighted -w_j) is the exact
+    remainder T - tau_t T = d(-H(T)) + connectors, and the flat cost
+    certificate is the homotopy's ``flat_bound``, t |w| (2 mass + boundary
+    mass) with |w| measured in the chain's plane.
     """
     if t1 <= 0:
         raise StructureError("translation budget must be positive")
-    plane = p_chain.plane
     w = _candidate_direction(p_chain, line)
-    m = p_chain.boundary()
 
     for level in range(3):
         grid = 64 ** (level + 1)
@@ -240,20 +236,10 @@ def translate_singular(p_chain: Chain1, mu: Points, line: Optional[Line],
                 if not ok:
                     break
             if ok:
-                connectors = _connector_chain(p_chain, m, (t * w[0], t * w[1]), plane)
-                cert = t * (2.0 * p_chain.mass() + m.mass0())
-                return TranslateResult(chain=cand, t=t, w=w, flat_cert=cert,
-                                       connectors=connectors)
+                hom = affine_homotopy_current(p_chain, shift, AffineMap.identity())
+                return TranslateResult(chain=cand, t=t, w=w, flat_cert=hom.flat_bound,
+                                       connectors=hom.connectors.scale(-1.0))
     raise NoAdmissibleShift("all grid shifts hit the atoms or the line after 3 refinements")
-
-
-def _connector_chain(p_chain: Chain1, m: Molecule, tv, plane: NormedPlane) -> Chain1:
-    """Exact remainder of a translation: -H(dT) = sum_j (-w_j) [x_j -> x_j + tv]."""
-    segs = []
-    for p, wgt in m.atoms:
-        q = p_chain.coords_of(p)
-        segs.append((q, (q[0] + tv[0], q[1] + tv[1]), -wgt))
-    return Chain1.from_segments(plane, segs)
 
 
 # ---------------------------------------------------------------------------

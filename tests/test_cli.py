@@ -367,7 +367,9 @@ class TestMalformedValues:
         ([[0, 0], [1, 0]], [[0, 1, 1.0], [0, 1, 2.0]],
          "bad graph: edge 1 = (0,1) joins the same vertices as edge 0"),
         ([[0, 0], [1, 0]], [[0, 1, 1.0], [1, 1, 1.0]], "bad graph: edge 1 = (1,1) is a self-loop"),
-    ], ids=["fractional-end", "parallel-edges", "self-loop"])
+        ([[0, 0], [1, 0]], [[0, 1, math.inf]],
+         "bad graph: edge (0,1) needs a positive finite length, not inf"),
+    ], ids=["fractional-end", "parallel-edges", "self-loop", "infinite-length"])
     def test_graph_edge_that_is_not_a_simple_edge(self, fixtures, tmp_path, capsys,
                                                   vertices, edges, needle):
         space = tmp_path / "space.json"

@@ -196,6 +196,31 @@ class TestAffineHomotopyCurrent:
         with pytest.raises(CurrentError):
             affine_homotopy_current(t, AffineMap.identity(), "not a map")
 
+    @pytest.mark.parametrize("plane", [NormedPlane("l1"), PL, NormedPlane("linf"),
+                                       NormedPlane("wmax", (2.0, 1.0))],
+                             ids=["l1", "l2", "linf", "wmax"])
+    def test_cert_mass_bounds_a_fine_midpoint_integral(self, plane):
+        # |phi - psi| is convex along a piece: midpoint sums sit below the integral,
+        # the trapezoid bound above it
+        rng = np.random.Generator(np.random.Philox(key=47))
+        s = (np.arange(10_000) + 0.5) / 10_000
+        for _ in range(10):
+            pts = rng.uniform(-1.5, 1.5, size=(3, 2))
+            t = Chain1.from_segments(plane, [(tuple(pts[i]), tuple(pts[i + 1]),
+                                              float(rng.normal())) for i in range(2)])
+            phi, psi = (AffineMap(a=tuple(map(tuple, rng.normal(size=(2, 2)))),
+                                  b=tuple(rng.normal(size=2))) for _ in range(2))
+            res = affine_homotopy_current(t, phi, psi)
+            dm, db = phi.displacement(psi)
+            integral = 0.0
+            for piece in t.pieces:
+                x = np.add(piece.start, s[:, None] * np.subtract(piece.end, piece.start))
+                mean = float(np.mean(plane.norm_arr(x @ dm.T + db)))
+                integral += abs(piece.weight) * piece.length * mean
+            maxop = max(phi.op_norm(plane), psi.op_norm(plane))
+            assert res.cert_mass >= 2.0 * maxop * integral * (1.0 - 1e-12)
+            assert res.flat_bound == res.cert_mass + res.connectors.mass()
+
     def test_fuzzed_boundary_identity(self):
         rng = np.random.Generator(np.random.Philox(key=43))
         panel = standard_panel(44, count=6, scale=2.0)

@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
+import logging
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,34 @@ def test_unused_import_is_found(tmp_path):
     mod.write_text("import math\nimport os  # noqa\nfrom json import dumps, loads\n"
                    "print(loads)\n")
     assert unused_imports(mod) == ["dumps (line 3)", "math (line 1)"]
+
+
+def test_bench_tracer_patches_and_restores_its_targets():
+    """The traced bench run wraps engine attributes by name; each must exist here,
+    be wrapped while the patch is active and be restored after it."""
+    import current1d.approximation as approximation
+    import current1d.currents as currents
+    import current1d.flatnorm as flatnorm
+    import current1d.homotopy as homotopy
+    import current1d.transport as transport
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", SRC.parent.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = [approximation, currents, flatnorm, homotopy, transport, currents.ScalarField]
+    before = [dict(vars(owner)) for owner in owners]
+    log = logging.getLogger("current1d.solvers")
+    log_state = (log.level, log.propagate, list(log.handlers))
+    with tracing.patched(tracing.Tracer()):
+        patched = {(owner.__name__, name) for owner, old in zip(owners, before)
+                   for name, value in vars(owner).items() if old.get(name) is not value}
+    assert patched == {
+        ("current1d.transport", "min_cost_flow"), ("current1d.flatnorm", "simplex_lp"),
+        ("current1d.approximation", "cluster"),
+        ("current1d.approximation", "interpolate_geodesic"),
+        ("current1d.approximation", "d_inf"), ("current1d.homotopy", "d_inf"),
+        ("current1d.currents", "d_inf"), ("ScalarField", "value"), ("ScalarField", "grad")}
+    for owner, old in zip(owners, before):
+        assert dict(vars(owner)) == old
+    assert (log.level, log.propagate, list(log.handlers)) == log_state

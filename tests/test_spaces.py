@@ -234,6 +234,12 @@ class TestValidation:
         with pytest.raises(GeometryError, match="positive"):
             MetricGraph(["a", "b"], [(0, 1, math.nan)], ambient="path")
 
+    @pytest.mark.parametrize("length", [math.inf, -math.inf])
+    def test_infinite_length_rejected_naming_the_edge(self, length):
+        with pytest.raises(GeometryError,
+                           match=rf"edge \(1,2\) needs a positive finite length, not {length}"):
+            MetricGraph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, length)], ambient="path")
+
     @pytest.mark.parametrize("edges, needle", [
         ([(0, 1, 1.0), (1, 1.5, 1.0)], r"edge \(1,1.5\) needs integer endpoints"),
         ([(0, 1, 1.0), (2, 2, 1.0), (1, 1, 1.0)], r"edge 1 = \(2,2\) is a self-loop"),

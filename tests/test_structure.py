@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from current1d import (Chain1, ConvexBox, CurveMeasure, Line, NormedPlane,
@@ -44,6 +45,27 @@ class TestRescaleInterior:
         with pytest.raises(StructureError):
             rescale_interior(unit_segment(), box, eps=0.1)
 
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
+    def test_certificate_is_the_trapezoid_bound(self, tag):
+        # eta (2 sum |w| L (|a - c| + |b - c|) / 2 + sum |dw_j| |x_j - c|), summed by hand
+        plane = NormedPlane(tag)
+        rng = np.random.Generator(np.random.Philox(key=61))
+        box = ConvexBox((0.3, -0.2), (1.0, 1.5))
+        c = np.array(box.center)
+        for _ in range(10):
+            pts = c + rng.uniform(-0.9, 0.9, size=(4, 2)) * box.half_widths
+            chain = Chain1.from_segments(plane, [(tuple(pts[i]), tuple(pts[i + 1]),
+                                                  float(rng.normal())) for i in range(3)])
+            rate = 0.0
+            for piece in chain.pieces:
+                na = plane.norm(np.subtract(piece.start, c))
+                nb = plane.norm(np.subtract(piece.end, c))
+                rate += 2.0 * abs(piece.weight) * piece.length * (na + nb) / 2.0
+            rate += sum(abs(w) * plane.norm(np.subtract(x, c)) for x, w in chain.boundary().atoms)
+            for eps in (1e-3, 1e9):
+                _, cert = rescale_interior(chain, box, eps)
+                assert cert == pytest.approx(min(0.25, eps / rate) * rate, rel=1e-12)
+
 
 class TestTranslateSingular:
     def test_empty_measure_first_grid_point(self):
@@ -70,6 +92,29 @@ class TestTranslateSingular:
         total = res.chain + res.connectors
         assert total.boundary() == c.boundary()
         assert res.connectors.mass() == pytest.approx(res.t * 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("plane", [NormedPlane("l1"), NormedPlane("wmax", (2.0, 1.0))],
+                             ids=["l1", "wmax"])
+    def test_certificate_measures_the_shift_in_the_plane(self, plane):
+        # the direction is a euclidean unit vector, so |w| differs from 1 in these planes
+        for c in (Chain1.from_segments(plane, [((0.0, 0.0), (1.0, 0.0), 1.0)]),
+                  Chain1.from_segments(plane, [((0.0, 0.0), (1.0, 0.0), 1.0),
+                                               ((1.0, 0.0), (1.0, 1.0), 1.0)])):
+            res = translate_singular(c, (), None, t1=0.64)
+            wn = plane.norm(res.w)
+            assert wn > 1.0 + 1e-3
+            expected = res.t * wn * (2.0 * c.mass() + c.boundary().mass0())
+            assert res.flat_cert == pytest.approx(expected, abs=1e-12)
+            assert res.connectors.mass() == pytest.approx(res.t * wn * c.boundary().mass0(),
+                                                          abs=1e-12)
+
+    def test_connectors_are_the_shifted_boundary_atoms(self):
+        c = Chain1.from_segments(PL, [((0.0, 0.5), (1.0, 0.5), 1.5), ((1.0, 0.5), (1.0, 2.0), -0.5)])
+        res = translate_singular(c, [(0.5, 0.5)], AXIS, t1=0.1)
+        tv = (res.t * res.w[0], res.t * res.w[1])
+        expected = Chain1.from_segments(PL, [(x, (x[0] + tv[0], x[1] + tv[1]), -w)
+                                             for x, w in c.boundary().atoms])
+        assert res.connectors.pieces == expected.pieces
 
 
 def is_on_segment(p, a, b, tol=1e-12):
