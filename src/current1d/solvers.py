@@ -23,8 +23,14 @@ takes its columns once with ``tolist`` and loops on plain lists, where numpy
 scalars would cost more than the arithmetic; ``check_flow`` reads the columns.
 Residual arc 2k is arc k forward and 2k + 1 its reverse, with heads and
 signed costs in lists indexed by a; a >> 1 and a & 1 recover the arc and the
-direction. A residual capacity is read fresh as cap - flow or flow. Every
-float operation keeps one fixed order (du + (c + pi[u] - pi[v]), the 1e-15
+direction. A residual capacity is read fresh as cap - flow or flow. A search
+scans only ``live[u]``: the residual arcs leaving u whose residual is above
+the arc floor, in arc order (on the dense ``ae_norm`` networks most reverse
+arcs carry no flow, so most arcs are dead). Only the arcs of an augmented
+path change flow, so after each augmentation both residual arcs of each of
+them are re-tested, then inserted at their bisection point, which keeps arc
+order and so the tie-breaking among parallel arcs, or removed. Every float
+operation keeps one fixed order (du + (c + pi[u] - pi[v]), the 1e-15
 relaxation margin, the eps * 1e-3 arc floor, the cost as a dot product with
 a contiguous cost column), so flows, potentials, cost and the counts are
 bit for bit reproducible; ``tests/golden/engine_digests.json`` pins them.
@@ -32,6 +38,7 @@ bit for bit reproducible; ``tests/golden/engine_digests.json`` pins them.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import logging
 import math
@@ -99,6 +106,7 @@ class FlowResult:
     potentials: np.ndarray = field(default=None, repr=False)
     augmentations: int = 0
     searches: int = 0
+    scans: int = 0
 
 
 def min_cost_flow(net: FlowNetwork) -> FlowResult:
@@ -108,8 +116,9 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     feasible duals: cost(u,v) + pi(u) - pi(v) >= 0 on every arc with residual
     capacity, and on its reverse (-cost) while it carries flow. So every arc
     of an uncapacitated network is covered, and complementary slackness holds
-    on flow-carrying arcs. ``augmentations`` counts the augmenting paths and
-    ``searches`` the shortest-path searches that found them.
+    on flow-carrying arcs. ``augmentations`` counts the augmenting paths,
+    ``searches`` the shortest-path searches that found them and ``scans`` the
+    residual arcs those searches examined.
     """
     n, arcs = net.n, net.arcs
     m = len(arcs)
@@ -119,9 +128,6 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     cost = arcs[:, 2].copy()  # contiguous: np.dot sums a strided view in another order
     rcost = np.column_stack([cost, -cost]).ravel().tolist()
     rhead = arcs[:, [1, 0]].astype(np.intp).ravel().tolist()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a in range(2 * m):
-        adj[rhead[a ^ 1]].append(a)
     cap = arcs[:, 3].tolist()
     flow = [0.0] * m
 
@@ -129,11 +135,16 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     total_supply = float(np.sum([x for x in excess if x > 0]))
     eps = TOL * max(1.0, total_supply)
     floor = eps * 1e-3
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, bisect_left = heapq.heappush, heapq.heappop, bisect.bisect_left
+    # with no flow yet, the live arcs are the forward arcs above the floor
+    live: list[list[int]] = [[] for _ in range(n)]
+    for k, c in enumerate(cap):
+        if c > floor:
+            live[rhead[2 * k + 1]].append(2 * k)
 
     # zero potentials are feasible: FlowNetwork rejects negative costs
     pi = [0.0] * n
-    augmentations = searches = 0
+    augmentations = searches = scans = 0
 
     while True:
         sources = [v for v in range(n) if excess[v] > eps]
@@ -167,11 +178,9 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             settled[u] = True
             if len(sinks) == deficits:
                 break
-            piu, ru = pi[u], root[u]
-            for a in adj[u]:
-                k = a >> 1
-                if (flow[k] if a & 1 else cap[k] - flow[k]) <= floor:
-                    continue
+            piu, ru, out = pi[u], root[u], live[u]
+            scans += len(out)
+            for a in out:
                 v = rhead[a]
                 if settled[v]:
                     continue
@@ -204,7 +213,17 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             if bottleneck <= floor:
                 continue
             for a in path:
-                flow[a >> 1] += -bottleneck if a & 1 else bottleneck
+                k = a >> 1
+                flow[k] += -bottleneck if a & 1 else bottleneck
+                for b in (2 * k, 2 * k + 1):  # re-test both residual arcs of k
+                    out = live[rhead[b ^ 1]]
+                    i = bisect_left(out, b)
+                    on = i < len(out) and out[i] == b
+                    if (flow[k] if b & 1 else cap[k] - flow[k]) > floor:
+                        if not on:
+                            out.insert(i, b)
+                    elif on:
+                        del out[i]
             excess[source] -= bottleneck
             excess[target] += bottleneck
             augmentations += 1
@@ -214,7 +233,7 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     flows = np.array(flow, dtype=float)
     total = float(np.dot(flows, cost)) if m else 0.0
     return FlowResult(flows=flows, total_cost=total, potentials=np.array(pi, dtype=float),
-                      augmentations=augmentations, searches=searches)
+                      augmentations=augmentations, searches=searches, scans=scans)
 
 
 def check_flow(net: FlowNetwork, res: FlowResult) -> None:

@@ -151,7 +151,7 @@ class FiniteMetricSpace:
             raise GeometryError("distance matrix must be symmetric")
         off = d.copy()
         np.fill_diagonal(off, INF)
-        if np.min(off) <= 0:
+        if np.min(off, initial=INF) <= 0:
             raise GeometryError("off-diagonal distances must be positive")
         # triangle inequality within TOL: d(i,j) <= d(i,k) + d(k,j), one k at a
         # time (O(n^2) memory); inf - inf is nan, which compares false

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import importlib.util
 import json
 import logging
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from current1d import (FlowNetwork, Infeasible, LinearProgram, SolverError,
                        Unbounded, check_flow, min_cost_flow, simplex_lp)
+from current1d.solvers import TOL, FlowResult
 
 INF = math.inf
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,6 +142,201 @@ class TestSearches:
     def test_a_search_serves_several_sinks_on_a_bipartite_network(self):
         res = min_cost_flow(engine_digests._bipartite(60, 60, lattice=False))
         assert res.searches < res.augmentations
+
+
+def reference_min_cost_flow(net: FlowNetwork, snapshots: list | None = None) -> FlowResult:
+    """The flow engine as it was before live arc lists: every search walks each
+    scanned node's full residual adjacency and tests each arc's residual in turn.
+    Its ``scans`` counts those full adjacencies; ``snapshots``, if given,
+    receives a copy of the flows after each search's augmentations."""
+    n, arcs = net.n, net.arcs
+    m = len(arcs)
+    cost = arcs[:, 2].copy()
+    rcost = np.column_stack([cost, -cost]).ravel().tolist()
+    rhead = arcs[:, [1, 0]].astype(np.intp).ravel().tolist()
+    adj = [[] for _ in range(n)]
+    for a in range(2 * m):
+        adj[rhead[a ^ 1]].append(a)
+    cap = arcs[:, 3].tolist()
+    flow = [0.0] * m
+    excess = net.divergence.tolist()
+    eps = TOL * max(1.0, float(np.sum([x for x in excess if x > 0])))
+    floor = eps * 1e-3
+    pi = [0.0] * n
+    augmentations = searches = scans = 0
+    while True:
+        sources = [v for v in range(n) if excess[v] > eps]
+        if not sources:
+            if m == 0 and any(x < -eps for x in excess):
+                raise Infeasible("demand with no arcs")
+            break
+        deficits = sum(1 for x in excess if x < -eps)
+        dist, pred, root, left = [INF] * n, [-1] * n, list(range(n)), excess[:]
+        settled = [False] * n
+        heap = [(0.0, s) for s in sources]
+        for s in sources:
+            dist[s] = 0.0
+        sinks = []
+        d_stop = 0.0
+        searches += 1
+        while heap:
+            du, u = heapq.heappop(heap)
+            if settled[u] or du > dist[u]:
+                continue
+            d_stop = du
+            if excess[u] < -eps:
+                r = root[u]
+                if left[r] <= eps:
+                    break
+                left[r] -= min(left[r], -excess[u])
+                sinks.append(u)
+            settled[u] = True
+            if len(sinks) == deficits:
+                break
+            scans += len(adj[u])
+            for a in adj[u]:
+                k = a >> 1
+                if (flow[k] if a & 1 else cap[k] - flow[k]) <= floor:
+                    continue
+                v = rhead[a]
+                if settled[v]:
+                    continue
+                nd = du + (rcost[a] + pi[u] - pi[v])
+                if nd < dist[v] - 1e-15:
+                    dist[v], pred[v], root[v] = nd, a, root[u]
+                    heapq.heappush(heap, (nd, v))
+        if not sinks:
+            raise Infeasible("supply cannot reach demand under the given arcs")
+        pi = [p + (d if s else d_stop) for p, d, s in zip(pi, dist, settled)]
+        for target in sinks:
+            path = []
+            v = target
+            while pred[v] >= 0:
+                path.append(pred[v])
+                v = rhead[pred[v] ^ 1]
+            source = v
+            bottleneck = min(excess[source], -excess[target])
+            if bottleneck <= eps:
+                continue
+            for a in path:
+                k = a >> 1
+                bottleneck = min(bottleneck, flow[k] if a & 1 else cap[k] - flow[k])
+            if bottleneck <= floor:
+                continue
+            for a in path:
+                flow[a >> 1] += -bottleneck if a & 1 else bottleneck
+            excess[source] -= bottleneck
+            excess[target] += bottleneck
+            augmentations += 1
+        if snapshots is not None:
+            snapshots.append(np.array(flow))
+    flows = np.array(flow, dtype=float)
+    total = float(np.dot(flows, cost)) if m else 0.0
+    return FlowResult(flows=flows, total_cost=total, potentials=np.array(pi, dtype=float),
+                      augmentations=augmentations, searches=searches, scans=scans)
+
+
+def assert_matches_reference(net: FlowNetwork, snapshots: list | None = None) -> FlowResult:
+    """The engine's result is the reference's bit for bit, and it scans no
+    more residual arcs than the reference's full adjacencies."""
+    try:
+        ref = reference_min_cost_flow(net, snapshots)
+    except Infeasible as exc:
+        with pytest.raises(Infeasible, match=re.escape(str(exc))):
+            min_cost_flow(net)
+        return None
+    res = min_cost_flow(net)
+    assert np.array_equal(res.flows, ref.flows)
+    assert np.array_equal(res.potentials, ref.potentials)
+    assert (res.total_cost, res.augmentations, res.searches) == (
+        ref.total_cost, ref.augmentations, ref.searches)
+    assert res.scans <= ref.scans
+    return ref
+
+
+def _fuzz_network(rng, floor_caps: bool = False) -> FlowNetwork:
+    """A spanning cycle plus random chords: finite capacities that saturate and
+    are later pushed back, zero costs, parallel and antiparallel copies of
+    arcs, and, with ``floor_caps``, capacities at or just around the arc floor."""
+    n = int(rng.integers(4, 16))
+    div = rng.uniform(-1.0, 1.0, size=n)
+    div -= div.mean()
+    floor = TOL * max(1.0, float(div[div > 0].sum())) * 1e-3
+    arcs = [(u, (u + 1) % n, float(rng.uniform(0.5, 3.0)), INF) for u in range(n)]
+    for u, v in rng.integers(0, n, size=(3 * n, 2)).tolist():
+        if u == v:
+            continue
+        c = 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 3.0))
+        cap = float(rng.uniform(0.05, 0.6)) if rng.uniform() < 0.6 else INF
+        if floor_caps and rng.uniform() < 0.3:
+            cap = floor * float(rng.choice([0.5, 1.0, 1.5]))
+        arcs.append((u, v, c, cap))
+        if rng.uniform() < 0.25:  # a parallel copy, cheaper or dearer
+            arcs.append((u, v, float(rng.choice([c, 0.0, c + 0.5])), cap))
+        if rng.uniform() < 0.25:  # an antiparallel arc
+            arcs.append((v, u, c, float(rng.uniform(0.05, 0.6))))
+    return FlowNetwork(n, tuple(arcs), tuple(div.tolist()))
+
+
+class TestLiveArcs:
+    """Searches scan only the live residual arcs, and the engine stays the
+    full-scan reference engine's bit for bit."""
+
+    def test_seeded_networks_with_capacities_match_the_reference(self):
+        rng = np.random.Generator(np.random.Philox(key=23))
+        revived = solved = 0
+        for _ in range(60):
+            snapshots = []
+            net = _fuzz_network(rng)
+            if assert_matches_reference(net, snapshots) is None:
+                continue
+            solved += 1
+            cap = net.arcs[:, 3]
+            # a finite arc saturated after one search and below capacity after a later one
+            full = np.array([f >= cap for f in snapshots[:-1]])
+            below = np.array([f < cap for f in snapshots[1:]])
+            revived += bool(np.any(np.logical_or.accumulate(full, axis=0) & below))
+        assert solved >= 40 and revived >= 10
+
+    def test_capacities_at_or_below_the_arc_floor(self):
+        rng = np.random.Generator(np.random.Philox(key=24))
+        for _ in range(40):
+            assert_matches_reference(_fuzz_network(rng, floor_caps=True))
+
+    def test_zero_cost_and_parallel_arcs(self):
+        # three parallel 0 -> 1 arcs (two free, one dear), their antiparallel twins
+        arcs = ((0, 1, 0.0, 0.5), (0, 1, 1.0, INF), (0, 1, 0.0, 0.25), (1, 0, 0.0, INF),
+                (1, 2, 0.0, 1.0), (2, 1, 0.0, 1.0), (0, 2, 2.0, INF), (2, 3, 0.0, 0.5),
+                (1, 3, 0.5, INF))
+        for div in ((2.0, 0.0, 0.0, -2.0), (1.0, 0.5, -0.5, -1.0), (0.5, 1.5, -1.0, -1.0)):
+            assert_matches_reference(FlowNetwork(4, arcs, div))
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["plane", "lattice"])
+    def test_dense_ae_norm_networks(self, lattice):
+        for seed in range(6):
+            assert_matches_reference(engine_digests._bipartite(100 + seed, 30 + 5 * seed, lattice))
+
+    def test_sparse_filling_networks(self):
+        for seed in range(6):
+            assert_matches_reference(engine_digests._sparse(200 + seed, 60 + 20 * seed, 12 + seed))
+
+    @pytest.mark.parametrize("name", sorted(engine_digests.NETWORKS))
+    def test_digest_networks(self, name):
+        assert_matches_reference(engine_digests.NETWORKS[name]())
+
+    def test_scans_equal_full_adjacencies_when_no_reverse_arc_is_scanned(self):
+        # supplies 0..7 send to the one sink 8 over uncapacitated parallel arcs:
+        # every search scans only supplies, which have no reverse arcs, and
+        # ends at the sink, whose reverse arcs go live but are never scanned
+        rng = np.random.Generator(np.random.Philox(key=25))
+        arcs = tuple((u, 8, float(rng.uniform(0.1, 5.0)), INF) for u in range(8) for _ in range(3))
+        net = FlowNetwork(9, arcs, tuple([0.25] * 8 + [-2.0]))
+        ref = assert_matches_reference(net)
+        res = min_cost_flow(net)
+        assert res.searches == 8 and res.scans == ref.scans == 3 * (8 + 7 + 6 + 5 + 4 + 3 + 2 + 1)
+        # on an ae_norm network the searches skip the reverse arcs that carry no flow
+        dense = engine_digests.NETWORKS["ae_plane_k60"]()
+        assert min_cost_flow(dense).scans < assert_matches_reference(dense).scans
 
 
 class TestCheckFlow:

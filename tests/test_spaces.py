@@ -269,6 +269,14 @@ class TestValidation:
         s = FiniteMetricSpace(["a", "b", "c"], d)
         assert s.d(0, 2) == 2.0
 
+    def test_finite_space_of_zero_or_one_point(self):
+        # the off-diagonal minimum of an empty matrix is inf, not a numpy error
+        assert FiniteMetricSpace([], np.zeros((0, 0))).n == 0
+        s = FiniteMetricSpace(["a"], [[0.0]])
+        assert s.n == 1 and s.d(0, 0) == 0.0
+        with pytest.raises(GeometryError, match="diagonal"):
+            FiniteMetricSpace(["a"], [[1.0]])
+
     def test_path_metric_dominates_ambient(self):
         g = make_v_detour(3.0)
         assert np.all(g.path_dist >= g.ambient_dist - 1e-9)
