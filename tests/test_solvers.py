@@ -145,10 +145,11 @@ class TestSearches:
 
 
 def reference_min_cost_flow(net: FlowNetwork, snapshots: list | None = None) -> FlowResult:
-    """The flow engine as it was before live arc lists: every search walks each
-    scanned node's full residual adjacency and tests each arc's residual in turn.
-    Its ``scans`` counts those full adjacencies; ``snapshots``, if given,
-    receives a copy of the flows after each search's augmentations."""
+    """``min_cost_flow`` with full scans: every search walks each scanned node's
+    full residual adjacency and tests each arc's residual in turn, with the
+    same float operations in the same order. Its ``scans`` counts those full
+    adjacencies; ``snapshots``, if given, receives a copy of the flows after
+    each search's augmentations."""
     n, arcs = net.n, net.arcs
     m = len(arcs)
     cost = arcs[:, 2].copy()
