@@ -4,19 +4,25 @@ Both are deterministic: the flow solver orders arcs by input index and breaks
 shortest-path ties by lowest node index; the simplex uses Bland's rule, which
 also precludes cycling. Desk-scale instances only (a few thousand variables).
 
-The flow solver is successive shortest paths with Johnson potentials, where
-one Dijkstra search from all sources at once serves several sinks (the
-primal-dual step of Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9).
-Each reached node carries the source whose tree reached it, and each settled
-deficit node claims min(supply left at that source, its deficit). The search
-stops at the first deficit node whose source has nothing left, which stays
-unsettled, or once every deficit node is settled. Settled nodes get
-pi += dist and all others pi += d_stop, the distance at which the search
-stopped, so every residual reduced cost stays >= 0 and every tree arc has
-reduced cost 0. The sinks' tree paths are then augmented in settle order,
-each after re-reading its bottleneck; a path that earlier ones have blocked
-is skipped, and the first never is. ``check_flow`` certifies a result in
-O(m) from its flows and potentials alone.
+The flow solver is primal-dual (Ahuja, Magnanti and Orlin, *Network Flows*,
+1993, ch. 9): successive shortest paths with Johnson potentials, where each
+phase is one Dijkstra search from all sources at once. Each reached node
+carries the source whose tree reached it, and each settled deficit node
+claims min(supply left at that source, its deficit), or nothing once that
+supply is all claimed. The search runs until every deficit node is settled
+or the heap is empty. Settled nodes get pi += dist and all others
+pi += d_stop, the last settled distance, so every residual reduced cost stays
+>= 0 and every tree arc has reduced cost 0. An arc that matches its head's
+distance to the 1e-15 relaxation margin without improving it is a tie. The
+claimed sinks' tree paths are augmented in settle order; then, while supply
+is left and there are ties, a blocking flow goes depth first from each source
+over the tree arcs and the ties still admissible under the final distances.
+All of those arcs have reduced cost 0 to the margin (exactly 0 with integer
+costs), so the potentials stay feasible. Every path goes through
+``_augment``, which re-reads its bottleneck and skips a path that earlier
+ones blocked; the first tree path never is, and a phase that moves no flow
+raises IterationLimit. ``check_flow`` certifies a result in O(m) from its
+flows and potentials alone.
 
 A ``FlowNetwork`` is one (m, 4) arc table, validated by column. The engine
 takes its columns once with ``tolist`` and loops on plain lists, where numpy
@@ -67,7 +73,7 @@ class IterationLimit(SolverError):
 
 
 # ---------------------------------------------------------------------------
-# min-cost flow: successive shortest paths, several sinks per search
+# min-cost flow: primal-dual phases of one search and a blocking flow each
 
 
 class FlowNetwork:
@@ -109,6 +115,79 @@ class FlowResult:
     scans: int = 0
 
 
+def _augment(path: list[int], source: int, target: int, excess: list[float],
+             flow: list[float], cap: list[float], live: list[list[int]],
+             rhead: list[int], eps: float, floor: float) -> float:
+    """Push min(supply at source, demand at target, residual of each arc) along
+    the residual arcs ``path`` and re-test both residual arcs of each arc on it
+    in ``live``; returns the units pushed, or 0.0 if the path is blocked."""
+    bottleneck = min(excess[source], -excess[target])
+    if bottleneck <= eps:
+        return 0.0
+    for a in path:
+        k = a >> 1
+        bottleneck = min(bottleneck, flow[k] if a & 1 else cap[k] - flow[k])
+    if bottleneck <= floor:
+        return 0.0
+    bisect_left = bisect.bisect_left
+    for a in path:
+        k = a >> 1
+        flow[k] += -bottleneck if a & 1 else bottleneck
+        for b in (2 * k, 2 * k + 1):  # re-test both residual arcs of k
+            out = live[rhead[b ^ 1]]
+            i = bisect_left(out, b)
+            on = i < len(out) and out[i] == b
+            if (flow[k] if b & 1 else cap[k] - flow[k]) > floor:
+                if not on:
+                    out.insert(i, b)
+            elif on:
+                del out[i]
+    excess[source] -= bottleneck
+    excess[target] += bottleneck
+    log.debug("augment %s -> %s: %.17g units over %d arcs",
+              source, target, bottleneck, len(path))
+    return bottleneck
+
+
+def _blocking_flow(adm: dict[int, list[int]], sources: list[int], excess: list[float],
+                   flow: list[float], cap: list[float], live: list[list[int]],
+                   rhead: list[int], eps: float, floor: float) -> int:
+    """Augment depth first from each source with supply left to nodes with
+    demand, over the residual arcs ``adm`` (by tail) that keep a residual above
+    the floor; returns the paths augmented. A node whose arcs are all used up
+    is dead and never entered again, and no path enters a node twice."""
+    augmented = 0
+    dead = set()
+    for s in sources:
+        path, nodes = [], [s]
+        while excess[s] > eps:
+            u = nodes[-1]
+            if excess[u] < -eps:
+                if not _augment(path, s, u, excess, flow, cap, live, rhead, eps, floor):
+                    break
+                augmented += 1
+                path, nodes = [], [s]
+                continue
+            out = adm.get(u, [])  # untried arcs, the last tried first
+            while out:
+                a = out[-1]
+                v, k = rhead[a], a >> 1
+                if (v not in dead and v not in nodes
+                        and (flow[k] if a & 1 else cap[k] - flow[k]) > floor):
+                    break
+                out.pop()
+            if out:
+                path.append(a)
+                nodes.append(v)
+            else:
+                dead.add(u)
+                if u == s:
+                    break
+                path.pop()
+                nodes.pop()
+    return augmented
+
+
 def min_cost_flow(net: FlowNetwork) -> FlowResult:
     """Route all supply to demand at minimum cost.
 
@@ -117,8 +196,9 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     capacity, and on its reverse (-cost) while it carries flow. So every arc
     of an uncapacitated network is covered, and complementary slackness holds
     on flow-carrying arcs. ``augmentations`` counts the augmenting paths,
-    ``searches`` the shortest-path searches that found them and ``scans`` the
-    residual arcs those searches examined.
+    ``searches`` the shortest-path searches (one per phase) that found them
+    and ``scans`` the residual arcs those searches examined. Raises
+    IterationLimit if a phase moves no flow.
     """
     n, arcs = net.n, net.arcs
     m = len(arcs)
@@ -135,7 +215,7 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     total_supply = float(np.sum([x for x in excess if x > 0]))
     eps = TOL * max(1.0, total_supply)
     floor = eps * 1e-3
-    heappush, heappop, bisect_left = heapq.heappush, heapq.heappop, bisect.bisect_left
+    heappush, heappop = heapq.heappush, heapq.heappop
     # with no flow yet, the live arcs are the forward arcs above the floor
     live: list[list[int]] = [[] for _ in range(n)]
     for k, c in enumerate(cap):
@@ -162,6 +242,7 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
         for s in sources:
             dist[s] = 0.0
         sinks = []
+        ties = []  # residual arcs that matched, but did not improve, their head's distance
         d_stop = 0.0
         searches += 1
         while heap:
@@ -169,15 +250,15 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             if settled[u] or du > dist[u]:
                 continue
             d_stop = du
+            settled[u] = True
             if excess[u] < -eps:
                 r = root[u]
-                if left[r] <= eps:
-                    break  # u stays unsettled: its root's supply is all claimed
-                left[r] -= min(left[r], -excess[u])
-                sinks.append(u)
-            settled[u] = True
-            if len(sinks) == deficits:
-                break
+                if left[r] > eps:  # else u is settled but not claimed
+                    left[r] -= min(left[r], -excess[u])
+                    sinks.append(u)
+                deficits -= 1
+                if not deficits:
+                    break
             piu, ru, out = pi[u], root[u], live[u]
             scans += len(out)
             for a in out:
@@ -185,15 +266,20 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
                 if settled[v]:
                     continue
                 nd = du + (rcost[a] + piu - pi[v])
-                if nd < dist[v] - 1e-15:
-                    dist[v] = nd
-                    pred[v] = a
-                    root[v] = ru
-                    heappush(heap, (nd, v))
+                if nd <= dist[v] + 1e-15:
+                    if nd < dist[v] - 1e-15:
+                        dist[v] = nd
+                        pred[v] = a
+                        root[v] = ru
+                        heappush(heap, (nd, v))
+                    else:
+                        ties.append(a)
         if not sinks:
             raise Infeasible("supply cannot reach demand under the given arcs")
         # settled v gets pi[v] += dist[v]; every other v, reached or not, d_stop
+        old_pi = pi
         pi = [p + (d if s else d_stop) for p, d, s in zip(pi, dist, settled)]
+        moved = augmentations
         for target in sinks:
             # trace the tree path back to its source; earlier augmentations
             # may have used up its supply, its demand or an arc on it
@@ -203,32 +289,25 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
                 a = pred[v]
                 path.append(a)
                 v = rhead[a ^ 1]
-            source = v
-            bottleneck = min(excess[source], -excess[target])
-            if bottleneck <= eps:
-                continue
-            for a in path:
-                k = a >> 1
-                bottleneck = min(bottleneck, flow[k] if a & 1 else cap[k] - flow[k])
-            if bottleneck <= floor:
-                continue
-            for a in path:
-                k = a >> 1
-                flow[k] += -bottleneck if a & 1 else bottleneck
-                for b in (2 * k, 2 * k + 1):  # re-test both residual arcs of k
-                    out = live[rhead[b ^ 1]]
-                    i = bisect_left(out, b)
-                    on = i < len(out) and out[i] == b
-                    if (flow[k] if b & 1 else cap[k] - flow[k]) > floor:
-                        if not on:
-                            out.insert(i, b)
-                    elif on:
-                        del out[i]
-            excess[source] -= bottleneck
-            excess[target] += bottleneck
-            augmentations += 1
-            log.debug("augment %s -> %s: %.17g units over %d arcs",
-                      source, target, bottleneck, len(path))
+            if _augment(path, v, target, excess, flow, cap, live, rhead, eps, floor):
+                augmentations += 1
+        if ties and any(excess[s] > eps for s in sources):
+            # blocking flow over the tree arcs and the ties still admissible:
+            # the head settled too (the tail was, to be scanned) and
+            # dist[u] + rc(a) <= dist[v] under the potentials the search ran with
+            adm: dict[int, list[int]] = {}
+            for v in range(n):
+                if settled[v] and pred[v] >= 0:
+                    adm.setdefault(rhead[pred[v] ^ 1], []).append(pred[v])
+            for a in ties:
+                u, v = rhead[a ^ 1], rhead[a]
+                if settled[v] and (
+                        dist[u] + (rcost[a] + old_pi[u] - old_pi[v]) <= dist[v] + 1e-15):
+                    adm.setdefault(u, []).append(a)
+            augmentations += _blocking_flow(adm, sources, excess, flow, cap, live, rhead,
+                                            eps, floor)
+        if augmentations == moved:
+            raise IterationLimit(f"min_cost_flow moved no flow in search {searches}")
 
     flows = np.array(flow, dtype=float)
     total = float(np.dot(flows, cost)) if m else 0.0

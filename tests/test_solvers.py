@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from current1d import (FlowNetwork, Infeasible, LinearProgram, SolverError,
-                       Unbounded, check_flow, min_cost_flow, simplex_lp)
+from current1d import (FlowNetwork, Infeasible, IterationLimit, LinearProgram,
+                       SolverError, Unbounded, check_flow, min_cost_flow, simplex_lp)
 from current1d.solvers import TOL, FlowResult
 
 INF = math.inf
@@ -143,13 +143,35 @@ class TestSearches:
         res = min_cost_flow(engine_digests._bipartite(60, 60, lattice=False))
         assert res.searches < res.augmentations
 
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_zero_cost_arcs_serve_every_sink_in_one_search(self, k):
+        # k unit sources and k unit sinks joined through a hub by free unit arcs:
+        # the tree serves one sink, the blocking flow over the tied arcs into
+        # the hub the others (a search that stops at its first sink it cannot
+        # claim, as before phases, serves one sink per search)
+        arcs = tuple((i, 2 * k, 0.0, 1.0) for i in range(k)) + tuple(
+            (2 * k, k + j, 0.0, 1.0) for j in range(k))
+        net = FlowNetwork(2 * k + 1, arcs, (1.0,) * k + (-1.0,) * k + (0.0,))
+        res = min_cost_flow(net)
+        assert (res.searches, res.augmentations, res.total_cost) == (1, k, 0.0)
+        check_flow(net, res)
+
+    @pytest.mark.parametrize("name, before, share", [("flat_staircase_12x12", 14, 3),
+                                                     ("flat_field_8x8", 37, 2)])
+    def test_flat_norm_networks_need_fewer_searches(self, name, before, share):
+        # ``before``: the searches when each search stopped at its first sink
+        # it could not claim; the staircase's integer costs tie often, the
+        # field's normal costs rarely
+        res = min_cost_flow(engine_digests.NETWORKS[name]())
+        assert res.searches <= before // share
+
 
 def reference_min_cost_flow(net: FlowNetwork, snapshots: list | None = None) -> FlowResult:
     """``min_cost_flow`` with full scans: every search walks each scanned node's
     full residual adjacency and tests each arc's residual in turn, with the
-    same float operations in the same order. Its ``scans`` counts those full
-    adjacencies; ``snapshots``, if given, receives a copy of the flows after
-    each search's augmentations."""
+    same float operations in the same order, and so does each phase's
+    blocking flow. Its ``scans`` counts those full adjacencies; ``snapshots``,
+    if given, receives a copy of the flows after each phase's augmentations."""
     n, arcs = net.n, net.arcs
     m = len(arcs)
     cost = arcs[:, 2].copy()
@@ -163,6 +185,24 @@ def reference_min_cost_flow(net: FlowNetwork, snapshots: list | None = None) -> 
     excess = net.divergence.tolist()
     eps = TOL * max(1.0, float(np.sum([x for x in excess if x > 0])))
     floor = eps * 1e-3
+
+    def residual(a):
+        return flow[a >> 1] if a & 1 else cap[a >> 1] - flow[a >> 1]
+
+    def push(path, source, target):
+        bottleneck = min(excess[source], -excess[target])
+        if bottleneck <= eps:
+            return False
+        for a in path:
+            bottleneck = min(bottleneck, residual(a))
+        if bottleneck <= floor:
+            return False
+        for a in path:
+            flow[a >> 1] += -bottleneck if a & 1 else bottleneck
+        excess[source] -= bottleneck
+        excess[target] += bottleneck
+        return True
+
     pi = [0.0] * n
     augmentations = searches = scans = 0
     while True:
@@ -177,7 +217,7 @@ def reference_min_cost_flow(net: FlowNetwork, snapshots: list | None = None) -> 
         heap = [(0.0, s) for s in sources]
         for s in sources:
             dist[s] = 0.0
-        sinks = []
+        sinks, ties = [], []
         d_stop = 0.0
         searches += 1
         while heap:
@@ -185,19 +225,18 @@ def reference_min_cost_flow(net: FlowNetwork, snapshots: list | None = None) -> 
             if settled[u] or du > dist[u]:
                 continue
             d_stop = du
+            settled[u] = True
             if excess[u] < -eps:
                 r = root[u]
-                if left[r] <= eps:
+                if left[r] > eps:
+                    left[r] -= min(left[r], -excess[u])
+                    sinks.append(u)
+                deficits -= 1
+                if not deficits:
                     break
-                left[r] -= min(left[r], -excess[u])
-                sinks.append(u)
-            settled[u] = True
-            if len(sinks) == deficits:
-                break
             scans += len(adj[u])
             for a in adj[u]:
-                k = a >> 1
-                if (flow[k] if a & 1 else cap[k] - flow[k]) <= floor:
+                if residual(a) <= floor:
                     continue
                 v = rhead[a]
                 if settled[v]:
@@ -206,29 +245,55 @@ def reference_min_cost_flow(net: FlowNetwork, snapshots: list | None = None) -> 
                 if nd < dist[v] - 1e-15:
                     dist[v], pred[v], root[v] = nd, a, root[u]
                     heapq.heappush(heap, (nd, v))
+                elif nd <= dist[v] + 1e-15:
+                    ties.append(a)
         if not sinks:
             raise Infeasible("supply cannot reach demand under the given arcs")
+        old_pi = pi
         pi = [p + (d if s else d_stop) for p, d, s in zip(pi, dist, settled)]
+        moved = augmentations
         for target in sinks:
             path = []
             v = target
             while pred[v] >= 0:
                 path.append(pred[v])
                 v = rhead[pred[v] ^ 1]
-            source = v
-            bottleneck = min(excess[source], -excess[target])
-            if bottleneck <= eps:
-                continue
-            for a in path:
-                k = a >> 1
-                bottleneck = min(bottleneck, flow[k] if a & 1 else cap[k] - flow[k])
-            if bottleneck <= floor:
-                continue
-            for a in path:
-                flow[a >> 1] += -bottleneck if a & 1 else bottleneck
-            excess[source] -= bottleneck
-            excess[target] += bottleneck
-            augmentations += 1
+            augmentations += push(path, v, target)
+        if ties and any(excess[s] > eps for s in sources):
+            adm = {}
+            for v in range(n):
+                if settled[v] and pred[v] >= 0:
+                    adm.setdefault(rhead[pred[v] ^ 1], []).append(pred[v])
+            for a in ties:
+                u, v = rhead[a ^ 1], rhead[a]
+                if settled[v] and dist[u] + (rcost[a] + old_pi[u] - old_pi[v]) <= dist[v] + 1e-15:
+                    adm.setdefault(u, []).append(a)
+            dead = set()
+            for s in sources:
+                path, nodes = [], [s]
+                while excess[s] > eps:
+                    u = nodes[-1]
+                    if excess[u] < -eps:
+                        if not push(path, s, u):
+                            break
+                        augmentations += 1
+                        path, nodes = [], [s]
+                        continue
+                    out = adm.get(u, [])
+                    while out and (rhead[out[-1]] in dead or rhead[out[-1]] in nodes
+                                   or residual(out[-1]) <= floor):
+                        out.pop()
+                    if out:
+                        path.append(out[-1])
+                        nodes.append(rhead[out[-1]])
+                    else:
+                        dead.add(u)
+                        if u == s:
+                            break
+                        path.pop()
+                        nodes.pop()
+        if augmentations == moved:
+            raise IterationLimit(f"min_cost_flow moved no flow in search {searches}")
         if snapshots is not None:
             snapshots.append(np.array(flow))
     flows = np.array(flow, dtype=float)
@@ -467,9 +532,16 @@ class TestIterationLimit:
         a = rng.uniform(0.5, 1.5, size=(4, 12))
         x0 = rng.uniform(0.5, 1.0, size=12)
         lp = LinearProgram(c=rng.uniform(1, 2, size=12), a=a, b=a @ x0)
-        from current1d import IterationLimit
         with pytest.raises(IterationLimit):
             solvers.simplex_lp(lp)
+
+
+class TestFlowProgressGuard:
+    def test_a_phase_that_moves_no_flow_raises(self, monkeypatch):
+        import current1d.solvers as solvers
+        monkeypatch.setattr(solvers, "_augment", lambda *args: 0.0)  # every path blocked
+        with pytest.raises(IterationLimit, match="no flow in search 1$"):
+            min_cost_flow(engine_digests.NETWORKS["flat_field_8x8"]())
 
 
 class TestEngineDigests:
