@@ -269,9 +269,6 @@ def _cmd_normalize(args) -> int:
     if isinstance(chain, Polyline):
         chain = chain.as_chain(NormedPlane("l2"))
     res = normalize(chain, Line(*_reals("--hyperplane", args.hyperplane, "a,b,c")), eps)
-    ok = (res.boundary_residual <= 1e-9
-          and res.mass_ratio <= 2.0 + eps + 1e-9
-          and res.restriction_error <= 1e-9)
     report = {
         "eps": eps,
         "mass_ratio": res.mass_ratio,
@@ -280,10 +277,10 @@ def _cmd_normalize(args) -> int:
         "rounds": [asdict(r) for r in res.rounds],
         "n_chain": cio.dump_chain(res.n_chain),
         "r_chain": cio.dump_chain(res.r_chain),
-        "ok": bool(ok),
+        "ok": res.ok,
     }
     _emit(args, report)
-    return 0 if ok else 2
+    return 0 if res.ok else 2
 
 
 def _load_flow(args) -> EdgeFlow:
@@ -296,9 +293,7 @@ def _load_flow(args) -> EdgeFlow:
 def _cmd_decompose(args) -> int:
     ef = _load_flow(args)
     d = decompose_flow(ef)
-    err = float(np.max(np.abs(d.reassembled() - np.array(ef.weights)))) \
-        if ef.weights else 0.0
-    ok = err <= 1e-9 and abs(d.mass_defect) <= 1e-9
+    ok = d.reassembly_error <= 1e-9 and abs(d.mass_defect) <= 1e-9
     rows = [{"kind": kind, "weight": w, "length": ef.graph.route_length(v),
              "n_vertices": len(v)}
             for kind, routes in (("path", d.paths), ("cycle", d.cycles))
@@ -307,7 +302,7 @@ def _cmd_decompose(args) -> int:
         "paths": [[w, list(v)] for w, v in d.paths],
         "cycles": [[w, list(v)] for w, v in d.cycles],
         "mass_defect": d.mass_defect,
-        "reassembly_error": err,
+        "reassembly_error": d.reassembly_error,
         "ok": bool(ok),
     }
     _emit(args, report, rows=rows, columns=["kind", "weight", "length", "n_vertices"])

@@ -44,7 +44,12 @@ class Molecule:
     def __init__(self, atoms: Sequence[tuple[PointKey, float]], check_zero_sum: bool = True):
         agg: dict[PointKey, float] = {}
         for p, w in atoms:
-            key = _pt(p) if isinstance(p, (tuple, list, np.ndarray)) else int(p)
+            if isinstance(p, (tuple, list, np.ndarray)):
+                key = _pt(p)
+            elif isinstance(p, (int, np.integer)) and not isinstance(p, bool):
+                key = int(p)
+            else:
+                raise CurrentError(f"molecule atom {p!r} is neither a point nor an integer vertex")
             agg[key] = agg.get(key, 0.0) + float(w)
         bad = [w for w in agg.values() if not math.isfinite(w)]
         if bad:

@@ -62,15 +62,11 @@ class Decomposition:
     paths: tuple[tuple[float, tuple[int, ...]], ...]
     cycles: tuple[tuple[float, tuple[int, ...]], ...]
     mass_defect: float
+    reassembly_error: float  # max |reassembled() - flow weights| over the edges
 
     def reassembled(self) -> np.ndarray:
         """Signed edge-weight vector reconstructed from the paths and cycles."""
-        out = np.zeros(len(self.graph.edges))
-        for w, verts in self.paths + self.cycles:
-            for a, b in zip(verts, verts[1:]):
-                k, sgn = self.graph.signed_edge(a, b)
-                out[k] += sgn * w
-        return out
+        return _reassemble(self.graph, self.paths + self.cycles)
 
 
 def decompose_flow(f: EdgeFlow) -> Decomposition:
@@ -84,9 +80,9 @@ def decompose_flow(f: EdgeFlow) -> Decomposition:
     residual: dict[tuple[int, int], float] = {}
     for (u, v, _), w in zip(g.edges, f.weights):
         if w > 0:
-            residual[(u, v)] = residual.get((u, v), 0.0) + w
+            residual[(u, v)] = w
         elif w < 0:
-            residual[(v, u)] = residual.get((v, u), 0.0) - w
+            residual[(v, u)] = -w
     out_arcs: list[list[int]] = [[] for _ in range(g.n)]
     arc_list = sorted(residual)
     for a, (u, v) in enumerate(arc_list):
@@ -163,8 +159,19 @@ def decompose_flow(f: EdgeFlow) -> Decomposition:
         peel_cycle(walk_from(live[0][0])[1])
 
     defect = f.mass() - _route_mass(g, paths + cycles)
+    err = np.max(np.abs(_reassemble(g, paths + cycles) - f.weights)) if f.weights else 0.0
     return Decomposition(graph=g, paths=tuple(paths), cycles=tuple(cycles),
-                         mass_defect=float(defect))
+                         mass_defect=float(defect), reassembly_error=float(err))
+
+
+def _reassemble(g: MetricGraph, routes) -> np.ndarray:
+    """Signed weight per edge summed over every edge of every route."""
+    out = np.zeros(len(g.edges))
+    for w, verts in routes:
+        for a, b in zip(verts, verts[1:]):
+            k, sgn = g.signed_edge(a, b)
+            out[k] += sgn * w
+    return out
 
 
 def _route_mass(g: MetricGraph, routes) -> float:
@@ -228,10 +235,7 @@ def _embedded_chain(d: Decomposition) -> Chain1:
     for w, verts in d.paths + d.cycles:
         for i in range(len(verts) - 1):
             u, v = verts[i], verts[i + 1]
-            if (v, u) in acc:
-                acc[(v, u)] -= w
-            else:
-                acc[(u, v)] = acc.get((u, v), 0.0) + w
+            acc[(u, v)] = acc.get((u, v), 0.0) + w
     segs = [(tuple(g.coords[u]), tuple(g.coords[v]), w)
             for (u, v), w in sorted(acc.items()) if w != 0.0]
     return Chain1.from_segments(plane, segs)

@@ -6,12 +6,17 @@ whose restriction to the line reproduces it.
 Mutual singularity is rendered finitely: an atomic measure is singular to a
 chain when no atom sits on the relative interior of a piece, and a chain is
 singular to the line when no positive-length piece lies inside it (touching
-the line at finitely many endpoints carries zero length). Remainders of the
-affine-homotopy translation are exact chains: the connector segments at the
-boundary atoms, which lets the iteration close the boundary exactly instead
-of leaving a flat-norm tail. The connectors and the flat certificates of the
-rescaling and of each translation all come from
-``homotopy.affine_homotopy_current``.
+the line at finitely many endpoints carries zero length). Both conditions
+are one test on a segment, ``clears``. Remainders of the affine-homotopy
+translation are exact chains: the connector segments at the boundary atoms,
+which lets the iteration close the boundary exactly instead of leaving a
+flat-norm tail. The connectors and the flat certificates of the rescaling and
+of each translation all come from ``homotopy.affine_homotopy_current``.
+
+The filling of a boundary inside the line needs no flow: with the atoms
+sorted along the line, the segment after each atom carries minus the running
+sum of the weights so far, the path case of the tree formula for the
+Arens-Eells norm (Godard, Proc. AMS 2010).
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Optional, Sequence
 from .currents import (AffineMap, Chain1, ClosedSet, Molecule, Piece, Slab,
                        fat_cantor_intervals, pushforward, restrict)
 from .homotopy import affine_homotopy_current
-from .spaces import MetricGraph, NormedPlane
-from .transport import ae_norm, minimal_filling
+from .spaces import NormedPlane
+from .transport import ae_norm
 
 TOL = 1e-9
 GEOM_EPS = 1e-12
@@ -40,9 +45,9 @@ class NoAdmissibleShift(StructureError):
     pass
 
 
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps > 0):
-        raise StructureError(f"eps must be a positive finite number: {eps!r}")
+def _check_eps(value: float, what: str = "eps") -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise StructureError(f"{what} must be a positive finite number: {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +111,6 @@ def _seg_point_dist(p, a, b) -> float:
     return math.hypot(px - t * ax, py - t * ay)
 
 
-def _atom_on_interior(p, a, b) -> bool:
-    """Atom strictly inside segment (a, b): on the segment but at neither endpoint."""
-    if _seg_point_dist(p, a, b) > GEOM_EPS:
-        return False
-    return (math.hypot(p[0] - a[0], p[1] - a[1]) > GEOM_EPS
-            and math.hypot(p[0] - b[0], p[1] - b[1]) > GEOM_EPS)
-
-
 def _piece_coords(chain: Chain1, piece: Piece):
     return chain.coords_of(piece.start), chain.coords_of(piece.end)
 
@@ -125,18 +122,24 @@ def piece_inside_line(a, b, line: Line, tol: float = GEOM_EPS) -> bool:
     return abs(line.signed_dist(a)) <= tol and abs(line.signed_dist(b)) <= tol
 
 
+def clears(a, b, mu: Points, line: Optional[Line] = None, spare=()) -> bool:
+    """Segment (a, b) is not inside the line and no atom of mu lies on it,
+    except atoms at a point of ``spare`` (pass (a, b) to test the relative
+    interior only)."""
+    if line is not None and piece_inside_line(a, b, line):
+        return False
+    return not any(_seg_point_dist(p, a, b) <= GEOM_EPS
+                   and all(math.hypot(p[0] - q[0], p[1] - q[1]) > GEOM_EPS for q in spare)
+                   for p in mu)
+
+
 def is_admissible(chain: Chain1, mu: Points, line: Optional[Line]) -> bool:
     """Desk-scale mutual singularity: no mu atom on a piece's relative interior,
     no positive-length piece inside the line."""
     for piece in chain.pieces:
-        if piece.weight == 0.0:
-            continue
         a, b = _piece_coords(chain, piece)
-        if line is not None and piece_inside_line(a, b, line):
+        if piece.weight != 0.0 and not clears(a, b, mu, line, spare=(a, b)):
             return False
-        for p in mu:
-            if _atom_on_interior(p, a, b):
-                return False
     return True
 
 
@@ -213,8 +216,7 @@ def translate_singular(p_chain: Chain1, mu: Points, line: Optional[Line],
     certificate is the homotopy's ``flat_bound``, t |w| (2 mass + boundary
     mass) with |w| measured in the chain's plane.
     """
-    if t1 <= 0:
-        raise StructureError("translation budget must be positive")
+    _check_eps(t1, "the translation budget t1")
     w = _candidate_direction(p_chain, line)
 
     for level in range(3):
@@ -223,19 +225,7 @@ def translate_singular(p_chain: Chain1, mu: Points, line: Optional[Line],
             t = t1 * j / grid
             shift = AffineMap.translation((t * w[0], t * w[1]))
             cand = pushforward(p_chain, shift)
-            ok = True
-            for piece in cand.pieces:
-                a, b = _piece_coords(cand, piece)
-                if line is not None and piece_inside_line(a, b, line):
-                    ok = False
-                    break
-                for p in mu:
-                    if _seg_point_dist(p, a, b) <= GEOM_EPS:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(clears(*_piece_coords(cand, piece), mu, line) for piece in cand.pieces):
                 hom = affine_homotopy_current(p_chain, shift, AffineMap.identity())
                 return TranslateResult(chain=cand, t=t, w=w, flat_cert=hom.flat_bound,
                                        connectors=hom.connectors.scale(-1.0))
@@ -276,6 +266,7 @@ def lift_off_line(chain: Chain1, line: Line, mu: Points, eps: float) -> Chain1:
     height is walked down a 64-point grid if a tent segment hits an atom of mu.
     Pieces not inside the line pass through unchanged.
     """
+    _check_eps(eps)
     plane = chain.plane
     nrm = line.normal()
     out = []
@@ -287,24 +278,14 @@ def lift_off_line(chain: Chain1, line: Line, mu: Points, eps: float) -> Chain1:
         length = plane.dist(a, b)
         h0 = _tent_height(length, eps, plane, a, b, nrm)
         mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        placed = False
         for j in range(64):
             h = h0 * (1.0 - j / 64.0)
-            if h <= 0:
-                break
             apex = (mid[0] + h * nrm[0], mid[1] + h * nrm[1])
-            clean = True
-            for p in mu:
-                if (_atom_on_interior(p, a, apex) or _atom_on_interior(p, apex, b)
-                        or (abs(p[0] - apex[0]) <= GEOM_EPS and abs(p[1] - apex[1]) <= GEOM_EPS)):
-                    clean = False
-                    break
-            if clean:
+            if h > 0 and clears(a, apex, mu, spare=(a,)) and clears(apex, b, mu, spare=(b,)):
                 out.append(Piece(a, apex, piece.weight, plane.dist(a, apex)))
                 out.append(Piece(apex, b, piece.weight, plane.dist(apex, b)))
-                placed = True
                 break
-        if not placed:
+        else:
             raise NoAdmissibleShift("no tent height clears the atomic measure")
     return Chain1(plane, out, validate=False)
 
@@ -389,41 +370,35 @@ class NormalizeResult:
     boundary_residual: float
     rounds: tuple[FillingRound, ...] = ()
     restriction_error: float = 0.0  # |mass(N restricted to the line) - mass(T)|
+    eps: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        """The theorem's verdict: dN = 0, mass(N) <= (2 + eps) mass(T) and N
+        restricted to the line equal to T, each to TOL."""
+        return (self.boundary_residual <= TOL and self.mass_ratio <= 2.0 + self.eps + TOL
+                and self.restriction_error <= TOL)
 
 
 def line_filling(m: Molecule, line: Line, plane: NormedPlane) -> Chain1:
     """Minimal filling of a molecule supported on a line, within the line.
 
-    Builds the path graph of the sorted atom positions and routes the molecule
-    by min-cost flow (the transport module), then maps edges back to plane
-    segments. Optimal on a line: mass equals the AE norm under the line metric.
+    The filling of a molecule on a line is unique: with the atoms sorted along
+    the line, the segment from each atom to the next carries minus the running
+    sum of the weights up to that atom, and segments with |weight| <= 1e-12
+    are dropped. Its mass is the AE norm under the line metric.
     """
-    if not m.atoms:
-        return Chain1.empty(plane)
-    direction = line.direction()
-    dnorm = plane.norm(direction)
-    direction = (direction[0] / dnorm, direction[1] / dnorm)
-    coords = []
+    dx, dy = line.direction()
     for p, _ in m.atoms:
         if not line.contains(p, tol=1e-7):
             raise StructureError(f"atom {p} is not on the line")
-        coords.append(p)
-    svals = {p: p[0] * direction[0] + p[1] * direction[1] for p in coords}
-    order = sorted(coords, key=lambda p: svals[p])
-    index = {p: i for i, p in enumerate(order)}
-    edges = []
-    for i in range(len(order) - 1):
-        ln = plane.dist(order[i], order[i + 1])
-        if ln > 0:
-            edges.append((i, i + 1, ln))
-    if not edges:
-        return Chain1.empty(plane)
-    graph = MetricGraph([list(p) for p in order], edges, ambient="path")
-    gm = Molecule([(index[p], w) for p, w in m.atoms])
-    fill = minimal_filling(gm, graph)
+    atoms = sorted(m.atoms, key=lambda pw: pw[0][0] * dx + pw[0][1] * dy)
     segs = []
-    for piece in fill.chain.pieces:
-        segs.append((order[piece.start], order[piece.end], piece.weight))
+    run = 0.0
+    for (a, w), (b, _) in zip(atoms, atoms[1:]):
+        run -= w
+        if abs(run) > 1e-12:
+            segs.append((a, b, run))
     return Chain1.from_segments(plane, segs)
 
 
@@ -456,7 +431,7 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
 
     b_set = line.as_closed_set()
     if not t_chain.pieces:
-        return NormalizeResult(t_chain, Chain1.empty(plane), b_set, 0.0, 0.0)
+        return NormalizeResult(t_chain, Chain1.empty(plane), b_set, 0.0, 0.0, eps=eps)
 
     m = t_chain.boundary()
     mu = sample_support_measure(t_chain)
@@ -472,7 +447,7 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
     restriction_error = abs(restrict(n_chain, b_set).mass() - t_chain.mass())
     return NormalizeResult(n_chain=n_chain, r_chain=r.chain, b_set=b_set,
                            mass_ratio=float(ratio), boundary_residual=float(bres),
-                           rounds=r.rounds, restriction_error=restriction_error)
+                           rounds=r.rounds, restriction_error=restriction_error, eps=eps)
 
 
 def fat_cantor_chain(k: int) -> Chain1:

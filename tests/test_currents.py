@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from current1d import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
                        CurveArray, HalfPlane, Molecule, NormedPlane, Polyline,
-                       ScalarField, Slab, d_inf, d_inf_many, evaluate,
+                       ScalarField, Slab, ae_norm, d_inf, d_inf_many, evaluate,
                        fat_cantor_intervals, pushforward, restrict, standard_panel)
 from current1d import currents
 from current1d import TestForm as Form
@@ -36,6 +36,23 @@ class TestMolecule:
     def test_exact_cancellation_drops_atom(self):
         m = Molecule([((0.0, 0.0), 1.0), ((0.0, 0.0), -1.0)])
         assert m.atoms == ()
+
+    @pytest.mark.parametrize("key", [2.5, 2.0, np.float64(1.0), True, np.bool_(True), "1", None],
+                             ids=repr)
+    def test_scalar_key_must_be_an_integer(self, key):
+        # int(2.5) would silently move the atom to vertex 2
+        with pytest.raises(CurrentError, match="integer vertex"):
+            Molecule([(key, 1.0), (0, -1.0)])
+
+    def test_truncating_key_does_not_reach_ae_norm(self):
+        dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        with pytest.raises(CurrentError):
+            ae_norm(Molecule([(2.5, 1.0), (0, -1.0)]), dist)
+
+    def test_numpy_integer_key_becomes_an_int(self):
+        m = Molecule([(np.int64(2), 1.0), (np.int32(0), -1.0)])
+        assert m.atoms == ((0, -1.0), (2, 1.0))
+        assert all(type(p) is int for p, _ in m.atoms)
 
 
 class TestBoundary:

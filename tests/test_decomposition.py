@@ -80,6 +80,7 @@ class TestDecomposeFlow:
             ef = EdgeFlow.from_chain(fill.chain)
             d = decompose_flow(ef)
             assert np.max(np.abs(d.reassembled() - ef.weights)) <= 1e-9
+            assert d.reassembly_error == float(np.max(np.abs(d.reassembled() - ef.weights)))
             assert abs(d.mass_defect) <= 1e-9
             assert path_mass(d) + cycle_mass(d) == pytest.approx(ef.mass(), abs=1e-9)
             starts, ends = boundary_marginals(d)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from current1d import (Chain1, ConvexBox, CurveMeasure, Line, NormedPlane,
-                       Polyline, ae_norm, approximate, fat_cantor_chain,
-                       lift_off_line, normalize, rectifiable_filling,
-                       rescale_interior, restrict, translate_singular)
-from current1d.structure import StructureError, is_admissible, line_filling
+from current1d import (Chain1, ConvexBox, CurveMeasure, Line, MetricGraph, Molecule,
+                       NormalizeResult, NormedPlane, Polyline, ae_norm, approximate,
+                       fat_cantor_chain, lift_off_line, minimal_filling, normalize,
+                       rectifiable_filling, rescale_interior, restrict,
+                       translate_singular)
+from current1d.structure import (NoAdmissibleShift, StructureError, clears, is_admissible,
+                                 line_filling)
 
 PL = NormedPlane("l2")
 AXIS = Line(0.0, 1.0, 0.0)
@@ -108,6 +110,11 @@ class TestTranslateSingular:
             assert res.connectors.mass() == pytest.approx(res.t * wn * c.boundary().mass0(),
                                                           abs=1e-12)
 
+    @pytest.mark.parametrize("t1", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_budget_that_is_not_positive_and_finite(self, t1):
+        with pytest.raises(StructureError, match="positive finite"):
+            translate_singular(unit_segment(), [(0.5, 0.0)], AXIS, t1)
+
     def test_connectors_are_the_shifted_boundary_atoms(self):
         c = Chain1.from_segments(PL, [((0.0, 0.5), (1.0, 0.5), 1.5), ((1.0, 0.5), (1.0, 2.0), -0.5)])
         res = translate_singular(c, [(0.5, 0.5)], AXIS, t1=0.1)
@@ -160,12 +167,79 @@ class TestRectifiableFilling:
         assert all(budgets[i + 1] <= budgets[i] / 2 + 1e-15 for i in range(len(budgets) - 1))
 
 
+def reference_line_filling(m: Molecule, line: Line, plane: NormedPlane) -> Chain1:
+    """The filling as a min-cost flow on the path graph of the sorted atoms."""
+    if not m.atoms:
+        return Chain1.empty(plane)
+    direction = line.direction()
+    dnorm = plane.norm(direction)
+    direction = (direction[0] / dnorm, direction[1] / dnorm)
+    order = sorted((p for p, _ in m.atoms),
+                   key=lambda p: p[0] * direction[0] + p[1] * direction[1])
+    index = {p: i for i, p in enumerate(order)}
+    edges = [(i, i + 1, plane.dist(order[i], order[i + 1])) for i in range(len(order) - 1)]
+    if not edges:
+        return Chain1.empty(plane)
+    graph = MetricGraph([list(p) for p in order], edges, ambient="path")
+    fill = minimal_filling(Molecule([(index[p], w) for p, w in m.atoms]), graph)
+    return Chain1.from_segments(plane, [(order[piece.start], order[piece.end], piece.weight)
+                                        for piece in fill.chain.pieces])
+
+
+def line_molecule(rng, line: Line, repeated: bool) -> Molecule:
+    """Random atoms on the line; with ``repeated``, drawn from a few positions so
+    that atoms merge and the running sum returns to zero between groups."""
+    k = int(rng.integers(2, 12))
+    foot = (line.a * line.c, line.b * line.c)
+    if repeated:
+        s = rng.choice(rng.uniform(-3.0, 3.0, size=4), size=k)
+    else:
+        s = rng.uniform(-3.0, 3.0, size=k)
+    w = rng.normal(size=k)
+    w[-1] -= w.sum()
+    return Molecule([((foot[0] - line.b * t, foot[1] + line.a * t), x) for t, x in zip(s, w)])
+
+
 class TestLineFilling:
     def test_fat_cantor_filling_is_the_intervals(self):
         c = fat_cantor_chain(2)
         fill = line_filling(c.boundary(), AXIS, PL)
         assert fill.mass() == pytest.approx(c.mass(), abs=1e-12)
         assert fill.boundary() == c.boundary()
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_fat_cantor_boundary_equals_the_flow_route(self, k):
+        c = fat_cantor_chain(k)
+        fill = line_filling(c.boundary(), AXIS, PL)
+        assert fill.boundary() == c.boundary()
+        assert fill.boundary() == reference_line_filling(c.boundary(), AXIS, PL).boundary()
+
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+    def test_running_sum_matches_the_path_graph_flow(self, tag, repeated):
+        plane = NormedPlane(tag)
+        rng = np.random.Generator(np.random.Philox(key=251))
+        for i in range(40):
+            line = AXIS if i == 0 else Line(*rng.normal(size=3))
+            m = line_molecule(rng, line, repeated)
+            fill = line_filling(m, line, plane)
+            ref = reference_line_filling(m, line, plane)
+            assert [(p.start, p.end) for p in fill.pieces] == [(p.start, p.end) for p in ref.pieces]
+            for p, q in zip(fill.pieces, ref.pieces):
+                assert abs(p.weight - q.weight) <= 1e-12
+            assert abs(fill.mass() - ref.mass()) <= 1e-12
+            assert fill.mass() == pytest.approx(ae_norm(m, plane).value, abs=1e-9)
+
+    def test_rejects_atom_off_the_line(self):
+        m = Molecule([((0.0, 0.0), 1.0), ((1.0, 1e-3), -1.0)])
+        with pytest.raises(StructureError, match="not on the line"):
+            line_filling(m, AXIS, PL)
+
+    def test_empty_and_cancelled_molecules_give_no_pieces(self):
+        assert line_filling(Molecule([]), AXIS, PL).pieces == ()
+        m = Molecule([((0.0, 0.0), 1.0), ((1.0, 0.0), -1.0), ((1.0, 0.0), 1.0),
+                      ((0.0, 0.0), -1.0)])
+        assert line_filling(m, AXIS, PL).pieces == ()
 
     def test_ae_value_matches(self):
         c = fat_cantor_chain(3)
@@ -193,11 +267,40 @@ class TestNormalize:
         frag = restrict(res.n_chain, res.b_set)
         assert abs(frag.mass() - t.mass()) <= 1e-9
 
+    # axis-parallel lines: ``restrict`` measures fragments euclidean, which is the
+    # plane's length only along the axes
+    @pytest.mark.parametrize("tag", ["l1", "linf"])
+    @pytest.mark.parametrize("line", [AXIS, Line(0.0, 2.0, 1.4), Line(1.0, 0.0, -0.5)],
+                             ids=["axis", "horizontal", "vertical"])
+    def test_l1_and_linf_planes(self, tag, line):
+        plane = NormedPlane(tag)
+        d = line.direction()
+        foot = (line.a * line.c, line.b * line.c)
+        pt = lambda s: (foot[0] + s * d[0], foot[1] + s * d[1])  # noqa: E731
+        t = Chain1.from_segments(plane, [(pt(0.0), pt(1.0), 1.0), (pt(1.5), pt(2.5), -0.5),
+                                         (pt(3.0), pt(3.25), 2.0)])
+        res = normalize(t, line, eps=0.1)
+        assert res.ok
+        assert res.boundary_residual <= 1e-9
+        assert res.mass_ratio <= 2.1 + 1e-9
+        assert res.restriction_error <= 1e-9
+        assert abs(res.n_chain.mass() - res.mass_ratio * t.mass()) <= 1e-12
+
+    def test_verdict_reads_each_bound(self):
+        res = normalize(fat_cantor_chain(3), AXIS, eps=0.1)
+        assert res.ok and res.eps == 0.1
+        for field, value in (("boundary_residual", 2e-9), ("mass_ratio", 2.1 + 2e-9),
+                             ("restriction_error", 2e-9)):
+            bad = NormalizeResult(**{**res.__dict__, field: value})
+            assert not bad.ok
+        assert NormalizeResult(**{**res.__dict__, "mass_ratio": 2.1}).ok
+
     def test_zero_chain(self):
         t = Chain1.empty(PL)
         res = normalize(t, AXIS, eps=0.1)
         assert res.n_chain.pieces == ()
         assert res.r_chain.pieces == ()
+        assert res.ok
 
     def test_zero_boundary_keeps_chain(self):
         t = Chain1.from_segments(PL, [((0.0, 0.0), (1.0, 0.0), 1.0),
@@ -256,6 +359,21 @@ class TestLiftOffLine:
         assert lifted.mass() <= 1.2 + 1e-6
         assert lifted.mass() >= 1.0
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.5])
+    def test_rejects_eps_that_is_not_positive_and_finite(self, eps):
+        for plane in (PL, NormedPlane("linf")):
+            c = Chain1.from_segments(plane, [((0.0, 0.0), (1.0, 0.0), 1.0)])
+            with pytest.raises(StructureError, match="positive finite"):
+                lift_off_line(c, AXIS, (), eps)
+
+    def test_no_clear_height_raises(self):
+        # an atom on the perpendicular bisector blocks every apex on the 64-point grid
+        c = unit_segment()
+        h = 0.5 * math.sqrt(1.2 ** 2 - 1.0)
+        mu = [(0.5, h * (1.0 - j / 64.0)) for j in range(64)]
+        with pytest.raises(NoAdmissibleShift):
+            lift_off_line(c, AXIS, mu, eps=0.2)
+
     def test_apex_dodges_atoms(self):
         c = unit_segment()
         # place an atom exactly at the default apex
@@ -264,6 +382,28 @@ class TestLiftOffLine:
         lifted = lift_off_line(c, AXIS, mu, eps=0.2)
         apex = lifted.pieces[0].end
         assert apex != (0.5, h)
+
+
+class TestClears:
+    def test_endpoint_atoms_block_unless_spared(self):
+        a, b = (0.0, 1.0), (1.0, 1.0)
+        assert clears(a, b, [(2.0, 1.0), (0.5, 2.0)])
+        assert not clears(a, b, [a])
+        assert clears(a, b, [a], spare=(a,))
+        assert not clears(a, b, [b], spare=(a,))
+        assert clears(a, b, [a, b], spare=(a, b))
+        assert not clears(a, b, [(0.5, 1.0)], spare=(a, b))
+
+    def test_segment_inside_the_line_never_clears(self):
+        assert not clears((0.0, 0.0), (1.0, 0.0), (), AXIS)
+        assert clears((0.0, 0.0), (1.0, 0.0), ())
+        assert clears((0.0, 0.0), (1.0, 1.0), (), AXIS)  # touching at an endpoint is fine
+        assert clears((0.0, 0.0), (0.0, 0.0), (), AXIS)  # a point carries no length
+
+    def test_admissibility_ignores_zero_weight_pieces(self):
+        c = Chain1.from_segments(PL, [((0.0, 0.0), (1.0, 0.0), 0.0), ((0.0, 1.0), (1.0, 1.0), 1.0)])
+        assert is_admissible(c, [(0.5, 0.0), (0.0, 1.0)], AXIS)
+        assert not is_admissible(c, [(0.5, 1.0)], AXIS)
 
 
 class TestRelaxedMassSanity:
