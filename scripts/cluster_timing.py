@@ -5,12 +5,15 @@
 all curves share their breakpoint parameters (up to rounding); ``unrelated``
 are independent random 2-5 vertex polylines, so no two curves share interior
 breakpoints. Prints one CSV row per (family, count, eps) with the number of
-clusters and the best of ``--repeat`` wall-clock times of ``cluster``.
+clusters, the diameter pairs ``cluster`` measured (from its debug record on
+``current1d.approximation``) and the best of ``--repeat`` wall-clock times of
+``cluster``.
 
     python3 scripts/cluster_timing.py --counts 500,1000,2000 --eps 1.0,0.5
 """
 
 import argparse
+import logging
 import sys
 import time
 from pathlib import Path
@@ -38,6 +41,13 @@ def unrelated(rng, count: int) -> CurveMeasure:
     return CurveMeasure.of(entries)
 
 
+class LastRecord(logging.Handler):
+    """Keeps the arguments of the latest record it handles."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.args = record.args
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--counts", default="500,1000,2000")
@@ -46,7 +56,11 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     plane = NormedPlane("l2")
-    print("family,count,eps,clusters,cluster_s")
+    last = LastRecord()
+    log = logging.getLogger("current1d.approximation")
+    log.addHandler(last)
+    log.setLevel(logging.DEBUG)
+    print("family,count,eps,clusters,pairs_measured,cluster_s")
     for name, make in (("translates", translates), ("unrelated", unrelated)):
         for count in (int(c) for c in args.counts.split(",")):
             cm = make(np.random.default_rng([args.seed, count]), count)
@@ -56,7 +70,8 @@ def main() -> int:
                     t0 = time.perf_counter()
                     n_clusters = len(cluster(cm, eps, plane))
                     best = min(best, time.perf_counter() - t0)
-                print(f"{name},{count},{eps},{n_clusters},{best:.4f}", flush=True)
+                print(f"{name},{count},{eps},{n_clusters},{last.args['measured']},{best:.4f}",
+                      flush=True)
     return 0
 
 

@@ -15,11 +15,20 @@ sampled on the union of its two curves' breakpoints, which is exact: between
 consecutive points of that union the difference of two constant-speed
 polylines is affine, so its norm peaks at one of them. The values are those
 of the pairwise ``d_inf`` bit for bit, whether or not the curves share
-breakpoints.
+breakpoints, and d(x, y) is the same float as d(y, x).
+
+The exact cluster diameters start from distances already known: the net's
+radius r_i of each member to its center, and one measured row s_i from the
+member farthest from the center. By the triangle inequality no pair i, j is
+farther apart than min(r_i + r_j, s_i + s_j), so only the pairs whose bound
+reaches the largest known distance, less a rounding allowance tau far above
+the error of any computed distance, are measured (AESA-style pivot pruning).
+The diameters are the all-pairs maxima as floats; see ``cluster``.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,6 +42,8 @@ from .homotopy import interpolate_geodesic
 from .flatnorm import flat_upper_bound_pair
 from .spaces import NormedPlane
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class CurveMeasure:
@@ -42,8 +53,8 @@ class CurveMeasure:
 
     def __post_init__(self):
         for w, _ in self.entries:
-            if w <= 0:
-                raise CurrentError("curve-measure weights must be strictly positive")
+            if not (math.isfinite(w) and w > 0):
+                raise CurrentError(f"curve-measure weights must be positive and finite: {w!r}")
 
     @staticmethod
     def of(pairs: Sequence[tuple[float, Polyline]]) -> "CurveMeasure":
@@ -93,39 +104,96 @@ def cluster(cm: CurveMeasure, eps: float,
     up to the first entry far from all centers, which becomes a center; the
     next block is twice as long as the number of entries just placed. This is
     the one-at-a-time greedy exactly, since the centers do not change before
-    that entry. Each diameter takes blocks of members against the members
-    from the block on. No call measures more than ``currents.CHUNK_SAMPLES``
-    pairs unless one row alone does.
+    that entry. The net keeps each member's radius r_i = d(c, i) to its center
+    c (0 at c); ``d_inf_many`` returns max(gap(x, y), gap(y, x)), so d(x, y)
+    and d(y, x) are the same float and the radius is a pair value of the
+    cluster as it stands.
+
+    The diameter prunes its pairs with two pivots, as AESA does (Vidal 1986).
+    Let f be the member farthest from c (the first on ties); one row
+    s_i = d(f, i) is measured per cluster of three or more, and
+    best = max(max r, max s). By the triangle inequality, d(i, j) is at most
+    r_i + r_j and at most s_i + s_j, so only the pairs away from c and f with
+    min(r_i + r_j, s_i + s_j) >= best - tau are measured, and the diameter is
+    the max of best and those values. The allowance
+    tau = 2^-40 (1 + max |coordinate| + max length) max(1, plane weights)
+    covers the rounding: every computed distance, radius and sum is within a
+    few ulps of that scale of its exact value, so a pruned pair's computed
+    distance is below best and cannot be the maximum, and the diameter is the
+    all-pairs maximum as a float. Clusters whose members coincide (best = 0)
+    keep every pair.
+
+    No call measures more than ``currents.CHUNK_SAMPLES`` pairs unless one
+    row alone does: the pivot rows and the candidate pairs, batched over all
+    clusters, are built and measured in blocks of at most that many pairs.
+    One ``debug`` record on ``current1d.approximation`` per call gives the
+    entries, clusters, greedy rounds and diameter pairs measured of all.
     """
     _require_positive("cluster radius", eps)
+    n = len(cm.entries)
     curves = CurveArray([p for _, p in cm.entries], plane)
     centers: list[int] = []
     groups: list[list[int]] = []
-    i, size = 0, 1
-    while i < len(cm.entries):
-        block = np.arange(i, min(i + size, len(cm.entries)))
-        near = d_inf_many(curves, block[:, None], np.array(centers, dtype=int)) < eps
+    radius = np.zeros(n)
+    i, size, rounds = 0, 1, 0
+    while i < n:
+        block = np.arange(i, min(i + size, n))
+        dist = d_inf_many(curves, block[:, None], np.array(centers, dtype=int))
+        near = dist < eps
         far = np.flatnonzero(~near.any(axis=1))
         placed = int(far[0]) if far.size else len(block)
         for k in range(placed):
-            groups[int(near[k].argmax())].append(int(block[k]))
+            c = int(near[k].argmax())
+            groups[c].append(int(block[k]))
+            radius[block[k]] = dist[k, c]
         if far.size:
             centers.append(int(block[placed]))
             groups.append([int(block[placed])])
             placed += 1
         i += placed
+        rounds += 1
         size = min(2 * placed, max(1, currents.CHUNK_SAMPLES // max(1, len(centers))))
+    # members cluster by cluster, each center first; gid maps them to clusters
+    members = np.array([m for g in groups for m in g], dtype=int)
+    sizes = np.array([len(g) for g in groups], dtype=int)
+    start = np.cumsum(sizes) - sizes
+    gid = np.repeat(np.arange(len(groups)), sizes)
+    r = radius[members]
+    top = np.flatnonzero(r == np.maximum.reduceat(r, start)[gid])
+    pivot = top[np.searchsorted(top, start)]
+    s = np.zeros(n)
+    rows = np.flatnonzero(sizes[gid] > 2)
+    for p in range(0, len(rows), currents.CHUNK_SAMPLES):
+        k = rows[p:p + currents.CHUNK_SAMPLES]
+        s[k] = d_inf_many(curves, members[pivot[gid[k]]], members[k])
+    diam = np.maximum.reduceat(np.maximum(r, s), start)
+    tau = (2.0 ** -40 * max(1.0, *curves.plane.weights)
+           * (1.0 + np.abs(curves.points).max(initial=0.0) + curves.length.max(initial=0.0)))
+    bound = diam - tau
+    r[start] = s[pivot] = -np.inf  # pairs with the center or the pivot are known
+    later = start[gid] + sizes[gid] - np.arange(n) - 1  # partners after each member
+    cum = np.concatenate([[0], np.cumsum(later)])
+    measured, p = len(rows), 0
+    while p < n:
+        q = max(p + 1, int(np.searchsorted(cum, cum[p] + currents.CHUNK_SAMPLES, "right")) - 1)
+        a = np.repeat(np.arange(p, q), later[p:q])
+        b = a + 1 + np.arange(len(a)) - np.repeat(cum[p:q] - cum[p], later[p:q])
+        keep = np.minimum(r[a] + r[b], s[a] + s[b]) >= bound[gid[a]]
+        a, b = a[keep], b[keep]
+        np.maximum.at(diam, gid[a], d_inf_many(curves, members[a], members[b]))
+        measured += len(a)
+        p = q
+    log.debug("cluster: %(entries)d entries, %(clusters)d clusters in %(rounds)d greedy "
+              "rounds, %(measured)d of %(pairs)d diameter pairs measured",
+              {"entries": n, "clusters": len(groups), "rounds": rounds, "measured": measured,
+               "pairs": int((sizes * (sizes - 1) // 2).sum())})
     out = []
-    for g in groups:
-        members = np.array(g)
-        rows = max(1, currents.CHUNK_SAMPLES // len(g))
-        diam = max(float(d_inf_many(curves, members[r:r + rows, None], members[r:]).max())
-                   for r in range(0, len(g), rows))
+    for g, d in zip(groups, diam):
         lengths = [(cm.entries[i][1].length, i) for i in g]
         rep = min(lengths)[1]
         weight = float(sum(cm.entries[i][0] for i in g))
         out.append(Cluster(members=tuple(g), representative=rep,
-                           diameter=diam, weight=weight))
+                           diameter=float(d), weight=weight))
     return out
 
 

@@ -489,8 +489,8 @@ class FragmentChain:
     def __init__(self, fragments: Sequence[Fragment]):
         self.fragments = tuple(fragments)
         for fr in self.fragments:
-            if fr.weight < 0:
-                raise CurrentError("fragment weights must be nonnegative")
+            if not (math.isfinite(fr.weight) and fr.weight >= 0):
+                raise CurrentError(f"fragment weights must be nonnegative and finite: {fr.weight!r}")
             for a, b in fr.domain:
                 if not (0.0 - 1e-12 <= a <= b <= 1.0 + 1e-12):
                     raise CurrentError(f"domain interval ({a},{b}) outside [0,1]")

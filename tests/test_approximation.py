@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -168,6 +169,96 @@ class TestClusterAgainstPairwise:
         # no call measures more than the cap in pairs, unless one row does
         assert all(math.prod(s) <= max(16, s[-1]) for s in shapes)
         assert max(s[0] for s in shapes) > 1
+        # the pivot rows and candidate pairs (1-D calls) keep to the cap too
+        assert any(len(s) == 1 for s in shapes)
+        assert all(s[0] <= 16 for s in shapes if len(s) == 1)
+
+    def test_one_large_cluster_at_a_small_cap(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=95))
+        cm = scattered(rng, 40, PL)
+        monkeypatch.setattr(currents, "CHUNK_SAMPLES", 16)
+        shapes = []
+
+        def recording(curves, a, b):
+            out = d_inf_many(curves, a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(approximation, "d_inf_many", recording)
+        got = cluster(cm, 1e9, PL)
+        assert len(got) == 1
+        assert_same_clusters(got, pairwise_cluster(cm, 1e9, PL))
+        # one row of the 40-member cluster holds up to 39 pairs; a block of
+        # rows is cut at the cap unless its first row alone exceeds it
+        assert all(s[0] <= 39 for s in shapes if len(s) == 1)
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_shuffled_collinear_integer_translates(self, plane):
+        # translates by integer multiples of one vector: d(i, j) is exactly
+        # r_i + r_j for members on either side of their center
+        rng = np.random.Generator(np.random.Philox(key=96))
+        for _ in range(4):
+            base = rng.integers(-3, 4, size=(int(rng.integers(1, 5)), 2)).astype(float)
+            step = rng.integers(-2, 3, size=2).astype(float)
+            offsets = rng.permutation(np.arange(-15, 15))
+            cm = CurveMeasure.of([(1.0, Polyline(base + k * step, plane)) for k in offsets])
+            for eps in (2.5, 7.0, 20.0, 1e9):
+                assert_same_clusters(cluster(cm, eps, plane), pairwise_cluster(cm, eps, plane))
+
+    def test_duplicate_curves(self):
+        rng = np.random.Generator(np.random.Philox(key=97))
+        distinct = [Polyline(rng.uniform(-1.0, 1.0, size=(3, 2))) for _ in range(3)]
+        cm = CurveMeasure.of([(1.0, distinct[int(k)]) for k in rng.integers(0, 3, 30)])
+        for eps in (1e-6, 0.5, 1e9):
+            got = cluster(cm, eps, PL)
+            assert_same_clusters(got, pairwise_cluster(cm, eps, PL))
+        assert all(c.diameter == 0.0 for c in cluster(cm, 1e-6, PL))
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_single_point_members(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=98))
+        points = rng.uniform(-1.0, 1.0, size=(40, 2))
+        points[20:] = points[rng.integers(0, 20, 20)]  # half of them repeated
+        cm = CurveMeasure.of([(1.0, Polyline(p[None, :], plane)) for p in points])
+        for eps in (0.3, 1.0, 1e9):
+            assert_same_clusters(cluster(cm, eps, plane), pairwise_cluster(cm, eps, plane))
+
+    def test_wmax_plane_with_far_apart_weights(self):
+        plane = NormedPlane("wmax", (1e3, 1e-3))
+        rng = np.random.Generator(np.random.Philox(key=99))
+        for cm in (translates(rng, 60, 2.0, plane), scattered(rng, 40, plane)):
+            for eps in (0.05, 1.0, 50.0, 1e9):
+                assert_same_clusters(cluster(cm, eps, plane), pairwise_cluster(cm, eps, plane))
+
+    def test_one_cluster_of_150_curves(self):
+        rng = np.random.Generator(np.random.Philox(key=100))
+        cm = scattered(rng, 150, PL)
+        got = cluster(cm, 1e9, PL)
+        assert [len(c.members) for c in got] == [150]
+        assert_same_clusters(got, pairwise_cluster(cm, 1e9, PL))
+
+    def test_empty_measure(self):
+        cm = CurveMeasure(())
+        assert cluster(cm, 0.5, PL) == pairwise_cluster(cm, 0.5, PL) == []
+
+
+class TestClusterLog:
+    def test_one_record_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="current1d.approximation")
+        rng = np.random.Generator(np.random.Philox(key=101))
+        cm = translates(rng, 80, 2.0, PL)
+        got = cluster(cm, 0.4, PL)
+        assert [r.name for r in caplog.records] == ["current1d.approximation"]
+        args = caplog.records[0].args
+        assert args["entries"] == 80
+        assert args["clusters"] == len(got)
+        assert 1 <= args["rounds"] <= 80
+        sizes = [len(c.members) for c in got]
+        assert args["pairs"] == sum(m * (m - 1) // 2 for m in sizes)
+        assert 0 < args["measured"] < args["pairs"]
+        assert caplog.records[0].getMessage() == (
+            f"cluster: 80 entries, {len(got)} clusters in {args['rounds']} greedy rounds, "
+            f"{args['measured']} of {args['pairs']} diameter pairs measured")
 
 
 class TestParameterValidation:
@@ -183,6 +274,11 @@ class TestParameterValidation:
             approximate(cm, eps=bad, mesh=0.25)
         with pytest.raises(CurrentError, match="interpolation mesh"):
             approximate(cm, eps=0.1, mesh=bad)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_curve_measure_rejects_weight(self, bad):
+        with pytest.raises(CurrentError, match="curve-measure weights must be positive and finite"):
+            CurveMeasure.of([(1.0, seg(0.0)), (bad, seg(1.0))])
 
     @pytest.mark.parametrize("bad", BAD_VALUES)
     def test_truncate_rejects_cap(self, bad):

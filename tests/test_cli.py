@@ -196,6 +196,17 @@ class TestSubcommands:
         assert err["error"] == "InputError"
         assert repr(missing) in err["message"]
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", '"inf"', "0", "-1"])
+    def test_approx_rejects_bad_curve_weight(self, tmp_path, capsys, weight):
+        doc = tmp_path / "cm.json"
+        doc.write_text('{"entries": [{"w": %s, "polyline": [[0, 0], [1, 0]]}]}' % weight)
+        assert run_cli(["approx", "--input", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InputError"
+        assert "curve-measure weights must be positive and finite" in err["message"]
+
     def test_normalize(self, fixtures, capsys):
         code = run_cli(["normalize", "--chain", fixtures["seg.json"],
                         "--hyperplane", "0,1,0", "--eps", "0.1"])

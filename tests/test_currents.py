@@ -84,6 +84,13 @@ class TestMass:
         frag = FragmentChain([Fragment(poly, tuple(fat_cantor_intervals(1)), 1.0)])
         assert frag.mass() == 0.75
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_fragment_weight_must_be_finite_and_nonnegative(self, bad):
+        poly = Polyline([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(CurrentError, match="fragment weights must be nonnegative and finite"):
+            FragmentChain([Fragment(poly, ((0.0, 1.0),), 1.0), Fragment(poly, ((0.0, 0.5),), bad)])
+        assert FragmentChain([Fragment(poly, ((0.0, 1.0),), 0.0)]).mass() == 0.0
+
     def test_fat_cantor_measures(self):
         for k in range(7):
             assert intervals_measure(fat_cantor_intervals(k)) == 0.5 + 2.0 ** (-(k + 1))
