@@ -65,6 +65,19 @@ def scattered(rng, count, plane):
                             for _ in range(count)])
 
 
+def record_call_shapes(monkeypatch):
+    """Record the shape of every d_inf_many call that cluster makes."""
+    shapes = []
+
+    def recording(curves, a, b):
+        out = d_inf_many(curves, a, b)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(approximation, "d_inf_many", recording)
+    return shapes
+
+
 def assert_same_clusters(got, ref):
     # d_inf_many equals d_inf bit for bit, so the diameters are equal too
     assert got == ref
@@ -157,14 +170,7 @@ class TestClusterAgainstPairwise:
         cm = scattered(rng, 30, PL)
         whole = cluster(cm, 0.3, PL)
         monkeypatch.setattr(currents, "CHUNK_SAMPLES", 16)
-        shapes = []
-
-        def recording(curves, a, b):
-            out = d_inf_many(curves, a, b)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(approximation, "d_inf_many", recording)
+        shapes = record_call_shapes(monkeypatch)
         assert cluster(cm, 0.3, PL) == whole
         # no call measures more than the cap in pairs, unless one row does
         assert all(math.prod(s) <= max(16, s[-1]) for s in shapes)
@@ -172,25 +178,6 @@ class TestClusterAgainstPairwise:
         # the pivot rows and candidate pairs (1-D calls) keep to the cap too
         assert any(len(s) == 1 for s in shapes)
         assert all(s[0] <= 16 for s in shapes if len(s) == 1)
-
-    def test_one_large_cluster_at_a_small_cap(self, monkeypatch):
-        rng = np.random.Generator(np.random.Philox(key=95))
-        cm = scattered(rng, 40, PL)
-        monkeypatch.setattr(currents, "CHUNK_SAMPLES", 16)
-        shapes = []
-
-        def recording(curves, a, b):
-            out = d_inf_many(curves, a, b)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(approximation, "d_inf_many", recording)
-        got = cluster(cm, 1e9, PL)
-        assert len(got) == 1
-        assert_same_clusters(got, pairwise_cluster(cm, 1e9, PL))
-        # one row of the 40-member cluster holds up to 39 pairs; a block of
-        # rows is cut at the cap unless its first row alone exceeds it
-        assert all(s[0] <= 39 for s in shapes if len(s) == 1)
 
     @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
     def test_shuffled_collinear_integer_translates(self, plane):
@@ -230,12 +217,18 @@ class TestClusterAgainstPairwise:
             for eps in (0.05, 1.0, 50.0, 1e9):
                 assert_same_clusters(cluster(cm, eps, plane), pairwise_cluster(cm, eps, plane))
 
-    def test_one_cluster_of_150_curves(self):
+    @pytest.mark.parametrize("cap", [currents.CHUNK_SAMPLES, 16])
+    def test_one_cluster_of_150_curves(self, monkeypatch, cap):
         rng = np.random.Generator(np.random.Philox(key=100))
         cm = scattered(rng, 150, PL)
+        monkeypatch.setattr(currents, "CHUNK_SAMPLES", cap)
+        shapes = record_call_shapes(monkeypatch)
         got = cluster(cm, 1e9, PL)
         assert [len(c.members) for c in got] == [150]
         assert_same_clusters(got, pairwise_cluster(cm, 1e9, PL))
+        # a block of candidate rows keeps to the cap unless its one row
+        # (up to 149 pairs) alone exceeds it
+        assert all(s[0] <= max(cap, 149) for s in shapes if len(s) == 1)
 
     def test_empty_measure(self):
         cm = CurveMeasure(())
