@@ -192,6 +192,9 @@ class Polyline:
         lens = plane.norm_arr(seg) if len(seg) else np.zeros(0)
         self.cum = np.concatenate([[0.0], np.cumsum(lens)])
         self.length = float(self.cum[-1])
+        # a non-finite coordinate makes some segment, so the length, non-finite
+        if not (math.isfinite(self.length) if len(seg) else np.isfinite(self.points[0]).all()):
+            raise CurrentError("polyline points and length must be finite")
 
     def breaks(self) -> np.ndarray:
         """Breakpoint parameters of the constant-speed parametrization."""

@@ -126,7 +126,9 @@ def d_alpha(p, q, alpha: float) -> float:
 
 
 class FiniteMetricSpace:
-    """A finite point set with an explicit distance matrix."""
+    """A finite point set with a distance matrix, symmetric within 1e-9 on input;
+    ``dist`` stores its symmetric part, so ``dist == dist.T`` exactly, and it is
+    the input bit for bit wherever the input is exactly symmetric (inf included)."""
 
     def __init__(self, points, dist):
         self.points = list(points)
@@ -153,12 +155,21 @@ class FiniteMetricSpace:
         np.fill_diagonal(off, INF)
         if np.min(off, initial=INF) <= 0:
             raise GeometryError("off-diagonal distances must be positive")
-        # triangle inequality within TOL: d(i,j) <= d(i,k) + d(k,j), one k at a
-        # time (O(n^2) memory); inf - inf is nan, which compares false
+        self.dist = d = np.where(d == d.T, d, 0.5 * (d + d.T))
+        # triangle inequality within TOL, each triple once at its largest index k:
+        # cells (i,j) and (j,i) of |d(i,j) - d(i,k)| > d(j,k) + TOL cover its three
+        # orderings, in two n^2 workspaces; inf - inf is nan, which compares false
+        gap, bad = np.empty(n * n), np.empty(n * n, dtype=bool)
         with np.errstate(invalid="ignore"):
-            for k in range(n):
-                if np.any(d[:, k, None] + d[None, k, :] - d < -TOL):
-                    raise GeometryError("triangle inequality violated beyond 1e-9")
+            for k in range(2, n):
+                g, b, col = gap[:k * k].reshape(k, k), bad[:k * k].reshape(k, k), d[:k, k]
+                np.abs(np.subtract(d[:k, :k], col[:, None], out=g), out=g)
+                if np.greater(g, col + TOL, out=b).any():
+                    i, j = divmod(int(b.argmax()), k)
+                    a, c, m = (i, j, k) if d[i, j] > d[i, k] else (i, k, j)
+                    raise GeometryError(
+                        f"triangle inequality violated beyond 1e-9: d({a},{c}) = "
+                        f"{d[a, c]:.15g} > d({a},{m}) + d({m},{c}) = {d[a, m] + d[m, c]:.15g}")
 
 
 # ---------------------------------------------------------------------------

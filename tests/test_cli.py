@@ -207,6 +207,28 @@ class TestSubcommands:
         assert err["error"] == "InputError"
         assert "curve-measure weights must be positive and finite" in err["message"]
 
+    @pytest.mark.parametrize("point", ['"inf"', '"-inf"', "NaN", "Infinity"])
+    def test_approx_rejects_a_non_finite_point(self, tmp_path, capsys, point):
+        doc = tmp_path / "cm.json"
+        doc.write_text('{"entries": [{"w": 1.0, "polyline": [[%s, 0], [1, 0]]}, '
+                       '{"w": 1.0, "polyline": [[0, 0.05], [1, 0.05]]}]}' % point)
+        assert run_cli(["approx", "--input", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "CurrentError", "message": "polyline points and length must be finite"}
+
+    def test_ae_norm_names_the_violating_triple(self, fixtures, tmp_path, capsys):
+        space = tmp_path / "finite.json"
+        space.write_text(json.dumps({"kind": "finite", "points": ["a", "b", "c"],
+                                     "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}))
+        assert run_cli(["ae-norm", "--space", str(space), "--molecule", fixtures["mol.json"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "GeometryError",
+            "message": "triangle inequality violated beyond 1e-9: d(0,2) = 5 > d(0,1) + d(1,2) = 2"}
+
     def test_normalize(self, fixtures, capsys):
         code = run_cli(["normalize", "--chain", fixtures["seg.json"],
                         "--hyperplane", "0,1,0", "--eps", "0.1"])

@@ -251,6 +251,15 @@ class TestPolyline:
         b = Polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert d_inf(a, b) == 0.0
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("n, at", [(1, 0), (3, 0), (3, 1), (3, 2)])
+    def test_non_finite_point_rejected_in_every_plane(self, value, n, at):
+        pts = np.arange(2.0 * n).reshape(n, 2)
+        pts[at, at % 2] = value
+        for plane in PLANES:
+            with pytest.raises(CurrentError, match="polyline points and length must be finite"):
+                Polyline(pts, plane)
+
 
 PLANES = [NormedPlane("l2"), NormedPlane("l1"), NormedPlane("linf"),
           NormedPlane("wmax", (0.5, 2.0))]

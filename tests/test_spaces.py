@@ -1,6 +1,7 @@
 import heapq
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,7 +262,8 @@ class TestValidation:
 
     def test_finite_space_triangle_violation_rejected(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=re.escape(
+                "triangle inequality violated beyond 1e-9: d(0,2) = 5 > d(0,1) + d(1,2) = 2")):
             FiniteMetricSpace(["a", "b", "c"], d)
 
     def test_finite_space_valid(self):
@@ -296,6 +298,95 @@ class TestValidation:
         with pytest.raises(GeometryError, match="path metric below ambient"):
             MetricGraph([[0, 0], [1, 0], [2, 0]], [(0, 1, w), (1, 2, w)],
                         ambient="euclidean")
+
+
+def per_k_triangle_ok(d: np.ndarray) -> bool:
+    """The per-k triangle check that FiniteMetricSpace ran before it tested
+    each triple once: all n^2 ordered pairs against each k in turn."""
+    with np.errstate(invalid="ignore"):
+        return not any(np.any(d[:, k, None] + d[None, k, :] - d < -1e-9)
+                       for k in range(len(d)))
+
+
+def fuzz_metric(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An exactly symmetric matrix on n points: a line or l1 grid metric with
+    exact float sums, so many triples are tight; sometimes points split off at
+    distance inf, and then one pair perturbed, often by about 1e-9."""
+    if rng.random() < 0.5:
+        x = rng.choice(40, size=n, replace=False) * 0.5
+        d = np.abs(x[:, None] - x[None, :])
+    else:
+        flat = rng.choice(64, size=n, replace=False)
+        p = np.stack([flat // 8, flat % 8], axis=1) * 0.5
+        d = np.abs(p[:, None] - p[None, :]).sum(axis=2)
+    if rng.random() < 0.3:
+        split = rng.random(n) < 0.3
+        d[split[:, None] != split[None, :]] = INF
+    if n >= 2 and rng.random() < 0.9:
+        i, j = rng.choice(n, size=2, replace=False)
+        delta = rng.choice([1e-12, 0.9e-9, 0.99e-9, 1.01e-9, 1.1e-9, 1e-6, 0.3, INF])
+        d[i, j] = d[j, i] = d[i, j] + (delta if delta == INF else rng.choice([-1, 1]) * delta)
+    return d
+
+
+class TestTriangleCheck:
+    def test_matches_the_per_k_loop_on_fuzzed_matrices(self):
+        rng = np.random.Generator(np.random.Philox(key=27))
+        verdicts = []
+        for _ in range(3000):
+            d = fuzz_metric(rng, int(rng.integers(0, 9)))
+            try:
+                FiniteMetricSpace(range(len(d)), d)
+                ok = True
+            except GeometryError as exc:
+                assert str(exc).startswith("triangle inequality violated beyond 1e-9: d(")
+                ok = False
+            assert ok == per_k_triangle_ok(d), d
+            verdicts.append(ok)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    @pytest.mark.parametrize("long_side, message", [
+        ((0, 2), "d(0,2) = 5 > d(0,1) + d(1,2) = 2"),
+        ((0, 1), "d(0,1) = 5 > d(0,2) + d(2,1) = 2"),
+        ((1, 2), "d(1,2) = 5 > d(1,0) + d(0,2) = 2"),
+    ], ids=["i-k", "i-j", "j-k"])
+    def test_each_orientation_of_a_violation_is_named(self, long_side, message):
+        # the triple (0, 1, 2) has largest index k = 2; point 3 lies 10 from the rest
+        d = np.ones((4, 4))
+        d[3, :] = d[:, 3] = 10.0
+        np.fill_diagonal(d, 0.0)
+        d[long_side] = d[long_side[::-1]] = 5.0
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            FiniteMetricSpace(range(4), d)
+
+    def test_the_lowest_k_then_the_first_row_major_cell_is_named(self):
+        # on the line 0..4, d(1,3) = 5 breaks triples at k = 3 (cells (1,0) and
+        # (1,2)) and d(2,4) = 0.5 breaks triple (1,2,4) at k = 4
+        x = np.arange(5.0)
+        d = np.abs(x[:, None] - x[None, :])
+        d[1, 3] = d[3, 1] = 5.0
+        d[2, 4] = d[4, 2] = 0.5
+        with pytest.raises(GeometryError, match=re.escape("d(1,3) = 5 > d(1,0) + d(0,3) = 4")):
+            FiniteMetricSpace(range(5), d)
+
+    def test_exactly_symmetric_input_is_stored_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=28))
+        p = rng.uniform(0.0, 1.0, size=(30, 2))
+        d = np.hypot(*(p[:, None] - p[None, :]).transpose(2, 0, 1))
+        d[25:, :25] = d[:25, 25:] = INF
+        assert np.array_equal(FiniteMetricSpace(range(30), d).dist, d)
+
+    def test_input_asymmetric_within_tolerance_stores_its_symmetric_part(self):
+        d = np.array([[0.0, 1.0, 2.0], [1.0 + 4e-10, 0.0, 1.0], [2.0, 1.0 - 6e-10, 0.0]])
+        s = FiniteMetricSpace(["a", "b", "c"], d)
+        assert np.array_equal(s.dist, 0.5 * (d + d.T))
+        assert np.array_equal(s.dist, s.dist.T) and s.d(1, 0) == s.d(0, 1) == 1.0 + 2e-10
+
+    @pytest.mark.parametrize("d", [np.zeros((0, 0)), [[0.0]], [[0.0, 1.5], [1.5, 0.0]],
+                                   [[0.0, INF], [INF, 0.0]]], ids=["n0", "n1", "n2", "n2-inf"])
+    def test_zero_one_or_two_points_accepted(self, d):
+        s = FiniteMetricSpace(range(len(d)), d)
+        assert np.array_equal(s.dist, np.asarray(d, dtype=float))
 
 
 class TestNormedPlane:
