@@ -156,9 +156,8 @@ class FiniteMetricSpace:
         if np.min(off, initial=INF) <= 0:
             raise GeometryError("off-diagonal distances must be positive")
         self.dist = d = np.where(d == d.T, d, 0.5 * (d + d.T))
-        # triangle inequality within TOL, each triple once at its largest index k:
-        # cells (i,j) and (j,i) of |d(i,j) - d(i,k)| > d(j,k) + TOL cover its three
-        # orderings, in two n^2 workspaces; inf - inf is nan, which compares false
+        # triangle inequality, each triple once at its largest index k: cells (i,j), (j,i) of
+        # |d(i,j) - d(i,k)| > d(j,k) + TOL cover its 3 orderings; nan (inf - inf) compares false
         gap, bad = np.empty(n * n), np.empty(n * n, dtype=bool)
         with np.errstate(invalid="ignore"):
             for k in range(2, n):
