@@ -102,11 +102,12 @@ class Chain1:
     pieces reference vertices of the ambient graph and carry the edge length.
     """
 
-    __slots__ = ("space", "pieces")
+    __slots__ = ("space", "pieces", "_arrays")
 
     def __init__(self, space, pieces: Sequence[Piece], validate: bool = True):
         self.space = space
         self.pieces = tuple(pieces)
+        self._arrays = None  # _pieces(self), built on first use
         if validate:
             for p in self.pieces:
                 d = self._endpoint_dist(p.start, p.end)
@@ -547,14 +548,13 @@ class ScalarField:
         p = np.asarray(pts, dtype=float).reshape(-1, 2)
         if self.tag == "const":
             return np.zeros_like(p)
-        if self.tag == "affine":
-            a, b, _ = self.params
-            return np.tile([a, b], (len(p), 1))
-        if self.tag == "clipaffine":
-            a, b, c, lo, hi = self.params
-            v = a * p[:, 0] + b * p[:, 1] + c
-            g = np.tile([a, b], (len(p), 1))
-            g[(v <= lo) | (v >= hi)] = 0.0
+        if self.tag in ("affine", "clipaffine"):
+            g = np.empty_like(p)
+            g[:] = self.params[:2]
+            if self.tag == "clipaffine":
+                a, b, c, lo, hi = self.params
+                v = a * p[:, 0] + b * p[:, 1] + c
+                g[(v <= lo) | (v >= hi)] = 0.0
             return g
         if self.tag == "dist":
             q = np.array(self.params[:2])
@@ -661,7 +661,10 @@ def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestF
 def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start points (n, 2), directions (n, 2) and weights (n,) of the straight
     pieces of a chain, or of the domain sub-segments of a fragment chain, each
-    parametrized over [0, 1]."""
+    parametrized over [0, 1], read-only. A chain keeps its arrays, so they are
+    built once per chain; a fragment chain's are built on each call."""
+    if isinstance(c, Chain1) and c._arrays is not None:
+        return c._arrays
     rows = []
     if isinstance(c, Chain1):
         for piece in c.pieces:
@@ -684,7 +687,11 @@ def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         raise CurrentError(f"cannot evaluate {type(c)}")
     arr = np.array(rows, dtype=float).reshape(-1, 5)
-    return arr[:, :2], arr[:, 2:4], arr[:, 4]
+    arr.flags.writeable = False
+    out = arr[:, :2], arr[:, 2:4], arr[:, 4]
+    if isinstance(c, Chain1):
+        c._arrays = out
+    return out
 
 
 def action(c, form: TestForm) -> Quad:

@@ -115,7 +115,11 @@ def _numbers(v, n: int, what: str) -> tuple[float, ...]:
 def _polyline(v, what: str) -> Polyline:
     if not isinstance(v, list):
         raise InputError(f"{what} must be a list of [x, y] points: {v!r}")
-    return Polyline([_numbers(p, 2, f"a point of {what}") for p in v])
+    points = [_numbers(p, 2, f"a point of {what}") for p in v]
+    for p in points:
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise InputError(f"a point of {what} must be finite: {list(p)!r}")
+    return Polyline(points)
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,22 @@ class TestSubcommands:
         assert run_cli(["approx", "--input", str(doc)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        value = float(json.loads(point) if point.startswith('"') else point.lower())
         assert json.loads(captured.err) == {
-            "error": "CurrentError", "message": "polyline points and length must be finite"}
+            "error": "InputError",
+            "message": f"a point of a curve-measure polyline must be finite: [{value!r}, 0.0]"}
+
+    def test_approx_on_infinite_points_writes_only_the_error(self, tmp_path):
+        # inf - inf along the polyline would be a numpy warning ahead of the report
+        doc = tmp_path / "cm.json"
+        doc.write_text('{"entries": [{"w": 1.0, "polyline": [["inf", 0], ["inf", 1]]}]}')
+        proc = subprocess.run([sys.executable, "-m", "current1d.cli", "approx", "--input",
+                               str(doc)], capture_output=True, text=True,
+                              env=dict(os.environ, CURRENT1D_LOG="off"))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "InputError",
+            "message": "a point of a curve-measure polyline must be finite: [inf, 0.0]"}
 
     def test_ae_norm_names_the_violating_triple(self, fixtures, tmp_path, capsys):
         space = tmp_path / "finite.json"

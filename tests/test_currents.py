@@ -136,6 +136,49 @@ class TestEvaluate:
                 assert abs(evaluate(c, form)) <= bound
 
 
+class TestChainArrays:
+    """A chain builds the arrays that ``evaluate`` integrates over once, on first
+    use; a fragment chain builds them from its fragments on every call."""
+
+    SEGS = (((0.0, 0.0), (1.0, 2.0), 2.0), ((1.0, 2.0), (3.0, 1.0), -1.0),
+            ((3.0, 1.0), (3.0, 1.0), 1.0))
+
+    def test_arrays_are_built_once_and_read_only(self):
+        c = seg_chain(*self.SEGS)
+        starts, dirs, weights = currents._pieces(c)
+        assert currents._pieces(c)[0] is starts
+        assert weights.tolist() == [2.0, -1.0]  # the zero-length piece has no direction
+        for a in (starts, dirs, weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_a_used_chain_evaluates_as_a_fresh_one(self):
+        used = seg_chain(*self.SEGS)
+        panel = standard_panel(7, count=8, scale=2.0)
+        first = [evaluate(used, form) for form in panel]
+        assert [evaluate(used, form) for form in panel] == first
+        assert [evaluate(seg_chain(*self.SEGS), form) for form in panel] == first
+
+    def test_sums_and_scalings_use_their_own_pieces(self):
+        c, d = seg_chain(*self.SEGS[:1]), seg_chain(*self.SEGS[1:])
+        panel = standard_panel(8, count=8, scale=2.0)
+        for form in panel:
+            evaluate(c, form), evaluate(d, form)
+        scaled = seg_chain(*[(s, e, -3.0 * w) for s, e, w in self.SEGS[:1]])
+        for form in panel:
+            assert evaluate(c + d, form) == evaluate(seg_chain(*self.SEGS), form)
+            assert evaluate(c.scale(-3.0), form) == evaluate(scaled, form)
+
+    def test_a_fragment_chain_is_evaluated_from_its_fragments(self):
+        frag = FragmentChain([Fragment(Polyline([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]),
+                                       ((0.0, 1.0),), 1.0)])
+        assert currents._pieces(frag)[0] is not currents._pieces(frag)[0]
+        chain = seg_chain(((0.0, 0.0), (1.0, 2.0), 1.0), ((1.0, 2.0), (3.0, 1.0), 1.0))
+        for form in standard_panel(9, count=8, scale=2.0):
+            assert evaluate(frag, form) == evaluate(chain, form)
+
+
 class TestPushforward:
     def test_identity(self):
         c = seg_chain(((0.0, 0.0), (1.0, 1.0), 2.0))

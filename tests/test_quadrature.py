@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from current1d.quadrature import CHUNK_NODES, QUAD_TOL, integrate
+from current1d.quadrature import (CHUNK_NODES, MAX_PANELS, QUAD_TOL, Quad, _TENSORS,
+                                  integrate)
 
 UNIT = np.array([[0.0]]), np.array([[1.0]])
 
@@ -47,6 +48,73 @@ def poly9_2d_exact(sa, sb):
 
 def step(t):
     return (t > 1.0 / 3.0).astype(float)
+
+
+def reference_integrate(fn, lo, width, tol: float) -> Quad:
+    """``integrate`` level by level: one integrand call per level (chunks of at
+    most CHUNK_NODES nodes), the depth-0 rule and the depth-1 halves included,
+    and the per-level bookkeeping on every level."""
+    lo = np.asarray(lo, dtype=float)
+    width = np.asarray(width, dtype=float)
+    n_box, dim = lo.shape
+    x_ref, w_ref, corners = _TENSORS[dim]
+    per_box = len(w_ref)
+    n_kids = len(corners)
+    max_depth = round(math.log2(MAX_PANELS)) // dim
+    nodes = 0
+
+    def rule(lo, width, owner):
+        nonlocal nodes
+        out = np.empty(len(lo))
+        step = CHUNK_NODES // per_box
+        for i in range(0, len(lo), step):
+            sl = slice(i, i + step)
+            x = lo[sl, None, :] + width[sl, None, :] * x_ref
+            f = fn(x.reshape(-1, dim), np.repeat(owner[sl], per_box))
+            out[sl] = np.prod(width[sl], axis=1) * (np.reshape(f, (-1, per_box)) @ w_ref)
+            nodes += x.shape[0] * per_box
+        return out
+
+    vol = np.prod(width, axis=1)
+    total = float(vol.sum())
+    thr = tol * vol / total if total > 0 else np.zeros(n_box)
+    owner = np.arange(n_box)
+    est = rule(lo, width, owner)
+    value = np.zeros(n_box)
+    capped = 0
+    for depth in range(1, max_depth + 1):
+        if not len(owner):
+            break
+        lo = (lo[:, None, :] + width[:, None, :] * corners).reshape(-1, dim)
+        width = np.repeat(width / 2.0, n_kids, axis=0)
+        owner = np.repeat(owner, n_kids)
+        kids = rule(lo, width, owner)
+        refined = kids.reshape(-1, n_kids).sum(axis=1)
+        done = np.abs(refined - est) <= thr
+        if depth == max_depth:
+            capped = int(np.count_nonzero(~done))
+            done[:] = True
+        value += np.bincount(owner[::n_kids][done], weights=refined[done],
+                             minlength=n_box)
+        keep = np.repeat(~done, n_kids)
+        lo, width, owner, est = lo[keep], width[keep], owner[keep], kids[keep]
+        thr = np.repeat(thr[~done] / n_kids, n_kids)
+    return Quad(value, nodes, capped)
+
+
+def recorded(fn):
+    """``fn`` with the sizes of its calls appended to ``fn.sizes``."""
+    def wrapped(x, owner):
+        wrapped.sizes.append(len(x))
+        return fn(x, owner)
+    wrapped.sizes = []
+    return wrapped
+
+
+def assert_same_quad(q, ref):
+    assert np.array_equal(q.value, ref.value)
+    assert np.array_equal(np.signbit(q.value), np.signbit(ref.value))
+    assert (q.nodes, q.capped) == (ref.nodes, ref.capped)
 
 
 class TestExactness:
@@ -131,10 +199,97 @@ class TestPanelCap:
         assert np.all(np.isfinite(q.value))
         assert max(sizes) <= CHUNK_NODES
         assert sum(sizes) == q.nodes > CHUNK_NODES
-        assert len(sizes) > 8  # more calls than the 8 levels: some level was chunked
+        assert len(sizes) > 8  # more calls than the 7 call levels: some level was chunked
 
     def test_converged_rule_logs_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="current1d.quadrature")
         q = integrate(lambda x, owner: np.exp(x[:, 0]), *UNIT, QUAD_TOL)
         assert q.capped == 0
         assert caplog.records == []
+
+
+def owner_batch(rng, dim: int, n: int):
+    """Random boxes and an integrand whose smoothness varies by box: an
+    exponential times a cosine, a jump in about a tenth of the boxes, zero
+    width in some and a negative zero everywhere in others."""
+    lo = rng.uniform(-1.0, 1.0, size=(n, dim))
+    width = rng.uniform(0.05, 2.0, size=(n, dim))
+    width[rng.random(n) < 0.05, 0] = 0.0
+    rate = rng.uniform(-3.0, 3.0, size=n)
+    freq = rng.uniform(0.0, 12.0, size=n)
+    jump = np.where(rng.random(n) < 0.1, lo[:, 0] + 0.3 * width[:, 0], np.inf)
+    zero = rng.random(n) < 0.05
+
+    def fn(x, owner):
+        smooth = np.exp(rate[owner] * x[:, 0]) * np.cos(freq[owner] * x[:, -1])
+        f = smooth + (x[:, 0] > jump[owner])
+        f[zero[owner]] = -0.0
+        return f
+    return fn, lo, width
+
+
+class TestAgainstLevelByLevel:
+    """``integrate`` evaluates depths 0 and 1 in one call and returns there when
+    every box converged; its values, node and cap counts are those of the
+    level-by-level rule bit for bit."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 1), (1, 7), (1, 40), (2, 1), (2, 7), (2, 40)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches(self, seed, dim, n):
+        fn, lo, width = owner_batch(np.random.default_rng([seed, dim, n]), dim, n)
+        for tol in (QUAD_TOL * n, 1e-4):
+            assert_same_quad(integrate(fn, lo, width, tol), reference_integrate(fn, lo, width, tol))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_depths_one_to_three_and_the_cap(self, dim):
+        rate = np.array([1.0, 3.0, 5.0, 0.0])
+
+        def fn(x, owner):
+            return np.exp(rate[owner] * x[:, 0]) + (owner == 3) * step(x[:, 0])
+        lo, width = np.zeros((4, dim)), np.ones((4, dim))
+        depths = []
+        for k in range(3):  # alone, a box takes one reference call per level
+            alone = recorded(lambda x, owner: fn(x, owner + k))
+            reference_integrate(alone, lo[:1], width[:1], QUAD_TOL)
+            depths.append(len(alone.sizes) - 1)
+        assert depths == [1, 2, 3]
+        q = integrate(fn, lo, width, 4 * QUAD_TOL)
+        assert q.capped > 0
+        assert_same_quad(q, reference_integrate(fn, lo, width, 4 * QUAD_TOL))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_signed_zeros(self, dim):
+        # a width of -0.0 gives a box and its halves the rule -0.0; the value is +0.0
+        lo, width = np.zeros((2, dim)), np.ones((2, dim))
+        width[0, 0] = -0.0
+        q = integrate(lambda x, owner: np.exp(x[:, 0]), lo, width, QUAD_TOL)
+        assert_same_quad(q, reference_integrate(lambda x, owner: np.exp(x[:, 0]),
+                                                lo, width, QUAD_TOL))
+        assert q.value[0] == 0.0 and not np.signbit(q.value[0])
+
+    @pytest.mark.parametrize("dim, n", [(1, 5000), (2, 600)])
+    def test_a_batch_above_the_chunk(self, dim, n):
+        fn, lo, width = owner_batch(np.random.default_rng(n), dim, n)
+        assert n * (1 + 2 ** dim) * 5 ** dim > CHUNK_NODES
+        calls = recorded(fn)
+        q = integrate(calls, lo, width, QUAD_TOL * n)
+        assert q.capped > 0
+        assert max(calls.sizes) <= CHUNK_NODES
+        assert sum(calls.sizes) == q.nodes
+        assert_same_quad(q, reference_integrate(fn, lo, width, QUAD_TOL * n))
+
+
+class TestCalls:
+    @pytest.mark.parametrize("dim, n, chunks", [(1, 3, 1), (2, 3, 1), (1, 4000, 1),
+                                                (2, 500, 1), (1, 5000, 2), (2, 600, 2)])
+    def test_converged_at_depth_one_is_one_call_per_chunk(self, dim, n, chunks):
+        lo, width = np.repeat(np.arange(n, dtype=float)[:, None], dim, axis=1), np.ones((n, dim))
+        fn = recorded(lambda x, owner: x[:, 0] - owner)
+        ref = recorded(lambda x, owner: x[:, 0] - owner)
+        q = integrate(fn, lo, width, QUAD_TOL * n)
+        assert_same_quad(q, reference_integrate(ref, lo, width, QUAD_TOL * n))
+        assert q.nodes == n * (1 + 2 ** dim) * 5 ** dim
+        assert len(fn.sizes) == chunks == math.ceil(q.nodes / CHUNK_NODES)
+        assert max(fn.sizes) <= CHUNK_NODES
+        assert len(ref.sizes) == 2  # one per level
+
