@@ -5,9 +5,11 @@
 all curves share their breakpoint parameters (up to rounding); ``unrelated``
 are independent random 2-5 vertex polylines, so no two curves share interior
 breakpoints. Prints one CSV row per (family, count, eps) with the number of
-clusters, the diameter pairs ``cluster`` measured (from its debug record on
+clusters, the greedy rounds (blocks of entries) and the diameter pairs
+``cluster`` measured (both from its debug record on
 ``current1d.approximation``) and the best of ``--repeat`` wall-clock times of
-``cluster``.
+``cluster``. Each timed call gets a fresh copy of the measure, so the times
+include building its curve array.
 
     python3 scripts/cluster_timing.py --counts 500,1000,2000 --eps 1.0,0.5
 """
@@ -60,7 +62,7 @@ def main() -> int:
     log = logging.getLogger("current1d.approximation")
     log.addHandler(last)
     log.setLevel(logging.DEBUG)
-    print("family,count,eps,clusters,pairs_measured,cluster_s")
+    print("family,count,eps,clusters,rounds,pairs_measured,cluster_s")
     for name, make in (("translates", translates), ("unrelated", unrelated)):
         for count in (int(c) for c in args.counts.split(",")):
             cm = make(np.random.default_rng([args.seed, count]), count)
@@ -68,10 +70,10 @@ def main() -> int:
                 best = float("inf")
                 for _ in range(args.repeat):
                     t0 = time.perf_counter()
-                    n_clusters = len(cluster(cm, eps, plane))
+                    n_clusters = len(cluster(CurveMeasure(cm.entries), eps, plane))
                     best = min(best, time.perf_counter() - t0)
-                print(f"{name},{count},{eps},{n_clusters},{last.args['measured']},{best:.4f}",
-                      flush=True)
+                print(f"{name},{count},{eps},{n_clusters},{last.args['rounds']},"
+                      f"{last.args['measured']},{best:.4f}", flush=True)
     return 0
 
 

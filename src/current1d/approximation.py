@@ -10,12 +10,15 @@ representatives by chord chains. The certificate splits into a clustering term
 from the homotopy pair bound.
 
 The net takes every uniform distance it needs from one ``currents.CurveArray``
-of the curves, many pairs per vectorized ``d_inf_many`` call. Each pair is
-sampled on the union of its two curves' breakpoints, which is exact: between
-consecutive points of that union the difference of two constant-speed
-polylines is affine, so its norm peaks at one of them. The values are those
-of the pairwise ``d_inf`` bit for bit, whether or not the curves share
-breakpoints, and d(x, y) is the same float as d(y, x).
+of the curves, many pairs per vectorized ``d_inf_many`` call. The measure
+builds that array once per plane, on first use, so every ``cluster`` and
+``approximate`` call on it in that plane shares it. Each pair is sampled on
+the union of its two curves' breakpoints, both directions of a block of pairs
+in one pass, which is exact: between consecutive points of that union the
+difference of two constant-speed polylines is affine, so its norm peaks at
+one of them. The values are those of the pairwise ``d_inf`` bit for bit,
+whether or not the curves share breakpoints, and d(x, y) is the same float
+as d(y, x).
 
 The exact cluster diameters start from distances already known: the net's
 radius r_i of each member to its center, and one measured row s_i from the
@@ -50,6 +53,8 @@ class CurveMeasure:
     """Discrete nonnegative measure over polyline curves."""
 
     entries: tuple[tuple[float, Polyline], ...]
+    # one CurveArray of the entries' polylines per plane, built on first use
+    _curves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w, _ in self.entries:
@@ -59,6 +64,14 @@ class CurveMeasure:
     @staticmethod
     def of(pairs: Sequence[tuple[float, Polyline]]) -> "CurveMeasure":
         return CurveMeasure(tuple((float(w), p) for w, p in pairs))
+
+    def curves(self, plane: NormedPlane) -> CurveArray:
+        """The entries' polylines as one ``CurveArray`` in this plane, shared
+        by every call that measures them there."""
+        key = (plane.tag, tuple(plane.weights))
+        if key not in self._curves:
+            self._curves[key] = CurveArray([p for _, p in self.entries], plane)
+        return self._curves[key]
 
     @property
     def length_bound(self) -> float:
@@ -99,15 +112,20 @@ def cluster(cm: CurveMeasure, eps: float,
     within the cluster; the representative is the member of minimal length,
     ties resolved by lowest index.
 
-    Entries are taken in rounds. A round measures a block of entries against
-    every current center in one ``d_inf_many`` call and places them in order
-    up to the first entry far from all centers, which becomes a center; the
-    next block is twice as long as the number of entries just placed. This is
-    the one-at-a-time greedy exactly, since the centers do not change before
-    that entry. The net keeps each member's radius r_i = d(c, i) to its center
-    c (0 at c); ``d_inf_many`` returns max(gap(x, y), gap(y, x)), so d(x, y)
-    and d(y, x) are the same float and the radius is a pair value of the
-    cluster as it stands.
+    Entries are taken in blocks, the "greedy rounds" of the debug record. A
+    block of up to CHUNK_SAMPLES // (number of centers) entries is measured
+    against every current center in one ``d_inf_many`` call, and each entry
+    within eps of some center joins the first one (one vectorized argmax).
+    The first entry left becomes a center, the entries left after it are
+    measured against that one center in one more call (one extra column),
+    those within eps join it, and so on to the end of the block. This is the
+    one-at-a-time greedy exactly: each entry meets the centers opened before
+    it in their order, and joins the first within eps. Clusters list their
+    members in input order, so each center first, from one stable sort of the
+    entries by cluster. The net keeps each member's radius r_i = d(c, i) to
+    its center c (0 at c); ``d_inf_many`` returns max(gap(x, y), gap(y, x)),
+    so d(x, y) and d(y, x) are the same float and the radius is a pair value
+    of the cluster as it stands.
 
     The diameter prunes its pairs with two pivots, as AESA does (Vidal 1986).
     Let f be the member farthest from c (the first on ties); one row
@@ -124,40 +142,46 @@ def cluster(cm: CurveMeasure, eps: float,
     keep every pair.
 
     No call measures more than ``currents.CHUNK_SAMPLES`` pairs unless one
-    row alone does: the pivot rows and the candidate pairs, batched over all
-    clusters, are built and measured in blocks of at most that many pairs.
-    One ``debug`` record on ``current1d.approximation`` per call gives the
-    entries, clusters, greedy rounds and diameter pairs measured of all.
+    row alone does: a block's matrix and extra columns keep to it, and the
+    pivot rows and the candidate pairs, batched over all clusters, are built
+    and measured in blocks of at most that many pairs. One ``debug`` record
+    on ``current1d.approximation`` per call gives the entries, clusters,
+    greedy rounds (blocks) and diameter pairs measured of all.
     """
     _require_positive("cluster radius", eps)
     n = len(cm.entries)
-    curves = CurveArray([p for _, p in cm.entries], plane)
+    curves = cm.curves(plane or NormedPlane("l2"))
     centers: list[int] = []
-    groups: list[list[int]] = []
+    owner = np.zeros(n, dtype=int)  # the cluster of each entry, numbered by center
     radius = np.zeros(n)
-    i, size, rounds = 0, 1, 0
+    i, blocks = 0, 0
     while i < n:
-        block = np.arange(i, min(i + size, n))
-        dist = d_inf_many(curves, block[:, None], np.array(centers, dtype=int))
-        near = dist < eps
-        far = np.flatnonzero(~near.any(axis=1))
-        placed = int(far[0]) if far.size else len(block)
-        for k in range(placed):
-            c = int(near[k].argmax())
-            groups[c].append(int(block[k]))
-            radius[block[k]] = dist[k, c]
-        if far.size:
-            centers.append(int(block[placed]))
-            groups.append([int(block[placed])])
-            placed += 1
-        i += placed
-        rounds += 1
-        size = min(2 * placed, max(1, currents.CHUNK_SAMPLES // max(1, len(centers))))
+        size = max(1, currents.CHUNK_SAMPLES // max(1, len(centers)))
+        block = rest = np.arange(i, min(i + size, n))
+        if centers:
+            dist = d_inf_many(curves, block[:, None], np.array(centers))
+            close = dist < eps
+            first, near = close.argmax(axis=1), close.any(axis=1)
+            owner[block[near]] = first[near]
+            radius[block[near]] = dist[near, first[near]]
+            rest = block[~near]
+        while rest.size:  # the first entry far from every center opens one
+            owner[rest[0]] = len(centers)
+            centers.append(int(rest[0]))
+            rest = rest[1:]
+            if rest.size:
+                dist = d_inf_many(curves, rest, centers[-1])
+                near = dist < eps
+                owner[rest[near]] = len(centers) - 1
+                radius[rest[near]] = dist[near]
+                rest = rest[~near]
+        i += len(block)
+        blocks += 1
     # members cluster by cluster, each center first; gid maps them to clusters
-    members = np.array([m for g in groups for m in g], dtype=int)
-    sizes = np.array([len(g) for g in groups], dtype=int)
+    members = np.argsort(owner, kind="stable")
+    sizes = np.bincount(owner, minlength=len(centers))
     start = np.cumsum(sizes) - sizes
-    gid = np.repeat(np.arange(len(groups)), sizes)
+    gid = owner[members]
     r = radius[members]
     top = np.flatnonzero(r == np.maximum.reduceat(r, start)[gid])
     pivot = top[np.searchsorted(top, start)]
@@ -185,12 +209,12 @@ def cluster(cm: CurveMeasure, eps: float,
         p = q
     log.debug("cluster: %(entries)d entries, %(clusters)d clusters in %(rounds)d greedy "
               "rounds, %(measured)d of %(pairs)d diameter pairs measured",
-              {"entries": n, "clusters": len(groups), "rounds": rounds, "measured": measured,
+              {"entries": n, "clusters": len(centers), "rounds": blocks, "measured": measured,
                "pairs": int((sizes * (sizes - 1) // 2).sum())})
     out = []
-    for g, d in zip(groups, diam):
-        lengths = [(cm.entries[i][1].length, i) for i in g]
-        rep = min(lengths)[1]
+    for g, d in zip(np.split(members, start[1:]), diam):
+        g = g.tolist()
+        rep = min((cm.entries[i][1].length, i) for i in g)[1]
         weight = float(sum(cm.entries[i][0] for i in g))
         out.append(Cluster(members=tuple(g), representative=rep,
                            diameter=float(d), weight=weight))

@@ -179,22 +179,26 @@ class Chain1:
 # polylines
 
 
+_L2 = NormedPlane("l2")
+
+
 class Polyline:
     """Ordered plane points with the implied constant-speed parametrization on [0,1]."""
 
     __slots__ = ("points", "cum", "length")
 
     def __init__(self, points, plane: Optional[NormedPlane] = None):
-        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
-        if len(self.points) < 1:
+        self.points = pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        if len(pts) < 1:
             raise CurrentError("polyline needs at least one point")
-        plane = plane or NormedPlane("l2")
-        seg = np.diff(self.points, axis=0)
-        lens = plane.norm_arr(seg) if len(seg) else np.zeros(0)
-        self.cum = np.concatenate([[0.0], np.cumsum(lens)])
+        self.cum = np.zeros(len(pts))
+        # segments that overflow, or meet inf - inf, leave a non-finite length
+        # and are rejected below, so numpy need not warn of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate((plane or _L2).norm_arr(pts[1:] - pts[:-1]), out=self.cum[1:])
         self.length = float(self.cum[-1])
         # a non-finite coordinate makes some segment, so the length, non-finite
-        if not (math.isfinite(self.length) if len(seg) else np.isfinite(self.points[0]).all()):
+        if not (math.isfinite(self.length) if len(pts) > 1 else np.isfinite(pts[0]).all()):
             raise CurrentError("polyline points and length must be finite")
 
     def breaks(self) -> np.ndarray:
@@ -244,6 +248,7 @@ class Polyline:
 # uniform distance
 
 CHUNK_SAMPLES = 2 ** 12  # curve samples evaluated at once by d_inf_many
+_UNIT = np.array([0.0, 1.0])
 
 
 class CurveArray:
@@ -254,14 +259,15 @@ class CurveArray:
     numbers lexicographically, so one ``searchsorted`` finds the segment of
     any (member, parameter) query. A member of length zero keeps only its
     first vertex. ``breaks`` and ``own`` hold every member's breakpoint
-    parameters and its points there, member k in ``bstart[k]:bstart[k + 1]``.
+    parameters and its points there, member k in ``bstart[k]:bstart[k + 1]``;
+    ``nbreaks`` and ``max_breaks`` are their counts.
     """
 
     __slots__ = ("plane", "keys", "cum", "points", "slope", "length", "breaks",
-                 "bstart", "own")
+                 "bstart", "nbreaks", "max_breaks", "own")
 
     def __init__(self, polys: Sequence[Polyline], plane: Optional[NormedPlane] = None):
-        self.plane = plane or NormedPlane("l2")
+        self.plane = plane or _L2
         polys = list(polys)
         verts = [len(p.cum) if p.length else 1 for p in polys]
         self.cum = np.concatenate([p.cum[:k] for p, k in zip(polys, verts)] + [[]])
@@ -278,10 +284,14 @@ class CurveArray:
         self.slope[last] = 0.0
         self.slope[~np.isfinite(self.slope)] = 0.0
         self.length = np.array([p.length for p in polys])
-        brks = [p.breaks() for p in polys]
-        self.breaks = np.concatenate(brks + [[]])
-        self.bstart = np.cumsum([0] + [len(b) for b in brks])
-        self.own = self.at(np.repeat(member, np.diff(self.bstart)), self.breaks)
+        # Polyline.breaks of every member in one division: cum / length, and
+        # [0, 1] / 1 for a member of length zero
+        self.nbreaks = np.array([len(p.cum) if p.length else 2 for p in polys], dtype=int)
+        self.breaks = (np.concatenate([p.cum if p.length else _UNIT for p in polys] + [[]])
+                       / np.repeat(np.where(self.length > 0, self.length, 1.0), self.nbreaks))
+        self.bstart = np.concatenate([[0], np.cumsum(self.nbreaks)])
+        self.max_breaks = int(self.nbreaks.max(initial=0))
+        self.own = self.at(np.repeat(member, self.nbreaks), self.breaks)
 
     def at(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Point of member ``rows[k]`` at parameter ``ts[k]``, shape (len(ts), 2).
@@ -292,14 +302,16 @@ class CurveArray:
         """
         s = np.clip(ts, 0.0, 1.0) * self.length[rows]
         j = np.searchsorted(self.keys, rows + 1j * s, side="right") - 1
-        return self.slope[j] * (s - self.cum[j])[:, None] + self.points[j]
+        # take gathers whole rows several times faster than indexing with j
+        return (self.slope.take(j, axis=0) * (s - self.cum[j])[:, None]
+                + self.points.take(j, axis=0))
 
     def gap(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """max over the breakpoints t of member y[k] of |x[k](t) - y[k](t)|, per k."""
-        sizes = self.bstart[y + 1] - self.bstart[y]
+        sizes = self.nbreaks[y]
         firsts = np.cumsum(sizes) - sizes
         idx = np.repeat(self.bstart[y] - firsts, sizes) + np.arange(sizes.sum())
-        diff = self.at(np.repeat(x, sizes), self.breaks[idx]) - self.own[idx]
+        diff = self.at(np.repeat(x, sizes), self.breaks[idx]) - self.own.take(idx, axis=0)
         return np.maximum.reduceat(self.plane.norm_arr(diff), firsts)
 
 
@@ -310,19 +322,21 @@ def d_inf_many(curves: CurveArray, a, b) -> np.ndarray:
     Each pair is sampled on the union of its two members' breakpoints, which
     is exact (see ``d_inf``): member b at the breakpoints of a, and member a
     at those of b, so every entry equals ``d_inf`` of its pair bit for bit.
-    The pairs are taken in blocks of at most CHUNK_SAMPLES samples; a single
-    pair is never split.
+    Both directions of a block of pairs are sampled in one ``gap`` pass, and
+    each pair takes the larger of its two halves. The pairs are taken in
+    blocks of at most CHUNK_SAMPLES samples; a single pair is never split.
     """
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=int)),
                                np.atleast_1d(np.asarray(b, dtype=int)))
     out = np.empty(a.shape)
     flat = out.reshape(-1)
     if flat.size:
-        step = max(1, CHUNK_SAMPLES // (2 * int(np.diff(curves.bstart).max())))
+        a, b = a.reshape(-1), b.reshape(-1)
+        step = max(1, CHUNK_SAMPLES // (2 * curves.max_breaks))
         for p in range(0, flat.size, step):
-            k = np.unravel_index(np.arange(p, min(p + step, flat.size)), out.shape)
-            x, y = a[k], b[k]
-            flat[p:p + len(x)] = np.maximum(curves.gap(x, y), curves.gap(y, x))
+            x, y = a[p:p + step], b[p:p + step]
+            both = curves.gap(np.concatenate([x, y]), np.concatenate([y, x]))
+            np.maximum(both[:len(x)], both[len(x):], out=flat[p:p + len(x)])
     return out
 
 
@@ -812,7 +826,7 @@ def restrict(obj, e: ClosedSet) -> FragmentChain:
                 p, q, w = q, p, -w
             ivs = e.segment_intervals(p, q)
             if ivs:
-                frags.append(Fragment(Polyline([p, q]), tuple(ivs), w))
+                frags.append(Fragment(Polyline([p, q], obj.plane), tuple(ivs), w))
         return FragmentChain(frags)
     if isinstance(obj, Polyline):
         ivs_global: list[tuple[float, float]] = []

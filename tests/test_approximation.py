@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,113 @@ class TestClusterAgainstPairwise:
     def test_empty_measure(self):
         cm = CurveMeasure(())
         assert cluster(cm, 0.5, PL) == pairwise_cluster(cm, 0.5, PL) == []
+        p, cert = approximate(cm, eps=0.5, mesh=0.25)
+        assert p.pieces == () and cert.clusters == () and cert.flat_bound == 0.0
+
+
+class TestNetBlocks:
+    """The net places a whole block, opening one extra column per new center."""
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        """Record (shape of a, shape of b, pairs) of every d_inf_many call."""
+        calls = []
+
+        def recording(curves, a, b):
+            out = d_inf_many(curves, a, b)
+            calls.append((np.shape(a), np.shape(b), out.size))
+            return out
+
+        monkeypatch.setattr(approximation, "d_inf_many", recording)
+        return calls
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_several_centers_in_one_block(self, plane, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="current1d.approximation")
+        rng = np.random.Generator(np.random.Philox(key=102))
+        cases = []
+        for count in (30, 90):
+            cm = translates(rng, count, 2.0, plane)
+            shuffled = CurveMeasure.of([cm.entries[k] for k in rng.permutation(count)])
+            cases += [(m, eps, pairwise_cluster(m, eps, plane))
+                      for m in (cm, shuffled) for eps in (0.2, 0.03)]
+        calls = self.record_calls(monkeypatch)
+        default = currents.CHUNK_SAMPLES
+        for cap in (default, 64, 16):
+            monkeypatch.setattr(currents, "CHUNK_SAMPLES", cap)
+            runs, rounds = [], []
+            for cm, eps, ref in cases:
+                caplog.clear()
+                calls.clear()
+                got = cluster(cm, eps, plane)
+                assert_same_clusters(got, ref)
+                assert caplog.records[0].args["clusters"] == len(got)
+                rounds.append(caplog.records[0].args["rounds"])
+                # the longest run of extra columns (entries against one center)
+                kinds = "".join("c" if b == () else "m" if len(a) == 2 else "d"
+                                for a, b, _ in calls)
+                runs.append(max(map(len, re.findall("c+", kinds)), default=0))
+            assert max(runs) >= 3  # some block opened four centers or more
+            if cap == default:  # every family fits in one block
+                assert rounds == [1] * len(rounds)
+            else:
+                assert max(rounds) > 1  # and later blocks meet the centers in a matrix
+
+    def test_extra_columns_keep_to_the_cap(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=103))
+        cm = translates(rng, 100, 2.0, PL)
+        whole = cluster(cm, 0.05, PL)
+        monkeypatch.setattr(currents, "CHUNK_SAMPLES", 16)
+        calls = self.record_calls(monkeypatch)
+        assert cluster(cm, 0.05, PL) == whole
+        columns = [pairs for a, b, pairs in calls if b == ()]  # entries against one center
+        matrices = [(a, b) for a, b, _ in calls if len(a) == 2]
+        assert len(columns) > 1 and len(matrices) > 1
+        assert all(pairs <= 16 for pairs in columns)
+        assert all(a[0] * b[0] <= max(16, b[0]) for a, b in matrices)
+
+
+class TestSharedCurveArray:
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+
+        def counting(polys, plane=None):
+            built.append(plane)
+            return currents.CurveArray(polys, plane)
+
+        monkeypatch.setattr(approximation, "CurveArray", counting)
+        return built
+
+    def test_two_approximate_calls_build_one_array(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=105))
+        cm = translates(rng, 80, 2.0, PL)
+        first = [approximate(cm, eps=eps, mesh=0.25, plane=PL)[1] for eps in (0.4, 0.2)]
+        assert built == [PL]
+        # a fresh measure builds its own array, and the certificates are the same
+        again = CurveMeasure(cm.entries)
+        assert [approximate(again, eps=eps, mesh=0.25, plane=PL)[1] for eps in (0.4, 0.2)] == first
+        assert built == [PL, PL]
+
+    def test_one_array_per_plane(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=106))
+        cm = scattered(rng, 30, PL)
+        for plane in PLANES + PLANES:
+            assert cm.curves(plane).plane == plane
+            assert_same_clusters(cluster(cm, 0.3, plane), pairwise_cluster(cm, 0.3, plane))
+        assert built == PLANES
+        cluster(cm, 0.3)  # the default plane is l2
+        assert len(built) == len(PLANES)
+
+    def test_the_array_is_not_part_of_the_value(self):
+        rng = np.random.Generator(np.random.Philox(key=107))
+        cm = scattered(rng, 10, PL)
+        fresh = CurveMeasure(cm.entries)
+        cluster(cm, 0.3, PL)
+        assert cm == fresh and hash(cm) == hash(fresh)
+        assert repr(cm) == repr(fresh)
 
 
 class TestClusterLog:

@@ -232,6 +232,17 @@ class TestSubcommands:
             "error": "InputError",
             "message": "a point of a curve-measure polyline must be finite: [inf, 0.0]"}
 
+    def test_approx_on_an_overflowing_segment_writes_only_the_error(self, tmp_path):
+        # finite points whose difference overflows: numpy must not warn ahead of the report
+        doc = tmp_path / "cm.json"
+        doc.write_text('{"entries": [{"w": 1.0, "polyline": [[1e308, 0], [-1e308, 0]]}]}')
+        proc = subprocess.run([sys.executable, "-m", "current1d.cli", "approx", "--input",
+                               str(doc)], capture_output=True, text=True,
+                              env=dict(os.environ, CURRENT1D_LOG="off"))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "CurrentError", "message": "polyline points and length must be finite"}
+
     def test_ae_norm_names_the_violating_triple(self, fixtures, tmp_path, capsys):
         space = tmp_path / "finite.json"
         space.write_text(json.dumps({"kind": "finite", "points": ["a", "b", "c"],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,34 @@ class TestPolyline:
             with pytest.raises(CurrentError, match="polyline points and length must be finite"):
                 Polyline(pts, plane)
 
+    @pytest.mark.parametrize("points", [[[1e308, 0.0], [-1e308, 0.0]],
+                                        [[0.0, 1e308], [0.0, -1e308], [1.0, 0.0]],
+                                        [[1.5e308, 0.0], [0.0, 0.0], [1.5e308, 0.0], [0.0, 0.0]]],
+                             ids=["segment", "vertical", "running-sum"])
+    def test_overflowing_length_rejected_without_a_warning(self, points):
+        for plane in PLANES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CurrentError, match="polyline points and length must be finite"):
+                    Polyline(points, plane)
+
+    def test_cum_and_length_keep_their_bits(self):
+        rng = np.random.Generator(np.random.Philox(key=80))
+        for plane in [None] + PLANES:
+            for n in (1, 2, 5, 40):
+                pts = rng.uniform(-3.0, 3.0, size=(n, 2))
+                pts[n // 2] = pts[n // 3]  # a repeated vertex
+                poly = Polyline(pts, plane)
+                ref = np.concatenate([[0.0], np.cumsum((plane or PL).norm_arr(np.diff(pts, axis=0)))])
+                assert np.array_equal(poly.cum, ref)
+                assert poly.length == ref[-1]
+
+    def test_builds_no_plane_per_call(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(currents, "NormedPlane", lambda *a: built.append(a))
+        assert Polyline([[0.0, 0.0], [3.0, 4.0]]).length == 5.0
+        assert built == []
+
 
 PLANES = [NormedPlane("l2"), NormedPlane("l1"), NormedPlane("linf"),
           NormedPlane("wmax", (0.5, 2.0))]
@@ -388,10 +418,54 @@ class TestUniformDistance:
 
         monkeypatch.setattr(CurveArray, "gap", counting_gap)
         assert np.array_equal(d_inf_many(curves, idx[:, None], idx), whole)
-        # the two gaps of one block share the cap; one pair is never split
+        # one gap pass per block samples both directions within the cap; one
+        # pair is never split
         pair_max = 2 * int(np.diff(curves.bstart).max())
-        assert max(a + b for a, b in zip(samples[::2], samples[1::2])) <= max(cap, pair_max)
-        assert len(samples) > 2
+        assert max(samples) <= max(cap, pair_max)
+        assert len(samples) > 1
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    @pytest.mark.parametrize("cap", [1, 5, 64, currents.CHUNK_SAMPLES])
+    def test_one_pass_equals_pairwise_in_every_shape(self, plane, cap, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=81))
+        polys = mixed_family(rng, plane, n=14)
+        polys += [Polyline([[0.5, 0.5]], plane), Polyline([[0.5, 0.5], [0.5, 0.5]], plane)]
+        curves = CurveArray(polys, plane)
+        monkeypatch.setattr(currents, "CHUNK_SAMPLES", cap)
+        calls = []
+        gap = CurveArray.gap
+
+        def counting_gap(self, x, y):
+            calls.append(len(x))
+            return gap(self, x, y)
+
+        monkeypatch.setattr(CurveArray, "gap", counting_gap)
+        n = len(polys)
+        idx = np.arange(n)
+        ref = np.array([[d_inf(a, b, plane) for b in polys] for a in polys])
+        step = max(1, cap // (2 * curves.max_breaks))
+        for a, b in ((idx[:, None], idx), (idx, idx[::-1]), (3, idx), (idx[:, None], 0),
+                     (idx[None, :], idx[:, None])):
+            calls.clear()
+            got = d_inf_many(curves, a, b)
+            want = ref[np.broadcast_arrays(a, b)]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            # one gap pass per block, over both directions of its pairs
+            assert len(calls) == -(-got.size // step)
+            assert sum(calls) == 2 * got.size
+
+    def test_breaks_and_counts_equal_the_polylines(self):
+        rng = np.random.Generator(np.random.Philox(key=82))
+        for plane in PLANES:
+            polys = mixed_family(rng, plane)
+            curves = CurveArray(polys, plane)
+            assert np.array_equal(curves.breaks, np.concatenate([p.breaks() for p in polys]))
+            assert curves.nbreaks.tolist() == [len(p.breaks()) for p in polys]
+            assert curves.max_breaks == max(len(p.breaks()) for p in polys)
+            assert np.array_equal(curves.bstart, np.cumsum([0] + curves.nbreaks.tolist()))
+        empty = CurveArray([])
+        assert (empty.max_breaks, empty.bstart.tolist()) == (0, [0])
 
 
 class TestTestForms:

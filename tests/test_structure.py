@@ -267,11 +267,12 @@ class TestNormalize:
         frag = restrict(res.n_chain, res.b_set)
         assert abs(frag.mass() - t.mass()) <= 1e-9
 
-    # axis-parallel lines: ``restrict`` measures fragments euclidean, which is the
-    # plane's length only along the axes
+    # off the axes a fragment's l1 and linf lengths differ from its euclidean
+    # length, so the restriction must be measured in the plane's norm
     @pytest.mark.parametrize("tag", ["l1", "linf"])
-    @pytest.mark.parametrize("line", [AXIS, Line(0.0, 2.0, 1.4), Line(1.0, 0.0, -0.5)],
-                             ids=["axis", "horizontal", "vertical"])
+    @pytest.mark.parametrize("line", [AXIS, Line(0.0, 2.0, 1.4), Line(1.0, 0.0, -0.5),
+                                      Line(1.0, -1.0, 0.0), Line(0.3, 1.0, 0.2)],
+                             ids=["axis", "horizontal", "vertical", "diagonal", "general"])
     def test_l1_and_linf_planes(self, tag, line):
         plane = NormedPlane(tag)
         d = line.direction()
