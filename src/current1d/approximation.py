@@ -7,7 +7,10 @@ replace each cluster by its shortest member (which realizes the eta-average
 inequality exactly: the min is at most the weighted mean), then interpolate
 representatives by chord chains. The certificate splits into a clustering term
 2 (L+1) eta(A) diam(A) per cluster and a per-representative interpolation term
-from the homotopy pair bound.
+from the homotopy pair bound (l0 + l1 + 2) d_inf. Masses, L and the lengths
+l0, l1 are taken in the plane's norm. Interpolation is batched: the nodes of
+all representatives come from one evaluation on the measure's curve array, and
+their distances to their chord polylines from one ``d_inf_many`` call.
 
 The net takes every uniform distance it needs from one ``currents.CurveArray``
 of the curves, many pairs per vectorized ``d_inf_many`` call. The measure
@@ -39,10 +42,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import currents
-from .currents import Chain1, CurrentError, CurveArray, Polyline, d_inf_many
-from .currents import d_inf  # noqa: F401  kept as approximation.d_inf, which bench/tracing.py wraps
-from .homotopy import interpolate_geodesic
-from .flatnorm import flat_upper_bound_pair
+from .currents import Chain1, CurrentError, CurveArray, Piece, Polyline, d_inf_many
+# approximate calls neither, but bench/tracing.py wraps both names here
+from .currents import d_inf  # noqa: F401
+from .homotopy import interpolate_geodesic  # noqa: F401
 from .spaces import NormedPlane
 
 log = logging.getLogger(__name__)
@@ -211,13 +214,15 @@ def cluster(cm: CurveMeasure, eps: float,
               "rounds, %(measured)d of %(pairs)d diameter pairs measured",
               {"entries": n, "clusters": len(centers), "rounds": blocks, "measured": measured,
                "pairs": int((sizes * (sizes - 1) // 2).sum())})
+    # each cluster's first entry by (cluster, length, index) is its representative
+    reps = np.lexsort((np.arange(n), curves.length, owner))[start].tolist()
+    weights = [w for w, _ in cm.entries]
+    members = members.tolist()
     out = []
-    for g, d in zip(np.split(members, start[1:]), diam):
-        g = g.tolist()
-        rep = min((cm.entries[i][1].length, i) for i in g)[1]
-        weight = float(sum(cm.entries[i][0] for i in g))
-        out.append(Cluster(members=tuple(g), representative=rep,
-                           diameter=float(d), weight=weight))
+    for a, b, rep, d in zip(start.tolist(), (start + sizes).tolist(), reps, diam.tolist()):
+        g = members[a:b]
+        out.append(Cluster(members=tuple(g), representative=rep, diameter=d,
+                           weight=float(sum(weights[i] for i in g))))
     return out
 
 
@@ -244,31 +249,49 @@ def approximate(cm: CurveMeasure, eps: float, mesh: float,
     P is the weighted sum over clusters of the chord interpolation of the
     shortest member; mass(P) <= induced mass of the measure always, and the
     flat distance to the full superposition is at most the certificate.
+    Masses and the lengths in the certificate are in the plane's norm.
+
+    All representatives are interpolated at once: their nodes in one
+    ``CurveArray.at`` call on the measure's curve array, and their uniform
+    distances to their chord polylines (``d_inf``, bit for bit) in one
+    ``d_inf_many`` call on an array of the representatives followed by the
+    chord polylines. Each cluster adds, in node order, one chord of its
+    weight per partition cell whose ends differ.
     """
     _require_positive("interpolation mesh", mesh)
     plane = plane or NormedPlane("l2")
-    cap = cm.length_bound
     clusters = cluster(cm, eps, plane)
+    curves = cm.curves(plane)
+    lengths = curves.plane_length.tolist()
+    cap = max(lengths, default=0.0)
     part = _uniform_partition(mesh)
-    pieces = Chain1.empty(plane)
+    reps = [cl.representative for cl in clusters]
+    k = len(reps)
+    nodes = curves.at(np.repeat(np.array(reps, dtype=int), len(part)), np.tile(part, k),
+                      exact=True).reshape(k, len(part), 2)
+    chords = CurveArray([cm.entries[r][1] for r in reps] + [Polyline(c) for c in nodes], plane)
+    dist = d_inf_many(chords, np.arange(k), np.arange(k, 2 * k)).tolist()
+    pieces = []
     clustering_term = 0.0
     interp_term = 0.0
-    for cl in clusters:
-        rep = cm.entries[cl.representative][1]
-        interp = interpolate_geodesic(rep, part, plane)
-        pieces = pieces + interp.chain.scale(cl.weight)
-        clustering_term += 2.0 * (cap + 1.0) * cl.weight * cl.diameter
-        interp_term += cl.weight * flat_upper_bound_pair(rep, interp.chord_polyline, plane)
+    for cl, path, d, chord_length in zip(clusters, nodes.tolist(), dist,
+                                         chords.plane_length[k:].tolist()):
+        w = cl.weight
+        pieces += [Piece(tuple(s), tuple(e), w, plane.dist(s, e))
+                   for s, e in zip(path, path[1:]) if s != e]
+        clustering_term += 2.0 * (cap + 1.0) * w * cl.diameter
+        interp_term += w * ((lengths[cl.representative] + chord_length + 2.0) * d)
+    chain = Chain1(plane, pieces, validate=False)
     cert = ApproxCertificate(
         epsilon=eps,
         clusters=tuple(clusters),
         clustering_term=clustering_term,
         interpolation_term=interp_term,
         flat_bound=clustering_term + interp_term,
-        mass_p=pieces.mass(),
-        mass_n=cm.induced_mass,
+        mass_p=chain.mass(),
+        mass_n=float(sum(w * length for (w, _), length in zip(cm.entries, lengths))),
     )
-    return pieces, cert
+    return chain, cert
 
 
 def measure_as_chain(cm: CurveMeasure, plane: Optional[NormedPlane] = None) -> Chain1:

@@ -260,11 +260,14 @@ class CurveArray:
     any (member, parameter) query. A member of length zero keeps only its
     first vertex. ``breaks`` and ``own`` hold every member's breakpoint
     parameters and its points there, member k in ``bstart[k]:bstart[k + 1]``;
-    ``nbreaks`` and ``max_breaks`` are their counts.
+    ``nbreaks`` and ``max_breaks`` are their counts. ``length`` is each
+    member's own length, which sets its parametrization, and
+    ``plane_length`` its length in the array's plane, the float that
+    ``Polyline(points, plane).length`` gives.
     """
 
-    __slots__ = ("plane", "keys", "cum", "points", "slope", "length", "breaks",
-                 "bstart", "nbreaks", "max_breaks", "own")
+    __slots__ = ("plane", "keys", "cum", "points", "slope", "length", "plane_length",
+                 "breaks", "bstart", "nbreaks", "max_breaks", "own")
 
     def __init__(self, polys: Sequence[Polyline], plane: Optional[NormedPlane] = None):
         self.plane = plane or _L2
@@ -284,6 +287,17 @@ class CurveArray:
         self.slope[last] = 0.0
         self.slope[~np.isfinite(self.slope)] = 0.0
         self.length = np.array([p.length for p in polys])
+        # the segment norms of member k in row k, padded with zeros, and
+        # summed in order along the row as Polyline sums them
+        counts = np.array([len(p.points) for p in polys], dtype=int)
+        pts = np.concatenate([p.points for p in polys] + [np.zeros((0, 2))])
+        local = np.arange(len(pts)) - np.repeat(np.cumsum(counts) - counts, counts)
+        inner = np.flatnonzero(local > 0)
+        norms = np.zeros((len(polys), counts.max(initial=1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[np.repeat(member, counts)[inner], local[inner]] = \
+                self.plane.norm_arr(pts[inner] - pts[inner - 1])
+        self.plane_length = np.add.accumulate(norms, axis=1)[:, -1]
         # Polyline.breaks of every member in one division: cum / length, and
         # [0, 1] / 1 for a member of length zero
         self.nbreaks = np.array([len(p.cum) if p.length else 2 for p in polys], dtype=int)
@@ -293,18 +307,23 @@ class CurveArray:
         self.max_breaks = int(self.nbreaks.max(initial=0))
         self.own = self.at(np.repeat(member, self.nbreaks), self.breaks)
 
-    def at(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    def at(self, rows: np.ndarray, ts: np.ndarray, exact: bool = False) -> np.ndarray:
         """Point of member ``rows[k]`` at parameter ``ts[k]``, shape (len(ts), 2).
 
         The floating-point steps are those of ``Polyline.at`` (``np.interp``:
         slope * (s - cum[j]) + point[j] in segment j), so the values are the
-        same up to the sign of a zero coordinate.
+        same up to the sign of a zero coordinate. With ``exact`` a parameter
+        on a vertex takes that vertex's point, as ``np.interp`` does, and the
+        values are the same bit for bit, signed zeros too.
         """
         s = np.clip(ts, 0.0, 1.0) * self.length[rows]
         j = np.searchsorted(self.keys, rows + 1j * s, side="right") - 1
         # take gathers whole rows several times faster than indexing with j
-        return (self.slope.take(j, axis=0) * (s - self.cum[j])[:, None]
-                + self.points.take(j, axis=0))
+        base = self.points.take(j, axis=0)
+        out = self.slope.take(j, axis=0) * (s - self.cum[j])[:, None] + base
+        if exact:
+            np.copyto(out, base, where=(s == self.cum[j])[:, None])
+        return out
 
     def gap(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """max over the breakpoints t of member y[k] of |x[k](t) - y[k](t)|, per k."""

@@ -399,11 +399,17 @@ class InterpolationResult:
 
 def interpolate_geodesic(poly: Polyline, partition: Sequence[float],
                          plane: Optional[NormedPlane] = None) -> InterpolationResult:
-    """Chord chain through gamma(t_j); total chord length never exceeds l(gamma).
+    """Chord chain through the nodes gamma(t_j): one chord of weight 1 per
+    cell [t_{j-1}, t_j] whose ends differ, its length in the plane's norm, so
+    the total never exceeds the length of gamma in that norm.
 
-    d_inf is computed against the partition-aligned parametrization of the
-    chord curve (each cell [t_{j-1}, t_j] maps affinely onto its chord), which
-    is exact on the merged breakpoints.
+    ``chord_polyline`` is the polyline through the nodes, with its own
+    constant-speed parametrization. ``d_inf`` is measured instead against the
+    partition-aligned parametrization of the chords (each cell maps affinely
+    onto its chord), exact on the merged breakpoints, so it is in general not
+    ``d_inf(poly, chord_polyline)``. ``approximation.approximate`` builds the
+    same nodes and chains for all its representatives at once and certifies
+    them with the distance to ``chord_polyline``.
     """
     plane = plane or NormedPlane("l2")
     part = np.asarray(sorted(partition), dtype=float)

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from current1d import (Cluster, CurrentError, CurveMeasure, NormedPlane, Polyline,
-                       approximate, cluster, currents, d_inf, d_inf_many, flat_norm, snap,
-                       truncate)
+from current1d import (Chain1, Cluster, CurrentError, CurveMeasure, NormedPlane, Polyline,
+                       approximate, cluster, currents, d_inf, d_inf_many, flat_norm,
+                       interpolate_geodesic, snap, truncate)
 from current1d import approximation
-from current1d.approximation import measure_as_chain
+from current1d.approximation import ApproxCertificate, measure_as_chain
 from current1d.flatnorm import CubicalComplex
 
 PL = NormedPlane("l2")
@@ -47,6 +47,43 @@ def pairwise_cluster(cm, eps, plane):
         out.append(Cluster(members=tuple(g), representative=rep,
                            diameter=diam, weight=weight))
     return out
+
+
+def reference_approximate(cm, eps, mesh, plane):
+    """Reference chord chain: one interpolate_geodesic and one d_inf call and
+    one chain sum per cluster, every length in the plane's norm."""
+    def length(poly):
+        return Polyline(poly.points, plane).length
+
+    cap = max((length(p) for _, p in cm.entries), default=0.0)
+    clusters = cluster(cm, eps, plane)
+    part = approximation._uniform_partition(mesh)
+    pieces = Chain1.empty(plane)
+    clustering_term = 0.0
+    interp_term = 0.0
+    for cl in clusters:
+        rep = cm.entries[cl.representative][1]
+        interp = interpolate_geodesic(rep, part, plane)
+        pieces = pieces + interp.chain.scale(cl.weight)
+        clustering_term += 2.0 * (cap + 1.0) * cl.weight * cl.diameter
+        chord = interp.chord_polyline
+        interp_term += cl.weight * ((length(rep) + length(chord) + 2.0)
+                                    * d_inf(rep, chord, plane))
+    return pieces, ApproxCertificate(
+        epsilon=eps, clusters=tuple(clusters), clustering_term=clustering_term,
+        interpolation_term=interp_term, flat_bound=clustering_term + interp_term,
+        mass_p=pieces.mass(), mass_n=float(sum(w * length(p) for w, p in cm.entries)))
+
+
+def assert_same_approximation(cm, eps, mesh, plane):
+    (got, cert), (ref, ref_cert) = (approximate(cm, eps, mesh, plane),
+                                    reference_approximate(cm, eps, mesh, plane))
+    assert got.space == ref.space == plane
+    assert got.pieces == ref.pieces
+    assert repr(got.pieces) == repr(ref.pieces)  # signed zeros too
+    assert cert == ref_cert
+    assert repr(cert) == repr(ref_cert)
+    return got, cert
 
 
 def translates(rng, count, span, plane):
@@ -303,10 +340,11 @@ class TestNetBlocks:
 class TestSharedCurveArray:
     @staticmethod
     def count_builds(monkeypatch):
+        """Record (members, plane) of every curve array built."""
         built = []
 
         def counting(polys, plane=None):
-            built.append(plane)
+            built.append((len(polys), plane))
             return currents.CurveArray(polys, plane)
 
         monkeypatch.setattr(approximation, "CurveArray", counting)
@@ -317,11 +355,15 @@ class TestSharedCurveArray:
         rng = np.random.Generator(np.random.Philox(key=105))
         cm = translates(rng, 80, 2.0, PL)
         first = [approximate(cm, eps=eps, mesh=0.25, plane=PL)[1] for eps in (0.4, 0.2)]
-        assert built == [PL]
+        # the measure's array once, and per call one array of its
+        # representatives followed by their chord polylines
+        chords = [(2 * len(cert.clusters), PL) for cert in first]
+        assert len(first[1].clusters) > len(first[0].clusters) > 1
+        assert built == [(80, PL)] + chords
         # a fresh measure builds its own array, and the certificates are the same
         again = CurveMeasure(cm.entries)
         assert [approximate(again, eps=eps, mesh=0.25, plane=PL)[1] for eps in (0.4, 0.2)] == first
-        assert built == [PL, PL]
+        assert built == ([(80, PL)] + chords) * 2
 
     def test_one_array_per_plane(self, monkeypatch):
         built = self.count_builds(monkeypatch)
@@ -330,7 +372,7 @@ class TestSharedCurveArray:
         for plane in PLANES + PLANES:
             assert cm.curves(plane).plane == plane
             assert_same_clusters(cluster(cm, 0.3, plane), pairwise_cluster(cm, 0.3, plane))
-        assert built == PLANES
+        assert built == [(30, plane) for plane in PLANES]
         cluster(cm, 0.3)  # the default plane is l2
         assert len(built) == len(PLANES)
 
@@ -449,3 +491,101 @@ class TestApproximate:
             approximate(cm, eps=0.1, mesh=0.0)
         with pytest.raises(Exception):
             CurveMeasure.of([(0.0, seg(0.0))])
+
+
+class TestApproximateAgainstReference:
+    """The batched pass equals the loop of one interpolation per cluster."""
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_translate_families(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=110))
+        for count in (20, 80):
+            # built in the plane, and built in l2 with lengths then taken in the plane
+            for cm in (translates(rng, count, 2.0, plane), translates(rng, count, 2.0, PL)):
+                for eps in (0.4, 0.2, 0.05):
+                    for mesh in (0.25, 0.3):
+                        assert_same_approximation(cm, eps, mesh, plane)
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_scattered_families(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=111))
+        for own in (plane, PL):
+            cm = scattered(rng, 40, own)
+            for eps in (0.5, 0.1, 1e9):
+                for mesh in (1.0, 0.5, 0.1):
+                    assert_same_approximation(cm, eps, mesh, plane)
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_one_entry_measure(self, plane):
+        theta = np.linspace(0.0, math.pi, 9)
+        cm = CurveMeasure.of([(1.5, Polyline(np.stack([np.cos(theta), np.sin(theta)], axis=1)))])
+        for mesh in (1.0, 0.5, 0.25, 0.07):
+            p, cert = assert_same_approximation(cm, 0.1, mesh, plane)
+            assert len(p.pieces) == math.ceil(1.0 / mesh) and cert.interpolation_term > 0.0
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_zero_length_curves(self, plane):
+        cm = CurveMeasure.of([(1.0, Polyline([[0.5, -0.25]])),
+                              (2.0, Polyline([[0.5, -0.25], [0.5, -0.25]])),
+                              (0.5, Polyline([[3.0, 1.0], [3.0, 1.0], [3.0, 1.0]]))])
+        for eps in (0.1, 1e9):
+            p, cert = assert_same_approximation(cm, eps, 0.25, plane)
+            assert p.pieces == () and cert.mass_n == 0.0 and cert.interpolation_term == 0.0
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_coinciding_nodes_drop_their_chords(self, plane):
+        # a closed square and a path there and back twice: at mesh 1 both
+        # lose their one chord, at mesh 0.5 the path loses both of its
+        square = Polyline([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
+        back = Polyline([[2, 0], [3, 0], [2, 0], [3, 0], [2, 0]])
+        cm = CurveMeasure.of([(1.0, square), (0.5, back), (2.0, seg(5.0))])
+        dropped = []
+        for mesh in (1.0, 0.5, 0.25, 0.2):
+            p, _ = assert_same_approximation(cm, 0.1, mesh, plane)
+            dropped.append(3 * math.ceil(1.0 / mesh) - len(p.pieces))
+        assert dropped == [2, 2, 0, 0]
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_signed_zero_vertices(self, plane):
+        # nodes on vertices with a coordinate -0.0 keep the sign, as Polyline.at does
+        cm = CurveMeasure.of([(1.0, Polyline([[-0.0, 0.0], [1.0, -0.0], [1.0, 1.0], [-0.0, 1.0]])),
+                              (1.0, Polyline([[-0.0, -0.0]])),
+                              (2.0, Polyline([[4.0, -0.0], [-0.0, -0.0]]))])
+        for mesh in (1.0, 0.5):
+            p, _ = assert_same_approximation(cm, 0.1, mesh, plane)
+            assert "-0.0" in repr(p.pieces)
+
+
+class TestPlaneLengths:
+    """Masses, the length cap and the interpolation term use the plane's norm."""
+
+    @pytest.mark.parametrize("tag, mass, cap", [("l1", 4.0, 2.0), ("linf", 2.0, 1.0)])
+    def test_two_diagonal_segments(self, tag, mass, cap):
+        # built without a plane, so their own lengths are euclidean (sqrt 2)
+        cm = CurveMeasure.of([(1.0, Polyline([[0, 0], [1, 1]])),
+                              (1.0, Polyline([[0, 0.01], [1, 1.01]]))])
+        p, cert = approximate(cm, eps=0.1, mesh=0.5, plane=NormedPlane(tag))
+        assert cert.mass_n == pytest.approx(mass, abs=1e-12)
+        assert cert.mass_p == p.mass() == pytest.approx(mass, abs=1e-12)
+        assert cert.mass_p <= cert.mass_n
+        # one cluster of weight 2 and diameter 0.01 in every norm
+        assert cert.clustering_term == pytest.approx(2.0 * (cap + 1.0) * 2.0 * 0.01, abs=1e-12)
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_mass_never_increases_in_any_plane(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=112))
+        for _ in range(20):
+            cm = translates(rng, int(rng.integers(2, 30)), 1.0, PL)
+            p, cert = approximate(cm, eps=float(rng.uniform(0.05, 1.0)),
+                                  mesh=float(rng.uniform(0.1, 0.5)), plane=plane)
+            assert cert.mass_n == pytest.approx(
+                sum(w * Polyline(c.points, plane).length for w, c in cm.entries), abs=1e-12)
+            assert p.mass() <= cert.mass_n + 1e-9
+
+    def test_l2_lengths_are_the_polylines_own(self):
+        rng = np.random.Generator(np.random.Philox(key=113))
+        cm = scattered(rng, 30, PL)
+        _, cert = approximate(cm, eps=0.2, mesh=0.25, plane=PL)
+        assert cert.mass_n == cm.induced_mass
+        _, default = approximate(cm, eps=0.2, mesh=0.25)
+        assert default == cert

@@ -365,6 +365,36 @@ class TestUniformDistance:
         assert np.array_equal(curves.at(rows, ts), ref)
 
     @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_exact_at_equals_polyline_at_bit_for_bit(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=83))
+        polys = mixed_family(rng, plane)
+        n = len(polys)
+        # signed zeros on vertices, where plain at() loses the sign
+        polys += [Polyline([[-0.0, 0.0], [1.0, -0.0], [1.0, -0.0], [-0.0, 2.0]], plane),
+                  Polyline([[-0.0, -0.0]], plane), Polyline([[-0.0, 1.0], [-0.0, 1.0]], plane)]
+        curves = CurveArray(polys, plane)
+        rows = np.concatenate([np.repeat(np.arange(n + 3), curves.nbreaks),
+                               n + np.array([0, 0, 0, 1, 2])])
+        ts = np.concatenate([curves.breaks, [0.0, 1.0, 0.5, 1.0, 0.0]])
+        ts = np.concatenate([ts, rng.uniform(0.0, 1.0, 200)])
+        rows = np.concatenate([rows, rng.integers(0, n + 3, 200)])
+        ref = np.array([polys[r].at(t)[0] for r, t in zip(rows, ts)])
+        assert curves.at(rows, ts, exact=True).tobytes() == ref.tobytes()
+        plain = curves.at(rows, ts)
+        assert np.array_equal(plain, ref) and plain.tobytes() != ref.tobytes()
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_plane_length_equals_polyline_length(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=84))
+        for own in (PL, plane):  # the members' own lengths in l2, or in the plane
+            polys = mixed_family(rng, own)
+            curves = CurveArray(polys, plane)
+            assert curves.plane_length.tolist() == [Polyline(p.points, plane).length
+                                                   for p in polys]
+            assert curves.length.tolist() == [p.length for p in polys]
+        assert CurveArray([], plane).plane_length.shape == (0,)
+
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
     def test_matrix_equals_pairwise(self, plane):
         rng = np.random.Generator(np.random.Philox(key=77))
         for _ in range(5):
