@@ -17,11 +17,10 @@ from .currents import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
                        restrict, standard_panel)
 from .solvers import (FlowNetwork, Infeasible, IterationLimit, LinearProgram,
                       SolverError, Unbounded, check_flow, min_cost_flow,
-                      simplex_lp)
+                      network_simplex, simplex_lp)
 from .transport import (AeResult, FillingResult, IsoReport, ae_norm,
                         isomorphism_check, minimal_filling)
-from .flatnorm import (CubicalComplex, FlatResult, flat_norm,
-                       flat_upper_bound_pair, snap)
+from .flatnorm import CubicalComplex, FlatResult, flat_norm, snap
 from .homotopy import (AffineBicombing, FillResult, GraphBicombing,
                        affine_homotopy_current, conical_defect, homotopy_fill,
                        interpolate_geodesic)

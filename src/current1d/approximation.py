@@ -112,8 +112,8 @@ def cluster(cm: CurveMeasure, eps: float,
 
     Each entry joins the first existing center strictly within eps, else
     becomes a new center. The stored diameter is the exact pairwise maximum
-    within the cluster; the representative is the member of minimal length,
-    ties resolved by lowest index.
+    within the cluster; the representative is the member of minimal length in
+    the plane (``CurveArray.plane_length``), ties resolved by lowest index.
 
     Entries are taken in blocks, the "greedy rounds" of the debug record. A
     block of up to CHUNK_SAMPLES // (number of centers) entries is measured
@@ -214,8 +214,8 @@ def cluster(cm: CurveMeasure, eps: float,
               "rounds, %(measured)d of %(pairs)d diameter pairs measured",
               {"entries": n, "clusters": len(centers), "rounds": blocks, "measured": measured,
                "pairs": int((sizes * (sizes - 1) // 2).sum())})
-    # each cluster's first entry by (cluster, length, index) is its representative
-    reps = np.lexsort((np.arange(n), curves.length, owner))[start].tolist()
+    # each cluster's first entry by (cluster, plane length, index) is its representative
+    reps = np.lexsort((np.arange(n), curves.plane_length, owner))[start].tolist()
     weights = [w for w, _ in cm.entries]
     members = members.tolist()
     out = []
@@ -247,7 +247,7 @@ def approximate(cm: CurveMeasure, eps: float, mesh: float,
     """Geodesic-chain approximation with a certified flat-norm bound.
 
     P is the weighted sum over clusters of the chord interpolation of the
-    shortest member; mass(P) <= induced mass of the measure always, and the
+    member shortest in the plane; mass(P) <= induced mass of the measure always, and the
     flat distance to the full superposition is at most the certificate.
     Masses and the lengths in the certificate are in the plane's norm.
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .currents import Chain1, Polyline
-from .spaces import NormedPlane
 from .solvers import (FlowNetwork, LinearProgram, SolverError, check_flow,
                       min_cost_flow, simplex_lp)
 
@@ -211,15 +210,6 @@ def flat_norm_lp(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     r = x[:ne] - x[ne:2 * ne]
     s = x[2 * ne:2 * ne + nf] - x[2 * ne + nf:]
     return FlatResult(value=float(res.optimum), r=r, s=s, iterations=res.iterations)
-
-
-def flat_upper_bound_pair(g0: Polyline, g1: Polyline,
-                          plane: NormedPlane | None = None) -> float:
-    """Metric-exact certificate (l(g0) + l(g1) + 2) * d_inf(g0, g1) for the
-    flat distance between the currents of two curves."""
-    from .currents import d_inf
-    plane = plane or NormedPlane("l2")
-    return (g0.length + g1.length + 2.0) * d_inf(g0, g1, plane)
 
 
 def complex_covering(polys: list[Polyline]) -> CubicalComplex:

@@ -3,9 +3,9 @@
 The AE norm of a molecule equals the Wasserstein-1 cost between its positive
 and negative parts (the molecule-representation infimum collapses to W1 over
 a metric: any representation induces a feasible coupling and conversely), so
-it is computed by min-cost flow on the complete bipartite network over the
-molecule's own atoms; relay routing through other space points cannot improve
-by the triangle inequality.
+it is computed by ``network_simplex`` on the complete bipartite network over
+the molecule's own atoms; relay routing through other space points cannot
+improve by the triangle inequality.
 
 The dual potential is recovered from the flow's node potentials on the
 negative atoms and extended with the McShane formula
@@ -21,7 +21,7 @@ import numpy as np
 
 from .currents import Chain1, Molecule
 from .spaces import MetricGraph, NormedPlane, qc_constants
-from .solvers import FlowNetwork, Infeasible, check_flow, min_cost_flow
+from .solvers import FlowNetwork, Infeasible, check_flow, min_cost_flow, network_simplex
 
 TOL = 1e-9
 IDENT_TOL = 1e-7
@@ -43,10 +43,10 @@ def ae_norm(m: Molecule, metric) -> AeResult:
 
     ``metric`` is a dense matrix (integer atom keys in [0, n), else
     TransportError) or a NormedPlane (tuple keys). One block of distances,
-    from every atom to the negative atoms, gives both the flow arcs and the
-    potential. The potential is 1-Lipschitz, pairs with the molecule to the
-    value (Kantorovich duality), and is defined on the atom keys. The flow is
-    certified by ``check_flow``.
+    from every atom to the negative atoms (one ``norm_arr`` call in a plane),
+    gives both the flow arcs and the potential. The potential is 1-Lipschitz,
+    pairs with the molecule to the value (Kantorovich duality), and is defined
+    on the atom keys. The flow is certified by ``check_flow``.
     """
     pos = m.positive_part()
     neg = m.negative_part()
@@ -60,7 +60,8 @@ def ae_norm(m: Molecule, metric) -> AeResult:
                 raise TransportError(f"molecule atom {p!r} is not a point of the space")
         block = metric[np.ix_(keys, neg_keys)].astype(float, copy=False)
     elif isinstance(metric, NormedPlane):
-        block = np.array([[metric.dist(x, q) for q in neg_keys] for x in keys])
+        pts = np.array(keys, dtype=float).reshape(len(keys), 2)  # ValueError unless points
+        block = metric.norm_arr(pts[[w < 0 for _, w in m.atoms]] - pts[:, None])
     else:
         raise TransportError(f"unsupported metric object {type(metric)}")
 
@@ -71,11 +72,12 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     arcs = np.column_stack([ii, jj + np_, costs[ii, jj], np.full(len(ii), math.inf)])
     divergence = [w for _, w in pos] + [-w for _, w in neg]
     net = FlowNetwork(np_ + len(neg), arcs, divergence)
-    res = min_cost_flow(net)
+    res = network_simplex(net)
     check_flow(net, res)
 
-    coupling = tuple((pos[i][0], neg_keys[j], f)
-                     for i, j, f in zip(ii.tolist(), jj.tolist(), res.flows.tolist()) if f > TOL)
+    used = np.flatnonzero(res.flows > TOL)
+    coupling = tuple((pos[i][0], neg_keys[j], f) for i, j, f in
+                     zip(ii[used].tolist(), jj[used].tolist(), res.flows[used].tolist()))
     # McShane extension from the negative atoms: u(x) = min_q d(x, q) - pi(q)
     u = (block - res.potentials[np_:]).min(axis=1)
     pot = {x: float(v) for x, v in zip(keys, u - u[0])}

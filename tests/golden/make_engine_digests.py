@@ -8,9 +8,11 @@ It builds seeded min-cost-flow networks the way the package's callers build
 them (the dense bipartite network of ``ae_norm``, the sparse graph network of
 ``minimal_filling``, the flat-norm dual grid with finite capacities), a random
 network with finite and infinite capacities and an infeasible one, plus
-seeded ``MetricGraph``s, and records SHA-256 digests of every flow's flows,
-potentials, total cost and augmentation count, and of every graph's
-``path_dist``, in ``engine_digests.json``. Regenerate only when an engine is
+seeded ``MetricGraph``s, and records SHA-256 digests of the flows,
+potentials and total cost of both flow engines on every network, with
+``min_cost_flow``'s augmentation count ("networks") and ``network_simplex``'s
+pivot count ("simplex"), and of every graph's ``path_dist``, in
+``engine_digests.json``. Regenerate only when an engine is
 meant to change its floating-point results, and say which digests changed.
 """
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from current1d import (Chain1, CubicalComplex, FlowNetwork, MetricGraph,
                        Molecule, NormedPlane, SolverError, flat_norm,
-                       min_cost_flow, snap)
+                       min_cost_flow, network_simplex, snap)
 from current1d import flatnorm, transport
 
 HERE = Path(__file__).resolve().parent
@@ -42,15 +44,15 @@ class _Stop(Exception):
     pass
 
 
-def _captured(module, call) -> FlowNetwork:
-    """The network that ``call()`` hands to ``module.min_cost_flow``."""
+def _captured(module, engine: str, call) -> FlowNetwork:
+    """The network that ``call()`` hands to the flow engine ``module.<engine>``."""
     nets = []
 
     def spy(net):
         nets.append(net)
         raise _Stop
 
-    with mock.patch.object(module, "min_cost_flow", spy):
+    with mock.patch.object(module, engine, spy):
         try:
             call()
         except _Stop:
@@ -74,7 +76,7 @@ def _bipartite(seed: int, k: int, lattice: bool) -> FlowNetwork:
         dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
     keys = rng.permutation(k)[:k].tolist()
     mol = Molecule(list(zip(keys, _balanced(rng, k).tolist())))
-    return _captured(transport, lambda: transport.ae_norm(mol, dist))
+    return _captured(transport, "network_simplex", lambda: transport.ae_norm(mol, dist))
 
 
 def _graph(seed: int, n: int, parts: int = 1) -> MetricGraph:
@@ -98,7 +100,7 @@ def _sparse(seed: int, n: int, k: int) -> FlowNetwork:
     rng = _rng(seed + 1)
     verts = rng.choice(n, size=k, replace=False).tolist()
     mol = Molecule(list(zip(verts, _balanced(rng, k).tolist())))
-    return _captured(transport, lambda: transport.minimal_filling(mol, g))
+    return _captured(transport, "min_cost_flow", lambda: transport.minimal_filling(mol, g))
 
 
 def _dual_grid(seed: int, n: int, staircase: bool) -> FlowNetwork:
@@ -114,7 +116,7 @@ def _dual_grid(seed: int, n: int, staircase: bool) -> FlowNetwork:
         t = snap(Chain1.from_segments(NormedPlane("l2"), segs), cx)
     else:
         t = rng.normal(size=cx.n_edges)
-    return _captured(flatnorm, lambda: flat_norm(t, cx))
+    return _captured(flatnorm, "min_cost_flow", lambda: flat_norm(t, cx))
 
 
 def _mixed(seed: int, n: int) -> FlowNetwork:
@@ -164,15 +166,19 @@ def _array_sha(a) -> str:
     return _sha(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def flow_digest(net: FlowNetwork) -> dict:
-    """Digests of ``min_cost_flow(net)``, or the solver error it raises."""
+def flow_digest(net: FlowNetwork, engine=min_cost_flow, count: str = "augmentations") -> dict:
+    """Digests of ``engine(net)`` and its ``count``, or the solver error it raises."""
     try:
-        res = min_cost_flow(net)
+        res = engine(net)
     except SolverError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"flows": _array_sha(res.flows), "potentials": _array_sha(res.potentials),
             "total_cost": _array_sha([res.total_cost]),
-            "augmentations": _sha(str(res.augmentations).encode())}
+            count: _sha(str(getattr(res, count)).encode())}
+
+
+def simplex_digest(net: FlowNetwork) -> dict:
+    return flow_digest(net, network_simplex, "pivots")
 
 
 def graph_digest(g: MetricGraph) -> str:
@@ -181,6 +187,7 @@ def graph_digest(g: MetricGraph) -> str:
 
 def digests() -> dict:
     return {"networks": {name: flow_digest(make()) for name, make in NETWORKS.items()},
+            "simplex": {name: simplex_digest(make()) for name, make in NETWORKS.items()},
             "graphs": {name: graph_digest(make()) for name, make in GRAPHS.items()}}
 
 

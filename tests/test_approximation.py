@@ -23,7 +23,8 @@ def seg(y, x0=0.0, x1=1.0):
 
 
 def pairwise_cluster(cm, eps, plane):
-    """Reference greedy net: one d_inf call per entry-center and member pair."""
+    """Reference greedy net: one d_inf call per entry-center and member pair;
+    the representative is the member shortest in ``plane``."""
     centers: list[int] = []
     groups: list[list[int]] = []
     for i, (_, poly) in enumerate(cm.entries):
@@ -42,7 +43,7 @@ def pairwise_cluster(cm, eps, plane):
         for a in range(len(g)):
             for b in range(a + 1, len(g)):
                 diam = max(diam, d_inf(cm.entries[g[a]][1], cm.entries[g[b]][1], plane))
-        rep = min((cm.entries[i][1].length, i) for i in g)[1]
+        rep = min((Polyline(cm.entries[i][1].points, plane).length, i) for i in g)[1]
         weight = float(sum(cm.entries[i][0] for i in g))
         out.append(Cluster(members=tuple(g), representative=rep,
                            diameter=diam, weight=weight))
@@ -581,6 +582,16 @@ class TestPlaneLengths:
             assert cert.mass_n == pytest.approx(
                 sum(w * Polyline(c.points, plane).length for w, c in cm.entries), abs=1e-12)
             assert p.mass() <= cert.mass_n + 1e-9
+
+    def test_representative_is_shortest_in_the_plane(self):
+        # euclidean lengths 1 and 1.01, l1 lengths 1.414 and 1.01: the
+        # diagonal as representative made P heavier than the measure
+        cm = CurveMeasure.of([(1.0, Polyline([[0, 0], [0.7071, 0.7071]])),
+                              (1.0, Polyline([[0, 0], [1.01, 0]]))])
+        p, cert = approximate(cm, eps=1.1, mesh=0.5, plane=NormedPlane("l1"))
+        assert [cl.representative for cl in cert.clusters] == [1]
+        assert cert.mass_n == pytest.approx(2.4242, abs=1e-12)
+        assert cert.mass_p == p.mass() == pytest.approx(2.02, abs=1e-12)
 
     def test_l2_lengths_are_the_polylines_own(self):
         rng = np.random.Generator(np.random.Philox(key=113))

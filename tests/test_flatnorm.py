@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 
 import current1d.flatnorm as flatnorm
 from current1d import (Chain1, CubicalComplex, NormedPlane, Polyline,
-                       SolverError, flat_norm, flat_upper_bound_pair, snap)
+                       SolverError, d_inf, flat_norm, snap)
 from current1d.flatnorm import GridError, complex_covering, flat_norm_lp
 
 PL = NormedPlane("l2")
+
+
+def flat_upper_bound_pair(g0: Polyline, g1: Polyline) -> float:
+    """Metric-exact certificate (l(g0) + l(g1) + 2) * d_inf(g0, g1) for the
+    flat distance between the currents of two curves in the l2 plane."""
+    return (g0.length + g1.length + 2.0) * d_inf(g0, g1, PL)
 
 
 def node_id(cx: CubicalComplex, i: int, j: int) -> int:

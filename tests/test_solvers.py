@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from current1d import (FlowNetwork, Infeasible, IterationLimit, LinearProgram,
-                       SolverError, Unbounded, check_flow, min_cost_flow, simplex_lp)
+from current1d import (FlowNetwork, Infeasible, IterationLimit, LinearProgram, Molecule,
+                       SolverError, Unbounded, ae_norm, check_flow, min_cost_flow,
+                       network_simplex, simplex_lp)
 from current1d.solvers import TOL, FlowResult
 
 INF = math.inf
@@ -450,6 +451,96 @@ class TestCheckFlow:
             check_flow(net, dataclasses.replace(res, potentials=pi))
 
 
+def assert_simplex_agrees(net: FlowNetwork) -> FlowResult:
+    """``network_simplex`` matches ``min_cost_flow``'s cost to 1e-12 relative,
+    passes ``check_flow`` with potentials |pi| <= n * max cost, and a rerun
+    is bit for bit the same; both engines raise Infeasible together."""
+    try:
+        ref = min_cost_flow(net)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            network_simplex(net)
+        return None
+    res = network_simplex(net)
+    assert res.total_cost == pytest.approx(ref.total_cost, rel=1e-12, abs=1e-12)
+    check_flow(net, res)
+    assert np.max(np.abs(res.potentials), initial=0.0) <= net.n * np.max(net.arcs[:, 2],
+                                                                          initial=0.0)
+    again = network_simplex(net)
+    assert np.array_equal(again.flows, res.flows)
+    assert np.array_equal(again.potentials, res.potentials)
+    assert (again.total_cost, again.pivots) == (res.total_cost, res.pivots)
+    return res
+
+
+class TestNetworkSimplex:
+    """The primal network simplex against the primal-dual phases."""
+
+    @pytest.mark.parametrize("name", sorted(engine_digests.NETWORKS))
+    def test_digest_networks(self, name):
+        assert_simplex_agrees(engine_digests.NETWORKS[name]())
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["plane", "lattice"])
+    def test_dense_ae_norm_networks(self, lattice):
+        for seed in range(6):
+            res = assert_simplex_agrees(
+                engine_digests._bipartite(100 + seed, 30 + 5 * seed, lattice))
+            assert res.pivots > 0 and res.augmentations == res.searches == 0
+
+    def test_seeded_networks_with_capacities(self):
+        rng = np.random.Generator(np.random.Philox(key=26))
+        solved = 0
+        for _ in range(80):
+            solved += assert_simplex_agrees(_fuzz_network(rng)) is not None
+        assert solved >= 50
+
+    def test_zero_cost_and_parallel_arcs(self):
+        arcs = ((0, 1, 0.0, 0.5), (0, 1, 1.0, INF), (0, 1, 0.0, 0.25), (1, 0, 0.0, INF),
+                (1, 2, 0.0, 1.0), (2, 1, 0.0, 1.0), (0, 2, 2.0, INF), (2, 3, 0.0, 0.5),
+                (1, 3, 0.5, INF))
+        for div in ((2.0, 0.0, 0.0, -2.0), (1.0, 0.5, -0.5, -1.0), (0.5, 1.5, -1.0, -1.0)):
+            assert_simplex_agrees(FlowNetwork(4, arcs, div))
+
+    def test_zero_divergence_needs_no_pivot(self):
+        net = FlowNetwork(3, ((0, 1, 1.0, INF), (1, 2, 1.0, INF)), (0.0, 0.0, 0.0))
+        res = network_simplex(net)
+        assert (res.total_cost, res.pivots) == (0.0, 0)
+        assert np.all(res.flows == 0.0) and np.all(res.potentials == 0.0)
+
+    def test_infeasible_networks(self):
+        with pytest.raises(Infeasible):
+            network_simplex(engine_digests.NETWORKS["infeasible_caps"]())
+        with pytest.raises(Infeasible):
+            network_simplex(FlowNetwork(2, (), (1.0, -1.0)))
+
+    def test_disconnected_path_metric(self):
+        g = engine_digests._graph(10, 80, parts=3)
+        far = np.flatnonzero(np.isinf(g.path_dist[0]))
+        assert far.size
+        with pytest.raises(Infeasible):
+            ae_norm(Molecule([(0, 1.0), (int(far[0]), -1.0)]), g.path_dist)
+        # each part balanced on its own: the parts are solved side by side
+        near = np.flatnonzero(np.isfinite(g.path_dist[0]))
+        mol = Molecule([(0, 1.0), (int(near[-1]), -1.0), (int(far[0]), 0.5),
+                        (int(far[-1]), -0.5)])
+        assert ae_norm(mol, g.path_dist).value == pytest.approx(
+            g.path_dist[0, near[-1]] + 0.5 * g.path_dist[far[0], far[-1]], rel=1e-12)
+
+    def test_pivot_budget_is_enforced(self, monkeypatch):
+        import current1d.solvers as solvers
+        monkeypatch.setattr(solvers, "_MAX_PIVOTS", 1)
+        with pytest.raises(IterationLimit, match="network_simplex exceeded 1 pivots"):
+            solvers.network_simplex(engine_digests.NETWORKS["ae_plane_k60"]())
+
+    def test_one_debug_record_per_solve(self, caplog):
+        # not an "augment" record, which the benchmark tracer counts
+        caplog.set_level(logging.DEBUG, logger="current1d.solvers")
+        res = network_simplex(engine_digests.NETWORKS["flat_staircase_12x12"]())
+        (record,) = caplog.records
+        assert record.args[0] == res.pivots and 0 < record.args[1] < res.pivots
+        assert not record.getMessage().startswith("augment")
+
+
 class TestSimplex:
     def test_fixed_variable(self):
         lp = LinearProgram(c=np.array([1.0]), a=np.array([[1.0]]), b=np.array([1.0]))
@@ -546,12 +637,17 @@ class TestFlowProgressGuard:
 
 class TestEngineDigests:
     """``tests/golden/make_engine_digests.py`` replays seeded networks and graphs;
-    the flow engine and the all-pairs Dijkstra reproduce them bit for bit."""
+    both flow engines and the all-pairs Dijkstra reproduce them bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(DIGESTS["networks"]))
     def test_flow_is_bit_identical(self, name):
         net = engine_digests.NETWORKS[name]()
         assert engine_digests.flow_digest(net) == DIGESTS["networks"][name]
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS["simplex"]))
+    def test_simplex_is_bit_identical(self, name):
+        net = engine_digests.NETWORKS[name]()
+        assert engine_digests.simplex_digest(net) == DIGESTS["simplex"][name]
 
     @pytest.mark.parametrize("name", sorted(DIGESTS["graphs"]))
     def test_path_dist_is_bit_identical(self, name):
@@ -560,7 +656,7 @@ class TestEngineDigests:
 
 
 class TestHighsOracle:
-    """min_cost_flow against HiGHS on the node-arc LP: min c.x subject to
+    """Both flow engines against HiGHS on the node-arc LP: min c.x subject to
     out-flow minus in-flow = divergence at every node and 0 <= x <= capacity."""
 
     @staticmethod
@@ -594,9 +690,11 @@ class TestHighsOracle:
             if lp.status == 2:
                 with pytest.raises(Infeasible):
                     min_cost_flow(net)
+                with pytest.raises(Infeasible):
+                    network_simplex(net)
                 infeasible += 1
                 continue
-            res = min_cost_flow(net)
-            assert res.total_cost == pytest.approx(lp.fun, rel=1e-9, abs=1e-9)
+            for res in (min_cost_flow(net), network_simplex(net)):
+                assert res.total_cost == pytest.approx(lp.fun, rel=1e-9, abs=1e-9)
             solved += 1
         assert solved >= 40 and infeasible >= 3
