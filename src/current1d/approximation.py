@@ -247,8 +247,9 @@ def approximate(cm: CurveMeasure, eps: float, mesh: float,
     """Geodesic-chain approximation with a certified flat-norm bound.
 
     P is the weighted sum over clusters of the chord interpolation of the
-    member shortest in the plane; mass(P) <= induced mass of the measure always, and the
-    flat distance to the full superposition is at most the certificate.
+    member shortest in the plane; mass(P) <= induced mass of the measure
+    always, and the flat distance to the full superposition is at most the
+    certificate.
     Masses and the lengths in the certificate are in the plane's norm.
 
     All representatives are interpolated at once: their nodes in one

@@ -501,6 +501,16 @@ class TestNetworkSimplex:
         for div in ((2.0, 0.0, 0.0, -2.0), (1.0, 0.5, -0.5, -1.0), (0.5, 1.5, -1.0, -1.0)):
             assert_simplex_agrees(FlowNetwork(4, arcs, div))
 
+    def test_rounding_left_on_an_artificial_arc(self):
+        # 0.3 - 0.1 leaves 0.19999999999999998 at node 0, so node 2's
+        # artificial arc keeps 2.8e-17 units (below eps) and its subtree sits
+        # 2 big above node 3's; summed afresh, arc 0 -> 3 is violated and
+        # pivots out node 3's artificial arc
+        net = FlowNetwork(4, ((0, 1, 1.0, INF), (0, 2, 1.0, INF), (0, 3, 0.5, INF)),
+                          (0.3, -0.1, -0.2, 0.0))
+        res = assert_simplex_agrees(net)
+        assert res.pivots == 3 and res.potentials[3] - res.potentials[0] == 0.5
+
     def test_zero_divergence_needs_no_pivot(self):
         net = FlowNetwork(3, ((0, 1, 1.0, INF), (1, 2, 1.0, INF)), (0.0, 0.0, 0.0))
         res = network_simplex(net)
