@@ -183,19 +183,21 @@ _L2 = NormedPlane("l2")
 
 
 class Polyline:
-    """Ordered plane points with the implied constant-speed parametrization on [0,1]."""
+    """Ordered plane points with the implied constant-speed parametrization on
+    [0,1]; ``length`` is measured in ``plane``, l2 by default."""
 
-    __slots__ = ("points", "cum", "length")
+    __slots__ = ("points", "plane", "cum", "length")
 
     def __init__(self, points, plane: Optional[NormedPlane] = None):
         self.points = pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        self.plane = plane = plane or _L2
         if len(pts) < 1:
             raise CurrentError("polyline needs at least one point")
         self.cum = np.zeros(len(pts))
         # segments that overflow, or meet inf - inf, leave a non-finite length
         # and are rejected below, so numpy need not warn of them
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.accumulate((plane or _L2).norm_arr(pts[1:] - pts[:-1]), out=self.cum[1:])
+            np.add.accumulate(plane.norm_arr(pts[1:] - pts[:-1]), out=self.cum[1:])
         self.length = float(self.cum[-1])
         # a non-finite coordinate makes some segment, so the length, non-finite
         if not (math.isfinite(self.length) if len(pts) > 1 else np.isfinite(pts[0]).all()):
@@ -226,7 +228,7 @@ class Polyline:
         return _pt(self.points[-1])
 
     def translate(self, v) -> "Polyline":
-        return Polyline(self.points + np.asarray(v, dtype=float))
+        return Polyline(self.points + np.asarray(v, dtype=float), self.plane)
 
     def segments(self):
         """Yield (t0, t1, p, q) per segment in the global parametrization."""
@@ -616,8 +618,6 @@ class ScalarField:
             t, w = self.plane.tag, self.plane.weights
             if t in ("l1", "l2"):
                 return 1.0
-            if t == "linf":
-                return math.sqrt(2.0)
             return math.hypot(1.0 / w[0], 1.0 / w[1])
         raise CurrentError(self.tag)
 

@@ -308,10 +308,11 @@ def check_fill(g0: Polyline, g1: Polyline, fill: FillResult,
     capped = 0
     ok = fill.measured_s <= fill.cert_s + 1e-6
     ok &= fill.r_chain.mass() <= fill.cert_r + 1e-9
+    c0, c1 = g0.as_chain(plane), g1.as_chain(plane)
     for form in panel:
         allowed = 1e-6 * (1.0 + form.lip_pi * form.sup_f)
-        quads = (action(g0.as_chain(plane), form), action(g1.as_chain(plane), form),
-                 fill.boundary_quad(form), action(fill.r_chain, form))
+        quads = (action(c0, form), action(c1, form), fill.boundary_quad(form),
+                 action(fill.r_chain, form))
         a0, a1, ds, ar = (float(q.value.sum()) for q in quads)
         resid = abs((a0 - a1) - (ds + ar))
         worst = max(worst, resid)

@@ -32,9 +32,12 @@ ones blocked; the first tree path never is, and a phase that moves no flow
 raises IterationLimit. ``check_flow`` certifies a result in O(m) from its
 flows and potentials alone.
 
-A ``FlowNetwork`` is one (m, 4) arc table, validated by column. The engine
-takes its columns once with ``tolist`` and loops on plain lists, where numpy
-scalars would cost more than the arithmetic; ``check_flow`` reads the columns.
+``FlowNetwork`` states the flow problem once: an (m, 4) arc table, its
+columns, the supply tolerance eps and the arc floor eps * 1e-3, at or below
+which a capacity or a residual counts as none. Both engines and
+``check_flow`` read these, so all three see the same arcs: the phases never
+make an arc at or below the floor live and the simplex never prices one.
+The phases loop on plain lists, where numpy scalars would cost more.
 Residual arc 2k is arc k forward and 2k + 1 its reverse, with heads and
 signed costs in lists indexed by a; a >> 1 and a & 1 recover the arc and the
 direction. A residual capacity is read fresh as cap - flow or flow. A search
@@ -45,8 +48,8 @@ path change flow, so after each augmentation both residual arcs of each of
 them are re-tested, then inserted at their bisection point, which keeps arc
 order and so the tie-breaking among parallel arcs, or removed. Every float
 operation keeps one fixed order (du + (c + pi[u] - pi[v]), the 1e-15
-relaxation margin, the eps * 1e-3 arc floor, the cost as a dot product with
-a contiguous cost column), so flows, potentials, cost and the counts are
+relaxation margin, the arc floor, the cost as a dot product with the
+contiguous cost column), so flows, potentials, cost and the counts are
 bit for bit reproducible; ``tests/golden/engine_digests.json`` pins them.
 """
 
@@ -90,7 +93,9 @@ class FlowNetwork:
 
     Endpoints are integers in [0, n), costs finite and >= 0, capacities in
     (0, inf]. divergence[v] > 0 is supply leaving v, < 0 is demand arriving
-    at v; they are finite and sum to zero.
+    at v; they are finite and sum to zero. Read-only columns ``tail``, ``head``
+    (intp), ``cost`` (contiguous: np.dot sums a strided view in another order)
+    and ``cap``; ``eps`` = TOL * max(1, total supply) and ``floor`` = eps * 1e-3.
     """
 
     def __init__(self, n: int, arcs, divergence):
@@ -111,6 +116,12 @@ class FlowNetwork:
             raise SolverError(f"arc endpoints must be integers in [0, {n})")
         if not np.all((cost >= 0) & (cost < math.inf) & (cap > 0)):
             raise SolverError("need finite cost >= 0 and capacity > 0")
+        self.tail, self.head = ends[:, 0].astype(np.intp), ends[:, 1].astype(np.intp)
+        self.cost, self.cap = cost.copy(), cap
+        for col in (self.tail, self.head, self.cost):
+            col.flags.writeable = False
+        self.eps = TOL * max(1.0, float(div[div > 0].sum()))
+        self.floor = self.eps * 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,27 +220,20 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
     and ``scans`` the residual arcs those searches examined. Raises
     IterationLimit if a phase moves no flow.
     """
-    n, arcs = net.n, net.arcs
-    m = len(arcs)
+    n, m, eps, floor = net.n, len(net.arcs), net.eps, net.floor
     # residual arc a = 2k is arc k forward (capacity cap[k] - flow[k], cost c),
     # a = 2k + 1 its reverse (capacity flow[k], cost -c); the tail of a is
     # the head of its partner a ^ 1
-    cost = arcs[:, 2].copy()  # contiguous: np.dot sums a strided view in another order
-    rcost = np.column_stack([cost, -cost]).ravel().tolist()
-    rhead = arcs[:, [1, 0]].astype(np.intp).ravel().tolist()
-    cap = arcs[:, 3].tolist()
+    rcost = np.column_stack([net.cost, -net.cost]).ravel().tolist()
+    rhead = np.column_stack([net.head, net.tail]).ravel().tolist()
+    cap = net.cap.tolist()
     flow = [0.0] * m
-
     excess = net.divergence.tolist()
-    total_supply = float(np.sum([x for x in excess if x > 0]))
-    eps = TOL * max(1.0, total_supply)
-    floor = eps * 1e-3
     heappush, heappop = heapq.heappush, heapq.heappop
     # with no flow yet, the live arcs are the forward arcs above the floor
     live: list[list[int]] = [[] for _ in range(n)]
-    for k, c in enumerate(cap):
-        if c > floor:
-            live[rhead[2 * k + 1]].append(2 * k)
+    for k in np.flatnonzero(net.cap > floor).tolist():
+        live[rhead[2 * k + 1]].append(2 * k)
 
     # zero potentials are feasible: FlowNetwork rejects negative costs
     pi = [0.0] * n
@@ -319,7 +323,7 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             raise IterationLimit(f"min_cost_flow moved no flow in search {searches}")
 
     flows = np.array(flow, dtype=float)
-    total = float(np.dot(flows, cost)) if m else 0.0
+    total = float(np.dot(flows, net.cost)) if m else 0.0
     return FlowResult(flows=flows, total_cost=total, potentials=np.array(pi, dtype=float),
                       augmentations=augmentations, searches=searches, scans=scans)
 
@@ -327,33 +331,30 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
 def check_flow(net: FlowNetwork, res: FlowResult) -> None:
     """Certify ``res`` as an optimal flow of ``net`` in O(m), or raise SolverError.
 
-    Checks conservation to eps, 0 <= flow <= capacity, reduced cost
-    c + pi(u) - pi(v) >= -tol on every residual arc (forward while the flow is
-    below capacity, reverse while it is positive; a residual at or below the
-    engine's arc floor counts as none), and strong duality: the cost equals
+    Checks conservation to TOL * max(1, sum |div|), 0 <= flow <= capacity,
+    reduced cost c + pi(u) - pi(v) >= -tol on every residual arc (forward while
+    the flow is below capacity, reverse while it is positive; a residual at or
+    below ``net.floor`` counts as none), and strong duality: the cost equals
     -sum(div pi) - sum(cap max(0, -rc)) to tol times the size of its terms.
     """
-    n, m, arcs, div = net.n, len(net.arcs), net.arcs, net.divergence
-    tail, head = arcs[:, 0].astype(np.intp), arcs[:, 1].astype(np.intp)
-    cost, cap = arcs[:, 2], arcs[:, 3]
+    n, m, div, cost, cap = net.n, len(net.arcs), net.divergence, net.cost, net.cap
     x, pi = np.asarray(res.flows, dtype=float), np.asarray(res.potentials, dtype=float)
     if x.shape != (m,) or pi.shape != (n,):
         raise SolverError("flow result does not match the network")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(pi))):
         raise SolverError("flow result has non-finite entries")
     eps = TOL * max(1.0, float(np.abs(div).sum()))
-    imbalance = np.bincount(tail, x, n) - np.bincount(head, x, n) - div
+    imbalance = np.bincount(net.tail, x, n) - np.bincount(net.head, x, n) - div
     worst = float(np.max(np.abs(imbalance), initial=0.0))
     if worst > eps:
         raise SolverError(f"flow breaks conservation by {worst!r}")
     if np.any(x < -eps) or np.any(x > cap + eps):
         raise SolverError("flow outside [0, capacity]")
-    rc = cost + pi[tail] - pi[head]
-    floor = TOL * max(1.0, float(div[div > 0].sum())) * 1e-3
+    rc = cost + pi[net.tail] - pi[net.head]
     tol = TOL * max(1.0, float(np.max(np.abs(cost), initial=0.0)),
                     float(np.max(np.abs(pi), initial=0.0)))
-    worst = min(float(np.min(rc[cap - x > floor], initial=math.inf)),
-                float(np.min(-rc[x > floor], initial=math.inf)))
+    worst = min(float(np.min(rc[cap - x > net.floor], initial=math.inf)),
+                float(np.min(-rc[x > net.floor], initial=math.inf)))
     if worst < -tol:
         raise SolverError(f"reduced cost {worst!r} on a residual arc")
     finite = np.isfinite(cap)
@@ -379,33 +380,33 @@ def network_simplex(net: FlowNetwork) -> FlowResult:
     arc of least state * (cost + pi[tail] - pi[head]) below -1e-12 big in the
     next cyclic block of _BLOCK arcs that has one, the first on ties; the last
     blocking arc of its cycle from the apex leaves (Cunningham, Math.
-    Programming 11, 1976), so pivots never cycle. Flow above eps left on an
-    artificial arc raises Infeasible. Then those arcs get cost and capacity 0,
-    the potentials are summed afresh down the tree, and pivots go on to
-    -1e-12 max(1, max cost): each violated arc between two root subtrees pivots
-    out an artificial arc, so |pi| <= (n - 1) * max cost with no big offset.
+    Programming 11, 1976), so pivots never cycle; an arc at or below
+    ``net.floor`` is never priced. Flow above eps left on an artificial arc
+    raises Infeasible. Then those arcs get cost and capacity 0, the potentials
+    are summed afresh down the tree, and pivots go on to -1e-12 max(1, max
+    cost): each violated arc between two root subtrees pivots out an
+    artificial arc, so |pi| <= (n - 1) * max cost with no big offset.
     Raises IterationLimit after _MAX_PIVOTS pivots.
     """
-    n, arcs, m, root = net.n, net.arcs, len(net.arcs), net.n
-    ends = arcs[:, :2].astype(np.intp)
-    cost_col = arcs[:, 2].copy()  # contiguous, as in min_cost_flow
-    top = float(cost_col.max(initial=0.0))
+    n, m, root, div = net.n, len(net.arcs), net.n, net.divergence
+    top = float(net.cost.max(initial=0.0))
     big = float(n * (math.floor(top) + 1))
-    div = net.divergence
     up = (div >= 0).tolist()
     # arcs m + v are the artificial ones; the tree is parent, pred (the arc to
     # the parent), depth and children lists, with node n the root
-    tail = ends[:, 0].tolist() + [v if u else root for v, u in enumerate(up)]
-    head = ends[:, 1].tolist() + [root if u else v for v, u in enumerate(up)]
-    cost = cost_col.tolist() + [big] * n
-    cap = arcs[:, 3].tolist() + [math.inf] * n
+    tail = net.tail.tolist() + [v if u else root for v, u in enumerate(up)]
+    head = net.head.tolist() + [root if u else v for v, u in enumerate(up)]
+    cost = net.cost.tolist() + [big] * n
+    cap = net.cap.tolist() + [math.inf] * n
     flow = [0.0] * m + np.abs(div).tolist()
     parent, pred, depth = [root] * n + [-1], list(range(m, m + n)) + [-1], [1] * n + [0]
     children = [[] for _ in range(n)] + [list(range(n))]
     pi = np.array([-big if u else big for u in up] + [0.0])
-    state = np.ones(m + n)  # priced on the real arcs only
-    blocks = [(lo, cost_col[lo:lo + _BLOCK], ends[lo:lo + _BLOCK, 0], ends[lo:lo + _BLOCK, 1],
-               state[lo:min(lo + _BLOCK, m)]) for lo in range(0, m, _BLOCK)]
+    # priced on the real arcs above the floor only, so the others carry no flow
+    state = np.concatenate([net.cap > net.floor, np.ones(n)])
+    blocks = [(lo, net.cost[lo:lo + _BLOCK], net.tail[lo:lo + _BLOCK],
+               net.head[lo:lo + _BLOCK], state[lo:min(lo + _BLOCK, m)])
+              for lo in range(0, m, _BLOCK)]
     pivots = degenerate = 0
 
     def run(tol: float) -> None:
@@ -478,8 +479,7 @@ def network_simplex(net: FlowNetwork) -> FlowResult:
             pi[np.fromiter(nodes, np.intp, len(nodes))] += sigma if q == v else -sigma
 
     run(1e-12 * big)
-    eps = TOL * max(1.0, float(div[div > 0].sum()))
-    if any(x > eps for x in flow[m:]):
+    if any(x > net.eps for x in flow[m:]):
         raise Infeasible("supply cannot reach demand under the given arcs")
     flow[m:] = cap[m:] = cost[m:] = [0.0] * n
     order = [root]
@@ -490,7 +490,7 @@ def network_simplex(net: FlowNetwork) -> FlowResult:
     run(1e-12 * max(1.0, top))
     log.debug("network simplex: %d pivots, %d of them degenerate", pivots, degenerate)
     flows = np.array(flow[:m])
-    return FlowResult(flows=flows, total_cost=float(np.dot(flows, cost_col)),
+    return FlowResult(flows=flows, total_cost=float(np.dot(flows, net.cost)),
                       potentials=pi[:n].copy(), pivots=pivots)
 
 

@@ -31,8 +31,8 @@ class GeometryError(ValueError):
 class NormedPlane:
     """The plane R^2 with an l1, l2, linf or weighted-max norm.
 
-    ``weights`` is only consulted for the ``wmax`` tag, where
-    ``norm(v) = max(w0*|v0|, w1*|v1|)``.
+    ``weights`` is consulted for the ``wmax`` and ``linf`` tags, where
+    ``norm(v) = max(w0*|v0|, w1*|v1|)``; ``linf`` always has unit weights.
     """
 
     tag: str = "l2"
@@ -41,6 +41,8 @@ class NormedPlane:
     def __post_init__(self):
         if self.tag not in ("l1", "l2", "linf", "wmax"):
             raise GeometryError(f"unknown norm tag {self.tag!r}")
+        if self.tag == "linf":
+            object.__setattr__(self, "weights", (1.0, 1.0))
         if self.tag == "wmax" and min(self.weights) <= 0:
             raise GeometryError("wmax weights must be positive")
 
@@ -50,8 +52,6 @@ class NormedPlane:
             return math.hypot(x, y)
         if self.tag == "l1":
             return abs(x) + abs(y)
-        if self.tag == "linf":
-            return max(abs(x), abs(y))
         return max(self.weights[0] * abs(x), self.weights[1] * abs(y))
 
     def norm_arr(self, pts: np.ndarray) -> np.ndarray:
@@ -61,8 +61,6 @@ class NormedPlane:
             return np.hypot(pts[..., 0], pts[..., 1])
         if self.tag == "l1":
             return np.abs(pts[..., 0]) + np.abs(pts[..., 1])
-        if self.tag == "linf":
-            return np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1]))
         return np.maximum(self.weights[0] * np.abs(pts[..., 0]),
                           self.weights[1] * np.abs(pts[..., 1]))
 
@@ -76,8 +74,6 @@ class NormedPlane:
             return math.hypot(x, y)
         if self.tag == "l1":
             return max(x, y)
-        if self.tag == "linf":
-            return x + y
         return x / self.weights[0] + y / self.weights[1]
 
     def norm_grad(self, pts: np.ndarray) -> np.ndarray:
@@ -92,10 +88,7 @@ class NormedPlane:
         if self.tag == "l1":
             return np.sign(pts)
         ax, ay = np.abs(pts[..., 0]), np.abs(pts[..., 1])
-        if self.tag == "linf":
-            w0 = w1 = 1.0
-        else:
-            w0, w1 = self.weights
+        w0, w1 = self.weights
         xmax = w0 * ax >= w1 * ay
         g[xmax, 0] = w0 * np.sign(pts[xmax, 0])
         g[~xmax, 1] = w1 * np.sign(pts[~xmax, 1])
@@ -108,17 +101,10 @@ class NormedPlane:
             return float(np.linalg.norm(a, 2))
         if self.tag == "l1":
             return float(np.max(np.abs(a).sum(axis=0)))
-        if self.tag == "linf":
-            return float(np.max(np.abs(a).sum(axis=1)))
-        # wmax: exhaust the extreme points of the unit ball (a rectangle)
+        # wmax and linf: exhaust the extreme points of the unit ball (a rectangle)
         cx, cy = 1.0 / self.weights[0], 1.0 / self.weights[1]
         corners = np.array([[cx, cy], [cx, -cy], [-cx, cy], [-cx, -cy]])
         return float(max(self.norm(a @ v) for v in corners))
-
-
-def d_alpha(p, q, alpha: float) -> float:
-    """Rickman rug distance max(|dx|^alpha, |dy|)."""
-    return max(abs(q[0] - p[0]) ** alpha, abs(q[1] - p[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,15 @@ class TestPolyline:
                 assert np.array_equal(poly.cum, ref)
                 assert poly.length == ref[-1]
 
+    def test_translate_keeps_the_plane(self):
+        for plane in [None] + PLANES:
+            poly = Polyline([[0.0, 0.0], [1.0, 1.0], [1.5, 0.0]], plane)
+            moved = poly.translate((0.25, -2.0))
+            assert moved.plane is poly.plane and moved.plane == (plane or PL)
+            assert moved.length == poly.length
+        # an l1 diagonal of length 2 translates to one of length 2, not sqrt(2)
+        assert Polyline([[0.0, 0.0], [1.0, 1.0]], NormedPlane("l1")).translate((1, 0)).length == 2.0
+
     def test_builds_no_plane_per_call(self, monkeypatch):
         built = []
         monkeypatch.setattr(currents, "NormedPlane", lambda *a: built.append(a))

@@ -35,6 +35,18 @@ class TestHomotopyFill:
         assert fill.r_chain.mass() == pytest.approx(2.0, abs=1e-12)
         assert check_fill(g0, g1, fill, standard_panel(2, count=10, scale=1.5), PL).ok
 
+    def test_check_fill_builds_each_curve_chain_once(self, monkeypatch):
+        g0, g1 = Polyline([[0, 0], [1, 0]]), Polyline([[0, 0], [0.5, 0.1], [1, 0]])
+        fill = homotopy_fill(g0, g1, BIC)
+        panel = standard_panel(4, count=20, scale=1.5)
+        want = check_fill(g0, g1, fill, panel, PL)
+        built = []
+        as_chain = Polyline.as_chain
+        monkeypatch.setattr(Polyline, "as_chain",
+                            lambda self, *a: built.append(self) or as_chain(self, *a))
+        assert check_fill(g0, g1, fill, panel, PL) == want
+        assert built == [g0, g1]
+
     def test_tent_over_same_endpoints(self):
         g0 = Polyline([[0, 0], [1, 0]])
         g1 = Polyline([[0, 0], [0.5, 0.1], [1, 0]])

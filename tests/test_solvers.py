@@ -97,6 +97,18 @@ class TestFlowNetwork:
         np.testing.assert_array_equal(net.arcs, np.array(arcs))
         assert FlowNetwork(2, (), (0.0, 0.0)).arcs.shape == (0, 4)
 
+    def test_derives_read_only_columns_and_the_arc_floor(self):
+        arcs = ((0, 1, 1.0, INF), (1, 2, 2.0, 0.5), (2, 0, 0.0, 3.0))
+        net = FlowNetwork(3, arcs, (2.5, 0.5, -3.0))
+        for col, want in ((net.tail, [0, 1, 2]), (net.head, [1, 2, 0]),
+                          (net.cost, [1.0, 2.0, 0.0]), (net.cap, [INF, 0.5, 3.0])):
+            assert col.tolist() == want and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+        assert net.tail.dtype == net.head.dtype == np.intp and net.cost.flags.c_contiguous
+        assert (net.eps, net.floor) == (TOL * 3.0, TOL * 3.0 * 1e-3)
+        assert FlowNetwork(2, (), (0.25, -0.25)).eps == TOL
+
     def test_equality_is_identity(self):
         # array fields would make a field-wise == raise on truth testing
         arcs, div = ((0, 1, 1.0, INF), (1, 2, 1.0, INF)), (1.0, 0.0, -1.0)
@@ -464,8 +476,7 @@ def assert_simplex_agrees(net: FlowNetwork) -> FlowResult:
     res = network_simplex(net)
     assert res.total_cost == pytest.approx(ref.total_cost, rel=1e-12, abs=1e-12)
     check_flow(net, res)
-    assert np.max(np.abs(res.potentials), initial=0.0) <= net.n * np.max(net.arcs[:, 2],
-                                                                          initial=0.0)
+    assert np.max(np.abs(res.potentials), initial=0.0) <= net.n * np.max(net.cost, initial=0.0)
     again = network_simplex(net)
     assert np.array_equal(again.flows, res.flows)
     assert np.array_equal(again.potentials, res.potentials)
@@ -493,6 +504,24 @@ class TestNetworkSimplex:
         for _ in range(80):
             solved += assert_simplex_agrees(_fuzz_network(rng)) is not None
         assert solved >= 50
+
+    def test_capacities_at_or_below_the_arc_floor(self):
+        # both engines leave out the same arcs, so they agree as on any network
+        rng = np.random.Generator(np.random.Philox(key=26))
+        for _ in range(60):
+            net = _fuzz_network(rng, floor_caps=True)
+            res = assert_simplex_agrees(net)
+            assert not np.any(res.flows[net.cap <= net.floor])
+
+    def test_an_arc_at_or_below_the_floor_carries_no_flow(self):
+        floor = TOL * 1e-3
+        # two free shortcuts 0 -> 1, at and below the floor, beside a dear arc
+        arcs = ((0, 1, 0.0, floor), (0, 1, 0.0, 0.5 * floor), (0, 1, 1.0, INF))
+        net = FlowNetwork(2, arcs, (1.0, -1.0))
+        assert net.floor == floor
+        for res in (min_cost_flow(net), network_simplex(net)):
+            assert res.flows.tolist() == [0.0, 0.0, 1.0] and res.total_cost == 1.0
+            check_flow(net, res)
 
     def test_zero_cost_and_parallel_arcs(self):
         arcs = ((0, 1, 0.0, 0.5), (0, 1, 1.0, INF), (0, 1, 0.0, 0.25), (1, 0, 0.0, INF),

@@ -10,6 +10,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "current1d"
 # the package module imports names to export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the code that may call a package definition: the package, tests, scripts, bench
+READERS = MODULES + sorted(p for d in ("tests", "scripts", "bench")
+                           for p in (SRC.parent.parent / d).rglob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -41,6 +44,42 @@ def test_unused_import_is_found(tmp_path):
     mod.write_text("import math\nimport os  # noqa\nfrom json import dumps, loads\n"
                    "print(loads)\n")
     assert unused_imports(mod) == ["dumps (line 3)", "math (line 1)"]
+
+
+def unreferenced_definitions(modules: list[Path], readers: list[Path]) -> list[str]:
+    """Top-level functions and classes of ``modules`` that no code in
+    ``readers`` names (as a name, an attribute or an import) outside their
+    own definition."""
+    used = set()
+    for path in readers:
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    return sorted(f"{path.stem}.{stmt.name}" for path in modules
+                  for stmt in ast.parse(path.read_text()).body
+                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and stmt.name not in used)
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions(MODULES, READERS) == []
+
+
+def test_unreferenced_definition_is_found(tmp_path):
+    mod, user = tmp_path / "mod.py", tmp_path / "user.py"
+    mod.write_text("def lone(n):\n    return lone(n - 1)\n\n\ndef helper():\n    pass\n\n\n"
+                   "class Used:\n    pass\n\n\ndef caller():\n    return helper()\n")
+    user.write_text("from mod import Used\n")
+    assert unreferenced_definitions([mod], [mod, user]) == ["mod.caller", "mod.lone"]
 
 
 def test_bench_tracer_patches_and_restores_its_targets():

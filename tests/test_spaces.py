@@ -420,6 +420,18 @@ class TestNormedPlane:
         with pytest.raises(GeometryError):
             NormedPlane("l3")
 
+    def test_linf_is_the_weighted_max_norm_with_unit_weights(self):
+        plane = NormedPlane("linf", weights=(2.0, 0.5))
+        assert plane.weights == (1.0, 1.0) and plane == NormedPlane("linf")
+        rng = np.random.Generator(np.random.Philox(key=10))
+        pts = rng.standard_normal((200, 2))
+        assert np.array_equal(plane.norm_arr(pts), np.abs(pts).max(axis=1))
+        for x, y in pts[:20].tolist():
+            assert plane.norm((x, y)) == max(abs(x), abs(y))
+            assert plane.dual_norm((x, y)) == abs(x) + abs(y)
+        for a in rng.standard_normal((200, 2, 2)):
+            assert plane.op_norm(a) == float(np.max(np.abs(a).sum(axis=1)))
+
     def test_op_norm_matches_sampled_sup(self):
         rng = np.random.Generator(np.random.Philox(key=9))
         a = np.array([[1.0, 2.0], [-0.5, 0.25]])
