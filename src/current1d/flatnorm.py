@@ -13,6 +13,7 @@ is kept as the cross-check oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,8 @@ class CubicalComplex:
     def node_index_of(self, p) -> tuple[int, int]:
         gx = (p[0] - self.origin[0]) / self.h
         gy = (p[1] - self.origin[1]) / self.h
+        if not (math.isfinite(gx) and math.isfinite(gy)):
+            raise GridError(f"point {p} is not finite")
         i, j = round(gx), round(gy)
         if abs(gx - i) > SNAP_TOL / self.h or abs(gy - j) > SNAP_TOL / self.h:
             raise GridError(f"point {p} is off the grid")

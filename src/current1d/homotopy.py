@@ -259,7 +259,10 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
     if not isinstance(g0, Polyline) or not isinstance(g1, Polyline):
         raise CurrentError("affine homotopy fill expects polylines")
     dinf = d_inf(g0, g1, plane)
-    cert_s = (g0.length + g1.length) * dinf
+    # both lengths in the plane the bound is checked in
+    len0, len1 = (g.length if g.plane == plane else Polyline(g.points, plane).length
+                  for g in (g0, g1))
+    cert_s = (len0 + len1) * dinf
     cert_r = plane.dist(g0.start(), g1.start()) + plane.dist(g0.end(), g1.end())
     r_segs = [(a, b, w) for a, b, w in ((g0.start(), g1.start(), 1.0),
                                         (g0.end(), g1.end(), -1.0)) if a != b]

@@ -166,11 +166,13 @@ def load_chain(doc: dict, space=None):
     space = space if space is not None else (
         load_space(doc["space"]) if "space" in doc else NormedPlane("l2"))
     pieces = []
-    for item in _items(doc, "pieces", "a chain") if "pieces" in doc else []:
+    for k, item in enumerate(_items(doc, "pieces", "a chain") if "pieces" in doc else []):
         s, e = _field(item, "start", "a piece"), _field(item, "end", "a piece")
         w = _number(_field(item, "weight", "a piece"), "a piece weight")
         if isinstance(s, list):
             s, e = _numbers(s, 2, "a piece start"), _numbers(e, 2, "a piece end")
+            if not all(map(math.isfinite, s + e)):
+                raise InputError(f"piece {k} must have finite ends: {item!r}")
             length = _number(item.get("length", space.dist(s, e)
                              if isinstance(space, NormedPlane) else 0.0), "a piece length")
         elif not isinstance(space, MetricGraph):
@@ -179,6 +181,8 @@ def load_chain(doc: dict, space=None):
             s, e = _vertex(s, "a piece start"), _vertex(e, "a piece end")
             length = (_number(item["length"], "a piece length") if "length" in item
                       else space.edge_length(s, e))
+        if not (math.isfinite(w) and math.isfinite(length)):
+            raise InputError(f"piece {k} must have a finite weight and length: {item!r}")
         pieces.append(Piece(s, e, w, length))
     return Chain1(space, pieces)
 

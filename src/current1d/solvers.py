@@ -1,4 +1,4 @@
-"""In-house optimization engines: two min-cost flow engines and a dense revised simplex.
+"""In-house optimization engines: two min-cost flow engines and a dense tableau simplex.
 
 All are deterministic: the flow engines order arcs by input index and break
 ties by lowest index; the simplex uses Bland's rule, which also precludes
@@ -495,7 +495,7 @@ def network_simplex(net: FlowNetwork) -> FlowResult:
 
 
 # ---------------------------------------------------------------------------
-# revised simplex with Bland's rule
+# dense tableau simplex with Bland's rule
 
 
 @dataclass(frozen=True)
@@ -516,128 +516,86 @@ class LpResult:
 
 
 _MAX_PIVOTS = 10 ** 5
-_REFRESH = 50
 
 
-class _Basis:
-    """Dense basis inverse with product-form updates, refactorized every _REFRESH pivots."""
+def _pivot(t: np.ndarray, cols: list[int], row: int, col: int) -> None:
+    """Make column ``col`` of the tableau ``t`` basic in ``row`` by one rank-1 step.
 
-    def __init__(self, a: np.ndarray, cols: list[int]):
-        self.a = a
-        self.cols = list(cols)
-        self.colset = set(self.cols)
-        self.refresh()
-
-    def refresh(self):
-        self.binv = np.linalg.inv(self.a[:, self.cols])
-        self.age = 0
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.binv @ rhs
-
-    def solve_t(self, lhs: np.ndarray) -> np.ndarray:
-        return lhs @ self.binv
-
-    def pivot(self, row: int, col: int):
-        self.colset.discard(self.cols[row])
-        self.colset.add(col)
-        self.cols[row] = col
-        self.age += 1
-        if self.age >= _REFRESH:
-            self.refresh()
-            return
-        d = self.binv @ self.a[:, col]
-        piv = d[row]
-        if abs(piv) < 1e-12:
-            self.refresh()
-            return
-        self.binv[row] /= piv
-        others = np.arange(len(d)) != row
-        self.binv[others] -= np.outer(d[others], self.binv[row])
+    It becomes an exact unit column (x / x is 1.0, v - v * 1.0 is 0.0), and
+    every other basic column stays one, so a basic column's reduced cost is 0.
+    """
+    t[row] /= t[row, col]
+    d = t[:, col].copy()
+    d[row] = 0.0
+    t -= np.outer(d, t[row])
+    cols[row] = col
 
 
-def _run_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: _Basis,
-               allow: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
-    """Run simplex pivots under Bland's rule until optimal; returns (x_B, iterations)."""
-    m = a.shape[0]
+def _run_phase(t: np.ndarray, cols: list[int], c: np.ndarray, allow: np.ndarray,
+               max_iters: int) -> int:
+    """Pivot the tableau t = [B^-1 A | B^-1 b] under Bland's rule until optimal;
+    returns the pivots made."""
     it = 0
     while True:
         if it >= max_iters:
             raise IterationLimit("simplex exceeded the pivot budget")
-        xb = basis.solve(b)
-        y = basis.solve_t(c[basis.cols])
-        red = c - y @ a
-        enter = -1
-        eligible = np.where(allow & (red < -1e-9))[0]
-        for j in eligible:
-            if j not in basis.colset:
-                enter = int(j)
-                break
-        if enter < 0:
-            return xb, it
-        d = basis.solve(a[:, enter])
+        red = c - c[cols] @ t[:, :-1]
+        eligible = np.flatnonzero(allow & (red < -1e-9))
+        if not len(eligible):
+            return it
+        enter = int(eligible[0])
+        d, xb = t[:, enter], t[:, -1]
         best = math.inf
         leave = -1
-        for i in range(m):
+        for i in range(len(cols)):
             if d[i] > 1e-11:
                 r = max(xb[i], 0.0) / d[i]
                 if r < best - 1e-15 or (r <= best + 1e-15 and leave >= 0
-                                        and basis.cols[i] < basis.cols[leave]):
+                                        and cols[i] < cols[leave]):
                     best = r
                     leave = i
         if leave < 0:
             raise Unbounded("unbounded direction in simplex")
         log.debug("pivot %d: col %d enters, row %d (col %d) leaves, ratio %.17g",
-                  it, enter, leave, basis.cols[leave], best)
-        basis.pivot(leave, enter)
+                  it, enter, leave, cols[leave], best)
+        _pivot(t, cols, leave, enter)
         it += 1
 
 
 def simplex_lp(lp: LinearProgram) -> LpResult:
-    """Two-phase revised simplex with Bland's rule.
+    """Two-phase tableau simplex with Bland's rule.
 
-    Returns the optimum, primal solution, and dual vector y = c_B B^-1 (sign
-    adjusted for rows flipped to nonnegative rhs), so strong duality
-    |c.x - b.y| <= 1e-7 (1 + |optimum|) holds at the reported solution.
-    Redundant equality rows leave an artificial pinned at zero in the basis;
-    the optimum matches the program with the row removed.
+    Returns the optimum, primal solution, and dual vector y = c_B B^-1, read
+    off the artificial columns (sign adjusted for rows flipped to nonnegative
+    rhs), so strong duality |c.x - b.y| <= 1e-7 (1 + |optimum|) holds at the
+    reported solution. Redundant equality rows leave an artificial pinned at
+    zero in the basis; the optimum matches the program with the row removed.
     """
-    a = np.asarray(lp.a, dtype=float).copy()
-    b = np.asarray(lp.b, dtype=float).copy()
     c = np.asarray(lp.c, dtype=float)
+    a, b = np.asarray(lp.a, dtype=float), np.asarray(lp.b, dtype=float)
+    sign = np.where(b < 0, -1.0, 1.0)  # rows flipped to a nonnegative rhs
     m, n = a.shape
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    a1 = np.hstack([a, np.eye(m)])
+    t = np.hstack([a * sign[:, None], np.eye(m), (b * sign)[:, None]])
+    cols = list(range(n, n + m))
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    allow1 = np.ones(n + m, dtype=bool)
-    basis = _Basis(a1, list(range(n, n + m)))
-    xb, it1 = _run_phase(a1, b, c1, basis, allow1, _MAX_PIVOTS)
-    art = [i for i, col in enumerate(basis.cols) if col >= n]
-    art_val = float(np.sum(np.abs(xb[art]))) if art else 0.0
+    it1 = _run_phase(t, cols, c1, np.ones(n + m, dtype=bool), _MAX_PIVOTS)
+    art = [i for i, col in enumerate(cols) if col >= n]
+    art_val = float(np.abs(t[art, -1]).sum())
     if art_val > 1e-8 * max(1.0, float(np.abs(b).sum())):
         raise Infeasible(f"phase-1 optimum {art_val} > 0")
 
     # drive artificials out of the basis where a pivot exists
-    for i in list(art):
-        if basis.cols[i] >= n:
-            row = basis.binv[i] @ a
-            for j in range(n):
-                if j not in basis.colset and abs(row[j]) > 1e-9:
-                    basis.pivot(i, j)
-                    break
-            # otherwise the row is redundant; the artificial stays at level 0
+    for i in art:
+        j = np.flatnonzero(np.abs(t[i, :n]) > 1e-9)
+        if len(j):
+            _pivot(t, cols, i, int(j[0]))
+        # otherwise the row is redundant; the artificial stays at level 0
 
     c2 = np.concatenate([c, np.zeros(m)])
-    allow2 = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-    xb, it2 = _run_phase(a1, b, c2, basis, allow2, _MAX_PIVOTS - it1)
+    it2 = _run_phase(t, cols, c2, np.arange(n + m) < n, _MAX_PIVOTS - it1)
 
+    basis = np.array(cols, dtype=np.intp)
     x = np.zeros(n)
-    for i, col in enumerate(basis.cols):
-        if col < n:
-            x[col] = max(xb[i], 0.0)
-    y = np.asarray(basis.solve_t(c2[basis.cols]))
-    y = y * np.where(neg, -1.0, 1.0)
+    x[basis[basis < n]] = np.maximum(t[basis < n, -1], 0.0)
+    y = (c2[basis] @ t[:, n:n + m]) * sign
     return LpResult(optimum=float(c @ x), x=x, y=y, iterations=it1 + it2)

@@ -430,17 +430,10 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
             raise StructureError("chain must be supported on the line")
 
     b_set = line.as_closed_set()
-    if not t_chain.pieces:
-        return NormalizeResult(t_chain, Chain1.empty(plane), b_set, 0.0, 0.0, eps=eps)
-
-    m = t_chain.boundary()
     mu = sample_support_measure(t_chain)
-    if not m.atoms:
-        r = RectifiableFilling(Chain1.empty(plane), (), 0.0)
-    else:
-        base = line_filling(m, line, plane)
-        lifted = lift_off_line(base, line, mu, 0.9 * eps)
-        r = rectifiable_filling(lifted, 0.1 * eps, mu, line)
+    base = line_filling(t_chain.boundary(), line, plane)
+    lifted = lift_off_line(base, line, mu, 0.9 * eps)
+    r = rectifiable_filling(lifted, 0.1 * eps, mu, line)
     n_chain = t_chain + r.chain.scale(-1.0)
     bres = ae_norm(n_chain.boundary(), plane).value if n_chain.boundary().atoms else 0.0
     ratio = n_chain.mass() / t_chain.mass() if t_chain.mass() > 0 else 0.0

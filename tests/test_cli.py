@@ -341,6 +341,28 @@ class TestMalformedValues:
                                          "--molecule", str(mol)],
                                 "a molecule point must be a list of 2 numbers")
 
+    @pytest.mark.parametrize("piece, command, needle", [
+        ('"start": [NaN, 0], "end": [2, 0], "weight": 1', "flatnorm", "finite ends"),
+        ('"start": [Infinity, 0], "end": [2, 0], "weight": 1', "flatnorm", "finite ends"),
+        ('"start": [1, 0], "end": [2, 0], "weight": 1, "length": NaN', "flatnorm",
+         "a finite weight and length"),
+        ('"start": [1, 0], "end": [2, 0], "weight": 1, "length": NaN', "normalize",
+         "a finite weight and length"),
+        ('"start": [1, 0], "end": [2, 0], "weight": -Infinity', "flatnorm",
+         "a finite weight and length"),
+    ], ids=["nan-start", "inf-start", "nan-length", "nan-length-normalize", "inf-weight"])
+    def test_non_finite_piece_is_input_error(self, tmp_path, capsys, piece, command, needle):
+        chain = tmp_path / "chain.json"
+        chain.write_text('{"pieces": [{"start": [0, 0], "end": [1, 0], "weight": 1}, {%s}]}'
+                         % piece)
+        extra = (["--grid", "3,3,1"] if command == "flatnorm"
+                 else ["--hyperplane", "0,1,0", "--eps", "0.1"])
+        assert run_cli([command, "--chain", str(chain)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InputError"
+        assert err["message"].startswith(f"piece 1 must have {needle}: {{'start': ")
 
     @pytest.mark.parametrize("doc_name, doc, argv, needle", [
         ("mol.json", {"atoms": [[[0, 0], "a"], [[1, 0], -1.0]]},

@@ -120,6 +120,11 @@ class TestSnap:
         with pytest.raises(GridError):
             snap(c, cx)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_off_the_grid(self, x):
+        with pytest.raises(GridError, match="is not finite"):
+            CubicalComplex(h=1.0, nx=2, ny=2).node_index_of((x, 0.0))
+
     def test_diagonal_rejected(self):
         cx = CubicalComplex(h=1.0, nx=2, ny=2)
         c = Chain1.from_segments(PL, [((0.0, 0.0), (1.0, 1.0), 1.0)])

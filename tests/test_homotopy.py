@@ -66,6 +66,29 @@ class TestHomotopyFill:
             assert fill.measured_s <= fill.cert_s + 1e-6
             assert fill.r_chain.mass() <= fill.cert_r + 1e-9
 
+    @pytest.mark.parametrize("norm, want", [("l1", 2.0), ("linf", 1.0),
+                                            ("l2", math.sqrt(2.0))])
+    def test_cert_s_is_measured_in_the_bicombing_plane(self, norm, want):
+        plane = NormedPlane(norm)
+        bic = AffineBicombing(plane)
+        p0, p1 = [[0, 0], [1, 1]], [[0, 0.5], [1, 1.5]]
+        built_in_l2 = homotopy_fill(Polyline(p0), Polyline(p1), bic)
+        built_in_plane = homotopy_fill(Polyline(p0, plane), Polyline(p1, plane), bic)
+        assert built_in_l2.cert_s == built_in_plane.cert_s == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_cert_s_bounds_measured_s_in_the_bicombing_plane(self, norm):
+        plane = NormedPlane(norm)
+        bic = AffineBicombing(plane)
+        rng = np.random.Generator(np.random.Philox(key=47))
+        for k in range(200):
+            pts0 = rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2))
+            pts1 = rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2))
+            g0, g1 = (Polyline(pts0), Polyline(pts1)) if k % 2 else (
+                Polyline(pts0, plane), Polyline(pts1, plane))
+            fill = homotopy_fill(g0, g1, bic)
+            assert fill.measured_s <= fill.cert_s
+
     def test_grid_cross_check_lp_below_certificates(self):
         rng = np.random.Generator(np.random.Philox(key=42))
         for _ in range(10):

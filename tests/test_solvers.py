@@ -614,6 +614,40 @@ class TestSimplex:
         with pytest.raises(Unbounded):
             simplex_lp(lp)
 
+    def test_beale_cycling_example(self):
+        # Beale (1955): Dantzig's largest-coefficient rule cycles here; Bland's does not
+        c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        a = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                      [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        res = simplex_lp(LinearProgram(c=c, a=a, b=np.array([0.0, 0.0, 1.0])))
+        assert res.optimum == pytest.approx(-1.25, abs=1e-12)
+        assert res.x == pytest.approx([0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_criterion_8_pivot_path_is_pinned(self):
+        """The 100 transportation LPs of suite criterion 8 (Philox key 808) keep
+        the pivot counts and optima recorded in ``golden/simplex_criterion8.json``."""
+        pins = json.loads((GOLDEN / "simplex_criterion8.json").read_text())
+        rng = np.random.Generator(np.random.Philox(key=808))
+        iterations, optima = [], []
+        for _ in range(100):
+            ns, nd = int(rng.integers(2, 11)), int(rng.integers(2, 11))
+            cost = rng.uniform(0.1, 5.0, size=(ns, nd))
+            sup = rng.uniform(0.1, 2.0, size=ns)
+            dem = rng.uniform(0.1, 2.0, size=nd)
+            dem *= sup.sum() / dem.sum()
+            k = np.arange(ns * nd)
+            i, j = divmod(k, nd)
+            a = np.zeros((ns + nd, ns * nd))
+            a[i, k] = a[ns + j, k] = 1.0
+            res = simplex_lp(LinearProgram(c=cost.flatten(), a=a,
+                                           b=np.concatenate([sup, dem])))
+            iterations.append(res.iterations)
+            optima.append(res.optimum)
+        assert iterations == pins["iterations"]
+        assert (sum(iterations), max(iterations)) == (4334, 141)
+        assert optima == pytest.approx(pins["optima"], rel=1e-12, abs=0)
+
     def test_primal_feasibility_and_duality(self):
         rng = np.random.Generator(np.random.Philox(key=13))
         for _ in range(25):

@@ -46,16 +46,26 @@ def test_unused_import_is_found(tmp_path):
     assert unused_imports(mod) == ["dumps (line 3)", "math (line 1)"]
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class or the
+    names a module-level assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+
+
 def unreferenced_definitions(modules: list[Path], readers: list[Path]) -> list[str]:
-    """Top-level functions and classes of ``modules`` that no code in
-    ``readers`` names (as a name, an attribute or an import) outside their
-    own definition."""
+    """Top-level functions, classes and assigned names of ``modules`` that no
+    code in ``readers`` reads (as a name, an attribute or an import) outside
+    their own definition."""
     used = set()
     for path in readers:
         for stmt in ast.parse(path.read_text()).body:
             names = set()
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
@@ -64,10 +74,9 @@ def unreferenced_definitions(modules: list[Path], readers: list[Path]) -> list[s
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.discard(stmt.name)
             used |= names
-    return sorted(f"{path.stem}.{stmt.name}" for path in modules
+    return sorted(f"{path.stem}.{name}" for path in modules
                   for stmt in ast.parse(path.read_text()).body
-                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and stmt.name not in used)
+                  for name in _defined(stmt) if name not in used)
 
 
 def test_every_definition_is_referenced():
@@ -77,9 +86,11 @@ def test_every_definition_is_referenced():
 def test_unreferenced_definition_is_found(tmp_path):
     mod, user = tmp_path / "mod.py", tmp_path / "user.py"
     mod.write_text("def lone(n):\n    return lone(n - 1)\n\n\ndef helper():\n    pass\n\n\n"
-                   "class Used:\n    pass\n\n\ndef caller():\n    return helper()\n")
-    user.write_text("from mod import Used\n")
-    assert unreferenced_definitions([mod], [mod, user]) == ["mod.caller", "mod.lone"]
+                   "class Used:\n    pass\n\n\ndef caller():\n    return helper()\n\n\n"
+                   "_LEFTOVER = 50\n_READ: int = 2\nlimit = _READ * 3\n")
+    user.write_text("from mod import Used\nlimit += 1\n")
+    assert unreferenced_definitions([mod], [mod, user]) == [
+        "mod._LEFTOVER", "mod.caller", "mod.limit", "mod.lone"]
 
 
 def test_bench_tracer_patches_and_restores_its_targets():
