@@ -77,14 +77,17 @@ def _emit(args, payload, rows=None, columns=None) -> None:
 _WANT = {  # what a numeric flag may be, and its test
     "a positive finite number": lambda v: math.isfinite(v) and v > 0,
     "a positive integer": lambda v: isinstance(v, int) and v > 0,
+    "an integer in [0, 2^128)": lambda v: isinstance(v, int) and 0 <= v < 2 ** 128,
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
 
 
 def _flag(flag: str, value, default, want: str = "a positive finite number"):
-    """The value of a numeric flag: ``default`` when unset, else a number that is ``want``."""
+    """The value of a numeric flag: ``default`` when unset, else a number (not a
+    bool) that is ``want``."""
     value = default if value is None else value
-    if not (isinstance(value, (int, float)) and _WANT[want](value)):
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and _WANT[want](value)):
         raise CliInputError(f"{flag} must be {want}: {value!r}")
     return value
 
@@ -221,10 +224,10 @@ def _cmd_homotopy(args) -> int:
     if not isinstance(g0, Polyline) or not isinstance(g1, Polyline):
         raise CliInputError("homotopy expects polyline documents")
     quad_tol = _flag("--quad-tol", args.quad_tol, QUAD_TOL)
+    seed = _flag("--panel-seed", args.panel_seed, 0, "an integer in [0, 2^128)")
     plane = NormedPlane("l2")
     bic = AffineBicombing(plane)
     fill = homotopy_fill(g0, g1, bic, quad_tol=quad_tol)
-    seed = args.panel_seed if args.panel_seed is not None else 0
     scale = float(np.abs(np.vstack([g0.points, g1.points])).max() or 1.0)
     chk = check_fill(g0, g1, fill, standard_panel(seed, count=20, scale=scale), plane)
     report = {

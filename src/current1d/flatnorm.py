@@ -59,20 +59,14 @@ class CubicalComplex:
         """Edge from node (i, j) to (i, j+1); 0 <= j < ny."""
         return self.n_h + j * (self.nx + 1) + i
 
-    def face_id(self, i: int, j: int) -> int:
-        return j * self.nx + i
-
     def d2_matrix(self) -> np.ndarray:
-        """Integer incidence: column f holds the signed edges of face f."""
-        d2 = np.zeros((self.n_edges, self.n_faces), dtype=float)
-        for j in range(self.ny):
-            for i in range(self.nx):
-                f = self.face_id(i, j)
-                d2[self.h_edge(i, j), f] = 1.0
-                d2[self.v_edge(i + 1, j), f] = 1.0
-                d2[self.h_edge(i, j + 1), f] = -1.0
-                d2[self.v_edge(i, j), f] = -1.0
-        return d2
+        """Integer incidence: column f holds the signed edges of face f, read
+        off ``edge_faces``."""
+        f_plus, f_minus = self.edge_faces()
+        d2 = np.zeros((self.n_edges, self.n_faces + 1))
+        d2[np.arange(self.n_edges), f_plus] = 1.0
+        d2[np.arange(self.n_edges), f_minus] = -1.0
+        return d2[:, :-1].copy()  # without the outer face's column
 
     def edge_faces(self) -> tuple[np.ndarray, np.ndarray]:
         """Faces (f_plus, f_minus) on either side of every edge.

@@ -3,13 +3,13 @@ current of chain pushforwards, and piecewise-geodesic interpolation.
 
 The 2-dimensional filling S is never materialized as data. It exists as a weak
 evaluator, since it is only ever needed through its boundary action and its
-mass bounds: the pullback of each test 2-form is integrated over the cells of
-the homotopy square by ``quadrature.integrate``, the package's one adaptive
-Gauss-Legendre rule, with every cell one box of a single call; ``currents``
-uses the same rule for 1-dimensional actions. The contractual quantities are
-the certificates certS = (l0 + l1) d_inf and certR = d(starts) + d(ends); the
-reported mass of S is computed exactly, since |det DH| is piecewise
-polynomial on each cell.
+mass bounds: a test 2-form dpi1 ^ dpi2 pulls back to J(H) det DH, with
+J = grad pi1 x grad pi2, integrated over the cells of the homotopy square by
+``quadrature.integrate`` (the package's one adaptive Gauss-Legendre rule, also
+used by ``currents``), every cell one box of a single call. The contractual
+quantities are the certificates certS = (l0 + l1) d_inf and
+certR = d(starts) + d(ends); the mass of S, the integral of |det DH|, is
+exact, since det DH is piecewise polynomial on each cell.
 
 ``affine_homotopy_current`` is the package's one implementation of the
 homotopy formula phi_# T - psi_# T = dH(T) + H(dT) for affine maps, and
@@ -34,17 +34,15 @@ from .quadrature import NODES, QUAD_TOL, WEIGHTS, Quad, integrate
 from .spaces import MetricGraph, NormedPlane
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
 def _pullback(pi1: ScalarField, pi2: ScalarField,
               pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The 2-form dpi1 ^ dpi2 on the tangent pairs (u, v) at pts, all (n, 2):
-    dpi1(u) dpi2(v) - dpi1(v) dpi2(u)."""
-    g1 = pi1.grad(pts)
-    g2 = pi2.grad(pts)
-    g1u = np.einsum("ij,ij->i", g1, u)
-    g2v = np.einsum("ij,ij->i", g2, v)
-    g1v = np.einsum("ij,ij->i", g1, v)
-    g2u = np.einsum("ij,ij->i", g2, u)
-    return g1u * g2v - g1v * g2u
+    """dpi1 ^ dpi2 on the tangent pairs (u, v) at pts, all (n, 2): by Binet-Cauchy,
+    dpi1(u) dpi2(v) - dpi1(v) dpi2(u) = (grad pi1 x grad pi2)(u x v)."""
+    return _cross(pi1.grad(pts), pi2.grad(pts)) * _cross(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +177,6 @@ def _deriv_in_cells(br: np.ndarray, d: np.ndarray, mid: np.ndarray) -> np.ndarra
     inside one interval of the breakpoints."""
     idx = np.clip(np.searchsorted(br, mid, side="right") - 1, 0, len(d) - 1)
     return d[idx]
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _abs_det_mass(g0: Polyline, g1: Polyline, sa: np.ndarray, sb: np.ndarray,

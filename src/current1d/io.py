@@ -229,19 +229,25 @@ def load_flow(doc: dict, g: MetricGraph) -> EdgeFlow:
 
 def load_closedset(doc: dict) -> ClosedSet:
     prims = []
-    for item in _items(doc, "primitives", "a closed set"):
+    for k, item in enumerate(_items(doc, "primitives", "a closed set")):
         if "box" in _object(item, "a closed-set primitive"):
-            x0, y0, x1, y1 = _numbers(item["box"], 4, "a box")
-            prims.append(Box((x0, y0), (x1, y1)))
+            x0, y0, x1, y1 = x = _numbers(item["box"], 4, "a box")
+            prim, ordered = Box((x0, y0), (x1, y1)), x0 <= x1 and y0 <= y1
         elif "ball" in item:
-            cx, cy, r = _numbers(item["ball"], 3, "a ball")
-            prims.append(Ball((cx, cy), r))
+            cx, cy, r = x = _numbers(item["ball"], 3, "a ball")
+            prim, ordered = Ball((cx, cy), r), r >= 0
         elif "halfplane" in item:
-            prims.append(HalfPlane(*_numbers(item["halfplane"], 3, "a halfplane")))
+            x = _numbers(item["halfplane"], 3, "a halfplane")
+            prim, ordered = HalfPlane(*x), True
         elif "slab" in item:
-            prims.append(Slab(*_numbers(item["slab"], 4, "a slab")))
+            x = _numbers(item["slab"], 4, "a slab")
+            prim, ordered = Slab(*x), x[2] <= x[3]
         else:
             raise InputError(f"unknown primitive {item!r}")
+        if not (ordered and all(map(math.isfinite, x))):
+            raise InputError(f"closed-set primitive {k} must be finite numbers with x0 <= x1 "
+                             f"and y0 <= y1 (box), r >= 0 (ball), c1 <= c2 (slab): {item!r}")
+        prims.append(prim)
     return ClosedSet(tuple(prims))
 
 

@@ -332,6 +332,18 @@ class TestMalformedValues:
                                          "--closedset", str(cs)],
                                 "a box must be a list of 4 numbers")
 
+    @pytest.mark.parametrize("prim", [
+        '{"ball": [5, 5, NaN]}', '{"ball": [5, 5, -3]}', '{"slab": [0, 1, 5, -Infinity]}',
+        '{"halfplane": [NaN, 1, 2]}', '{"box": [2, 0, 1, 10]}', '{"box": [0, 3, 1, 2]}',
+        '{"slab": [0, 1, 5, 3]}', '{"box": [0, 0, Infinity, 1]}'])
+    def test_closed_set_primitive_with_impossible_bounds(self, fixtures, tmp_path, capsys, prim):
+        cs = tmp_path / "cs.json"
+        cs.write_text('{"primitives": [{"ball": [0, 0, 1]}, %s]}' % prim)
+        self.expect_input_error(capsys, ["fragments", "--space", fixtures["pathgraph.json"],
+                                         "--flow", fixtures["flow.json"],
+                                         "--closedset", str(cs)],
+                                "closed-set primitive 1 must be finite numbers")
+
     def test_molecule_point_of_the_wrong_length(self, fixtures, tmp_path, capsys):
         mol = tmp_path / "mol.json"
         mol.write_text(json.dumps({"atoms": [[[0.0, 0.0, 1.0], 1.0], [[1.0, 0.0], -1.0]]}))
@@ -568,6 +580,38 @@ class TestFlagValidation:
     def test_alpha(self, tmp_path, capsys, value):
         self.expect_rejected(capsys, tmp_path, ["rickman", "--s-grid", "2", "--n", "4"],
                              "alpha", value)
+
+    @pytest.mark.parametrize("value", [-1, 2 ** 128])
+    def test_panel_seed(self, fixtures, tmp_path, capsys, value):
+        self.expect_rejected(capsys, tmp_path, ["homotopy", "--curve0", fixtures["c0.json"],
+                                                "--curve1", fixtures["c1.json"]],
+                             "panel_seed", value)
+
+    @pytest.mark.parametrize("value", [1.5, "7", True])
+    def test_config_panel_seed_must_be_an_integer(self, fixtures, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"panel_seed": value}))
+        assert run_cli(["--config", str(cfg), "homotopy", "--curve0", fixtures["c0.json"],
+                        "--curve1", fixtures["c1.json"]]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("--panel-seed must be an integer in [0, 2^128)")
+
+    @pytest.mark.parametrize("key, argv", [
+        ("s_grid", ["rickman", "--n", "4"]), ("n", ["rickman", "--s-grid", "2"]),
+        ("alpha", ["rickman", "--s-grid", "2", "--n", "4"]),
+        ("eps", ["approx", "--input", "cm.json"]), ("mesh", ["approx", "--input", "cm.json"]),
+        ("length_cap", ["approx", "--input", "cm.json"]),
+        ("eps", ["normalize", "--chain", "seg.json", "--hyperplane", "0,1,0"]),
+        ("tol", ["iso-check", "--space", "vdetour.json", "--chain", "chain.json"]),
+        ("quad_tol", ["homotopy", "--curve0", "c0.json", "--curve1", "c1.json"]),
+        ("panel_seed", ["homotopy", "--curve0", "c0.json", "--curve1", "c1.json"])])
+    def test_config_booleans_are_not_numbers(self, fixtures, tmp_path, capsys, key, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        argv = [fixtures.get(a, a) for a in argv]
+        assert run_cli(["--config", str(cfg)] + argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("--" + key.replace("_", "-") + " must be")
 
     def test_config_sizes_must_be_integers(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -269,6 +270,12 @@ class TestRestrict:
         large = ClosedSet.of(Ball((float(cx), float(cy)), r + grow))
         assert restrict(c, small).mass() <= restrict(c, large).mass() + 1e-12
 
+    @pytest.mark.parametrize("prim", [Slab(0.0, 1.0, 5.0, 3.0), Box((2.0, 0.0), (1.0, 10.0))])
+    def test_impossible_bounds_are_empty_in_every_direction(self, prim):
+        for a, b in [((1.5, 0.0), (1.5, 10.0)), ((0.0, 4.0), (10.0, 4.0)),
+                     ((0.0, 0.0), (3.0, 3.0)), ((3.0, 10.0), (0.0, 0.0))]:
+            assert restrict(seg_chain((a, b, 1.0)), ClosedSet.of(prim)).fragments == ()
+
     def test_restriction_never_increases_mass(self):
         c = seg_chain(((0.0, 0.0), (2.0, 1.0), 1.5))
         e = ClosedSet.of(HalfPlane(1.0, 0.0, 1.0))
@@ -527,3 +534,135 @@ class TestTestForms:
         p1 = standard_panel(99, count=6)
         p2 = standard_panel(99, count=6)
         assert p1 == p2
+
+
+class ReferenceField:
+    """The per-tag ``value``, ``grad``, ``lip`` and ``sup`` that ScalarField had
+    before its shape table; a bump measured |p - q| in l2 whatever its plane."""
+
+    def __init__(self, tag, params, plane=PL):
+        self.tag, self.params, self.plane = tag, params, plane
+
+    def value(self, pts):
+        p = np.asarray(pts, dtype=float).reshape(-1, 2)
+        if self.tag == "const":
+            return np.full(len(p), self.params[0])
+        if self.tag == "affine":
+            a, b, c = self.params
+            return a * p[:, 0] + b * p[:, 1] + c
+        if self.tag == "clipaffine":
+            a, b, c, lo, hi = self.params
+            return np.clip(a * p[:, 0] + b * p[:, 1] + c, lo, hi)
+        if self.tag == "dist":
+            return self.plane.norm_arr(p - np.array(self.params[:2]))
+        qx, qy, m = self.params
+        return np.maximum(0.0, m - np.hypot(p[:, 0] - qx, p[:, 1] - qy))
+
+    def grad(self, pts):
+        p = np.asarray(pts, dtype=float).reshape(-1, 2)
+        if self.tag == "const":
+            return np.zeros_like(p)
+        if self.tag in ("affine", "clipaffine"):
+            g = np.empty_like(p)
+            g[:] = self.params[:2]
+            if self.tag == "clipaffine":
+                a, b, c, lo, hi = self.params
+                v = a * p[:, 0] + b * p[:, 1] + c
+                g[(v <= lo) | (v >= hi)] = 0.0
+            return g
+        if self.tag == "dist":
+            return self.plane.norm_grad(p - np.array(self.params[:2]))
+        qx, qy, m = self.params
+        d = p - np.array([qx, qy])
+        n = np.hypot(d[:, 0], d[:, 1])
+        g = np.zeros_like(p)
+        on = (n > 0) & (n < m)
+        g[on] = -d[on] / n[on, None]
+        return g
+
+    def lip(self):
+        if self.tag == "const":
+            return 0.0
+        if self.tag in ("affine", "clipaffine"):
+            return self.plane.dual_norm(self.params[:2])
+        if self.tag == "dist" or self.plane.tag in ("l1", "l2"):
+            return 1.0
+        w = self.plane.weights
+        return math.hypot(1.0 / w[0], 1.0 / w[1])
+
+    def sup(self):
+        if self.tag == "const":
+            return abs(self.params[0])
+        if self.tag == "clipaffine":
+            return max(abs(self.params[3]), abs(self.params[4]))
+        if self.tag == "bump":
+            return abs(self.params[2])
+        return math.inf
+
+
+def bits(x) -> np.ndarray:
+    """The float64 bit patterns of x, so that signed zeros and NaNs compare too."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+PLANES = [NormedPlane("l1"), PL, NormedPlane("linf"), NormedPlane("wmax", (2.0, 0.5))]
+
+
+def field_cases(rng):
+    """Params for every tag, and the points on its levels and at its center:
+    the ramp's clip levels, and q with the points at distance m (exactly) along
+    the axes."""
+    a, b, c = (float(x) for x in rng.normal(size=3))
+    lo, hi = sorted(float(x) for x in rng.uniform(-2, 2, size=2))
+    q, m = (0.5, -1.25), 2.0
+    levels = [((lo - c) / a, 0.0), ((hi - c) / a, 0.0), (0.0, (lo - c) / b)]
+    ring = [q, (q[0] + m, q[1]), (q[0], q[1] - m), (q[0] - m, q[1]), (q[0], q[1] + 3.0)]
+    return [("const", (c,), []), ("const", (0.0,), []), ("affine", (a, b, c), levels),
+            ("clipaffine", (a, b, c, lo, hi), levels), ("clipaffine", (1.0, 0.0, 0.5, -1.0, 2.0),
+                                                        [(-1.5, 7.0), (1.5, -3.0)]),
+            ("dist", q, ring), ("bump", (q[0], q[1], m), ring)]
+
+
+class TestFieldShapes:
+    @pytest.mark.parametrize("plane", PLANES, ids=lambda p: p.tag)
+    def test_bit_for_bit_with_the_per_tag_fields(self, plane):
+        rng = np.random.Generator(np.random.Philox(key=61))
+        for _ in range(5):
+            for tag, params, special in field_cases(rng):
+                if tag == "bump" and plane.tag != "l2":
+                    continue
+                pts = np.vstack([rng.uniform(-4, 4, size=(5000, 2)), np.reshape(special, (-1, 2))])
+                new, old = ScalarField(tag, params, plane), ReferenceField(tag, params, plane)
+                for method in ("value", "grad"):
+                    assert np.array_equal(bits(getattr(new, method)(pts)),
+                                          bits(getattr(old, method)(pts))), (tag, method)
+                assert bits(new.lip()) == bits(old.lip()) and bits(new.sup()) == bits(old.sup())
+
+    def test_bit_for_bit_on_a_panel(self):
+        rng = np.random.Generator(np.random.Philox(key=62))
+        pts = rng.uniform(-6, 6, size=(5000, 2))
+        for form in standard_panel(7, count=20, scale=2.0):
+            for new in (form.f, form.pi):
+                old = ReferenceField(new.tag, new.params, new.plane)
+                assert np.array_equal(bits(new.value(pts)), bits(old.value(pts)))
+                assert np.array_equal(bits(new.grad(pts)), bits(old.grad(pts)))
+                assert bits(new.lip()) == bits(old.lip()) and bits(new.sup()) == bits(old.sup())
+
+    def test_bump_measures_distance_in_its_plane(self):
+        plane = NormedPlane("l1")
+        rng = np.random.Generator(np.random.Philox(key=63))
+        pts = rng.uniform(-3, 3, size=(2000, 2))
+        bump = ScalarField("bump", (0.5, -0.25, 2.0), plane)
+        want = np.maximum(0.0, 2.0 - plane.norm_arr(pts - (0.5, -0.25)))
+        assert np.array_equal(bump.value(pts), want)
+        assert bump.lip() == 1.0 and bump.sup() == 2.0
+        inside = want > 0
+        assert np.array_equal(bump.grad(pts)[inside], -np.sign(pts[inside] - (0.5, -0.25)))
+
+    @pytest.mark.parametrize("tag, params", [
+        ("cone", (1.0,)), ("affine", (1.0, 2.0)), ("const", ()), ("dist", (1.0, 2.0, 3.0)),
+        ("clipaffine", (1.0, 0.0, 0.0, 2.0, 1.0)), ("bump", (0.0, 0.0, -1.0)),
+        ("const", (float("nan"),))])
+    def test_malformed_field_is_rejected_at_construction(self, tag, params):
+        with pytest.raises(CurrentError):
+            ScalarField(tag, params)

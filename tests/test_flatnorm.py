@@ -43,6 +43,19 @@ def d1_matrix(cx: CubicalComplex) -> np.ndarray:
     return d1
 
 
+def face_loop_d2(cx: CubicalComplex) -> np.ndarray:
+    """Dense edge-by-face boundary matrix, face by face: bottom + right - top - left."""
+    d2 = np.zeros((cx.n_edges, cx.n_faces), dtype=float)
+    for j in range(cx.ny):
+        for i in range(cx.nx):
+            f = j * cx.nx + i
+            d2[cx.h_edge(i, j), f] = 1.0
+            d2[cx.v_edge(i + 1, j), f] = 1.0
+            d2[cx.h_edge(i, j + 1), f] = -1.0
+            d2[cx.v_edge(i, j), f] = -1.0
+    return d2
+
+
 def square_loop(x0, y0, k=1, w=1.0):
     return Chain1.from_segments(PL, [
         ((x0, y0), (x0 + k, y0), w), ((x0 + k, y0), (x0 + k, y0 + 1), w),
@@ -84,7 +97,14 @@ class TestComplex:
         for nx, ny in itertools.product(range(1, 7), range(1, 6)):
             cx = CubicalComplex(h=0.5, nx=nx, ny=ny)
             s = rng.integers(-3, 4, size=cx.n_faces).astype(float)
-            assert np.array_equal(cx.apply_d2(s), cx.d2_matrix() @ s)
+            assert np.array_equal(cx.apply_d2(s), face_loop_d2(cx) @ s)
+
+    def test_d2_matrix_matches_face_loop(self):
+        for nx, ny in itertools.product(range(1, 7), range(1, 6)):
+            cx = CubicalComplex(h=0.5, nx=nx, ny=ny)
+            d2 = cx.d2_matrix()
+            assert d2.flags.c_contiguous and d2.dtype == np.float64
+            assert np.array_equal(d2.view(np.int64), face_loop_d2(cx).view(np.int64))
 
 
 class TestSnap:

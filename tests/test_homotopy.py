@@ -8,6 +8,7 @@ from current1d import (AffineBicombing, AffineMap, Chain1, CurrentError,
                        affine_homotopy_current, conical_defect, d_inf,
                        flat_norm, homotopy_fill, interpolate_geodesic, snap,
                        standard_panel)
+from current1d import homotopy
 from current1d.flatnorm import complex_covering
 from current1d.homotopy import check_fill
 
@@ -102,6 +103,35 @@ class TestHomotopyFill:
             cx = complex_covering([g0, g1])
             diff = snap(g0.as_chain(PL), cx) - snap(g1.as_chain(PL), cx)
             assert flat_norm(diff, cx).value <= fill.cert_s + fill.cert_r + 1e-6
+
+
+def reference_pullback(pi1, pi2, pts, u, v):
+    """The 2-form dpi1 ^ dpi2 on (u, v) as its four directional derivatives."""
+    g1, g2 = pi1.grad(pts), pi2.grad(pts)
+    g1u = np.einsum("ij,ij->i", g1, u)
+    g2v = np.einsum("ij,ij->i", g2, v)
+    g1v = np.einsum("ij,ij->i", g1, v)
+    g2u = np.einsum("ij,ij->i", g2, u)
+    return g1u * g2v - g1v * g2u
+
+
+class TestPullback:
+    def test_cross_products_match_the_directional_derivatives(self, monkeypatch):
+        """Same nodes and caps as the four-derivative form on 60 pairs x 20 forms,
+        and every cell within 1e-12 of the form's largest cell."""
+        for k in range(60):
+            rng = np.random.Generator(np.random.Philox(key=k))
+            g0 = Polyline(rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2)))
+            g1 = Polyline(rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2)))
+            fill = homotopy_fill(g0, g1, BIC)
+            for form in standard_panel(k, count=20, scale=2.0):
+                new = fill.boundary_quad(form)
+                with monkeypatch.context() as m:
+                    m.setattr(homotopy, "_pullback", reference_pullback)
+                    old = fill.boundary_quad(form)
+                assert (new.nodes, new.capped) == (old.nodes, old.capped)
+                scale = float(np.max(np.abs(old.value)))
+                assert np.max(np.abs(new.value - old.value)) <= 1e-12 * scale
 
 
 def shoelace(g0: Polyline, g1: Polyline) -> float:

@@ -15,21 +15,26 @@ READERS = MODULES + sorted(p for d in ("tests", "scripts", "bench")
                            for p in (SRC.parent.parent / d).rglob("*.py"))
 
 
-def unused_imports(path: Path) -> list[str]:
-    """Names a module imports and never reads, except on lines marked ``# noqa``."""
+def imports(path: Path) -> list[tuple[str, int, bool]]:
+    """(name, line, marked ``# noqa``) for each name a module imports."""
     text = path.read_text()
-    tree = ast.parse(text)
     lines = text.splitlines()
-    imported = {}
-    for node in ast.walk(tree):
+    out = []
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if "# noqa" in lines[node.end_lineno - 1]:
-                continue
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            noqa = "# noqa" in lines[node.end_lineno - 1]
+            out += [(alias.asname or alias.name.split(".")[0], node.lineno, noqa)
+                    for alias in node.names]
+    return out
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, except on lines marked ``# noqa``."""
+    imported = {name: line for name, line, noqa in imports(path) if not noqa}
+    used = {node.id for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -44,6 +49,7 @@ def test_unused_import_is_found(tmp_path):
     mod.write_text("import math\nimport os  # noqa\nfrom json import dumps, loads\n"
                    "print(loads)\n")
     assert unused_imports(mod) == ["dumps (line 3)", "math (line 1)"]
+    assert [name for name, _, noqa in imports(mod) if noqa] == ["os"]
 
 
 def _defined(stmt: ast.stmt) -> list[str]:
@@ -93,9 +99,9 @@ def test_unreferenced_definition_is_found(tmp_path):
         "mod._LEFTOVER", "mod.caller", "mod.limit", "mod.lone"]
 
 
-def test_bench_tracer_patches_and_restores_its_targets():
-    """The traced bench run wraps engine attributes by name; each must exist here,
-    be wrapped while the patch is active and be restored after it."""
+def tracer_targets() -> tuple[set, bool]:
+    """The (owner, attribute) pairs that the bench tracer's ``patched`` wraps,
+    and whether every owner and the solver log were restored after it."""
     import current1d.approximation as approximation
     import current1d.currents as currents
     import current1d.flatnorm as flatnorm
@@ -113,12 +119,26 @@ def test_bench_tracer_patches_and_restores_its_targets():
     with tracing.patched(tracing.Tracer()):
         patched = {(owner.__name__, name) for owner, old in zip(owners, before)
                    for name, value in vars(owner).items() if old.get(name) is not value}
+    restored = all(dict(vars(owner)) == old for owner, old in zip(owners, before))
+    return patched, restored and (log.level, log.propagate, list(log.handlers)) == log_state
+
+
+def test_bench_tracer_patches_and_restores_its_targets():
+    """The traced bench run wraps engine attributes by name; each must exist here,
+    be wrapped while the patch is active and be restored after it."""
+    patched, restored = tracer_targets()
     assert patched == {
         ("current1d.transport", "min_cost_flow"), ("current1d.flatnorm", "simplex_lp"),
         ("current1d.approximation", "cluster"),
         ("current1d.approximation", "interpolate_geodesic"),
         ("current1d.approximation", "d_inf"), ("current1d.homotopy", "d_inf"),
         ("current1d.currents", "d_inf"), ("ScalarField", "value"), ("ScalarField", "grad")}
-    for owner, old in zip(owners, before):
-        assert dict(vars(owner)) == old
-    assert (log.level, log.propagate, list(log.handlers)) == log_state
+    assert restored
+
+
+def test_noqa_imports_are_tracer_targets():
+    """A package import marked ``# noqa`` is there only for the bench tracer to
+    wrap, so each must name an attribute that the tracer wraps."""
+    kept = {(f"current1d.{path.stem}", name)
+            for path in MODULES for name, _, noqa in imports(path) if noqa}
+    assert kept <= tracer_targets()[0]
