@@ -11,12 +11,12 @@ a chain and its lift is therefore exact whenever the same floats flow through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .quadrature import QUAD_TOL, Quad, integrate
+from .quadrature import QUAD_TOL, Domain, Quad
 from .spaces import MetricGraph, NormedPlane
 
 TOL = 1e-9
@@ -378,7 +378,7 @@ def d_inf(a: Polyline, b: Polyline, plane: Optional[NormedPlane] = None) -> floa
 
 def _slab_interval(lo: float, hi: float, a: float, b: float) -> Optional[tuple[float, float]]:
     """Parameter interval where lo <= a + t*b <= hi, intersected with [0,1], or None."""
-    if b == 0.0 or lo > hi:
+    if b == 0.0:
         return (0.0, 1.0) if lo <= a <= hi else None
     t0, t1 = (lo - a) / b, (hi - a) / b
     if t0 > t1:
@@ -389,6 +389,18 @@ def _slab_interval(lo: float, hi: float, a: float, b: float) -> Optional[tuple[f
     return (t0, t1)
 
 
+def _primitive(ordered: Callable[..., bool] = lambda prim: True) -> Callable[[type], type]:
+    """Make a class a frozen dataclass of a closed-set primitive whose construction
+    raises CurrentError unless its numbers are finite and ``ordered(self)`` holds."""
+    def make(cls: type) -> type:
+        def __post_init__(self):
+            if not (ordered(self) and np.isfinite(np.hstack(astuple(self))).all()):
+                raise CurrentError(f"{self!r} needs finite numbers and ordered bounds")
+        cls.__post_init__ = __post_init__
+        return dataclass(frozen=True)(cls)
+    return make
+
+
 def _meet(i, j):
     if i is None or j is None:
         return None
@@ -396,7 +408,7 @@ def _meet(i, j):
     return (t0, t1) if t0 <= t1 else None
 
 
-@dataclass(frozen=True)
+@_primitive(lambda box: box.lo[0] <= box.hi[0] and box.lo[1] <= box.hi[1])
 class Box:
     lo: tuple[float, float]
     hi: tuple[float, float]
@@ -408,7 +420,7 @@ class Box:
         return _meet(ix, iy)
 
 
-@dataclass(frozen=True)
+@_primitive(lambda ball: ball.radius >= 0)
 class Ball:
     center: tuple[float, float]
     radius: float
@@ -428,7 +440,7 @@ class Ball:
         return _meet(((-b - s) / (2 * a), (-b + s) / (2 * a)), (0.0, 1.0))
 
 
-@dataclass(frozen=True)
+@_primitive()
 class HalfPlane:
     """Points with a*x + b*y <= c."""
     a: float
@@ -441,7 +453,7 @@ class HalfPlane:
         return _slab_interval(-math.inf, self.c, v0, dv)
 
 
-@dataclass(frozen=True)
+@_primitive(lambda slab: slab.c1 <= slab.c2)
 class Slab:
     """Points with c1 <= a*x + b*y <= c2; c1 == c2 encodes a line."""
     a: float
@@ -676,11 +688,12 @@ def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestF
 # evaluation
 
 
-def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, Domain]:
     """Start points (n, 2), directions (n, 2) and weights (n,) of the straight
     pieces of a chain, or of the domain sub-segments of a fragment chain, each
-    parametrized over [0, 1], read-only. A chain keeps its arrays, so they are
-    built once per chain; a fragment chain's are built on each call."""
+    parametrized over [0, 1], read-only, and their quadrature ``Domain``, whose
+    geometry is the points and directions at the nodes. A chain keeps them, so
+    they are built once per chain; a fragment chain's are built on each call."""
     if isinstance(c, Chain1) and c._arrays is not None:
         return c._arrays
     rows = []
@@ -706,7 +719,13 @@ def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise CurrentError(f"cannot evaluate {type(c)}")
     arr = np.array(rows, dtype=float).reshape(-1, 5)
     arr.flags.writeable = False
-    out = arr[:, :2], arr[:, 2:4], arr[:, 4]
+    starts, dirs, n = arr[:, :2], arr[:, 2:4], len(arr)
+
+    def geometry(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = dirs[owner]
+        return starts[owner] + x * d, d
+    out = (starts, dirs, arr[:, 4],
+           Domain(np.zeros((n, 1)), np.ones((n, 1)), QUAD_TOL * n, geometry))
     if isinstance(c, Chain1):
         c._arrays = out
     return out
@@ -717,23 +736,21 @@ def action(c, form: TestForm) -> Quad:
     quadrature's node and cap counts; ``evaluate`` is its sum.
 
     Each piece g: p -> p + d is one box of [0, 1] for the integral of
-    (f o g)(pi o g)'; all pieces share one ``integrate`` call, each to
+    (f o g)(pi o g)'; all pieces share the chain's ``Domain``, each to
     QUAD_TOL. An affine pi with a constant or affine f has the closed form
     slope * f(midpoint).
     """
-    starts, dirs, weights = _pieces(c)
+    starts, dirs, weights, domain = _pieces(c)
     if form.pi.tag == "affine" and form.f.tag in ("const", "affine"):
         a, b, _ = form.pi.params
         slope = a * dirs[:, 0] + b * dirs[:, 1]
         return Quad(weights * slope * form.f.value(starts + 0.5 * dirs), 0, 0)
 
-    def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        d = dirs[owner]
-        pts = starts[owner] + x * d
+    def form_part(g: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        pts, d = g
         return form.f.value(pts) * np.einsum("ij,ij->i", form.pi.grad(pts), d)
 
-    n = len(weights)
-    q = integrate(integrand, np.zeros((n, 1)), np.ones((n, 1)), QUAD_TOL * n)
+    q = domain.integrate(form_part)
     return q._replace(value=weights * q.value)
 
 

@@ -7,8 +7,7 @@ homotopy module are validated. On a planar grid its LP dual is a min-cost
 circulation on the dual graph (faces plus one outer node), so ``flat_norm``
 solves it with ``min_cost_flow`` and reads the face chain s off the node
 potentials (Ibrahim, Krishnamoorthy and Vixie, "Simplicial flat norm with
-scale", 2013). ``flat_norm_lp`` solves the same LP with the dense simplex and
-is kept as the cross-check oracle.
+scale", 2013).
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .currents import Chain1, Polyline
-from .solvers import (FlowNetwork, LinearProgram, SolverError, check_flow,
-                      min_cost_flow, simplex_lp)
+from .solvers import FlowNetwork, SolverError, check_flow, min_cost_flow
+# flat_norm calls no LP, but bench/tracing.py wraps this name here
+from .solvers import simplex_lp  # noqa: F401
 
 SNAP_TOL = 1e-9
 
@@ -189,24 +189,6 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
         raise SolverError(f"flat norm duality gap: primal {value!r}, dual {dual!r}")
     check_flow(net, res)
     return FlatResult(value=value, r=r, s=s, iterations=res.augmentations)
-
-
-def flat_norm_lp(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
-    """The flat norm LP solved by the dense simplex on [I, -I, d2, -d2].
-
-    The oracle for ``flat_norm``; ``iterations`` counts simplex pivots.
-    """
-    t = _check_chain(t, complex_)
-    ne, nf = complex_.n_edges, complex_.n_faces
-    d2 = complex_.d2_matrix()
-    a = np.hstack([np.eye(ne), -np.eye(ne), d2, -d2])
-    h = complex_.h
-    c = np.concatenate([np.full(2 * ne, h), np.full(2 * nf, h * h)])
-    res = simplex_lp(LinearProgram(c=c, a=a, b=t))
-    x = res.x
-    r = x[:ne] - x[ne:2 * ne]
-    s = x[2 * ne:2 * ne + nf] - x[2 * ne + nf:]
-    return FlatResult(value=float(res.optimum), r=r, s=s, iterations=res.iterations)
 
 
 def complex_covering(polys: list[Polyline]) -> CubicalComplex:

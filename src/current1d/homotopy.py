@@ -4,10 +4,11 @@ current of chain pushforwards, and piecewise-geodesic interpolation.
 The 2-dimensional filling S is never materialized as data. It exists as a weak
 evaluator, since it is only ever needed through its boundary action and its
 mass bounds: a test 2-form dpi1 ^ dpi2 pulls back to J(H) det DH, with
-J = grad pi1 x grad pi2, integrated over the cells of the homotopy square by
-``quadrature.integrate`` (the package's one adaptive Gauss-Legendre rule, also
-used by ``currents``), every cell one box of a single call. The contractual
-quantities are the certificates certS = (l0 + l1) d_inf and
+J = grad pi1 x grad pi2, integrated over the cells of the homotopy square, one
+box each of a ``quadrature.Domain`` built once per fill. The domain keeps H and
+det DH at the depth-0/1 nodes (at most CHUNK_NODES, about 2 MB); each form
+still calls the ScalarField gradients at every node it is integrated on. The
+contractual quantities are the certificates certS = (l0 + l1) d_inf and
 certR = d(starts) + d(ends); the mass of S, the integral of |det DH|, is
 exact, since det DH is piecewise polynomial on each cell.
 
@@ -30,19 +31,12 @@ import numpy as np
 
 from .currents import (AffineMap, Chain1, CurrentError, Polyline,
                        ScalarField, TestForm, action, d_inf, evaluate, pushforward)
-from .quadrature import NODES, QUAD_TOL, WEIGHTS, Quad, integrate
+from .quadrature import NODES, QUAD_TOL, WEIGHTS, Domain, Quad
 from .spaces import MetricGraph, NormedPlane
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _pullback(pi1: ScalarField, pi2: ScalarField,
-              pts: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dpi1 ^ dpi2 on the tangent pairs (u, v) at pts, all (n, 2): by Binet-Cauchy,
-    dpi1(u) dpi2(v) - dpi1(v) dpi2(u) = (grad pi1 x grad pi2)(u x v)."""
-    return _cross(pi1.grad(pts), pi2.grad(pts)) * _cross(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +264,22 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
     mid = 0.5 * (sa + sb)
     v0 = _deriv_in_cells(br0, d0, mid)
     v1 = _deriv_in_cells(br1, d1, mid)
-    lo = np.stack([sa, np.zeros_like(sa)], axis=1)
-    width = np.stack([sb - sa, np.ones_like(sa)], axis=1)
+
+    def geometry(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H and det DH = d1H x d2H at the nodes x = (s, t)."""
+        s, t = x[:, 0], x[:, 1, None]
+        p0, p1 = g0.at(s), g1.at(s)
+        h = (1 - t) * p0 + t * p1
+        d1h = (1 - t) * v0[owner] + t * v1[owner]
+        return h, _cross(d1h, p1 - p0)
+
+    domain = Domain(np.stack([sa, np.zeros_like(sa)], axis=1),
+                    np.stack([sb - sa, np.ones_like(sa)], axis=1), quad_tol, geometry)
 
     def s_evaluator(pi1: ScalarField, pi2: ScalarField) -> Quad:
-        """S(1, pi1, pi2) per cell."""
-        def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            s, t = x[:, 0], x[:, 1, None]
-            p0 = g0.at(s)
-            p1 = g1.at(s)
-            h = (1 - t) * p0 + t * p1
-            d1h = (1 - t) * v0[owner] + t * v1[owner]
-            return _pullback(pi1, pi2, h, d1h, p1 - p0)
-        return integrate(integrand, lo, width, quad_tol)
+        """S(1, pi1, pi2) per cell: by Binet-Cauchy, dpi1 ^ dpi2 on (d1H, d2H) is
+        (grad pi1 x grad pi2)(d1H x d2H)."""
+        return domain.integrate(lambda g: _cross(pi1.grad(g[0]), pi2.grad(g[0])) * g[1])
 
     measured = _abs_det_mass(g0, g1, sa, sb, v0, v1)
     return FillResult(s_evaluator=s_evaluator, r_chain=r, cert_s=cert_s,

@@ -13,8 +13,8 @@ from typing import Any
 
 import numpy as np
 
-from .currents import (Ball, Box, Chain1, ClosedSet, HalfPlane, Molecule, Piece,
-                       Polyline, Slab)
+from .currents import (Ball, Box, Chain1, ClosedSet, CurrentError, HalfPlane, Molecule,
+                       Piece, Polyline, Slab)
 from .spaces import FiniteMetricSpace, GeometryError, MetricGraph, NormedPlane
 from .approximation import CurveMeasure
 from .decomposition import EdgeFlow
@@ -227,27 +227,25 @@ def load_flow(doc: dict, g: MetricGraph) -> EdgeFlow:
 # closedset.json
 
 
+# a primitive's key -> its number of values and the primitive they make
+_PRIMITIVES = {"box": (4, lambda x0, y0, x1, y1: Box((x0, y0), (x1, y1))),
+               "ball": (3, lambda cx, cy, r: Ball((cx, cy), r)),
+               "halfplane": (3, HalfPlane), "slab": (4, Slab)}
+
+
 def load_closedset(doc: dict) -> ClosedSet:
     prims = []
     for k, item in enumerate(_items(doc, "primitives", "a closed set")):
-        if "box" in _object(item, "a closed-set primitive"):
-            x0, y0, x1, y1 = x = _numbers(item["box"], 4, "a box")
-            prim, ordered = Box((x0, y0), (x1, y1)), x0 <= x1 and y0 <= y1
-        elif "ball" in item:
-            cx, cy, r = x = _numbers(item["ball"], 3, "a ball")
-            prim, ordered = Ball((cx, cy), r), r >= 0
-        elif "halfplane" in item:
-            x = _numbers(item["halfplane"], 3, "a halfplane")
-            prim, ordered = HalfPlane(*x), True
-        elif "slab" in item:
-            x = _numbers(item["slab"], 4, "a slab")
-            prim, ordered = Slab(*x), x[2] <= x[3]
-        else:
+        keys = [key for key in _PRIMITIVES if key in _object(item, "a closed-set primitive")]
+        if not keys:
             raise InputError(f"unknown primitive {item!r}")
-        if not (ordered and all(map(math.isfinite, x))):
-            raise InputError(f"closed-set primitive {k} must be finite numbers with x0 <= x1 "
-                             f"and y0 <= y1 (box), r >= 0 (ball), c1 <= c2 (slab): {item!r}")
-        prims.append(prim)
+        n, make = _PRIMITIVES[keys[0]]
+        x = _numbers(item[keys[0]], n, f"a {keys[0]}")
+        try:
+            prims.append(make(*x))
+        except CurrentError as exc:
+            raise InputError(f"closed-set primitive {k} must be finite numbers with x0 <= x1 and "
+                             f"y0 <= y1 (box), r >= 0 (ball), c1 <= c2 (slab): {item!r}") from exc
     return ClosedSet(tuple(prims))
 
 

@@ -1,14 +1,18 @@
 """Adaptive Gauss-Legendre cubature over batches of boxes, the package's only rule.
 
-``integrate`` refines a batch of 1-D or 2-D boxes level by level. A box is
-accepted when the tensor 5-point Gauss-Legendre rule on its 2^dim halves
-agrees with the rule on the box within ``tol`` times its share of the batch's
-volume. Depths 0 and 1 share one integrand call, and a batch whose boxes all
-converge at depth 1 returns there; each deeper level evaluates every active
-box in one call. Calls are chunks of at most CHUNK_NODES nodes; ``owner``
-tells the integrand which input box a node belongs to. Boxes still
-unconverged at MAX_PANELS leaf-equivalents (depth 14 in 1-D, 7 in 2-D) are
-counted as capped and logged at ``debug`` level on ``current1d.quadrature``.
+A ``Domain`` is a batch of 1-D or 2-D boxes with a tolerance and a geometry,
+what every integrand reads at a node (say, a curve's point and direction);
+``Domain.integrate(fn)`` refines the boxes level by level for the form part
+``fn`` of the geometry. A box is accepted when the tensor 5-point
+Gauss-Legendre rule on its 2^dim halves agrees with the rule on the box within
+``tol`` times its share of the batch's volume. Depths 0 and 1 share one call,
+and a batch whose boxes all converge at depth 1 returns there; each deeper
+level evaluates every active box in one call. Calls have at most CHUNK_NODES
+nodes. The domain keeps the boxes, owners, thresholds and calls of depths 0
+and 1 and, if they fit one call (about 2 MB), their geometry from its first
+``integrate``. Boxes still unconverged at MAX_PANELS leaf-equivalents (depth
+14 in 1-D, 7 in 2-D) are counted as capped and logged at ``debug`` level on
+``current1d.quadrature``.
 """
 
 from __future__ import annotations
@@ -50,82 +54,95 @@ _TENSORS = {
 }
 
 
+def _halves(lo, width, owner):
+    corners = _TENSORS[lo.shape[1]][2]
+    return ((lo[:, None, :] + width[:, None, :] * corners).reshape(-1, lo.shape[1]),
+            (width / 2.0).repeat(len(corners), axis=0), owner.repeat(len(corners)))
+
+
+def _calls(n: int, dim: int, seam: int = 0) -> list[tuple[int, int, list]]:
+    """The calls (first, last, blocks) over boxes [0, n): one call if they fit
+    in CHUNK_NODES nodes, else one per block. Blocks of at most ``step`` boxes
+    from 0 and from ``seam`` give every level the values of the rule applied to
+    it alone, since the rows of a matrix product fix its BLAS summation order."""
+    step = CHUNK_NODES // len(_TENSORS[dim][1])
+    blocks = [(a, min(a + step, end)) for start, end in ((0, seam), (seam, n))
+              for a in range(start, end, step)]
+    return [(0, n, blocks)] if 0 < n <= step else [(a, b, [(a, b)]) for a, b in blocks]
+
+
+class Domain:
+    """The boxes [lo, lo + width], both (B, dim), to integrate over to ``tol``.
+    ``geometry(x, owner)`` maps nodes x (N, dim) and the input box (N,) of each
+    to the tuple of arrays a form part reads, each entry a function of its own
+    node and owner only; its depth-0/1 arrays are cached read-only."""
+
+    def __init__(self, lo, width, tol: float, geometry):
+        lo, width = np.asarray(lo, dtype=float), np.asarray(width, dtype=float)
+        self.n_box, self.dim = lo.shape
+        vol = width.prod(axis=1)
+        total = float(vol.sum())
+        self.thr = tol * vol / total if total > 0 else np.zeros(self.n_box)
+        self.tol, self.geometry, self.cached = tol, geometry, None
+        owner = np.arange(self.n_box)
+        self.boxes = tuple(map(np.concatenate, zip((lo, width, owner), _halves(lo, width, owner))))
+        self.calls = _calls(len(self.boxes[0]), self.dim, self.n_box)
+
+    def integrate(self, fn) -> Quad:
+        """Integrals of ``fn(geometry(x, owner))``, N values, over each box; their
+        errors sum to about ``tol`` at most, unless some box is capped."""
+        n_box, dim = self.n_box, self.dim
+        x_ref, w_ref, corners = _TENSORS[dim]
+        per_box, n_kids = len(w_ref), len(corners)
+        max_depth = round(math.log2(MAX_PANELS)) // dim
+        nodes = 0
+
+        def rule(boxes, calls, cache: bool = False):
+            nonlocal nodes
+            lo, width, owner = boxes
+            sums = np.empty(len(lo))
+            for first, last, blocks in calls:
+                g = self.cached if cache else None
+                if g is None:
+                    x = lo[first:last, None, :] + width[first:last, None, :] * x_ref
+                    g = self.geometry(x.reshape(-1, dim), owner[first:last].repeat(per_box))
+                    if cache:
+                        for a in g:
+                            a.flags.writeable = False
+                        self.cached = g
+                f = np.reshape(fn(g), (-1, per_box))
+                for a, b in blocks:
+                    sums[a:b] = f[a - first:b - first] @ w_ref
+                nodes += (last - first) * per_box
+            return width.prod(axis=1) * sums
+
+        both = rule(self.boxes, self.calls, cache=len(self.calls) == 1)
+        est, kids = both[:n_box], both[n_box:]
+        lo, width, owner = (z[n_box:] for z in self.boxes)
+        thr, value, capped = self.thr, np.zeros(n_box), 0
+        for depth in range(1, max_depth + 1):
+            refined = kids.reshape(-1, n_kids).sum(axis=1)
+            done = np.abs(refined - est) <= thr
+            if depth == 1 and done.all():
+                return Quad(refined + 0.0, nodes, 0)  # + 0.0: the signed zeros of the sum below
+            if depth == max_depth:
+                capped = int(np.count_nonzero(~done))
+                done[:] = True
+            value += np.bincount(owner[::n_kids][done], weights=refined[done],
+                                 minlength=n_box)
+            keep = np.repeat(~done, n_kids)
+            lo, width, owner, est = lo[keep], width[keep], owner[keep], kids[keep]
+            thr = np.repeat(thr[~done] / n_kids, n_kids)
+            if not len(owner):
+                break
+            lo, width, owner = _halves(lo, width, owner)
+            kids = rule((lo, width, owner), _calls(len(lo), dim))
+        if capped:
+            log.debug("quadrature stopped %d boxes at the cap of %d panels: "
+                      "tolerance %.3g", capped, MAX_PANELS, self.tol)
+        return Quad(value, nodes, capped)
+
+
 def integrate(fn, lo, width, tol: float) -> Quad:
-    """Integrals of ``fn`` over the boxes [lo, lo + width], both of shape (B, dim).
-
-    ``fn(x, owner)`` maps nodes x of shape (N, dim) and the index (N,) of the
-    input box each node came from to N values, each a function of its own node
-    and owner only, however the nodes are grouped. The errors of all boxes sum
-    to about ``tol`` at most, unless some box is capped.
-    """
-    lo = np.asarray(lo, dtype=float)
-    width = np.asarray(width, dtype=float)
-    n_box, dim = lo.shape
-    x_ref, w_ref, corners = _TENSORS[dim]
-    per_box = len(w_ref)
-    n_kids = len(corners)
-    step = CHUNK_NODES // per_box
-    max_depth = round(math.log2(MAX_PANELS)) // dim
-    nodes = 0
-
-    def halves(lo, width, owner):
-        return ((lo[:, None, :] + width[:, None, :] * corners).reshape(-1, dim),
-                (width / 2.0).repeat(n_kids, axis=0), owner.repeat(n_kids))
-
-    def rule(lo, width, owner, *seams):
-        """The rule on each box (lo, width, owner), weighted in blocks of at
-        most ``step`` boxes from each seam: the rows of a matrix product fix
-        its BLAS summation order, so these blocks give every level the values
-        of a rule applied to it alone. Consecutive blocks share an integrand
-        call while it stays within CHUNK_NODES nodes."""
-        nonlocal nodes
-        ends = (*seams, len(lo))
-        blocks = [(i, min(i + step, end)) for start, end in zip((0, *seams), ends)
-                  for i in range(start, end, step)]
-        sums = np.empty(len(lo))
-        call = []
-        for j, block in enumerate(blocks):
-            call.append(block)
-            if j + 1 < len(blocks) and blocks[j + 1][1] - call[0][0] <= step:
-                continue
-            first, last = call[0][0], block[1]
-            x = lo[first:last, None, :] + width[first:last, None, :] * x_ref
-            f = np.reshape(fn(x.reshape(-1, dim), owner[first:last].repeat(per_box)),
-                           (-1, per_box))
-            for a, b in call:
-                sums[a:b] = f[a - first:b - first] @ w_ref
-            nodes += x.shape[0] * per_box
-            call = []
-        return width.prod(axis=1) * sums
-
-    vol = width.prod(axis=1)
-    total = float(vol.sum())
-    thr = tol * vol / total if total > 0 else np.zeros(n_box)
-    owner = np.arange(n_box)
-    kid_boxes = halves(lo, width, owner)
-    both = rule(*(np.concatenate(z) for z in zip((lo, width, owner), kid_boxes)), n_box)
-    est, kids = both[:n_box], both[n_box:]
-    lo, width, owner = kid_boxes
-    value = np.zeros(n_box)
-    capped = 0
-    for depth in range(1, max_depth + 1):
-        refined = kids.reshape(-1, n_kids).sum(axis=1)
-        done = np.abs(refined - est) <= thr
-        if depth == 1 and done.all():
-            return Quad(refined + 0.0, nodes, 0)  # + 0.0: the signed zeros of the sum below
-        if depth == max_depth:
-            capped = int(np.count_nonzero(~done))
-            done[:] = True
-        value += np.bincount(owner[::n_kids][done], weights=refined[done],
-                             minlength=n_box)
-        keep = np.repeat(~done, n_kids)
-        lo, width, owner, est = lo[keep], width[keep], owner[keep], kids[keep]
-        thr = np.repeat(thr[~done] / n_kids, n_kids)
-        if not len(owner):
-            break
-        lo, width, owner = halves(lo, width, owner)
-        kids = rule(lo, width, owner)
-    if capped:
-        log.debug("quadrature stopped %d boxes at the cap of %d panels: "
-                  "tolerance %.3g", capped, MAX_PANELS, tol)
-    return Quad(value, nodes, capped)
+    """Integrals of ``fn(x, owner)`` over the boxes [lo, lo + width]: the identity geometry."""
+    return Domain(lo, width, tol, lambda x, owner: (x, owner)).integrate(lambda g: fn(*g))

@@ -148,7 +148,7 @@ class TestChainArrays:
 
     def test_arrays_are_built_once_and_read_only(self):
         c = seg_chain(*self.SEGS)
-        starts, dirs, weights = currents._pieces(c)
+        starts, dirs, weights, _ = currents._pieces(c)
         assert currents._pieces(c)[0] is starts
         assert weights.tolist() == [2.0, -1.0]  # the zero-length piece has no direction
         for a in (starts, dirs, weights):
@@ -270,11 +270,23 @@ class TestRestrict:
         large = ClosedSet.of(Ball((float(cx), float(cy)), r + grow))
         assert restrict(c, small).mass() <= restrict(c, large).mass() + 1e-12
 
-    @pytest.mark.parametrize("prim", [Slab(0.0, 1.0, 5.0, 3.0), Box((2.0, 0.0), (1.0, 10.0))])
-    def test_impossible_bounds_are_empty_in_every_direction(self, prim):
-        for a, b in [((1.5, 0.0), (1.5, 10.0)), ((0.0, 4.0), (10.0, 4.0)),
-                     ((0.0, 0.0), (3.0, 3.0)), ((3.0, 10.0), (0.0, 0.0))]:
-            assert restrict(seg_chain((a, b, 1.0)), ClosedSet.of(prim)).fragments == ()
+    @pytest.mark.parametrize("cls, args", [
+        (Slab, (0.0, 1.0, 5.0, 3.0)), (Box, ((2.0, 0.0), (1.0, 10.0))),
+        (Box, ((0.0, 3.0), (1.0, 2.0))), (Box, ((0.0, 0.0), (math.inf, 1.0))),
+        (Ball, ((2.0, 0.0), -1.0)), (Ball, ((math.nan, 0.0), 1.0)),
+        (HalfPlane, (math.nan, 1.0, 2.0)), (Slab, (0.0, 1.0, 5.0, -math.inf))],
+        ids=["slab-inverted", "box-inverted-x", "box-inverted-y", "box-infinite",
+             "ball-negative", "ball-nan", "halfplane-nan", "slab-infinite"])
+    def test_impossible_bounds_raise(self, cls, args):
+        # a negative radius would restrict like its absolute value, since the
+        # ball's test squares it; an inverted slab depended on the direction
+        with pytest.raises(CurrentError, match="finite numbers and ordered bounds"):
+            cls(*args)
+
+    @pytest.mark.parametrize("prim", [Box((1.0, 0.0), (1.0, 0.0)), Ball((0.0, 0.0), 0.0)],
+                             ids=["box", "ball"])
+    def test_degenerate_bounds_are_kept(self, prim):
+        assert ClosedSet.of(prim).segment_intervals((0.0, 0.0), (4.0, 0.0)) != []
 
     def test_restriction_never_increases_mass(self):
         c = seg_chain(((0.0, 0.0), (2.0, 1.0), 1.5))

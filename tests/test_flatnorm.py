@@ -7,11 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import current1d.flatnorm as flatnorm
-from current1d import (Chain1, CubicalComplex, NormedPlane, Polyline,
-                       SolverError, d_inf, flat_norm, snap)
-from current1d.flatnorm import GridError, complex_covering, flat_norm_lp
+from current1d import (Chain1, CubicalComplex, LinearProgram, NormedPlane, Polyline,
+                       SolverError, d_inf, flat_norm, simplex_lp, snap)
+from current1d.flatnorm import FlatResult, GridError, complex_covering
 
 PL = NormedPlane("l2")
+
+
+def flat_norm_lp(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
+    """The flat norm LP solved by the dense simplex on [I, -I, d2, -d2]: the
+    oracle for ``flat_norm``; ``iterations`` counts simplex pivots."""
+    ne, nf = complex_.n_edges, complex_.n_faces
+    d2 = complex_.d2_matrix()
+    a = np.hstack([np.eye(ne), -np.eye(ne), d2, -d2])
+    h = complex_.h
+    c = np.concatenate([np.full(2 * ne, h), np.full(2 * nf, h * h)])
+    res = simplex_lp(LinearProgram(c=c, a=a, b=np.asarray(t, dtype=float)))
+    x = res.x
+    r = x[:ne] - x[ne:2 * ne]
+    s = x[2 * ne:2 * ne + nf] - x[2 * ne + nf:]
+    return FlatResult(value=float(res.optimum), r=r, s=s, iterations=res.iterations)
 
 
 def flat_upper_bound_pair(g0: Polyline, g1: Polyline) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ from current1d import (AffineBicombing, AffineMap, Chain1, CurrentError,
                        affine_homotopy_current, conical_defect, d_inf,
                        flat_norm, homotopy_fill, interpolate_geodesic, snap,
                        standard_panel)
-from current1d import homotopy
+from current1d import TestForm as Form
+from current1d import currents, homotopy, quadrature
+from current1d.currents import _pieces, action
 from current1d.flatnorm import complex_covering
 from current1d.homotopy import check_fill
+from current1d.quadrature import CHUNK_NODES, QUAD_TOL, Quad, integrate
 
 PL = NormedPlane("l2")
 BIC = AffineBicombing(PL)
@@ -115,20 +119,154 @@ def reference_pullback(pi1, pi2, pts, u, v):
     return g1u * g2v - g1v * g2u
 
 
+def cross_pullback(pi1, pi2, pts, u, v):
+    """The 2-form dpi1 ^ dpi2 on (u, v) by Binet-Cauchy: (grad pi1 x grad pi2)(u x v)."""
+    return homotopy._cross(pi1.grad(pts), pi2.grad(pts)) * homotopy._cross(u, v)
+
+
+def reference_s_evaluator(g0, g1, pi1, pi2, pullback=cross_pullback,
+                          quad_tol=QUAD_TOL) -> Quad:
+    """S(1, pi1, pi2) per cell of the homotopy square with the whole integrand,
+    H, d1H, d2H and the 2-form, evaluated afresh in every ``integrate`` call."""
+    br0, d0 = homotopy._poly_derivs(g0)
+    br1, d1 = homotopy._poly_derivs(g1)
+    cells = np.union1d(br0, br1)
+    keep = np.diff(cells) > 1e-14
+    sa, sb = cells[:-1][keep], cells[1:][keep]
+    v0 = homotopy._deriv_in_cells(br0, d0, 0.5 * (sa + sb))
+    v1 = homotopy._deriv_in_cells(br1, d1, 0.5 * (sa + sb))
+
+    def integrand(x, owner):
+        s, t = x[:, 0], x[:, 1, None]
+        p0 = g0.at(s)
+        p1 = g1.at(s)
+        h = (1 - t) * p0 + t * p1
+        d1h = (1 - t) * v0[owner] + t * v1[owner]
+        return pullback(pi1, pi2, h, d1h, p1 - p0)
+    return integrate(integrand, np.stack([sa, np.zeros_like(sa)], axis=1),
+                     np.stack([sb - sa, np.ones_like(sa)], axis=1), quad_tol)
+
+
+def reference_action(c, form) -> Quad:
+    """``action`` with the points and directions of the pieces evaluated afresh
+    in every ``integrate`` call."""
+    starts, dirs, weights, _ = _pieces(c)
+    if form.pi.tag == "affine" and form.f.tag in ("const", "affine"):
+        return action(c, form)
+
+    def integrand(x, owner):
+        d = dirs[owner]
+        pts = starts[owner] + x * d
+        return form.f.value(pts) * np.einsum("ij,ij->i", form.pi.grad(pts), d)
+
+    n = len(weights)
+    q = integrate(integrand, np.zeros((n, 1)), np.ones((n, 1)), QUAD_TOL * n)
+    return q._replace(value=weights * q.value)
+
+
+def assert_same_bits(q, ref):
+    assert np.array_equal(q.value.view(np.int64), ref.value.view(np.int64))
+    assert (q.nodes, q.capped) == (ref.nodes, ref.capped)
+
+
+def counting_domains(monkeypatch, *modules):
+    """Replace ``Domain`` in ``modules`` by one that records its geometry and
+    form-part calls; returns the list of domains built."""
+    built = []
+
+    class Counting(quadrature.Domain):
+        def __init__(self, lo, width, tol, geometry):
+            self.geometry_calls, self.form_calls, self.forms = [], [], 0
+            built.append(self)
+
+            def counted(x, owner):
+                self.geometry_calls.append(len(x))
+                return geometry(x, owner)
+            super().__init__(lo, width, tol, counted)
+
+        def integrate(self, fn):
+            self.forms += 1
+            return super().integrate(lambda g: self.form_calls.append(1) or fn(g))
+
+    for module in modules:
+        monkeypatch.setattr(module, "Domain", Counting)
+    return built
+
+
+def random_pair(k: int, plane=PL):
+    rng = np.random.Generator(np.random.Philox(key=k))
+    return tuple(Polyline(rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2)), plane)
+                 for _ in range(2))
+
+
+def panel_in(seed: int, plane) -> list:
+    """``standard_panel(seed)`` with both fields of each form measured in ``plane``."""
+    return [Form(dataclasses.replace(form.f, plane=plane),
+                 dataclasses.replace(form.pi, plane=plane))
+            for form in standard_panel(seed, count=20, scale=2.0)]
+
+
+class TestDomainCache:
+    """A fill and a chain build their quadrature domain once: the same values
+    (bit for bit), node and cap counts as the integrands evaluated afresh."""
+
+    PLANES = (NormedPlane("l1"), PL, NormedPlane("linf"))
+
+    def test_against_the_fresh_integrands(self):
+        """200 pairs in the three planes; in the first three the fields are measured
+        in the pair's plane too, where l1 and linf cones send boxes to the cap."""
+        capped = np.zeros(2, dtype=int)
+        for k in range(200):
+            plane = self.PLANES[k % 3]
+            g0, g1 = random_pair(k, plane)
+            fill = homotopy_fill(g0, g1, AffineBicombing(plane))
+            chains = (g0.as_chain(plane), g1.as_chain(plane), fill.r_chain)
+            for form in panel_in(k, plane) if k < 3 else standard_panel(k):
+                q = fill.boundary_quad(form)
+                assert_same_bits(q, reference_s_evaluator(g0, g1, form.f, form.pi))
+                for c in chains:
+                    assert_same_bits(action(c, form), reference_action(c, form))
+                capped += q.capped, action(chains[0], form).capped
+        assert capped.all()
+
+    def test_one_geometry_build_per_fill_and_chain(self, monkeypatch):
+        built = counting_domains(monkeypatch, homotopy, currents)
+        for k in range(6):
+            g0, g1 = random_pair(k)
+            check_fill(g0, g1, homotopy_fill(g0, g1, BIC), standard_panel(k), PL)
+        assert len(built) == 6 * 4  # per pair: the fill and three chains
+        deeper = 0
+        for dom in built:
+            assert dom.forms in (15, 20)  # every form, or those without a closed form
+            # one call at depths 0/1 builds the cache; every deeper call evaluates afresh
+            assert dom.geometry_calls[0] == len(dom.boxes[0]) * len(quadrature._TENSORS[dom.dim][1])
+            assert len(dom.geometry_calls) == 1 + len(dom.form_calls) - dom.forms
+            deeper += len(dom.geometry_calls) - 1
+        assert deeper > 0
+
+    def test_a_chain_above_the_chunk_evaluates_per_call(self, monkeypatch):
+        built = counting_domains(monkeypatch, currents)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        c = Polyline(rng.uniform(-2, 2, size=(CHUNK_NODES // 15 + 2, 2))).as_chain(PL)
+        forms = standard_panel(3, count=4)[1:]  # the first has a closed form
+        for form in forms:
+            assert_same_bits(action(c, form), reference_action(c, form))
+        [dom] = built
+        assert dom.cached is None and len(dom.calls) == 2
+        assert len(dom.geometry_calls) == len(dom.form_calls) > 2 * len(forms)
+        assert max(dom.geometry_calls) <= CHUNK_NODES
+
+
 class TestPullback:
-    def test_cross_products_match_the_directional_derivatives(self, monkeypatch):
+    def test_cross_products_match_the_directional_derivatives(self):
         """Same nodes and caps as the four-derivative form on 60 pairs x 20 forms,
         and every cell within 1e-12 of the form's largest cell."""
         for k in range(60):
-            rng = np.random.Generator(np.random.Philox(key=k))
-            g0 = Polyline(rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2)))
-            g1 = Polyline(rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2)))
+            g0, g1 = random_pair(k)
             fill = homotopy_fill(g0, g1, BIC)
             for form in standard_panel(k, count=20, scale=2.0):
                 new = fill.boundary_quad(form)
-                with monkeypatch.context() as m:
-                    m.setattr(homotopy, "_pullback", reference_pullback)
-                    old = fill.boundary_quad(form)
+                old = reference_s_evaluator(g0, g1, form.f, form.pi, reference_pullback)
                 assert (new.nodes, new.capped) == (old.nodes, old.capped)
                 scale = float(np.max(np.abs(old.value)))
                 assert np.max(np.abs(new.value - old.value)) <= 1e-12 * scale

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from current1d.quadrature import (CHUNK_NODES, MAX_PANELS, QUAD_TOL, Quad, _TENSORS,
+from current1d.quadrature import (CHUNK_NODES, MAX_PANELS, QUAD_TOL, Domain, Quad, _TENSORS,
                                   integrate)
 
 UNIT = np.array([[0.0]]), np.array([[1.0]])
@@ -293,3 +293,37 @@ class TestCalls:
         assert max(fn.sizes) <= CHUNK_NODES
         assert len(ref.sizes) == 2  # one per level
 
+
+
+class TestDomain:
+    """A domain integrates each form part of its geometry as ``integrate`` does
+    with the geometry evaluated in every call, and evaluates the geometry of
+    depths 0 and 1 once when it fits in one call."""
+
+    PARTS = (lambda g: g[2], lambda g: g[2] * np.cos(3.0 * g[0][:, -1]),
+             lambda g: np.exp(-g[2] ** 2) + g[1] % 2)
+
+    @pytest.mark.parametrize("dim, n", [(1, 7), (2, 7), (1, 5000)])
+    def test_form_parts_share_the_geometry(self, dim, n):
+        fn, lo, width = owner_batch(np.random.default_rng(n), dim, n)
+
+        def geometry(x, owner):
+            return x, owner, fn(x, owner)
+        built = recorded(geometry)
+        domain = Domain(lo, width, QUAD_TOL * n, built)
+        part_calls = 0
+        for part in self.PARTS:
+            def counted(g, part=part):
+                nonlocal part_calls
+                part_calls += 1
+                return part(g)
+            q = domain.integrate(counted)
+            assert_same_quad(q, integrate(lambda x, owner: part(geometry(x, owner)),
+                                          lo, width, QUAD_TOL * n))
+        assert part_calls > len(self.PARTS) * len(domain.calls)  # some form refined deeper
+        cached = n * (1 + 2 ** dim) * 5 ** dim <= CHUNK_NODES
+        assert (domain.cached is not None) == cached
+        assert len(built.sizes) == part_calls - cached * (len(self.PARTS) - 1)
+        assert max(built.sizes) <= CHUNK_NODES
+        if cached:
+            assert all(not a.flags.writeable for a in domain.cached)
