@@ -92,6 +92,18 @@ def _flag(flag: str, value, default, want: str = "a positive finite number"):
     return value
 
 
+# size caps, checked before anything is allocated (docs/formats.md)
+MAX_CURVE_CELLS = 10 ** 5  # approx: ceil(1 / mesh) cells, one more node, per curve
+MAX_GRID_CELLS = 250_000  # flatnorm: nx * ny faces
+MAX_NORMALIZE_EPS = 1e6  # normalize: a tent rises about eps / 2 times its base
+
+
+def _capped(flag: str, size: float, cap: float, what: str) -> None:
+    """Reject a flag that asks for more ``what`` than ``cap``."""
+    if size > cap:
+        raise CliInputError(f"{flag}: {what} = {size:g} is above the cap {cap:g}")
+
+
 def _reals(flag: str, text, want: str) -> list[float]:
     """A comma-separated flag value as one finite number per name in ``want``."""
     try:
@@ -198,6 +210,7 @@ def _cmd_flatnorm(args) -> int:
         raise CliInputError(f"bad --grid (want nx,ny,h): {args.grid!r}") from exc
     origin = _reals("--origin", args.origin, "x,y") if args.origin else (0.0, 0.0)
     cx = CubicalComplex(origin=origin, h=h, nx=nx, ny=ny)
+    _capped("--grid", cx.n_faces, MAX_GRID_CELLS, "grid cells")
     chain = cio.load_chain(_load_json(args.chain))
     if isinstance(chain, Polyline):
         chain = chain.as_chain(NormedPlane("l2"))
@@ -244,6 +257,7 @@ def _cmd_homotopy(args) -> int:
 def _cmd_approx(args) -> int:
     eps = float(_flag("--eps", args.eps, 0.1))
     mesh = float(_flag("--mesh", args.mesh, 0.25))
+    _capped("--mesh", 1.0 / mesh, MAX_CURVE_CELLS, "cells per curve")
     cm = cio.load_curvemeasure(_load_json(args.input))
     if args.length_cap is not None:
         cm, trunc_err = truncate(cm, float(_flag("--length-cap", args.length_cap, None)))
@@ -268,6 +282,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_normalize(args) -> int:
     eps = float(_flag("--eps", args.eps, 0.1))
+    _capped("--eps", eps, MAX_NORMALIZE_EPS, "eps")
     chain = cio.load_chain(_load_json(args.chain))
     if isinstance(chain, Polyline):
         chain = chain.as_chain(NormedPlane("l2"))

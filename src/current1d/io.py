@@ -162,6 +162,8 @@ def load_space(doc: dict):
 
 def load_chain(doc: dict, space=None):
     if "polyline" in _object(doc, "a chain"):
+        if isinstance(space, MetricGraph):
+            raise InputError("a polyline lies in the plane, not on a graph space")
         return _polyline(doc["polyline"], "a polyline")
     space = space if space is not None else (
         load_space(doc["space"]) if "space" in doc else NormedPlane("l2"))
@@ -170,11 +172,12 @@ def load_chain(doc: dict, space=None):
         s, e = _field(item, "start", "a piece"), _field(item, "end", "a piece")
         w = _number(_field(item, "weight", "a piece"), "a piece weight")
         if isinstance(s, list):
+            if not isinstance(space, NormedPlane):
+                raise InputError("coordinate pieces need a plane space")
             s, e = _numbers(s, 2, "a piece start"), _numbers(e, 2, "a piece end")
             if not all(map(math.isfinite, s + e)):
                 raise InputError(f"piece {k} must have finite ends: {item!r}")
-            length = _number(item.get("length", space.dist(s, e)
-                             if isinstance(space, NormedPlane) else 0.0), "a piece length")
+            length = _number(item.get("length", space.dist(s, e)), "a piece length")
         elif not isinstance(space, MetricGraph):
             raise InputError("vertex-index pieces need a graph space")
         else:

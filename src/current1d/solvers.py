@@ -4,13 +4,13 @@ All are deterministic: the flow engines order arcs by input index and break
 ties by lowest index; the simplex uses Bland's rule, which also precludes
 cycling. Desk-scale instances only (a few thousand variables).
 
-Each flow caller picks its engine by measurement (the benchmark's flows of
-seeds 1-2, 2-vCPU host). ``ae_norm`` calls ``network_simplex``: on its 36
-dense bipartite networks, where each search of the phases scans nearly every
-arc, it took 0.14 s against their 0.98 s. ``flat_norm`` calls ``min_cost_flow``:
-on its 18 dual grids, degenerate pivots made the simplex take 0.072 s against
-0.039 s. ``minimal_filling`` keeps the phases too (0.21 s, against 0.12 s by
-simplex, on its 18 sparse networks), and their digests pin them there.
+Each flow caller picks its engine by measurement (best of 3 per network on
+the benchmark's flows, 2-vCPU host). Both transport callers use
+``network_simplex``: 0.14 s against the phases' 0.98 s on ``ae_norm``'s 36
+dense networks (seeds 1-2), and 0.55 s against 1.01 s on ``minimal_filling``'s
+90 sparse ones (seeds 1-10; 0.21-2.20x each, slower only at k = 16 atoms).
+The phases serve ``flat_norm``: degenerate pivots made the simplex take
+0.072 s against their 0.039 s on its 18 dual grids (seeds 1-2).
 
 ``min_cost_flow`` is primal-dual (Ahuja, Magnanti and Orlin, *Network Flows*,
 1993, ch. 9): successive shortest paths with Johnson potentials, where each

@@ -100,7 +100,7 @@ def _sparse(seed: int, n: int, k: int) -> FlowNetwork:
     rng = _rng(seed + 1)
     verts = rng.choice(n, size=k, replace=False).tolist()
     mol = Molecule(list(zip(verts, _balanced(rng, k).tolist())))
-    return _captured(transport, "min_cost_flow", lambda: transport.minimal_filling(mol, g))
+    return _captured(transport, "network_simplex", lambda: transport.minimal_filling(mol, g))
 
 
 def _dual_grid(seed: int, n: int, staircase: bool) -> FlowNetwork:

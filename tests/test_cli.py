@@ -165,6 +165,35 @@ class TestSubcommands:
         assert run_cli(["flatnorm", "--grid", "4,4,1", "--chain", str(chain)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
+    @pytest.mark.parametrize("chain, needle", [
+        ("c0.json", "a polyline lies in the plane"),
+        ("seg.json", "coordinate pieces need a plane space")])
+    def test_iso_check_chain_in_the_plane_is_input_error(self, fixtures, capsys, chain, needle):
+        code = run_cli(["iso-check", "--space", fixtures["vdetour.json"],
+                        "--chain", fixtures[chain]])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert needle in err["message"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["approx", "--input", "cm.json", "--mesh", "1e-300"], "--mesh"),
+        (["approx", "--input", "cm.json", "--mesh", "9.9e-6"], "--mesh"),
+        (["flatnorm", "--chain", "square.json", "--grid", "100000,100000,1"], "--grid"),
+        (["flatnorm", "--chain", "square.json", "--grid", "250001,1,1"], "--grid"),
+        (["normalize", "--chain", "seg.json", "--hyperplane", "0,1,0", "--eps", "1e308"],
+         "--eps")])
+    def test_sizes_above_their_cap_are_input_errors(self, fixtures, capsys, argv, flag):
+        """Each cap is checked before anything of that size is allocated."""
+        assert run_cli([fixtures.get(a, a) for a in argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliInputError"
+        assert err["message"].startswith(f"{flag}: ") and "is above the cap" in err["message"]
+
+    def test_eps_at_its_cap_is_accepted(self, fixtures, capsys):
+        assert run_cli(["normalize", "--chain", fixtures["seg.json"], "--hyperplane", "0,1,0",
+                        "--eps", "1e6"]) == 0
+
     @pytest.mark.parametrize("extra", [["--seed", "1"], ["--tol", "1e-3"]])
     def test_options_nothing_reads_are_rejected(self, capsys, extra):
         assert run_cli(["rickman", "--s-grid", "2"] + extra) == 1

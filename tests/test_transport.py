@@ -129,6 +129,26 @@ class TestMinimalFilling:
         with pytest.raises(Infeasible):
             minimal_filling(m, g)
 
+    def test_components_with_edges(self):
+        """On two components that both have edges, mass crossing between them
+        is infeasible, and a molecule balanced on each fills each on its own."""
+        rng = np.random.Generator(np.random.Philox(key=11))
+        for _ in range(5):
+            g1, g2 = random_connected_graph(rng, max_n=12), random_connected_graph(rng, max_n=12)
+            g = MetricGraph(g1.vertices + g2.vertices,
+                            g1.edges + [(u + g1.n, v + g1.n, w) for u, v, w in g2.edges],
+                            ambient="euclidean")
+            a1, b1 = rng.choice(g1.n, size=2, replace=False).tolist()
+            a2, b2 = rng.choice(g2.n, size=2, replace=False).tolist()
+            w1, w2 = rng.uniform(0.5, 2.0, size=2).tolist()
+            crossing = Molecule([(a1, w1), (b1, -w2), (a2 + g1.n, w2), (b2 + g1.n, -w1)])
+            with pytest.raises(Infeasible, match="not balanceable within components"):
+                minimal_filling(crossing, g)
+            m1, m2 = Molecule([(a1, w1), (b1, -w1)]), Molecule([(a2, w2), (b2, -w2)])
+            both = Molecule(list(m1.atoms) + [(p + g1.n, w) for p, w in m2.atoms])
+            want = minimal_filling(m1, g1).mass_value + minimal_filling(m2, g2).mass_value
+            assert minimal_filling(both, g).mass_value == pytest.approx(want, rel=1e-12)
+
     def test_boundary_matches_molecule(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         for _ in range(10):
