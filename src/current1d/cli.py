@@ -96,6 +96,8 @@ def _flag(flag: str, value, default, want: str = "a positive finite number"):
 MAX_CURVE_CELLS = 10 ** 5  # approx: ceil(1 / mesh) cells, one more node, per curve
 MAX_GRID_CELLS = 250_000  # flatnorm: nx * ny faces
 MAX_NORMALIZE_EPS = 1e6  # normalize: a tent rises about eps / 2 times its base
+MAX_RUG_N = 1000  # rickman: segments per line; each graph keeps (2n + 2)^2 distances
+MAX_RUG_ROWS = 1000  # rickman: --s-grid rows, one graph each
 
 
 def _capped(flag: str, size: float, cap: float, what: str) -> None:
@@ -357,6 +359,8 @@ def _cmd_rickman(args) -> int:
     s_count = _flag("--s-grid", args.s_grid, 32, "a positive integer")
     n = _flag("--n", args.n, 32, "a positive integer")
     alpha = float(_flag("--alpha", args.alpha, 0.5, "in (0, 1]"))
+    _capped("--n", n, MAX_RUG_N, "segments per line")
+    _capped("--s-grid", s_count, MAX_RUG_ROWS, "rows")
     rows = rug_grid(s_count=s_count, n=n, alpha=alpha)
     ok = all(abs(r.ae_intrinsic - 2.0) <= 1e-6 for r in rows)
     row_dicts = [asdict(r) for r in rows]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -102,12 +103,13 @@ class Chain1:
     pieces reference vertices of the ambient graph and carry the edge length.
     """
 
-    __slots__ = ("space", "pieces", "_arrays")
+    __slots__ = ("space", "pieces", "_arrays", "_quads")
 
     def __init__(self, space, pieces: Sequence[Piece], validate: bool = True):
         self.space = space
         self.pieces = tuple(pieces)
         self._arrays = None  # _pieces(self), built on first use
+        self._quads = None  # (panel, its quads on this chain): see panel_row
         if validate:
             for p in self.pieces:
                 d = self._endpoint_dist(p.start, p.end)
@@ -584,7 +586,8 @@ class ScalarField:
     'bump' (qx, qy, m): cone q with s = -1, offset m, levels [0, m].
     The gradient is the base's, and 0 where a finite level is reached (so a
     bump's is 0 at q). An unknown tag, a wrong number of params or lo > hi is
-    a CurrentError at construction.
+    a CurrentError at construction. ``value`` and ``grad`` evaluate the field
+    as a one-row ``FieldRows``.
     """
 
     tag: str
@@ -601,22 +604,17 @@ class ScalarField:
             raise CurrentError(f"field {self.tag!r} needs levels lo <= hi: {self.params}")
         object.__setattr__(self, "_shape", (cone, v, s, c, lo, hi))
 
-    def _base(self, p: np.ndarray) -> np.ndarray:
-        cone, v, s = self._shape[:3]
-        return s * self.plane.norm_arr(p - v) if cone else v[0] * p[:, 0] + v[1] * p[:, 1]
+    @cached_property
+    def _rows(self) -> "FieldRows":
+        return FieldRows([self])
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        c, lo, hi = self._shape[3:]
-        return np.clip(self._base(np.asarray(pts, dtype=float).reshape(-1, 2)) + c, lo, hi)
+        p = np.asarray(pts, dtype=float).reshape(-1, 2)
+        return self._rows.value(p, np.zeros((1, 1), dtype=int))[0]
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         p = np.asarray(pts, dtype=float).reshape(-1, 2)
-        cone, v, s, c, lo, hi = self._shape
-        g = s * self.plane.norm_grad(p - v) if cone else np.full(p.shape, v)
-        if lo > -math.inf or hi < math.inf:
-            val = self._base(p) + c  # not self.value, whose calls the bench tracer counts
-            g[(val <= lo) | (val >= hi)] = 0.0
-        return g
+        return self._rows.grad(p, np.zeros((1, 1), dtype=int))[0]
 
     def lip(self) -> float:
         """Declared Lipschitz upper bound w.r.t. the field's plane norm."""
@@ -628,12 +626,65 @@ class ScalarField:
         return max(abs(lo), abs(hi))
 
 
+class FieldRows:
+    """The shapes (cone, v, s, c, lo, hi) of fields in one plane as arrays, one row
+    per field. ``value`` and ``grad`` take points (..., 2) and the rows r to
+    evaluate: a column (k, 1) of rows against every point, giving (k, n), or
+    the row of each point. Each run of ramp rows or of cone rows in r takes one
+    evaluator, and every row gets the bits of its field's own shape."""
+
+    def __init__(self, fields: Sequence[ScalarField]):
+        self.plane = fields[0].plane
+        if any(f.plane != self.plane for f in fields):
+            raise CurrentError("the fields of a panel share one plane")
+        cone, v, s, c, lo, hi = zip(*(f._shape for f in fields))
+        self.cone, self.v = np.array(cone, dtype=bool), np.array(v, dtype=float)
+        self.s, self.c, self.lo, self.hi = (np.array(a, dtype=float) for a in (s, c, lo, hi))
+        self.levels = np.isfinite(self.lo) | np.isfinite(self.hi)
+
+    def _runs(self, p: np.ndarray, r: np.ndarray):
+        """(where, points, rows, cone) of each run of rows of one kind in r."""
+        cone = self.cone.take(r[:, 0] if r.ndim == 2 else r)
+        cuts = [0, *(np.flatnonzero(cone[1:] != cone[:-1]) + 1).tolist(), len(cone)]
+        for a, b in zip(cuts, cuts[1:] if len(cone) else []):
+            yield slice(a, b), p if r.ndim == 2 else p[a:b], r[a:b], cone[a]
+
+    def _base(self, p: np.ndarray, r: np.ndarray, cone: bool) -> np.ndarray:
+        if cone:
+            return self.s.take(r) * self.plane.norm_arr(p - self.v.take(r, axis=0))
+        return self.v[:, 0].take(r) * p[..., 0] + self.v[:, 1].take(r) * p[..., 1]
+
+    def value(self, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+        out = np.empty(np.broadcast_shapes(r.shape, p.shape[:-1]))
+        for at, q, rr, cone in self._runs(p, r):
+            out[at] = np.clip(self._base(q, rr, cone) + self.c.take(rr),
+                              self.lo.take(rr), self.hi.take(rr))
+        return out
+
+    def grad(self, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+        out = np.empty(np.broadcast_shapes(r.shape, p.shape[:-1]) + (2,))
+        for at, q, rr, cone in self._runs(p, r):
+            v = self.v.take(rr, axis=0)
+            out[at] = self.s.take(rr)[..., None] * self.plane.norm_grad(q - v) if cone else v
+            if self.levels.take(rr).any():
+                val = self._base(q, rr, cone) + self.c.take(rr)
+                out[at][(val <= self.lo.take(rr)) | (val >= self.hi.take(rr))] = 0.0
+        return out
+
+
 @dataclass(frozen=True)
 class TestForm:
-    """A pair (f, pi) of Lipschitz test functions with declared bounds."""
+    """A pair (f, pi) of Lipschitz test functions with declared bounds: row ``row``
+    of ``panel``. A form built by hand is the one row of its own panel."""
 
     f: ScalarField
     pi: ScalarField
+    panel: Optional["Panel"] = field(default=None, repr=False, compare=False)
+    row: int = field(default=0, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.panel is None:
+            object.__setattr__(self, "panel", Panel([(self.f, self.pi)]))
 
     @property
     def sup_f(self) -> float:
@@ -644,9 +695,57 @@ class TestForm:
         return self.pi.lip()
 
 
+class Panel:
+    """Test forms (f, pi), ``forms``, with their shape rows ``f`` and ``pi`` as
+    arrays, so that a chain or a fill integrates every row in one quadrature
+    pass. Rows with an affine pi and a constant or affine f act on a chain in
+    closed form (``closed``)."""
+
+    def __init__(self, pairs: Sequence[tuple[ScalarField, ScalarField]]):
+        # rows in the Gray order of (f is a cone, pi is a cone), so that the
+        # kinds of each table form at most three runs
+        order = sorted(range(len(pairs)), key=lambda i: 2 * pairs[i][0]._shape[0]
+                       + (pairs[i][0]._shape[0] != pairs[i][1]._shape[0]))
+        table = [pairs[i] for i in order]
+        self.f, self.pi = FieldRows([f for f, _ in table]), FieldRows([pi for _, pi in table])
+        self.closed = np.array([pi.tag == "affine" and f.tag in ("const", "affine")
+                                for f, pi in table], dtype=bool)
+        self.forms = [None] * len(pairs)
+        for row, i in enumerate(order):
+            self.forms[i] = TestForm(*pairs[i], self, row)
+
+    def act(self, starts, dirs, weights, domain, rows=None) -> Quad:
+        """The weighted action of each piece g: p -> p + d on the forms of ``rows``
+        (every form by default): (k, n) values and (k,) counts. A closed row is
+        slope * f(midpoint); the others integrate (f o g)(pi o g)' over the
+        chain's ``Domain`` in one pass, each to QUAD_TOL per piece."""
+        rows = np.arange(len(self.forms)) if rows is None else np.asarray(rows)
+        closed, value = self.closed[rows], np.empty((len(rows), len(weights)))
+        q = domain.integrate(lambda g, r: self.f.value(g[0], r) * np.einsum(
+            "...j,...j->...", self.pi.grad(g[0], r), g[1]), rows[~closed])
+        r = rows[closed, None]
+        slope = self.pi.v[r, 0] * dirs[:, 0] + self.pi.v[r, 1] * dirs[:, 1]
+        value[closed] = weights * slope * self.f.value(starts + 0.5 * dirs, r)
+        value[~closed] = weights * q.value
+        counts = np.zeros((2, len(rows)), dtype=int)
+        counts[:, ~closed] = q.nodes, q.capped
+        return Quad(value, *counts)
+
+
+def panel_row(owner, form: TestForm, run: Callable[[Panel], Quad]) -> Quad:
+    """Row ``form.row`` of ``run(form.panel)``, the quads of the whole panel. The
+    owner, a chain or a fill, keeps them in one slot, ``_quads``, for the last
+    panel it saw, so the other forms of that panel run no quadrature."""
+    if owner._quads is None or owner._quads[0] is not form.panel:
+        q = run(form.panel)
+        q.value.flags.writeable = False
+        object.__setattr__(owner, "_quads", (form.panel, q))
+    return owner._quads[1].row(form.row)
+
+
 def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestForm]:
     """Deterministic seeded panel of bounded test forms for a working box of
-    half-width `scale` around the origin.
+    half-width `scale` around the origin, the rows of one ``Panel``.
 
     Distance centers sit on a ring outside the box and clip levels exceed the
     affine range over the box, so every form is bounded and Lipschitz globally
@@ -655,7 +754,7 @@ def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestF
     """
     plane = NormedPlane("l2")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    panel = []
+    pairs = []
     box_reach = 1.5 * scale  # max |p| (euclidean) of points we integrate over
     for i in range(count):
         kind = i % 4
@@ -680,8 +779,8 @@ def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestF
         else:
             f = ScalarField("clipaffine", (b, -a, c, -clip, clip), plane)
             pi = ScalarField("affine", (a, b, 0.0), plane)
-        panel.append(TestForm(f, pi))
-    return panel
+        pairs.append((f, pi))
+    return Panel(pairs).forms
 
 
 # ---------------------------------------------------------------------------
@@ -735,23 +834,14 @@ def action(c, form: TestForm) -> Quad:
     """The weighted action of each piece of ``c`` on a test form, with the
     quadrature's node and cap counts; ``evaluate`` is its sum.
 
-    Each piece g: p -> p + d is one box of [0, 1] for the integral of
-    (f o g)(pi o g)'; all pieces share the chain's ``Domain``, each to
-    QUAD_TOL. An affine pi with a constant or affine f has the closed form
-    slope * f(midpoint).
+    The first form of a panel runs ``Panel.act`` for the whole panel on the
+    chain's pieces and ``Domain``, and the chain keeps those quads for that
+    panel (``panel_row``); a fragment chain keeps no arrays, so it integrates
+    just the form's row.
     """
-    starts, dirs, weights, domain = _pieces(c)
-    if form.pi.tag == "affine" and form.f.tag in ("const", "affine"):
-        a, b, _ = form.pi.params
-        slope = a * dirs[:, 0] + b * dirs[:, 1]
-        return Quad(weights * slope * form.f.value(starts + 0.5 * dirs), 0, 0)
-
-    def form_part(g: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        pts, d = g
-        return form.f.value(pts) * np.einsum("ij,ij->i", form.pi.grad(pts), d)
-
-    q = domain.integrate(form_part)
-    return q._replace(value=weights * q.value)
+    if isinstance(c, Chain1):
+        return panel_row(c, form, lambda panel: panel.act(*_pieces(c)))
+    return form.panel.act(*_pieces(c), rows=[form.row]).row(0)
 
 
 def evaluate(c, form: TestForm, plane: Optional[NormedPlane] = None) -> float:
@@ -760,6 +850,8 @@ def evaluate(c, form: TestForm, plane: Optional[NormedPlane] = None) -> float:
     Satisfies |evaluate| <= lip(pi) * sup|f| * mass within quadrature tolerance,
     and is linear in the chain weights: each piece is integrated to QUAD_TOL
     whatever the other pieces are. The action does not depend on ``plane``.
+    It is the sum of ``action``, so the first form of a panel evaluated on a
+    chain runs the panel's one pass, and the rest read the chain's slot.
     """
     return float(action(c, form).value.sum())
 

@@ -6,9 +6,12 @@ evaluator, since it is only ever needed through its boundary action and its
 mass bounds: a test 2-form dpi1 ^ dpi2 pulls back to J(H) det DH, with
 J = grad pi1 x grad pi2, integrated over the cells of the homotopy square, one
 box each of a ``quadrature.Domain`` built once per fill. The domain keeps H and
-det DH at the depth-0/1 nodes (at most CHUNK_NODES, about 2 MB); each form
-still calls the ScalarField gradients at every node it is integrated on. The
-contractual quantities are the certificates certS = (l0 + l1) d_inf and
+det DH at the depth-0/1 nodes (at most CHUNK_NODES, about 2 MB). The first
+form of a panel integrates every row of its ``currents.Panel`` in one pass,
+the panel's gradient rows evaluated on those nodes as one broadcast, and the
+fill keeps that panel's quads in one slot, so the other forms of the panel
+read their row and run no quadrature; a fill and three chains make one pass
+each for ``check_fill``. The contractual quantities are the certificates certS = (l0 + l1) d_inf and
 certR = d(starts) + d(ends); the mass of S, the integral of |det DH|, is
 exact, since det DH is piecewise polynomial on each cell.
 
@@ -29,8 +32,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .currents import (AffineMap, Chain1, CurrentError, Polyline,
-                       ScalarField, TestForm, action, d_inf, evaluate, pushforward)
+from .currents import (AffineMap, Chain1, CurrentError, Panel, Polyline, TestForm,
+                       action, d_inf, evaluate, panel_row, pushforward)
 from .quadrature import NODES, QUAD_TOL, WEIGHTS, Domain, Quad
 from .spaces import MetricGraph, NormedPlane
 
@@ -211,12 +214,15 @@ class FillResult:
     measured_s: Optional[float] = None
     measured_r: float = 0.0
     d_inf: float = 0.0
+    _quads: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def boundary_quad(self, form: TestForm) -> Quad:
-        """dS(f, pi) per cell of the homotopy square, with the quadrature counts."""
+        """dS(f, pi) per cell of the homotopy square, with the quadrature counts.
+        The first form of a panel integrates the whole panel in one pass, and
+        the fill keeps those quads for that panel (``panel_row``)."""
         if self.s_evaluator is None:
             raise CurrentError("quantitative S evaluator is disabled for graph bicombings")
-        return self.s_evaluator(form.f, form.pi)
+        return panel_row(self, form, self.s_evaluator)
 
     def boundary_eval(self, form: TestForm) -> float:
         """dS(f, pi) = S(1, f, pi)."""
@@ -276,10 +282,11 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
     domain = Domain(np.stack([sa, np.zeros_like(sa)], axis=1),
                     np.stack([sb - sa, np.ones_like(sa)], axis=1), quad_tol, geometry)
 
-    def s_evaluator(pi1: ScalarField, pi2: ScalarField) -> Quad:
-        """S(1, pi1, pi2) per cell: by Binet-Cauchy, dpi1 ^ dpi2 on (d1H, d2H) is
-        (grad pi1 x grad pi2)(d1H x d2H)."""
-        return domain.integrate(lambda g: _cross(pi1.grad(g[0]), pi2.grad(g[0])) * g[1])
+    def s_evaluator(panel: Panel) -> Quad:
+        """S(1, f, pi) per cell for every form (f, pi) of the panel: by
+        Binet-Cauchy, df ^ dpi on (d1H, d2H) is (grad f x grad pi)(d1H x d2H)."""
+        return domain.integrate(lambda g, r: _cross(panel.f.grad(g[0], r), panel.pi.grad(g[0], r))
+                                * g[1], np.arange(len(panel.forms)))
 
     measured = _abs_det_mass(g0, g1, sa, sb, v0, v1)
     return FillResult(s_evaluator=s_evaluator, r_chain=r, cert_s=cert_s,

@@ -2,17 +2,21 @@
 
 A ``Domain`` is a batch of 1-D or 2-D boxes with a tolerance and a geometry,
 what every integrand reads at a node (say, a curve's point and direction);
-``Domain.integrate(fn)`` refines the boxes level by level for the form part
-``fn`` of the geometry. A box is accepted when the tensor 5-point
-Gauss-Legendre rule on its 2^dim halves agrees with the rule on the box within
-``tol`` times its share of the batch's volume. Depths 0 and 1 share one call,
-and a batch whose boxes all converge at depth 1 returns there; each deeper
-level evaluates every active box in one call. Calls have at most CHUNK_NODES
-nodes. The domain keeps the boxes, owners, thresholds and calls of depths 0
-and 1 and, if they fit one call (about 2 MB), their geometry from its first
-``integrate``. Boxes still unconverged at MAX_PANELS leaf-equivalents (depth
-14 in 1-D, 7 in 2-D) are counted as capped and logged at ``debug`` level on
-``current1d.quadrature``.
+``Domain.integrate(fn, rows)`` refines the boxes level by level for the form
+parts of all the rows of a test-form panel in one pass. A box is accepted
+when the tensor 5-point Gauss-Legendre rule on its 2^dim halves agrees with
+the rule on the box within ``tol`` times its share of the batch's volume.
+Depths 0 and 1 share one call, which evaluates every row on the same nodes
+as one (rows x nodes) broadcast; each deeper level evaluates the (row, box)
+pairs still refining in one call. Each row keeps its own thresholds and its
+own matrix-product blocks, so its values, node and cap counts are those of a
+pass over it alone, bit for bit. Calls have at most CHUNK_NODES rows x nodes,
+unless one row alone has more. The domain keeps the boxes, owners,
+thresholds and calls of depths 0 and 1 and, if they fit one call (about
+2 MB), their geometry from its first ``integrate``. Boxes still unconverged
+at MAX_PANELS leaf-equivalents (depth 14 in 1-D, 7 in 2-D) are counted as
+capped, and a pass that caps any logs one ``debug`` record on
+``current1d.quadrature`` with the capped boxes of each row.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ class Quad(NamedTuple):
     nodes: int         # integrand evaluations
     capped: int        # boxes accepted at the cap without converging
 
+    def row(self, i: int) -> "Quad":
+        """Row i of a pass over several rows: its (B,) values and counts."""
+        return Quad(self.value[i], int(self.nodes[i]), int(self.capped[i]))
+
 
 # Per dimension: the tensor rule's nodes (5^dim, dim) and weights on the unit
 # box, and the lower corners (2^dim, dim) of its halves.
@@ -60,13 +68,14 @@ def _halves(lo, width, owner):
             (width / 2.0).repeat(len(corners), axis=0), owner.repeat(len(corners)))
 
 
-def _calls(n: int, dim: int, seam: int = 0) -> list[tuple[int, int, list]]:
+def _calls(n: int, dim: int, seams=(0,)) -> list[tuple[int, int, list]]:
     """The calls (first, last, blocks) over boxes [0, n): one call if they fit
     in CHUNK_NODES nodes, else one per block. Blocks of at most ``step`` boxes
-    from 0 and from ``seam`` give every level the values of the rule applied to
-    it alone, since the rows of a matrix product fix its BLAS summation order."""
+    from each seam give a level, or one row's boxes of a level, the values of
+    the rule applied to it alone, since the rows of a matrix product fix its
+    BLAS summation order."""
     step = CHUNK_NODES // len(_TENSORS[dim][1])
-    blocks = [(a, min(a + step, end)) for start, end in ((0, seam), (seam, n))
+    blocks = [(a, min(a + step, end)) for start, end in zip(seams, [*seams[1:], n])
               for a in range(start, end, step)]
     return [(0, n, blocks)] if 0 < n <= step else [(a, b, [(a, b)]) for a, b in blocks]
 
@@ -86,61 +95,78 @@ class Domain:
         self.tol, self.geometry, self.cached = tol, geometry, None
         owner = np.arange(self.n_box)
         self.boxes = tuple(map(np.concatenate, zip((lo, width, owner), _halves(lo, width, owner))))
-        self.calls = _calls(len(self.boxes[0]), self.dim, self.n_box)
+        self.calls = _calls(len(self.boxes[0]), self.dim, (0, self.n_box))
 
-    def integrate(self, fn) -> Quad:
-        """Integrals of ``fn(geometry(x, owner))``, N values, over each box; their
-        errors sum to about ``tol`` at most, unless some box is capped."""
-        n_box, dim = self.n_box, self.dim
+    def integrate(self, fn, rows=None) -> Quad:
+        """Integrals of the form part ``fn(geometry(x, owner))``, N values, over each
+        box; their errors sum to about ``tol`` at most, unless some box is capped.
+
+        With ``rows`` (R,), one pass integrates R form parts, the rows of a
+        panel: ``fn(g, r)`` gives rows r at the nodes of g, with r a column
+        (k, 1) against every node at depths 0/1 and the row of each node, (N,),
+        deeper. Every row refines as if it were alone, its values, node and cap
+        counts bit for bit, and the Quad holds (R, B) values and (R,) counts."""
+        if rows is None:
+            return self.integrate(lambda g, r: fn(g), np.zeros(1, dtype=int)).row(0)
+        rows = np.asarray(rows)
+        n_rows, n_box, dim = len(rows), self.n_box, self.dim
         x_ref, w_ref, corners = _TENSORS[dim]
         per_box, n_kids = len(w_ref), len(corners)
         max_depth = round(math.log2(MAX_PANELS)) // dim
-        nodes = 0
 
-        def rule(boxes, calls, cache: bool = False):
-            nonlocal nodes
+        def rule(boxes, calls, pos=None):
+            """The rule on every box for every row, (R, n), or with ``pos``, the
+            row position of each box, for that row alone, (1, n)."""
             lo, width, owner = boxes
-            sums = np.empty(len(lo))
+            sums = np.empty((n_rows if pos is None else 1, len(lo)))
             for first, last, blocks in calls:
-                g = self.cached if cache else None
+                g = self.cached if pos is None else None
                 if g is None:
                     x = lo[first:last, None, :] + width[first:last, None, :] * x_ref
                     g = self.geometry(x.reshape(-1, dim), owner[first:last].repeat(per_box))
-                    if cache:
+                    if pos is None and len(calls) == 1:
                         for a in g:
                             a.flags.writeable = False
                         self.cached = g
-                f = np.reshape(fn(g), (-1, per_box))
-                for a, b in blocks:
-                    sums[a:b] = f[a - first:b - first] @ w_ref
-                nodes += (last - first) * per_box
+                # every row at every node, in groups that fit a chunk; or each node's row
+                size = max(1, CHUNK_NODES // per_box // (last - first)) if pos is None else n_rows
+                for k in range(0, n_rows, size):
+                    r = rows[k:k + size, None] if pos is None else rows[pos[first:last]].repeat(per_box)
+                    f = np.reshape(fn(g, r), (-1, last - first, per_box))
+                    for a, b in blocks:
+                        sums[k:k + size, a:b] = f[:, a - first:b - first] @ w_ref
             return width.prod(axis=1) * sums
 
-        both = rule(self.boxes, self.calls, cache=len(self.calls) == 1)
-        est, kids = both[:n_box], both[n_box:]
-        lo, width, owner = (z[n_box:] for z in self.boxes)
-        thr, value, capped = self.thr, np.zeros(n_box), 0
+        both = rule(self.boxes, self.calls)
+        nodes = np.full(n_rows, len(self.boxes[0]) * per_box)
+        est, kids = both[:, :n_box].ravel(), both[:, n_box:].ravel()
+        depth1 = np.tile(np.arange(n_box, len(self.boxes[0])), n_rows)  # for each row
+        lo, width, owner = (z[depth1] for z in self.boxes)
+        pos, thr = np.arange(n_rows).repeat(n_box), np.tile(self.thr, n_rows)
+        value, capped = np.zeros(n_rows * n_box), np.zeros(n_rows, dtype=int)
         for depth in range(1, max_depth + 1):
             refined = kids.reshape(-1, n_kids).sum(axis=1)
             done = np.abs(refined - est) <= thr
-            if depth == 1 and done.all():
-                return Quad(refined + 0.0, nodes, 0)  # + 0.0: the signed zeros of the sum below
             if depth == max_depth:
-                capped = int(np.count_nonzero(~done))
+                capped = np.bincount(pos[~done], minlength=n_rows)
                 done[:] = True
-            value += np.bincount(owner[::n_kids][done], weights=refined[done],
-                                 minlength=n_box)
+            value += np.bincount((pos * n_box + owner[::n_kids])[done], weights=refined[done],
+                                 minlength=n_rows * n_box)
             keep = np.repeat(~done, n_kids)
             lo, width, owner, est = lo[keep], width[keep], owner[keep], kids[keep]
-            thr = np.repeat(thr[~done] / n_kids, n_kids)
+            pos, thr = pos[~done].repeat(n_kids), np.repeat(thr[~done] / n_kids, n_kids)
             if not len(owner):
                 break
             lo, width, owner = _halves(lo, width, owner)
-            kids = rule((lo, width, owner), _calls(len(lo), dim))
-        if capped:
-            log.debug("quadrature stopped %d boxes at the cap of %d panels: "
-                      "tolerance %.3g", capped, MAX_PANELS, self.tol)
-        return Quad(value, nodes, capped)
+            kid_pos = pos.repeat(n_kids)
+            seams = np.unique(kid_pos, return_index=True)[1].tolist()
+            kids = rule((lo, width, owner), _calls(len(lo), dim, seams), kid_pos)[0]
+            nodes += np.bincount(kid_pos, minlength=n_rows) * per_box
+        if capped.any():
+            log.debug("quadrature stopped %d boxes at the cap of %d panels: tolerance %.3g; "
+                      "capped boxes by row: %s", capped.sum(), MAX_PANELS, self.tol,
+                      {int(r): int(c) for r, c in zip(rows, capped) if c})
+        return Quad(value.reshape(n_rows, n_box), nodes, capped)
 
 
 def integrate(fn, lo, width, tol: float) -> Quad:

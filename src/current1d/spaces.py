@@ -81,10 +81,8 @@ class NormedPlane:
         pts = np.asarray(pts, dtype=float)
         g = np.zeros_like(pts)
         if self.tag == "l2":
-            n = np.hypot(pts[..., 0], pts[..., 1])
-            nz = n > 0
-            g[nz] = pts[nz] / n[nz, None]
-            return g
+            n = np.hypot(pts[..., 0], pts[..., 1])[..., None]
+            return np.divide(pts, n, out=g, where=n > 0)
         if self.tag == "l1":
             return np.sign(pts)
         ax, ay = np.abs(pts[..., 0]), np.abs(pts[..., 1])

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from current1d import cli
 from current1d.cli import main
 from current1d.io import canonical_json, load_chain, load_closedset, load_molecule
 
@@ -182,13 +183,24 @@ class TestSubcommands:
         (["flatnorm", "--chain", "square.json", "--grid", "100000,100000,1"], "--grid"),
         (["flatnorm", "--chain", "square.json", "--grid", "250001,1,1"], "--grid"),
         (["normalize", "--chain", "seg.json", "--hyperplane", "0,1,0", "--eps", "1e308"],
-         "--eps")])
+         "--eps"),
+        (["rickman", "--n", "100000"], "--n"), (["rickman", "--n", "1001"], "--n"),
+        (["rickman", "--s-grid", "1001"], "--s-grid")])
     def test_sizes_above_their_cap_are_input_errors(self, fixtures, capsys, argv, flag):
         """Each cap is checked before anything of that size is allocated."""
         assert run_cli([fixtures.get(a, a) for a in argv]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CliInputError"
         assert err["message"].startswith(f"{flag}: ") and "is above the cap" in err["message"]
+
+    @pytest.mark.parametrize("argv, code", [(["--n", "1001"], 1), (["--s-grid", "1001"], 1),
+                                            (["--n", "1000", "--s-grid", "1000"], 0)])
+    def test_rug_caps_come_before_the_grid(self, capsys, monkeypatch, argv, code):
+        """A rickman size above its cap never reaches ``rug_grid``; one at its cap does."""
+        calls = []
+        monkeypatch.setattr(cli, "rug_grid", lambda **kw: calls.append(kw) or [])
+        assert run_cli(["rickman"] + argv) == code
+        assert calls == ([] if code else [{"s_count": 1000, "n": 1000, "alpha": 0.5}])
 
     def test_eps_at_its_cap_is_accepted(self, fixtures, capsys):
         assert run_cli(["normalize", "--chain", fixtures["seg.json"], "--hyperplane", "0,1,0",

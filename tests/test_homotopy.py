@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from current1d import (AffineBicombing, AffineMap, Chain1, CurrentError,
                        standard_panel)
 from current1d import TestForm as Form
 from current1d import currents, homotopy, quadrature
-from current1d.currents import _pieces, action
+from current1d.currents import Panel, _pieces, action
 from current1d.flatnorm import complex_covering
 from current1d.homotopy import check_fill
 from current1d.quadrature import CHUNK_NODES, QUAD_TOL, Quad, integrate
@@ -170,13 +171,14 @@ def assert_same_bits(q, ref):
 
 
 def counting_domains(monkeypatch, *modules):
-    """Replace ``Domain`` in ``modules`` by one that records its geometry and
-    form-part calls; returns the list of domains built."""
+    """Replace ``Domain`` in ``modules`` by one that records its geometry calls,
+    the rows of each pass over a panel and the rows x nodes of each form-part
+    call; returns the list of domains built."""
     built = []
 
     class Counting(quadrature.Domain):
         def __init__(self, lo, width, tol, geometry):
-            self.geometry_calls, self.form_calls, self.forms = [], [], 0
+            self.geometry_calls, self.form_calls, self.passes = [], [], []
             built.append(self)
 
             def counted(x, owner):
@@ -184,9 +186,16 @@ def counting_domains(monkeypatch, *modules):
                 return geometry(x, owner)
             super().__init__(lo, width, tol, counted)
 
-        def integrate(self, fn):
-            self.forms += 1
-            return super().integrate(lambda g: self.form_calls.append(1) or fn(g))
+        def integrate(self, fn, rows=None):
+            if rows is None:
+                return super().integrate(fn)
+            self.passes.append(len(rows))
+
+            def counted(g, r):
+                out = fn(g, r)
+                self.form_calls.append(out.size)
+                return out
+            return super().integrate(counted, rows)
 
     for module in modules:
         monkeypatch.setattr(module, "Domain", Counting)
@@ -237,10 +246,13 @@ class TestDomainCache:
         assert len(built) == 6 * 4  # per pair: the fill and three chains
         deeper = 0
         for dom in built:
-            assert dom.forms in (15, 20)  # every form, or those without a closed form
-            # one call at depths 0/1 builds the cache; every deeper call evaluates afresh
+            assert dom.passes in ([15], [20])  # one pass: the forms without a closed form, or all
+            # the depth-0/1 call builds the cache and evaluates every row at once;
+            # every deeper call evaluates the geometry afresh
             assert dom.geometry_calls[0] == len(dom.boxes[0]) * len(quadrature._TENSORS[dom.dim][1])
-            assert len(dom.geometry_calls) == 1 + len(dom.form_calls) - dom.forms
+            assert dom.form_calls[0] == dom.passes[0] * dom.geometry_calls[0] <= CHUNK_NODES
+            assert len(dom.geometry_calls) == len(dom.form_calls)
+            assert max(dom.form_calls) <= CHUNK_NODES
             deeper += len(dom.geometry_calls) - 1
         assert deeper > 0
 
@@ -248,13 +260,80 @@ class TestDomainCache:
         built = counting_domains(monkeypatch, currents)
         rng = np.random.Generator(np.random.Philox(key=5))
         c = Polyline(rng.uniform(-2, 2, size=(CHUNK_NODES // 15 + 2, 2))).as_chain(PL)
-        forms = standard_panel(3, count=4)[1:]  # the first has a closed form
+        forms = standard_panel(3, count=4)  # the first has a closed form
         for form in forms:
             assert_same_bits(action(c, form), reference_action(c, form))
         [dom] = built
         assert dom.cached is None and len(dom.calls) == 2
-        assert len(dom.geometry_calls) == len(dom.form_calls) > 2 * len(forms)
-        assert max(dom.geometry_calls) <= CHUNK_NODES
+        assert dom.passes == [3]
+        # each depth-0/1 call evaluates the geometry once for the three rows, which it
+        # hands to the form part in groups within the chunk; deeper, one node is one row
+        sizes = [(last - first) * 5 for first, last, _ in dom.calls]
+        assert dom.geometry_calls[:2] == sizes
+        assert sum(dom.form_calls) == 3 * sum(sizes) + sum(dom.geometry_calls[2:])
+        assert len(dom.form_calls) > len(dom.geometry_calls)
+        assert max(dom.geometry_calls) <= CHUNK_NODES and max(dom.form_calls) <= CHUNK_NODES
+
+
+class TestPanelPass:
+    """A fill or a chain integrates the whole panel of its first form in one pass
+    and keeps those quads in one slot, for the last panel it saw."""
+
+    @pytest.mark.parametrize("tag", ["l1", "l2", "linf"])
+    def test_a_hand_built_form_equals_its_panel_row(self, tag):
+        """Each hand-built form is a one-row panel of its own; the panel of the same
+        fields, whose rows are in another order, gives every row the same bits."""
+        plane = NormedPlane(tag)
+        alone = panel_in(1, plane)
+        rows = Panel([(form.f, form.pi) for form in alone]).forms
+        assert rows == alone and sorted(form.row for form in rows) == list(range(20))
+        assert [form.row for form in rows] != list(range(20))
+        for k in range(2):
+            g0, g1 = random_pair(k, plane)
+            fill = homotopy_fill(g0, g1, AffineBicombing(plane))
+            owners = [fill.boundary_quad] + [lambda form, c=c: action(c, form)
+                                             for c in (g0.as_chain(plane), fill.r_chain)]
+            for quad in owners:
+                for q, ref in zip([quad(form) for form in rows], [quad(form) for form in alone]):
+                    assert_same_bits(q, ref)
+
+    def test_later_forms_read_the_slot(self, monkeypatch):
+        passes = []
+        integrate = quadrature.Domain.integrate
+        monkeypatch.setattr(quadrature.Domain, "integrate", lambda self, fn, rows=None: (
+            rows is not None and passes.append(len(rows))) or integrate(self, fn, rows))
+        g0, g1 = random_pair(4)
+        first, second = standard_panel(4), standard_panel(5)
+        fill = homotopy_fill(g0, g1, BIC)
+        c = g0.as_chain(PL)
+        want = [(fill.boundary_quad(form), action(c, form)) for form in first]
+        assert passes == [20, 15]
+        for order in (np.random.default_rng(4).permutation(20), range(19, -1, -1)):
+            fill, c = homotopy_fill(g0, g1, BIC), g0.as_chain(PL)
+            passes.clear()
+            for i in order:
+                assert_same_bits(fill.boundary_quad(first[i]), want[i][0])
+                assert_same_bits(action(c, first[i]), want[i][1])
+            assert passes == [20, 15]
+        fill.boundary_quad(second[3]), action(c, second[3])
+        assert passes[2:] == [20, 15] and fill._quads[0] is c._quads[0] is second[0].panel
+        assert_same_bits(fill.boundary_quad(first[3]), want[3][0])
+        assert passes[4:] == [20] and fill._quads[0] is first[0].panel
+
+    def test_one_cap_record_per_pass(self, caplog):
+        """The l1 cones of the panel cap boxes in several rows: one record lists them."""
+        caplog.set_level(logging.DEBUG, logger="current1d.quadrature")
+        plane = NormedPlane("l1")
+        g0, g1 = random_pair(0, plane)
+        fill = homotopy_fill(g0, g1, AffineBicombing(plane))
+        forms = Panel([(form.f, form.pi) for form in panel_in(0, plane)]).forms
+        capped = {form.row: fill.boundary_quad(form).capped for form in forms}
+        capped = {row: n for row, n in sorted(capped.items()) if n}
+        assert len(capped) > 1
+        [record] = caplog.records
+        assert record.getMessage() == (
+            f"quadrature stopped {sum(capped.values())} boxes at the cap of 16384 panels: "
+            f"tolerance 1e-08; capped boxes by row: {capped}")
 
 
 class TestPullback:
