@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .quadrature import QUAD_TOL, Domain, Quad
+from .quadrature import QUAD_TOL, Quad, integrate
 from .spaces import MetricGraph, NormedPlane
 
 TOL = 1e-9
@@ -103,12 +103,11 @@ class Chain1:
     pieces reference vertices of the ambient graph and carry the edge length.
     """
 
-    __slots__ = ("space", "pieces", "_arrays", "_quads")
+    __slots__ = ("space", "pieces", "_quads")
 
     def __init__(self, space, pieces: Sequence[Piece], validate: bool = True):
         self.space = space
         self.pieces = tuple(pieces)
-        self._arrays = None  # _pieces(self), built on first use
         self._quads = None  # (panel, its quads on this chain): see panel_row
         if validate:
             for p in self.pieces:
@@ -432,7 +431,10 @@ class Ball:
         fx, fy = p[0] - self.center[0], p[1] - self.center[1]
         a = dx * dx + dy * dy
         b = 2.0 * (fx * dx + fy * dy)
-        c = fx * fx + fy * fy - self.radius ** 2
+        try:
+            c = fx * fx + fy * fy - self.radius ** 2
+        except OverflowError:  # a radius above sqrt(max float) holds every finite point
+            c = -math.inf
         if a == 0.0:
             return (0.0, 1.0) if c <= 0 else None
         disc = b * b - 4 * a * c
@@ -537,10 +539,11 @@ class Fragment(NamedTuple):
 class FragmentChain:
     """Weighted curve fragments: polylines restricted to finite unions of closed intervals."""
 
-    __slots__ = ("fragments",)
+    __slots__ = ("fragments", "_quads")
 
     def __init__(self, fragments: Sequence[Fragment]):
         self.fragments = tuple(fragments)
+        self._quads = None  # (panel, its quads on this chain): see panel_row
         for fr in self.fragments:
             if not (math.isfinite(fr.weight) and fr.weight >= 0):
                 raise CurrentError(f"fragment weights must be nonnegative and finite: {fr.weight!r}")
@@ -714,28 +717,32 @@ class Panel:
         for row, i in enumerate(order):
             self.forms[i] = TestForm(*pairs[i], self, row)
 
-    def act(self, starts, dirs, weights, domain, rows=None) -> Quad:
-        """The weighted action of each piece g: p -> p + d on the forms of ``rows``
-        (every form by default): (k, n) values and (k,) counts. A closed row is
-        slope * f(midpoint); the others integrate (f o g)(pi o g)' over the
-        chain's ``Domain`` in one pass, each to QUAD_TOL per piece."""
-        rows = np.arange(len(self.forms)) if rows is None else np.asarray(rows)
-        closed, value = self.closed[rows], np.empty((len(rows), len(weights)))
-        q = domain.integrate(lambda g, r: self.f.value(g[0], r) * np.einsum(
-            "...j,...j->...", self.pi.grad(g[0], r), g[1]), rows[~closed])
-        r = rows[closed, None]
+    def act(self, starts, dirs, weights) -> Quad:
+        """The weighted action of each piece g: p -> p + d on every form: (R, n)
+        values and (R,) counts. A closed row is slope * f(midpoint); the others
+        integrate (f o g)(pi o g)' over the pieces' points and directions in one
+        pass, each to QUAD_TOL per piece."""
+        def geometry(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            d = dirs[owner]
+            return starts[owner] + x * d, d
+        closed, n = self.closed, len(weights)
+        q = integrate(lambda g, r: self.f.value(g[0], r) * np.einsum(
+            "...j,...j->...", self.pi.grad(g[0], r), g[1]), np.zeros((n, 1)), np.ones((n, 1)),
+            QUAD_TOL * n, np.flatnonzero(~closed), geometry)
+        r = np.flatnonzero(closed)[:, None]
         slope = self.pi.v[r, 0] * dirs[:, 0] + self.pi.v[r, 1] * dirs[:, 1]
+        value = np.empty((len(closed), n))
         value[closed] = weights * slope * self.f.value(starts + 0.5 * dirs, r)
         value[~closed] = weights * q.value
-        counts = np.zeros((2, len(rows)), dtype=int)
+        counts = np.zeros((2, len(closed)), dtype=int)
         counts[:, ~closed] = q.nodes, q.capped
         return Quad(value, *counts)
 
 
 def panel_row(owner, form: TestForm, run: Callable[[Panel], Quad]) -> Quad:
     """Row ``form.row`` of ``run(form.panel)``, the quads of the whole panel. The
-    owner, a chain or a fill, keeps them in one slot, ``_quads``, for the last
-    panel it saw, so the other forms of that panel run no quadrature."""
+    owner, a (fragment) chain or a fill, keeps them in one slot, ``_quads``, for
+    the last panel it saw, so the other forms of that panel run no quadrature."""
     if owner._quads is None or owner._quads[0] is not form.panel:
         q = run(form.panel)
         q.value.flags.writeable = False
@@ -787,14 +794,11 @@ def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestF
 # evaluation
 
 
-def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, Domain]:
+def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start points (n, 2), directions (n, 2) and weights (n,) of the straight
     pieces of a chain, or of the domain sub-segments of a fragment chain, each
-    parametrized over [0, 1], read-only, and their quadrature ``Domain``, whose
-    geometry is the points and directions at the nodes. A chain keeps them, so
-    they are built once per chain; a fragment chain's are built on each call."""
-    if isinstance(c, Chain1) and c._arrays is not None:
-        return c._arrays
+    parametrized over [0, 1]. A chain's panel slot keeps the quads built on
+    them, so they are built once per panel."""
     rows = []
     if isinstance(c, Chain1):
         for piece in c.pieces:
@@ -802,7 +806,7 @@ def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, Domain]:
             b = c.coords_of(piece.end)
             if a != b:
                 rows.append((a[0], a[1], b[0] - a[0], b[1] - a[1], piece.weight))
-    elif isinstance(c, FragmentChain):
+    else:
         for fr in c.fragments:
             for t0, t1, p, q in fr.polyline.segments():
                 if t1 <= t0:
@@ -814,34 +818,22 @@ def _pieces(c) -> tuple[np.ndarray, np.ndarray, np.ndarray, Domain]:
                     pa = p + (lo - t0) / (t1 - t0) * (q - p)
                     pb = p + (hi - t0) / (t1 - t0) * (q - p)
                     rows.append((pa[0], pa[1], pb[0] - pa[0], pb[1] - pa[1], fr.weight))
-    else:
-        raise CurrentError(f"cannot evaluate {type(c)}")
     arr = np.array(rows, dtype=float).reshape(-1, 5)
-    arr.flags.writeable = False
-    starts, dirs, n = arr[:, :2], arr[:, 2:4], len(arr)
-
-    def geometry(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = dirs[owner]
-        return starts[owner] + x * d, d
-    out = (starts, dirs, arr[:, 4],
-           Domain(np.zeros((n, 1)), np.ones((n, 1)), QUAD_TOL * n, geometry))
-    if isinstance(c, Chain1):
-        c._arrays = out
-    return out
+    return arr[:, :2], arr[:, 2:4], arr[:, 4]
 
 
 def action(c, form: TestForm) -> Quad:
-    """The weighted action of each piece of ``c`` on a test form, with the
-    quadrature's node and cap counts; ``evaluate`` is its sum.
+    """The weighted action of each piece of ``c``, a chain or a fragment chain,
+    on a test form, with the quadrature's node and cap counts; ``evaluate`` is
+    its sum.
 
     The first form of a panel runs ``Panel.act`` for the whole panel on the
-    chain's pieces and ``Domain``, and the chain keeps those quads for that
-    panel (``panel_row``); a fragment chain keeps no arrays, so it integrates
-    just the form's row.
+    chain's pieces, and the chain keeps those quads for that panel
+    (``panel_row``).
     """
-    if isinstance(c, Chain1):
-        return panel_row(c, form, lambda panel: panel.act(*_pieces(c)))
-    return form.panel.act(*_pieces(c), rows=[form.row]).row(0)
+    if not isinstance(c, (Chain1, FragmentChain)):
+        raise CurrentError(f"cannot evaluate {type(c)}")
+    return panel_row(c, form, lambda panel: panel.act(*_pieces(c)))
 
 
 def evaluate(c, form: TestForm, plane: Optional[NormedPlane] = None) -> float:
@@ -925,7 +917,7 @@ def pushforward(c: Chain1, phi: AffineMap) -> Chain1:
 def restrict(obj, e: ClosedSet) -> FragmentChain:
     """Restriction map Phi: keep the closure of the preimage of a closed set.
 
-    Accepts a planar Chain1 or a Polyline (of weight 1). Domains come out exactly
+    Accepts a planar Chain1 or a Polyline (of weight 1). The domains come out exactly
     from affine-segment/convex-primitive interval arithmetic; degenerate
     single-point intervals are kept (zero mass, closure semantics).
     """

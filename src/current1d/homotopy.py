@@ -5,13 +5,13 @@ The 2-dimensional filling S is never materialized as data. It exists as a weak
 evaluator, since it is only ever needed through its boundary action and its
 mass bounds: a test 2-form dpi1 ^ dpi2 pulls back to J(H) det DH, with
 J = grad pi1 x grad pi2, integrated over the cells of the homotopy square, one
-box each of a ``quadrature.Domain`` built once per fill. The domain keeps H and
-det DH at the depth-0/1 nodes (at most CHUNK_NODES, about 2 MB). The first
-form of a panel integrates every row of its ``currents.Panel`` in one pass,
-the panel's gradient rows evaluated on those nodes as one broadcast, and the
-fill keeps that panel's quads in one slot, so the other forms of the panel
-read their row and run no quadrature; a fill and three chains make one pass
-each for ``check_fill``. The contractual quantities are the certificates certS = (l0 + l1) d_inf and
+box each of a ``quadrature.integrate`` pass whose geometry is H and det DH.
+The first form of a panel integrates every row of its ``currents.Panel`` in
+that pass, and the fill keeps that panel's quads in one slot, so the other
+forms of the panel read their row and run no quadrature. A fill runs no
+quadrature until a boundary is evaluated; a fill and three chains make one
+pass each for ``check_fill``. The contractual quantities are the
+certificates certS = (l0 + l1) d_inf and
 certR = d(starts) + d(ends); the mass of S, the integral of |det DH|, is
 exact, since det DH is piecewise polynomial on each cell.
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .currents import (AffineMap, Chain1, CurrentError, Panel, Polyline, TestForm,
                        action, d_inf, evaluate, panel_row, pushforward)
-from .quadrature import NODES, QUAD_TOL, WEIGHTS, Domain, Quad
+from .quadrature import NODES, QUAD_TOL, WEIGHTS, Quad, integrate
 from .spaces import MetricGraph, NormedPlane
 
 
@@ -279,14 +279,13 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
         d1h = (1 - t) * v0[owner] + t * v1[owner]
         return h, _cross(d1h, p1 - p0)
 
-    domain = Domain(np.stack([sa, np.zeros_like(sa)], axis=1),
-                    np.stack([sb - sa, np.ones_like(sa)], axis=1), quad_tol, geometry)
-
     def s_evaluator(panel: Panel) -> Quad:
         """S(1, f, pi) per cell for every form (f, pi) of the panel: by
         Binet-Cauchy, df ^ dpi on (d1H, d2H) is (grad f x grad pi)(d1H x d2H)."""
-        return domain.integrate(lambda g, r: _cross(panel.f.grad(g[0], r), panel.pi.grad(g[0], r))
-                                * g[1], np.arange(len(panel.forms)))
+        return integrate(lambda g, r: _cross(panel.f.grad(g[0], r), panel.pi.grad(g[0], r)) * g[1],
+                         np.stack([sa, np.zeros_like(sa)], axis=1),
+                         np.stack([sb - sa, np.ones_like(sa)], axis=1), quad_tol,
+                         np.arange(len(panel.forms)), geometry)
 
     measured = _abs_det_mass(g0, g1, sa, sb, v0, v1)
     return FillResult(s_evaluator=s_evaluator, r_chain=r, cert_s=cert_s,

@@ -1,21 +1,19 @@
 """Adaptive Gauss-Legendre cubature over batches of boxes, the package's only rule.
 
-A ``Domain`` is a batch of 1-D or 2-D boxes with a tolerance and a geometry,
-what every integrand reads at a node (say, a curve's point and direction);
-``Domain.integrate(fn, rows)`` refines the boxes level by level for the form
-parts of all the rows of a test-form panel in one pass. A box is accepted
-when the tensor 5-point Gauss-Legendre rule on its 2^dim halves agrees with
-the rule on the box within ``tol`` times its share of the batch's volume.
-Depths 0 and 1 share one call, which evaluates every row on the same nodes
-as one (rows x nodes) broadcast; each deeper level evaluates the (row, box)
+``integrate`` takes a batch of 1-D or 2-D boxes, a tolerance and a geometry,
+what every integrand reads at a node (say, a curve's point and direction),
+and refines the boxes level by level for the form parts of all the rows of a
+test-form panel in one pass. A box is accepted when the tensor 5-point
+Gauss-Legendre rule on its 2^dim halves agrees with the rule on the box
+within ``tol`` times its share of the batch's volume. Depths 0 and 1 share
+one call, which evaluates the geometry once and every row on its nodes as
+one (rows x nodes) broadcast; each deeper level evaluates the (row, box)
 pairs still refining in one call. Each row keeps its own thresholds and its
 own matrix-product blocks, so its values, node and cap counts are those of a
 pass over it alone, bit for bit. Calls have at most CHUNK_NODES rows x nodes,
-unless one row alone has more. The domain keeps the boxes, owners,
-thresholds and calls of depths 0 and 1 and, if they fit one call (about
-2 MB), their geometry from its first ``integrate``. Boxes still unconverged
-at MAX_PANELS leaf-equivalents (depth 14 in 1-D, 7 in 2-D) are counted as
-capped, and a pass that caps any logs one ``debug`` record on
+unless one row alone has more, and nothing is kept between passes. Boxes
+still unconverged at MAX_PANELS leaf-equivalents (depth 14 in 1-D, 7 in 2-D)
+are counted as capped, and a pass that caps any logs one ``debug`` record on
 ``current1d.quadrature`` with the capped boxes of each row.
 """
 
@@ -80,95 +78,78 @@ def _calls(n: int, dim: int, seams=(0,)) -> list[tuple[int, int, list]]:
     return [(0, n, blocks)] if 0 < n <= step else [(a, b, [(a, b)]) for a, b in blocks]
 
 
-class Domain:
-    """The boxes [lo, lo + width], both (B, dim), to integrate over to ``tol``.
-    ``geometry(x, owner)`` maps nodes x (N, dim) and the input box (N,) of each
-    to the tuple of arrays a form part reads, each entry a function of its own
-    node and owner only; its depth-0/1 arrays are cached read-only."""
+def integrate(fn, lo, width, tol: float, rows=None, geometry=None) -> Quad:
+    """Integrals of ``fn(*geometry(x, owner))``, N values, over each box
+    [lo, lo + width], both (B, dim); their errors sum to about ``tol`` at most,
+    unless some box is capped. ``geometry`` maps nodes x (N, dim) and the input
+    box (N,) of each to the tuple of arrays a form part reads, each entry a
+    function of its own node and owner only; without rows, it may be left out
+    for (x, owner).
 
-    def __init__(self, lo, width, tol: float, geometry):
-        lo, width = np.asarray(lo, dtype=float), np.asarray(width, dtype=float)
-        self.n_box, self.dim = lo.shape
-        vol = width.prod(axis=1)
-        total = float(vol.sum())
-        self.thr = tol * vol / total if total > 0 else np.zeros(self.n_box)
-        self.tol, self.geometry, self.cached = tol, geometry, None
-        owner = np.arange(self.n_box)
-        self.boxes = tuple(map(np.concatenate, zip((lo, width, owner), _halves(lo, width, owner))))
-        self.calls = _calls(len(self.boxes[0]), self.dim, (0, self.n_box))
+    With ``rows`` (R,), one pass integrates R form parts, the rows of a panel:
+    ``fn(g, r)`` gives rows r at the nodes of g, with r a column (k, 1)
+    against every node at depths 0/1 and the row of each node, (N,), deeper.
+    Each call evaluates the geometry once for all its rows. Every row refines
+    as if it were alone, its values, node and cap counts bit for bit, and the
+    Quad holds (R, B) values and (R,) counts."""
+    if rows is None:
+        return integrate(lambda g, r: fn(*g), lo, width, tol, np.zeros(1, dtype=int),
+                         geometry or (lambda x, owner: (x, owner))).row(0)
+    lo, width, rows = np.asarray(lo, dtype=float), np.asarray(width, dtype=float), np.asarray(rows)
+    (n_box, dim), n_rows = lo.shape, len(rows)
+    vol = width.prod(axis=1)
+    total = float(vol.sum())
+    thr = tol * vol / total if total > 0 else np.zeros(n_box)
+    x_ref, w_ref, corners = _TENSORS[dim]
+    per_box, n_kids = len(w_ref), len(corners)
+    max_depth = round(math.log2(MAX_PANELS)) // dim
 
-    def integrate(self, fn, rows=None) -> Quad:
-        """Integrals of the form part ``fn(geometry(x, owner))``, N values, over each
-        box; their errors sum to about ``tol`` at most, unless some box is capped.
+    def rule(boxes, calls, pos=None):
+        """The rule on every box for every row, (R, n), or with ``pos``, the
+        row position of each box, for that row alone, (1, n)."""
+        lo, width, owner = boxes
+        sums = np.empty((n_rows if pos is None else 1, len(lo)))
+        for first, last, blocks in calls:
+            x = lo[first:last, None, :] + width[first:last, None, :] * x_ref
+            g = geometry(x.reshape(-1, dim), owner[first:last].repeat(per_box))
+            # every row at every node, in groups that fit a chunk; or each node's row
+            size = max(1, CHUNK_NODES // per_box // (last - first)) if pos is None else n_rows
+            for k in range(0, n_rows, size):
+                r = rows[k:k + size, None] if pos is None else rows[pos[first:last]].repeat(per_box)
+                f = np.reshape(fn(g, r), (-1, last - first, per_box))
+                for a, b in blocks:
+                    sums[k:k + size, a:b] = f[:, a - first:b - first] @ w_ref
+        return width.prod(axis=1) * sums
 
-        With ``rows`` (R,), one pass integrates R form parts, the rows of a
-        panel: ``fn(g, r)`` gives rows r at the nodes of g, with r a column
-        (k, 1) against every node at depths 0/1 and the row of each node, (N,),
-        deeper. Every row refines as if it were alone, its values, node and cap
-        counts bit for bit, and the Quad holds (R, B) values and (R,) counts."""
-        if rows is None:
-            return self.integrate(lambda g, r: fn(g), np.zeros(1, dtype=int)).row(0)
-        rows = np.asarray(rows)
-        n_rows, n_box, dim = len(rows), self.n_box, self.dim
-        x_ref, w_ref, corners = _TENSORS[dim]
-        per_box, n_kids = len(w_ref), len(corners)
-        max_depth = round(math.log2(MAX_PANELS)) // dim
-
-        def rule(boxes, calls, pos=None):
-            """The rule on every box for every row, (R, n), or with ``pos``, the
-            row position of each box, for that row alone, (1, n)."""
-            lo, width, owner = boxes
-            sums = np.empty((n_rows if pos is None else 1, len(lo)))
-            for first, last, blocks in calls:
-                g = self.cached if pos is None else None
-                if g is None:
-                    x = lo[first:last, None, :] + width[first:last, None, :] * x_ref
-                    g = self.geometry(x.reshape(-1, dim), owner[first:last].repeat(per_box))
-                    if pos is None and len(calls) == 1:
-                        for a in g:
-                            a.flags.writeable = False
-                        self.cached = g
-                # every row at every node, in groups that fit a chunk; or each node's row
-                size = max(1, CHUNK_NODES // per_box // (last - first)) if pos is None else n_rows
-                for k in range(0, n_rows, size):
-                    r = rows[k:k + size, None] if pos is None else rows[pos[first:last]].repeat(per_box)
-                    f = np.reshape(fn(g, r), (-1, last - first, per_box))
-                    for a, b in blocks:
-                        sums[k:k + size, a:b] = f[:, a - first:b - first] @ w_ref
-            return width.prod(axis=1) * sums
-
-        both = rule(self.boxes, self.calls)
-        nodes = np.full(n_rows, len(self.boxes[0]) * per_box)
-        est, kids = both[:, :n_box].ravel(), both[:, n_box:].ravel()
-        depth1 = np.tile(np.arange(n_box, len(self.boxes[0])), n_rows)  # for each row
-        lo, width, owner = (z[depth1] for z in self.boxes)
-        pos, thr = np.arange(n_rows).repeat(n_box), np.tile(self.thr, n_rows)
-        value, capped = np.zeros(n_rows * n_box), np.zeros(n_rows, dtype=int)
-        for depth in range(1, max_depth + 1):
-            refined = kids.reshape(-1, n_kids).sum(axis=1)
-            done = np.abs(refined - est) <= thr
-            if depth == max_depth:
-                capped = np.bincount(pos[~done], minlength=n_rows)
-                done[:] = True
-            value += np.bincount((pos * n_box + owner[::n_kids])[done], weights=refined[done],
-                                 minlength=n_rows * n_box)
-            keep = np.repeat(~done, n_kids)
-            lo, width, owner, est = lo[keep], width[keep], owner[keep], kids[keep]
-            pos, thr = pos[~done].repeat(n_kids), np.repeat(thr[~done] / n_kids, n_kids)
-            if not len(owner):
-                break
-            lo, width, owner = _halves(lo, width, owner)
-            kid_pos = pos.repeat(n_kids)
-            seams = np.unique(kid_pos, return_index=True)[1].tolist()
-            kids = rule((lo, width, owner), _calls(len(lo), dim, seams), kid_pos)[0]
-            nodes += np.bincount(kid_pos, minlength=n_rows) * per_box
-        if capped.any():
-            log.debug("quadrature stopped %d boxes at the cap of %d panels: tolerance %.3g; "
-                      "capped boxes by row: %s", capped.sum(), MAX_PANELS, self.tol,
-                      {int(r): int(c) for r, c in zip(rows, capped) if c})
-        return Quad(value.reshape(n_rows, n_box), nodes, capped)
-
-
-def integrate(fn, lo, width, tol: float) -> Quad:
-    """Integrals of ``fn(x, owner)`` over the boxes [lo, lo + width]: the identity geometry."""
-    return Domain(lo, width, tol, lambda x, owner: (x, owner)).integrate(lambda g: fn(*g))
+    owner = np.arange(n_box)
+    boxes = tuple(map(np.concatenate, zip((lo, width, owner), _halves(lo, width, owner))))
+    both = rule(boxes, _calls(len(boxes[0]), dim, (0, n_box)))
+    nodes = np.full(n_rows, len(boxes[0]) * per_box)
+    est, kids = both[:, :n_box].ravel(), both[:, n_box:].ravel()
+    depth1 = np.tile(np.arange(n_box, len(boxes[0])), n_rows)  # for each row
+    lo, width, owner = (z[depth1] for z in boxes)
+    pos, thr = np.arange(n_rows).repeat(n_box), np.tile(thr, n_rows)
+    value, capped = np.zeros(n_rows * n_box), np.zeros(n_rows, dtype=int)
+    for depth in range(1, max_depth + 1):
+        refined = kids.reshape(-1, n_kids).sum(axis=1)
+        done = np.abs(refined - est) <= thr
+        if depth == max_depth:
+            capped = np.bincount(pos[~done], minlength=n_rows)
+            done[:] = True
+        value += np.bincount((pos * n_box + owner[::n_kids])[done], weights=refined[done],
+                             minlength=n_rows * n_box)
+        keep = np.repeat(~done, n_kids)
+        lo, width, owner, est = lo[keep], width[keep], owner[keep], kids[keep]
+        pos, thr = pos[~done].repeat(n_kids), np.repeat(thr[~done] / n_kids, n_kids)
+        if not len(owner):
+            break
+        lo, width, owner = _halves(lo, width, owner)
+        kid_pos = pos.repeat(n_kids)
+        seams = np.unique(kid_pos, return_index=True)[1].tolist()
+        kids = rule((lo, width, owner), _calls(len(lo), dim, seams), kid_pos)[0]
+        nodes += np.bincount(kid_pos, minlength=n_rows) * per_box
+    if capped.any():
+        log.debug("quadrature stopped %d boxes at the cap of %d panels: tolerance %.3g; "
+                  "capped boxes by row: %s", capped.sum(), MAX_PANELS, tol,
+                  {int(r): int(c) for r, c in zip(rows, capped) if c})
+    return Quad(value.reshape(n_rows, n_box), nodes, capped)

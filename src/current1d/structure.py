@@ -423,6 +423,8 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
     so the restriction of N to the line reproduces T exactly.
     """
     _check_eps(eps)
+    if not isinstance(t_chain.space, NormedPlane):
+        raise StructureError("normalize needs a chain on a normed plane")
     plane = t_chain.plane
     for piece in t_chain.pieces:
         a, b = _piece_coords(t_chain, piece)

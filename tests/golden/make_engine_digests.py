@@ -12,12 +12,18 @@ seeded ``MetricGraph``s, and records SHA-256 digests of the flows,
 potentials and total cost of both flow engines on every network, with
 ``min_cost_flow``'s augmentation count ("networks") and ``network_simplex``'s
 pivot count ("simplex"), and of every graph's ``path_dist``, in
-``engine_digests.json``. Regenerate only when an engine is
-meant to change its floating-point results, and say which digests changed.
+``engine_digests.json``. The "quadrature" section holds, for seeded curve
+pairs in l1, l2 and linf, the digest of the values, node and cap counts of
+every form of a panel on the pair's fill (``boundary_quad``) and on its three
+chains (``action``); the fields of every fifth pair are measured in the pair's
+plane, where cones send boxes to the cap, and a fragment chain closes the
+section. Regenerate only when an engine is meant to change its floating-point
+results, and say which digests changed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -26,10 +32,13 @@ from unittest import mock
 
 import numpy as np
 
-from current1d import (Chain1, CubicalComplex, FlowNetwork, MetricGraph,
-                       Molecule, NormedPlane, SolverError, flat_norm,
-                       min_cost_flow, network_simplex, snap)
+from current1d import (AffineBicombing, Ball, Box, Chain1, ClosedSet,
+                       CubicalComplex, FlowNetwork, MetricGraph, Molecule,
+                       NormedPlane, Polyline, SolverError, flat_norm,
+                       homotopy_fill, min_cost_flow, network_simplex, restrict,
+                       snap, standard_panel)
 from current1d import flatnorm, transport
+from current1d.currents import Panel, action
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "engine_digests.json"
@@ -185,10 +194,61 @@ def graph_digest(g: MetricGraph) -> str:
     return _array_sha(g.path_dist)
 
 
+QUAD_PAIRS = 30
+PLANES = ("l1", "l2", "linf")
+
+
+def _quads_sha(quads) -> str:
+    """One digest of the values, node and cap counts of a sequence of ``Quad``s."""
+    h = hashlib.sha256()
+    for q in quads:
+        h.update(np.ascontiguousarray(q.value, dtype="<f8").tobytes())
+        h.update(f"{q.nodes},{q.capped};".encode())
+    return h.hexdigest()
+
+
+def _panel(seed: int, plane: NormedPlane, in_plane: bool) -> list:
+    """``standard_panel(seed)``, or with both fields of each form measured in ``plane``."""
+    forms = standard_panel(seed)
+    if not in_plane:
+        return forms
+    return Panel([(dataclasses.replace(form.f, plane=plane),
+                   dataclasses.replace(form.pi, plane=plane)) for form in forms]).forms
+
+
+def pair_digest(k: int) -> str:
+    """The quads of every form of a panel on the fill of seeded pair k and on its
+    three chains: the two curves and the remainder."""
+    plane = NormedPlane(PLANES[k % len(PLANES)])
+    rng = _rng(1000 + k)
+    g0, g1 = (Polyline(rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), 2)), plane)
+              for _ in range(2))
+    fill = homotopy_fill(g0, g1, AffineBicombing(plane))
+    chains = (g0.as_chain(plane), g1.as_chain(plane), fill.r_chain)
+    forms = _panel(k, plane, k % 5 == 0)
+    return _quads_sha([fill.boundary_quad(form) for form in forms]
+                      + [action(c, form) for c in chains for form in forms])
+
+
+def fragment_digest() -> str:
+    """The quads of a panel on a polyline restricted to a ball and a box."""
+    rng = _rng(2000)
+    poly = Polyline(rng.uniform(-2, 2, size=(6, 2)))
+    fc = restrict(poly, ClosedSet.of(Ball((0.0, 0.0), 1.2), Box((0.5, -2.0), (2.0, 0.0))))
+    return _quads_sha([action(fc, form) for form in standard_panel(3)])
+
+
+def quadrature_digests() -> dict:
+    out = {f"pair_{k:02d}_{PLANES[k % len(PLANES)]}": pair_digest(k) for k in range(QUAD_PAIRS)}
+    out["fragments"] = fragment_digest()
+    return out
+
+
 def digests() -> dict:
     return {"networks": {name: flow_digest(make()) for name, make in NETWORKS.items()},
             "simplex": {name: simplex_digest(make()) for name, make in NETWORKS.items()},
-            "graphs": {name: graph_digest(make()) for name, make in GRAPHS.items()}}
+            "graphs": {name: graph_digest(make()) for name, make in GRAPHS.items()},
+            "quadrature": quadrature_digests()}
 
 
 def main() -> None:

@@ -569,6 +569,29 @@ class TestErrorHandling:
         assert run_cli(["--config", str(cfg), "rickman"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
 
+    def test_normalize_of_a_graph_chain_exits_one(self, tmp_path, capsys):
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps({
+            "space": {"kind": "graph", "vertices": [[0, 0], [1, 0], [1, 1]],
+                      "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+            "pieces": [{"start": 0, "end": 1, "weight": 1.0}]}))
+        assert run_cli(["normalize", "--chain", str(chain), "--hyperplane", "0,1,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "StructureError",
+                                            "message": "normalize needs a chain on a normed plane"}
+
+    def test_a_ball_whose_radius_squared_overflows_holds_the_flow(self, tmp_path, capsys):
+        space, flow, ball = (tmp_path / name for name in ("g.json", "flow.json", "e.json"))
+        space.write_text(json.dumps({"kind": "graph", "vertices": [[0, 0], [1, 0], [1, 1]],
+                                     "edges": [[0, 1, 1.0], [1, 2, 1.0]]}))
+        flow.write_text(json.dumps({"weights": [1.0, 1.0]}))
+        ball.write_text(json.dumps({"primitives": [{"ball": [0, 0, 1e308]}]}))
+        assert run_cli(["fragments", "--space", str(space), "--flow", str(flow),
+                        "--closedset", str(ball)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["restricted_mass"] == 2 and out["mass_identity_residual"] == 0 and out["ok"]
+
     def test_infeasible_molecule_is_input_error(self, tmp_path, fixtures, capsys):
         iso = tmp_path / "iso.json"
         iso.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],

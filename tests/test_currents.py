@@ -140,24 +140,16 @@ class TestEvaluate:
 
 
 class TestChainArrays:
-    """A chain builds the arrays that ``evaluate`` integrates over once, on first
-    use; a fragment chain builds them from its fragments on every call."""
+    """``evaluate`` integrates over the arrays of a chain's pieces, or of a
+    fragment chain's fragments; a used chain evaluates as a fresh one."""
 
     SEGS = (((0.0, 0.0), (1.0, 2.0), 2.0), ((1.0, 2.0), (3.0, 1.0), -1.0),
             ((3.0, 1.0), (3.0, 1.0), 1.0))
 
-    def test_arrays_are_built_once_and_read_only(self):
-        c = seg_chain(*self.SEGS)
-        starts, dirs, weights, _ = currents._pieces(c)
-        assert currents._pieces(c)[0] is starts
-        assert weights.tolist() == [2.0, -1.0]  # the zero-length piece has no direction
-        for a in (starts, dirs, weights):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[...] = 0.0
-
     def test_a_used_chain_evaluates_as_a_fresh_one(self):
         used = seg_chain(*self.SEGS)
+        # the zero-length piece has no direction, so it gives no piece
+        assert currents._pieces(used)[2].tolist() == [2.0, -1.0]
         panel = standard_panel(7, count=8, scale=2.0)
         first = [evaluate(used, form) for form in panel]
         assert [evaluate(used, form) for form in panel] == first
@@ -228,6 +220,13 @@ class TestRestrict:
         c = seg_chain(((0.0, 0.0), (1.0, 0.0), 1.0))
         e = ClosedSet.of(Ball((5.0, 5.0), 1.0))
         assert restrict(c, e).fragments == ()
+
+    @pytest.mark.parametrize("radius", [1.35e154, 1e308])
+    def test_a_ball_whose_radius_squared_overflows_holds_every_point(self, radius):
+        c = seg_chain(((0.0, 0.0), (3.0, 4.0), 2.0), ((1.0, 1.0), (1.0, 1.0), 1.0))
+        frag = restrict(c, ClosedSet.of(Ball((-1.0, 2.0), radius)))
+        assert [fr.domain for fr in frag.fragments] == [((0.0, 1.0),), ((0.0, 1.0),)]
+        assert frag.mass() == c.mass() == 10.0
 
     def test_fat_cantor_stage_two_boxes(self):
         c = seg_chain(((0.0, 0.0), (1.0, 0.0), 1.0))

@@ -1,15 +1,16 @@
 import dataclasses
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from current1d import (AffineBicombing, AffineMap, Chain1, CurrentError,
-                       GraphBicombing, MetricGraph, NormedPlane, Polyline,
-                       affine_homotopy_current, conical_defect, d_inf,
-                       flat_norm, homotopy_fill, interpolate_geodesic, snap,
-                       standard_panel)
+from current1d import (AffineBicombing, AffineMap, Ball, Chain1, ClosedSet,
+                       CurrentError, GraphBicombing, MetricGraph, NormedPlane,
+                       Polyline, affine_homotopy_current, conical_defect,
+                       d_inf, flat_norm, homotopy_fill, interpolate_geodesic,
+                       restrict, snap, standard_panel)
 from current1d import TestForm as Form
 from current1d import currents, homotopy, quadrature
 from current1d.currents import Panel, _pieces, action
@@ -151,7 +152,7 @@ def reference_s_evaluator(g0, g1, pi1, pi2, pullback=cross_pullback,
 def reference_action(c, form) -> Quad:
     """``action`` with the points and directions of the pieces evaluated afresh
     in every ``integrate`` call."""
-    starts, dirs, weights, _ = _pieces(c)
+    starts, dirs, weights = _pieces(c)
     if form.pi.tag == "affine" and form.f.tag in ("const", "affine"):
         return action(c, form)
 
@@ -170,36 +171,29 @@ def assert_same_bits(q, ref):
     assert (q.nodes, q.capped) == (ref.nodes, ref.capped)
 
 
-def counting_domains(monkeypatch, *modules):
-    """Replace ``Domain`` in ``modules`` by one that records its geometry calls,
-    the rows of each pass over a panel and the rows x nodes of each form-part
-    call; returns the list of domains built."""
-    built = []
+def counting_passes(monkeypatch, *modules):
+    """Replace ``integrate`` in ``modules`` by one that records, for each pass
+    over a panel, its rows, its boxes ``lo`` and the sizes of its geometry calls
+    and of its rows x nodes form-part calls; returns the list of passes."""
+    passes = []
 
-    class Counting(quadrature.Domain):
-        def __init__(self, lo, width, tol, geometry):
-            self.geometry_calls, self.form_calls, self.passes = [], [], []
-            built.append(self)
+    def counting(fn, lo, width, tol, rows=None, geometry=None):
+        rec = SimpleNamespace(rows=len(rows), lo=np.asarray(lo), geometry_calls=[], form_calls=[])
+        passes.append(rec)
 
-            def counted(x, owner):
-                self.geometry_calls.append(len(x))
-                return geometry(x, owner)
-            super().__init__(lo, width, tol, counted)
+        def counted_geometry(x, owner):
+            rec.geometry_calls.append(len(x))
+            return geometry(x, owner)
 
-        def integrate(self, fn, rows=None):
-            if rows is None:
-                return super().integrate(fn)
-            self.passes.append(len(rows))
-
-            def counted(g, r):
-                out = fn(g, r)
-                self.form_calls.append(out.size)
-                return out
-            return super().integrate(counted, rows)
+        def counted(g, r):
+            out = fn(g, r)
+            rec.form_calls.append(out.size)
+            return out
+        return quadrature.integrate(counted, lo, width, tol, rows, counted_geometry)
 
     for module in modules:
-        monkeypatch.setattr(module, "Domain", Counting)
-    return built
+        monkeypatch.setattr(module, "integrate", counting)
+    return passes
 
 
 def random_pair(k: int, plane=PL):
@@ -239,40 +233,42 @@ class TestDomainCache:
         assert capped.all()
 
     def test_one_geometry_build_per_fill_and_chain(self, monkeypatch):
-        built = counting_domains(monkeypatch, homotopy, currents)
+        passes = counting_passes(monkeypatch, homotopy, currents)
         for k in range(6):
             g0, g1 = random_pair(k)
             check_fill(g0, g1, homotopy_fill(g0, g1, BIC), standard_panel(k), PL)
-        assert len(built) == 6 * 4  # per pair: the fill and three chains
+        assert len(passes) == 6 * 4  # per pair: one for the fill and for each of three chains
         deeper = 0
-        for dom in built:
-            assert dom.passes in ([15], [20])  # one pass: the forms without a closed form, or all
-            # the depth-0/1 call builds the cache and evaluates every row at once;
-            # every deeper call evaluates the geometry afresh
-            assert dom.geometry_calls[0] == len(dom.boxes[0]) * len(quadrature._TENSORS[dom.dim][1])
-            assert dom.form_calls[0] == dom.passes[0] * dom.geometry_calls[0] <= CHUNK_NODES
-            assert len(dom.geometry_calls) == len(dom.form_calls)
-            assert max(dom.form_calls) <= CHUNK_NODES
-            deeper += len(dom.geometry_calls) - 1
+        for p in passes:
+            assert p.rows in (15, 20)  # the forms without a closed form, or all
+            # the depth-0/1 call evaluates the geometry of its boxes and halves once
+            # and every row on it; every deeper call evaluates the geometry afresh
+            n_box, dim = p.lo.shape
+            assert p.geometry_calls[0] == n_box * (1 + 2 ** dim) * 5 ** dim
+            assert p.form_calls[0] == p.rows * p.geometry_calls[0] <= CHUNK_NODES
+            assert len(p.geometry_calls) == len(p.form_calls)
+            assert max(p.form_calls) <= CHUNK_NODES
+            deeper += len(p.geometry_calls) - 1
         assert deeper > 0
 
     def test_a_chain_above_the_chunk_evaluates_per_call(self, monkeypatch):
-        built = counting_domains(monkeypatch, currents)
+        passes = counting_passes(monkeypatch, currents)
         rng = np.random.Generator(np.random.Philox(key=5))
         c = Polyline(rng.uniform(-2, 2, size=(CHUNK_NODES // 15 + 2, 2))).as_chain(PL)
         forms = standard_panel(3, count=4)  # the first has a closed form
         for form in forms:
             assert_same_bits(action(c, form), reference_action(c, form))
-        [dom] = built
-        assert dom.cached is None and len(dom.calls) == 2
-        assert dom.passes == [3]
+        [p] = passes
+        assert p.rows == 3
+        calls = quadrature._calls(3 * len(p.lo), 1, (0, len(p.lo)))  # the boxes and their halves
+        assert len(calls) == 2
         # each depth-0/1 call evaluates the geometry once for the three rows, which it
         # hands to the form part in groups within the chunk; deeper, one node is one row
-        sizes = [(last - first) * 5 for first, last, _ in dom.calls]
-        assert dom.geometry_calls[:2] == sizes
-        assert sum(dom.form_calls) == 3 * sum(sizes) + sum(dom.geometry_calls[2:])
-        assert len(dom.form_calls) > len(dom.geometry_calls)
-        assert max(dom.geometry_calls) <= CHUNK_NODES and max(dom.form_calls) <= CHUNK_NODES
+        sizes = [(last - first) * 5 for first, last, _ in calls]
+        assert p.geometry_calls[:2] == sizes
+        assert sum(p.form_calls) == 3 * sum(sizes) + sum(p.geometry_calls[2:])
+        assert len(p.form_calls) > len(p.geometry_calls)
+        assert max(p.geometry_calls) <= CHUNK_NODES and max(p.form_calls) <= CHUNK_NODES
 
 
 class TestPanelPass:
@@ -299,9 +295,9 @@ class TestPanelPass:
 
     def test_later_forms_read_the_slot(self, monkeypatch):
         passes = []
-        integrate = quadrature.Domain.integrate
-        monkeypatch.setattr(quadrature.Domain, "integrate", lambda self, fn, rows=None: (
-            rows is not None and passes.append(len(rows))) or integrate(self, fn, rows))
+        for module in (currents, homotopy):
+            monkeypatch.setattr(module, "integrate", lambda fn, lo, width, tol, rows, geometry: (
+                passes.append(len(rows))) or quadrature.integrate(fn, lo, width, tol, rows, geometry))
         g0, g1 = random_pair(4)
         first, second = standard_panel(4), standard_panel(5)
         fill = homotopy_fill(g0, g1, BIC)
@@ -319,6 +315,24 @@ class TestPanelPass:
         assert passes[2:] == [20, 15] and fill._quads[0] is c._quads[0] is second[0].panel
         assert_same_bits(fill.boundary_quad(first[3]), want[3][0])
         assert passes[4:] == [20] and fill._quads[0] is first[0].panel
+
+    def test_a_fragment_chain_makes_one_pass_per_panel(self, monkeypatch):
+        passes = counting_passes(monkeypatch, currents)
+        zigzag = Polyline([[-2.0, -1.0], [2.0, -0.5], [-1.5, 1.0], [2.0, 1.2]])
+        fc = restrict(zigzag, ClosedSet.of(Ball((0.0, 0.0), 1.5)))
+        assert fc.mass() > 0 and len(currents._pieces(fc)[2]) > 1
+        for seed in (6, 7):
+            for form in standard_panel(seed):
+                assert_same_bits(action(fc, form), reference_action(fc, form))
+        assert [p.rows for p in passes] == [15, 15]
+
+    def test_a_fill_integrates_on_first_use(self, monkeypatch):
+        passes = counting_passes(monkeypatch, homotopy, currents)
+        g0, g1 = random_pair(2)
+        fill = homotopy_fill(g0, g1, BIC)
+        assert passes == []
+        fill.boundary_eval(standard_panel(2)[1])
+        assert [p.rows for p in passes] == [20] and passes[0].geometry_calls
 
     def test_one_cap_record_per_pass(self, caplog):
         """The l1 cones of the panel cap boxes in several rows: one record lists them."""

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from current1d.quadrature import (CHUNK_NODES, MAX_PANELS, QUAD_TOL, Domain, Quad, _TENSORS,
-                                  integrate)
+from current1d.quadrature import CHUNK_NODES, MAX_PANELS, QUAD_TOL, Quad, _TENSORS, integrate
 
 UNIT = np.array([[0.0]]), np.array([[1.0]])
 
@@ -296,9 +295,9 @@ class TestCalls:
 
 
 class TestDomain:
-    """A domain integrates each form part of its geometry as ``integrate`` does
-    with the geometry evaluated in every call, and evaluates the geometry of
-    depths 0 and 1 once when it fits in one call."""
+    """One pass over a panel of form parts evaluates the geometry of each call
+    once for all its rows, and each row is ``integrate`` with the geometry
+    evaluated inside the integrand."""
 
     PARTS = (lambda g: g[2], lambda g: g[2] * np.cos(3.0 * g[0][:, -1]),
              lambda g: np.exp(-g[2] ** 2) + g[1] % 2)
@@ -309,21 +308,22 @@ class TestDomain:
 
         def geometry(x, owner):
             return x, owner, fn(x, owner)
-        built = recorded(geometry)
-        domain = Domain(lo, width, QUAD_TOL * n, built)
-        part_calls = 0
-        for part in self.PARTS:
-            def counted(g, part=part):
-                nonlocal part_calls
-                part_calls += 1
-                return part(g)
-            q = domain.integrate(counted)
-            assert_same_quad(q, integrate(lambda x, owner: part(geometry(x, owner)),
-                                          lo, width, QUAD_TOL * n))
-        assert part_calls > len(self.PARTS) * len(domain.calls)  # some form refined deeper
-        cached = n * (1 + 2 ** dim) * 5 ** dim <= CHUNK_NODES
-        assert (domain.cached is not None) == cached
-        assert len(built.sizes) == part_calls - cached * (len(self.PARTS) - 1)
-        assert max(built.sizes) <= CHUNK_NODES
-        if cached:
-            assert all(not a.flags.writeable for a in domain.cached)
+        built, part_sizes = recorded(geometry), []
+
+        def panel(g, r):
+            """Rows r of the parts at the nodes of g: a column, or each node's row."""
+            parts = np.stack([part(g) for part in self.PARTS])
+            out = parts[r[:, 0]] if r.ndim == 2 else parts[r, np.arange(len(r))]
+            part_sizes.append(out.size)
+            return out
+        q = integrate(panel, lo, width, QUAD_TOL * n, np.arange(len(self.PARTS)), built)
+        for i, part in enumerate(self.PARTS):
+            assert_same_quad(q.row(i), integrate(lambda x, owner: part(geometry(x, owner)),
+                                                 lo, width, QUAD_TOL * n))
+        # depths 0 and 1 evaluate the geometry once for every row, deeper one node is one row
+        shallow = n * (1 + 2 ** dim) * 5 ** dim
+        assert q.nodes.sum() > len(self.PARTS) * shallow  # some part refined deeper
+        assert sum(part_sizes) == q.nodes.sum()
+        assert sum(built.sizes) == shallow + q.nodes.sum() - len(self.PARTS) * shallow
+        assert len(built.sizes) <= len(part_sizes)
+        assert max(built.sizes) <= CHUNK_NODES and max(part_sizes) <= CHUNK_NODES

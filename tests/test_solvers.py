@@ -709,8 +709,9 @@ class TestFlowProgressGuard:
 
 
 class TestEngineDigests:
-    """``tests/golden/make_engine_digests.py`` replays seeded networks and graphs;
-    both flow engines and the all-pairs Dijkstra reproduce them bit for bit."""
+    """``tests/golden/make_engine_digests.py`` replays seeded networks, graphs and
+    curve pairs; both flow engines, the all-pairs Dijkstra and the quadrature
+    reproduce them bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(DIGESTS["networks"]))
     def test_flow_is_bit_identical(self, name):
@@ -726,6 +727,10 @@ class TestEngineDigests:
     def test_path_dist_is_bit_identical(self, name):
         g = engine_digests.GRAPHS[name]()
         assert engine_digests.graph_digest(g) == DIGESTS["graphs"][name]
+
+    def test_quadrature_is_bit_identical(self):
+        """Every form's quads on 30 fills, their 90 chains and a fragment chain."""
+        assert engine_digests.quadrature_digests() == DIGESTS["quadrature"]
 
 
 class TestHighsOracle:

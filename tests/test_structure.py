@@ -249,6 +249,11 @@ class TestLineFilling:
 
 
 class TestNormalize:
+    def test_a_graph_chain_is_rejected(self):
+        g = MetricGraph([[0, 0], [1, 0], [1, 1]], [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(StructureError, match="normalize needs a chain on a normed plane"):
+            normalize(Chain1.from_graph_edges(g, [(0, 1, 1.0)]), AXIS, 0.1)
+
     def test_unit_segment(self):
         t = unit_segment()
         res = normalize(t, AXIS, eps=0.1)
