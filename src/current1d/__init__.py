@@ -29,7 +29,7 @@ from .approximation import (ApproxCertificate, Cluster, CurveMeasure,
 from .structure import (ConvexBox, Line, NoAdmissibleShift, NormalizeResult,
                         fat_cantor_chain, lift_off_line, normalize,
                         rectifiable_filling, rescale_interior, translate_singular)
-from .decomposition import (Decomposition, EdgeFlow, decompose_flow,
+from .decomposition import (Decomposition, decompose_flow, edge_weights,
                             fragment_representation)
 from .rickman import build_rug, rug_grid, rug_row
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import io as cio
 from .approximation import approximate, truncate
-from .currents import CurrentError, Polyline, standard_panel
-from .decomposition import EdgeFlow, decompose_flow, fragment_representation
+from .currents import Chain1, CurrentError, Polyline, standard_panel
+from .decomposition import decompose_flow, fragment_representation
 from .flatnorm import CubicalComplex, GridError, flat_norm, snap
 from .homotopy import AffineBicombing, check_fill, homotopy_fill
 from .quadrature import QUAD_TOL
@@ -303,7 +303,7 @@ def _cmd_normalize(args) -> int:
     return 0 if res.ok else 2
 
 
-def _load_flow(args) -> EdgeFlow:
+def _load_flow(args) -> Chain1:
     g = cio.load_space(_load_json(args.space))
     if not isinstance(g, MetricGraph):
         raise CliInputError("decompose needs a graph space")
@@ -311,10 +311,9 @@ def _load_flow(args) -> EdgeFlow:
 
 
 def _cmd_decompose(args) -> int:
-    ef = _load_flow(args)
-    d = decompose_flow(ef)
+    d = decompose_flow(_load_flow(args))
     ok = d.reassembly_error <= 1e-9 and abs(d.mass_defect) <= 1e-9
-    rows = [{"kind": kind, "weight": w, "length": ef.graph.route_length(v),
+    rows = [{"kind": kind, "weight": w, "length": d.graph.route_length(v),
              "n_vertices": len(v)}
             for kind, routes in (("path", d.paths), ("cycle", d.cycles))
             for w, v in routes]
@@ -330,10 +329,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_fragments(args) -> int:
-    ef = _load_flow(args)
+    flow = _load_flow(args)
     e = cio.load_closedset(_load_json(args.closedset))
-    d = decompose_flow(ef)
-    rep = fragment_representation(d, e)
+    rep = fragment_representation(decompose_flow(flow), e)
     ok = rep.mass_identity_residual <= 1e-9
     rows = []
     for w, frag in rep.fragments:

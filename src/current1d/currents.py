@@ -11,6 +11,7 @@ a chain and its lift is therefore exact whenever the same floats flow through.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -427,14 +428,23 @@ class Ball:
     radius: float
 
     def segment_interval(self, p, q):
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        fx, fy = p[0] - self.center[0], p[1] - self.center[1]
+        # the quadratic in units of 2^k, the magnitude of the largest number, cannot
+        # overflow; a power of two scales exactly, so t keeps its bits
+        px, py, qx, qy, cx, cy = map(float, (*p, *q, *self.center))
+        k = max(math.frexp(max(map(abs, (px, py, qx, qy, cx, cy, self.radius))))[1], -1021)
+        unit = math.ldexp(1.0, -k)
+        px, py, qx, qy, cx, cy = (x * unit for x in (px, py, qx, qy, cx, cy))
+        dx, dy = qx - px, qy - py
+        fx, fy = px - cx, py - cy
         a = dx * dx + dy * dy
         b = 2.0 * (fx * dx + fy * dy)
-        try:
-            c = fx * fx + fy * fy - self.radius ** 2
-        except OverflowError:  # a radius above sqrt(max float) holds every finite point
-            c = -math.inf
+        try:  # r ** 2 is not always r * r: square before scaling where it stays normal
+            r2 = self.radius ** 2
+        except OverflowError:
+            r2 = math.inf
+        r2 = (math.ldexp(r2, -2 * k) if sys.float_info.min <= r2 < math.inf
+              else (self.radius * unit) ** 2)
+        c = fx * fx + fy * fy - r2
         if a == 0.0:
             return (0.0, 1.0) if c <= 0 else None
         disc = b * b - 4 * a * c

@@ -17,7 +17,6 @@ from .currents import (Ball, Box, Chain1, ClosedSet, CurrentError, HalfPlane, Mo
                        Piece, Polyline, Slab)
 from .spaces import FiniteMetricSpace, GeometryError, MetricGraph, NormedPlane
 from .approximation import CurveMeasure
-from .decomposition import EdgeFlow
 
 
 class InputError(ValueError):
@@ -220,10 +219,12 @@ def load_molecule(doc: dict) -> Molecule:
 # flow.json
 
 
-def load_flow(doc: dict, g: MetricGraph) -> EdgeFlow:
-    """One weight per edge of ``g``."""
-    return EdgeFlow(g, _numbers(_field(doc, "weights", "a flow"), len(g.edges),
-                                "the weights of a flow"))
+def load_flow(doc: dict, g: MetricGraph) -> Chain1:
+    """One weight per edge of ``g``, read as a chain on the graph's edges; a zero
+    weight carries no piece."""
+    weights = _numbers(_field(doc, "weights", "a flow"), len(g.edges), "the weights of a flow")
+    return Chain1.from_graph_edges(g, [(u, v, w) for (u, v, _), w in zip(g.edges, weights)
+                                       if w != 0.0])
 
 
 # ---------------------------------------------------------------------------

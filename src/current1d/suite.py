@@ -19,8 +19,7 @@ import numpy as np
 from .approximation import CurveMeasure, approximate, measure_as_chain
 from .currents import (Ball, Box, Chain1, ClosedSet, HalfPlane, Molecule,
                        Polyline, fat_cantor_intervals, standard_panel)
-from .decomposition import EdgeFlow, boundary_marginals, decompose_flow, \
-    fragment_representation
+from .decomposition import boundary_marginals, decompose_flow, fragment_representation
 from .flatnorm import CubicalComplex, complex_covering, flat_norm, snap
 from .homotopy import AffineBicombing, check_fill, homotopy_fill
 from .rickman import rug_grid
@@ -266,8 +265,7 @@ def criterion_7_decomposition():
         g = _random_connected_graph(rng, max_n=15)
         m = _random_molecule(rng, g.n)
         fill = minimal_filling(m, g)
-        ef = EdgeFlow.from_chain(fill.chain)
-        d = decompose_flow(ef)
+        d = decompose_flow(fill.chain)
         worst = max(worst, d.reassembly_error)
         ok &= d.reassembly_error <= 1e-9
         ok &= abs(d.mass_defect) <= 1e-9
@@ -278,11 +276,11 @@ def criterion_7_decomposition():
             ok &= abs(w - (-neg.get(p, 0.0))) <= 1e-9
         for p, w in ends.atoms:
             ok &= abs(w - pos.get(p, 0.0)) <= 1e-9
-        flows.append((ef, d))
+        flows.append(d)
     # fragment identity on 20 closed sets (incl. fat-Cantor boxes)
     worst_frag = 0.0
     for i in range(20):
-        ef, d = flows[i % len(flows)]
+        d = flows[i % len(flows)]
         if i % 4 == 0:
             ivs = fat_cantor_intervals(2 + (i // 4) % 3)
             prims = tuple(Box((a * 10.0, -10.0), (b * 10.0, 10.0)) for a, b in ivs)

@@ -17,7 +17,11 @@ pairs in l1, l2 and linf, the digest of the values, node and cap counts of
 every form of a panel on the pair's fill (``boundary_quad``) and on its three
 chains (``action``); the fields of every fifth pair are measured in the pair's
 plane, where cones send boxes to the cap, and a fragment chain closes the
-section. Regenerate only when an engine is meant to change its floating-point
+section. The "decomposition" section holds, per kind of seeded graph flow
+(minimal fillings, normal signed weights, integer weights with zeros), one
+digest of the paths, cycles, mass defect, reassembly error and reassembled
+weights of every flow's ``decompose_flow`` and of its fragment representation
+in a seeded closed set. Regenerate only when an engine is meant to change its floating-point
 results, and say which digests changed.
 """
 
@@ -33,8 +37,9 @@ from unittest import mock
 import numpy as np
 
 from current1d import (AffineBicombing, Ball, Box, Chain1, ClosedSet,
-                       CubicalComplex, FlowNetwork, MetricGraph, Molecule,
-                       NormedPlane, Polyline, SolverError, flat_norm,
+                       CubicalComplex, FlowNetwork, HalfPlane, MetricGraph,
+                       Molecule, NormedPlane, Polyline, SolverError,
+                       decompose_flow, flat_norm, fragment_representation,
                        homotopy_fill, min_cost_flow, network_simplex, restrict,
                        snap, standard_panel)
 from current1d import flatnorm, transport
@@ -244,11 +249,55 @@ def quadrature_digests() -> dict:
     return out
 
 
+FLOWS = 120
+FLOW_KINDS = ("filling", "normal", "integer")
+
+
+def _flow(k: int) -> Chain1:
+    """Seeded graph flow k, of kind ``FLOW_KINDS[k % 3]``: the chain of a minimal
+    filling, or one piece per nonzero normal or integer edge weight."""
+    g = _graph(3000 + k, 6 + 7 * k % 35)
+    rng = _rng(4000 + k)
+    kind = FLOW_KINDS[k % len(FLOW_KINDS)]
+    if kind == "filling":
+        verts = rng.choice(g.n, size=4, replace=False).tolist()
+        mol = Molecule(list(zip(verts, _balanced(rng, 4).tolist())))
+        return transport.minimal_filling(mol, g).chain
+    w = (rng.normal(size=len(g.edges)) if kind == "normal"
+         else rng.integers(-2, 3, size=len(g.edges)).astype(float))
+    return Chain1.from_graph_edges(g, [(u, v, x) for (u, v, _), x in zip(g.edges, w)
+                                       if x != 0.0])
+
+
+def decomposition_digests() -> dict:
+    """Per flow kind, one digest of every flow's decomposition and of its
+    fragment representation in a seeded ball, box and half-plane."""
+    out = {kind: hashlib.sha256() for kind in FLOW_KINDS}
+    for k in range(FLOWS):
+        h = out[FLOW_KINDS[k % len(FLOW_KINDS)]]
+        d = decompose_flow(_flow(k))
+        h.update(repr((d.paths, d.cycles)).encode())
+        h.update(np.array([d.mass_defect, d.reassembly_error], dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(d.reassembled(), dtype="<f8").tobytes())
+        x, y, r, side, c = _rng(5000 + k).uniform(0.0, 10.0, size=5).tolist()
+        e = ClosedSet.of(Ball((x, y), r / 2), Box((0.0, 0.0), (side, side)),
+                         HalfPlane(1.0, y / 5 - 1, c))
+        rep = fragment_representation(d, e)
+        for w, chain in rep.fragments:
+            for fr in chain.fragments:
+                h.update(np.ascontiguousarray(fr.polyline.points, dtype="<f8").tobytes())
+                h.update(np.array([w, fr.weight, *np.ravel(fr.domain)], dtype="<f8").tobytes())
+        h.update(np.array([rep.mass_identity_residual, rep.restricted_mass],
+                          dtype="<f8").tobytes())
+    return {kind: h.hexdigest() for kind, h in out.items()}
+
+
 def digests() -> dict:
     return {"networks": {name: flow_digest(make()) for name, make in NETWORKS.items()},
             "simplex": {name: simplex_digest(make()) for name, make in NETWORKS.items()},
             "graphs": {name: graph_digest(make()) for name, make in GRAPHS.items()},
-            "quadrature": quadrature_digests()}
+            "quadrature": quadrature_digests(),
+            "decomposition": decomposition_digests()}
 
 
 def main() -> None:

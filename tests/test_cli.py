@@ -592,6 +592,18 @@ class TestErrorHandling:
         out = json.loads(capsys.readouterr().out)
         assert out["restricted_mass"] == 2 and out["mass_identity_residual"] == 0 and out["ok"]
 
+    def test_a_ball_meets_an_edge_whose_squares_overflow(self, tmp_path, capsys):
+        space, flow, ball = (tmp_path / name for name in ("g.json", "flow.json", "e.json"))
+        space.write_text(json.dumps({"kind": "graph", "vertices": [[-1e200, 0], [1e200, 0]],
+                                     "edges": [[0, 1, 2e200]]}))
+        flow.write_text(json.dumps({"weights": [1.0]}))
+        ball.write_text(json.dumps({"primitives": [{"ball": [0, 0, 5e199]}]}))
+        assert run_cli(["fragments", "--space", str(space), "--flow", str(flow),
+                        "--closedset", str(ball)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["restricted_mass"] == 1e200 and out["mass_identity_residual"] == 0
+        assert out["curves"][0]["fragment_mass"] == 1e200 and out["ok"]
+
     def test_infeasible_molecule_is_input_error(self, tmp_path, fixtures, capsys):
         iso = tmp_path / "iso.json"
         iso.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],

@@ -228,6 +228,13 @@ class TestRestrict:
         assert [fr.domain for fr in frag.fragments] == [((0.0, 1.0),), ((0.0, 1.0),)]
         assert frag.mass() == c.mass() == 10.0
 
+    @pytest.mark.parametrize("x", [1e200, 1e-200])
+    def test_a_ball_meets_a_segment_whose_squares_leave_the_floats(self, x):
+        c = seg_chain(((-x, 0.0), (x, 0.0), 1.0))
+        frag = restrict(c, ClosedSet.of(Ball((0.0, 0.0), x / 2)))
+        assert [fr.domain for fr in frag.fragments] == [((0.25, 0.75),)]
+        assert frag.mass() == x
+
     def test_fat_cantor_stage_two_boxes(self):
         c = seg_chain(((0.0, 0.0), (1.0, 0.0), 1.0))
         prims = tuple(Box((a, -0.5), (b, 0.5)) for a, b in fat_cantor_intervals(2))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from current1d import (Box, Chain1, ClosedSet, EdgeFlow, MetricGraph,
-                       Molecule, NormedPlane, decompose_flow, evaluate,
-                       fat_cantor_intervals, fragment_representation,
-                       minimal_filling, rug_grid, standard_panel)
-from current1d.decomposition import _route_mass, boundary_marginals
+from current1d import (Box, Chain1, ClosedSet, CurrentError, MetricGraph,
+                       Molecule, NormedPlane, Polyline, decompose_flow,
+                       edge_weights, evaluate, fat_cantor_intervals,
+                       fragment_representation, minimal_filling, rug_grid,
+                       standard_panel)
+from current1d.decomposition import boundary_marginals, route_chain
 
 from conftest import random_connected_graph
 
@@ -13,11 +14,17 @@ PL = NormedPlane("l2")
 
 
 def path_mass(d) -> float:
-    return _route_mass(d.graph, d.paths)
+    return route_chain(d.graph, d.paths).mass()
 
 
 def cycle_mass(d) -> float:
-    return _route_mass(d.graph, d.cycles)
+    return route_chain(d.graph, d.cycles).mass()
+
+
+def edge_flow(g, weights) -> Chain1:
+    """The chain with one piece per nonzero weight, along its edge."""
+    return Chain1.from_graph_edges(g, [(u, v, w) for (u, v, _), w in zip(g.edges, weights)
+                                       if w != 0.0])
 
 
 def line_graph(n=3, spacing=1.0):
@@ -34,16 +41,14 @@ def four_cycle():
 
 class TestDecomposeFlow:
     def test_unit_path(self):
-        ef = EdgeFlow(line_graph(3), (1.0, 1.0))
-        d = decompose_flow(ef)
+        d = decompose_flow(edge_flow(line_graph(3), (1.0, 1.0)))
         assert d.paths == ((1.0, (0, 1, 2)),)
         assert d.cycles == ()
         assert path_mass(d) == pytest.approx(2.0, abs=1e-12)
         assert abs(d.mass_defect) <= 1e-12
 
     def test_pure_circulation(self):
-        ef = EdgeFlow(four_cycle(), (1.0, 1.0, 1.0, 1.0))
-        d = decompose_flow(ef)
+        d = decompose_flow(edge_flow(four_cycle(), (1.0, 1.0, 1.0, 1.0)))
         assert d.paths == ()
         assert len(d.cycles) == 1
         assert d.cycles[0][0] == pytest.approx(1.0, abs=1e-12)
@@ -56,8 +61,7 @@ class TestDecomposeFlow:
                          (2, 3, np.sqrt(2)), (2, 4, np.sqrt(2))],
                         ambient="euclidean")
         w = (1.0, 2.0, 1.0, 2.0)  # 0->2->3 carries 1, 1->2->4 carries 2
-        ef = EdgeFlow(g, w)
-        d = decompose_flow(ef)
+        d = decompose_flow(edge_flow(g, w))
         assert np.max(np.abs(d.reassembled() - np.array(w))) <= 1e-12
         assert abs(d.mass_defect) <= 1e-12
         # brute force: all ways to route the boundary as two paths
@@ -77,33 +81,46 @@ class TestDecomposeFlow:
             m = Molecule([(int(verts[0]), 2.0), (int(verts[1]), -1.25),
                           (int(verts[2]), -0.75)])
             fill = minimal_filling(m, g)
-            ef = EdgeFlow.from_chain(fill.chain)
-            d = decompose_flow(ef)
-            assert np.max(np.abs(d.reassembled() - ef.weights)) <= 1e-9
-            assert d.reassembly_error == float(np.max(np.abs(d.reassembled() - ef.weights)))
+            w = edge_weights(fill.chain)
+            d = decompose_flow(fill.chain)
+            assert np.max(np.abs(d.reassembled() - w)) <= 1e-9
+            assert d.reassembly_error == float(np.max(np.abs(d.reassembled() - w)))
             assert abs(d.mass_defect) <= 1e-9
-            assert path_mass(d) + cycle_mass(d) == pytest.approx(ef.mass(), abs=1e-9)
+            assert path_mass(d) + cycle_mass(d) == pytest.approx(edge_flow(g, w).mass(), abs=1e-9)
             starts, ends = boundary_marginals(d)
             for p, w in starts.atoms:
                 assert w == pytest.approx(1.25 if p == verts[1] else 0.75, abs=1e-9)
             for p, w in ends.atoms:
                 assert p == verts[0] and w == pytest.approx(2.0, abs=1e-9)
 
-
-    def test_from_chain_inverts_as_chain(self):
+    def test_edge_weights_inverts_the_edge_chain(self):
         rng = np.random.Generator(np.random.Philox(key=64))
         for _ in range(10):
             g = random_connected_graph(rng, max_n=12)
             w = rng.normal(size=len(g.edges))
             w[rng.uniform(size=len(g.edges)) < 0.3] = 0.0
-            ef = EdgeFlow(g, tuple(w))
-            assert EdgeFlow.from_chain(ef.as_chain()).weights == ef.weights
+            assert tuple(edge_weights(edge_flow(g, w))) == tuple(w)
+
+    def test_a_planar_chain_is_refused(self):
+        chain = Chain1.from_segments(PL, [((0.0, 0.0), (1.0, 0.0), 1.0)])
+        with pytest.raises(CurrentError, match="^edge flows need a chain on a metric graph$"):
+            decompose_flow(chain)
+
+    def test_opposite_pieces_decompose_as_their_edge_sum(self):
+        # 0->1 of weight 1.0 and 1->0 of weight 0.25 sum to 0.75 along edge (0, 1)
+        g = line_graph(3)
+        both = Chain1.from_graph_edges(g, [(0, 1, 1.0), (1, 0, 0.25), (1, 2, 0.75)])
+        summed = edge_flow(g, edge_weights(both))
+        assert summed.pieces == edge_flow(g, (0.75, 0.75)).pieces
+        a, b = decompose_flow(both), decompose_flow(summed)
+        assert (a.paths, a.cycles, a.mass_defect, a.reassembly_error) == \
+            (b.paths, b.cycles, b.mass_defect, b.reassembly_error)
+        assert a.paths == ((0.75, (0, 1, 2)),) and a.mass_defect == 0.0
 
 
 class TestFragmentRepresentation:
     def test_whole_space_keeps_whole_curves(self):
-        ef = EdgeFlow(line_graph(3), (1.0, 1.0))
-        d = decompose_flow(ef)
+        d = decompose_flow(edge_flow(line_graph(3), (1.0, 1.0)))
         e = ClosedSet.of(Box((-10.0, -10.0), (10.0, 10.0)))
         rep = fragment_representation(d, e)
         assert rep.mass_identity_residual <= 1e-12
@@ -114,8 +131,7 @@ class TestFragmentRepresentation:
         # horizontal unit line current restricted to stage-k boxes
         n = 2 ** k + 1
         g = line_graph(2, spacing=1.0)
-        ef = EdgeFlow(g, (1.0,))
-        d = decompose_flow(ef)
+        d = decompose_flow(edge_flow(g, (1.0,)))
         prims = tuple(Box((a, -1.0), (b, 1.0)) for a, b in fat_cantor_intervals(k))
         rep = fragment_representation(d, ClosedSet(prims))
         expected = 0.5 + 2.0 ** (-(k + 1))
@@ -124,8 +140,7 @@ class TestFragmentRepresentation:
 
     def test_unit_speed_normalization(self):
         # constant-speed parametrization: metric derivative equals the length
-        ef = EdgeFlow(line_graph(4, spacing=0.5), (1.0, 1.0, 1.0))
-        d = decompose_flow(ef)
+        d = decompose_flow(edge_flow(line_graph(4, spacing=0.5), (1.0, 1.0, 1.0)))
         e = ClosedSet.of(Box((-10.0, -10.0), (10.0, 10.0)))
         rep = fragment_representation(d, e)
         w, frag = rep.fragments[0]
@@ -142,16 +157,14 @@ class TestFragmentRepresentation:
         verts = rng.choice(g.n, size=2, replace=False)
         m = Molecule([(int(verts[0]), 1.0), (int(verts[1]), -1.0)])
         fill = minimal_filling(m, g)
-        ef = EdgeFlow.from_chain(fill.chain)
-        d = decompose_flow(ef)
+        d = decompose_flow(fill.chain)
         chain = Chain1.from_segments(PL, [
             (tuple(g.coords[piece.start]), tuple(g.coords[piece.end]), piece.weight)
-            for piece in ef.as_chain().pieces])
-        from current1d.decomposition import curve_polyline
+            for piece in edge_flow(g, edge_weights(fill.chain)).pieces])
         panel = standard_panel(63, count=20, scale=10.0)
         for form in panel:
             direct = evaluate(chain, form)
-            via_curves = sum(w * evaluate(curve_polyline(d, v).as_chain(PL), form)
+            via_curves = sum(w * evaluate(Polyline(g.coords[list(v)]).as_chain(PL), form)
                              for w, v in d.paths + d.cycles)
             assert direct == pytest.approx(via_curves, abs=1e-6 * (1 + abs(direct)))
 

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from current1d import (FlowNetwork, Infeasible, IterationLimit, LinearProgram, Molecule,
-                       SolverError, Unbounded, ae_norm, check_flow, min_cost_flow,
-                       network_simplex, simplex_lp)
+                       SolverError, Unbounded, ae_norm, check_flow, decompose_flow,
+                       min_cost_flow, network_simplex, simplex_lp)
 from current1d.solvers import TOL, FlowResult
 
 INF = math.inf
@@ -709,9 +709,9 @@ class TestFlowProgressGuard:
 
 
 class TestEngineDigests:
-    """``tests/golden/make_engine_digests.py`` replays seeded networks, graphs and
-    curve pairs; both flow engines, the all-pairs Dijkstra and the quadrature
-    reproduce them bit for bit."""
+    """``tests/golden/make_engine_digests.py`` replays seeded networks, graphs,
+    curve pairs and graph flows; both flow engines, the all-pairs Dijkstra, the
+    quadrature and the flow decomposition reproduce them bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(DIGESTS["networks"]))
     def test_flow_is_bit_identical(self, name):
@@ -731,6 +731,13 @@ class TestEngineDigests:
     def test_quadrature_is_bit_identical(self):
         """Every form's quads on 30 fills, their 90 chains and a fragment chain."""
         assert engine_digests.quadrature_digests() == DIGESTS["quadrature"]
+
+    def test_decomposition_is_bit_identical(self):
+        """Paths, cycles and fragment representations of 120 graph flows, 22 of
+        which peel cycles."""
+        assert engine_digests.decomposition_digests() == DIGESTS["decomposition"]
+        assert sum(bool(decompose_flow(engine_digests._flow(k)).cycles)
+                   for k in range(engine_digests.FLOWS)) == 22
 
 
 class TestHighsOracle:

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import logging
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "current1d"
 # the package module imports names to export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((SRC.parent.parent / "scripts").glob("*.py"))
 # the code that may call a package definition: the package, tests, scripts, bench
 READERS = MODULES + sorted(p for d in ("tests", "scripts", "bench")
                            for p in (SRC.parent.parent / d).rglob("*.py"))
@@ -42,6 +44,15 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path, monkeypatch):
+    """Every script guards ``main``, so loading one runs only its imports: a
+    package name that a script needs and the package no longer has fails here."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # scripts put src/ on the path
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_unused_import_is_found(tmp_path):
