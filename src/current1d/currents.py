@@ -135,13 +135,15 @@ class Chain1:
         for s, e, w in segs:
             s, e = _pt(s), _pt(e)
             pieces.append(Piece(s, e, float(w), plane.dist(s, e)))
-        return cls(plane, pieces)
+        # each length is the endpoint distance itself, so validation could not fail
+        return cls(plane, pieces, validate=False)
 
     @classmethod
     def from_graph_edges(cls, g: MetricGraph, flows: Sequence[tuple[int, int, float]]) -> "Chain1":
         """Build a graph chain from (u, v, weight) triples on existing edges."""
+        # MetricGraph already checked every edge length against d to the same TOL
         return cls(g, [Piece(int(u), int(v), float(w), g.edge_length(u, v))
-                       for u, v, w in flows])
+                       for u, v, w in flows], validate=False)
 
     @staticmethod
     def empty(space=None) -> "Chain1":

@@ -162,7 +162,8 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     counts flow augmentations.
 
     Raises SolverError if the primal value read from the potentials does not
-    match the dual value of the flow, or if ``check_flow`` rejects the flow.
+    match the dual value of the flow (a NaN gap, from an overflow, matches
+    nothing), or if ``check_flow`` rejects the flow.
     """
     t = _check_chain(t, complex_)
     nf, h = complex_.n_faces, complex_.h
@@ -185,7 +186,7 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     s = res.potentials[outer] - res.potentials[:nf]
     r = t - complex_.apply_d2(s)
     value = h * float(np.sum(np.abs(r))) + h * h * float(np.sum(np.abs(s)))
-    if abs(value - dual) > 1e-9 * max(1.0, abs(dual)):
+    if not abs(value - dual) <= 1e-9 * max(1.0, abs(dual)):
         raise SolverError(f"flat norm duality gap: primal {value!r}, dual {dual!r}")
     check_flow(net, res)
     return FlatResult(value=value, r=r, s=s, iterations=res.augmentations)

@@ -336,6 +336,7 @@ def check_flow(net: FlowNetwork, res: FlowResult) -> None:
     the flow is below capacity, reverse while it is positive; a residual at or
     below ``net.floor`` counts as none), and strong duality: the cost equals
     -sum(div pi) - sum(cap max(0, -rc)) to tol times the size of its terms.
+    Each check is written so that a NaN, as from an overflowed inf - inf, fails.
     """
     n, m, div, cost, cap = net.n, len(net.arcs), net.divergence, net.cost, net.cap
     x, pi = np.asarray(res.flows, dtype=float), np.asarray(res.potentials, dtype=float)
@@ -346,21 +347,21 @@ def check_flow(net: FlowNetwork, res: FlowResult) -> None:
     eps = TOL * max(1.0, float(np.abs(div).sum()))
     imbalance = np.bincount(net.tail, x, n) - np.bincount(net.head, x, n) - div
     worst = float(np.max(np.abs(imbalance), initial=0.0))
-    if worst > eps:
+    if not worst <= eps:
         raise SolverError(f"flow breaks conservation by {worst!r}")
-    if np.any(x < -eps) or np.any(x > cap + eps):
+    if not np.all((x >= -eps) & (x <= cap + eps)):
         raise SolverError("flow outside [0, capacity]")
     rc = cost + pi[net.tail] - pi[net.head]
     tol = TOL * max(1.0, float(np.max(np.abs(cost), initial=0.0)),
                     float(np.max(np.abs(pi), initial=0.0)))
     worst = min(float(np.min(rc[cap - x > net.floor], initial=math.inf)),
                 float(np.min(-rc[x > net.floor], initial=math.inf)))
-    if worst < -tol:
+    if not worst >= -tol:
         raise SolverError(f"reduced cost {worst!r} on a residual arc")
     finite = np.isfinite(cap)
     primal = float(cost @ x)
     dual = -float(div @ pi) + float(cap[finite] @ np.minimum(rc[finite], 0.0))
-    if abs(primal - dual) > TOL * max(1.0, abs(primal), float(np.abs(div) @ np.abs(pi))):
+    if not abs(primal - dual) <= TOL * max(1.0, abs(primal), float(np.abs(div) @ np.abs(pi))):
         raise SolverError(f"flow duality gap: primal {primal!r}, dual {dual!r}")
 
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from .currents import (AffineMap, Chain1, ClosedSet, Molecule, Piece, Slab,
-                       fat_cantor_intervals, pushforward, restrict)
+import numpy as np
+
+from .currents import AffineMap, Chain1, Molecule, Piece, fat_cantor_intervals, pushforward
 from .homotopy import affine_homotopy_current
 from .spaces import NormedPlane
 from .transport import ae_norm
@@ -34,7 +35,7 @@ from .transport import ae_norm
 TOL = 1e-9
 GEOM_EPS = 1e-12
 
-Points = Sequence[tuple[float, float]]  # an atomic measure of unit atoms, by its points
+Points = np.ndarray  # an atomic measure of unit atoms: the (n, 2) array of its points
 
 
 class StructureError(ValueError):
@@ -82,10 +83,6 @@ class Line:
     def contains(self, p, tol: float = TOL) -> bool:
         return abs(self.signed_dist(p)) <= tol
 
-    def as_closed_set(self) -> ClosedSet:
-        th = GEOM_EPS * (1.0 + abs(self.c))
-        return ClosedSet.of(Slab(self.a, self.b, self.c - th, self.c + th))
-
 
 @dataclass(frozen=True)
 class ConvexBox:
@@ -99,16 +96,6 @@ class ConvexBox:
     def contains(self, p, margin: float = 0.0) -> bool:
         return (abs(p[0] - self.center[0]) <= self.half_widths[0] - margin
                 and abs(p[1] - self.center[1]) <= self.half_widths[1] - margin)
-
-
-def _seg_point_dist(p, a, b) -> float:
-    ax, ay = b[0] - a[0], b[1] - a[1]
-    px, py = p[0] - a[0], p[1] - a[1]
-    den = ax * ax + ay * ay
-    if den == 0.0:
-        return math.hypot(px, py)
-    t = max(0.0, min(1.0, (px * ax + py * ay) / den))
-    return math.hypot(px - t * ax, py - t * ay)
 
 
 def _piece_coords(chain: Chain1, piece: Piece):
@@ -125,12 +112,16 @@ def piece_inside_line(a, b, line: Line, tol: float = GEOM_EPS) -> bool:
 def clears(a, b, mu: Points, line: Optional[Line] = None, spare=()) -> bool:
     """Segment (a, b) is not inside the line and no atom of mu lies on it,
     except atoms at a point of ``spare`` (pass (a, b) to test the relative
-    interior only)."""
+    interior only). All atoms are measured in one numpy pass."""
     if line is not None and piece_inside_line(a, b, line):
         return False
-    return not any(_seg_point_dist(p, a, b) <= GEOM_EPS
-                   and all(math.hypot(p[0] - q[0], p[1] - q[1]) > GEOM_EPS for q in spare)
-                   for p in mu)
+    mu = np.asarray(mu, dtype=float).reshape(-1, 2)
+    ax, ay = b[0] - a[0], b[1] - a[1]
+    px, py = mu[:, 0] - a[0], mu[:, 1] - a[1]
+    den = ax * ax + ay * ay
+    t = np.clip((px * ax + py * ay) / den, 0.0, 1.0) if den else 0.0
+    on = mu[np.hypot(px - t * ax, py - t * ay) <= GEOM_EPS]
+    return all(any(math.hypot(p[0] - q[0], p[1] - q[1]) <= GEOM_EPS for q in spare) for p in on)
 
 
 def is_admissible(chain: Chain1, mu: Points, line: Optional[Line]) -> bool:
@@ -365,11 +356,10 @@ def rectifiable_filling(t_chain: Chain1, eps: float, mu: Points,
 class NormalizeResult:
     n_chain: Chain1
     r_chain: Chain1
-    b_set: ClosedSet
     mass_ratio: float
     boundary_residual: float
     rounds: tuple[FillingRound, ...] = ()
-    restriction_error: float = 0.0  # |mass(N restricted to the line) - mass(T)|
+    restriction_error: float = 0.0  # |mass of N's pieces inside the line - mass(T)|
     eps: float = 0.0
 
     @property
@@ -403,14 +393,14 @@ def line_filling(m: Molecule, line: Line, plane: NormedPlane) -> Chain1:
 
 
 def sample_support_measure(t_chain: Chain1) -> Points:
-    """Atoms sampling the support of the chain: piece endpoints and midpoints."""
-    out: list[tuple[float, float]] = []
+    """Atoms sampling the support of the chain: piece endpoints and midpoints,
+    each once, in order of first appearance."""
+    atoms: dict[tuple[float, float], None] = {}
     for piece in t_chain.pieces:
         a, b = _piece_coords(t_chain, piece)
         for p in (a, b, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)):
-            if p not in out:
-                out.append(p)
-    return out
+            atoms[p] = None
+    return np.array(list(atoms), dtype=float).reshape(-1, 2)
 
 
 def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
@@ -420,7 +410,8 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
     R fills dT inside the line at minimal mass (at most mass(T), since the
     boundary operator has norm one), lifted off the line by tents whose mass
     factor is 1 + 0.9 eps; R touches the line only at finitely many endpoints,
-    so the restriction of N to the line reproduces T exactly.
+    so the restriction of N to the line reproduces T exactly. Its mass is that
+    of N's pieces inside the line: any other segment meets it in one point.
     """
     _check_eps(eps)
     if not isinstance(t_chain.space, NormedPlane):
@@ -431,7 +422,6 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
         if not (line.contains(a, tol=TOL) and line.contains(b, tol=TOL)):
             raise StructureError("chain must be supported on the line")
 
-    b_set = line.as_closed_set()
     mu = sample_support_measure(t_chain)
     base = line_filling(t_chain.boundary(), line, plane)
     lifted = lift_off_line(base, line, mu, 0.9 * eps)
@@ -439,10 +429,11 @@ def normalize(t_chain: Chain1, line: Line, eps: float) -> NormalizeResult:
     n_chain = t_chain + r.chain.scale(-1.0)
     bres = ae_norm(n_chain.boundary(), plane).value if n_chain.boundary().atoms else 0.0
     ratio = n_chain.mass() / t_chain.mass() if t_chain.mass() > 0 else 0.0
-    restriction_error = abs(restrict(n_chain, b_set).mass() - t_chain.mass())
-    return NormalizeResult(n_chain=n_chain, r_chain=r.chain, b_set=b_set,
-                           mass_ratio=float(ratio), boundary_residual=float(bres),
-                           rounds=r.rounds, restriction_error=restriction_error, eps=eps)
+    inside = sum(abs(p.weight) * p.length for p in n_chain.pieces
+                 if piece_inside_line(*_piece_coords(n_chain, p), line))
+    return NormalizeResult(n_chain=n_chain, r_chain=r.chain, mass_ratio=float(ratio),
+                           boundary_residual=float(bres), rounds=r.rounds,
+                           restriction_error=abs(inside - t_chain.mass()), eps=eps)
 
 
 def fat_cantor_chain(k: int) -> Chain1:

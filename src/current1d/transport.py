@@ -47,12 +47,12 @@ class AeResult:
 def ae_norm(m: Molecule, metric) -> AeResult:
     """Arens-Eells norm of a molecule with an optimal coupling and a dual certificate.
 
-    ``metric`` is a dense matrix (integer atom keys in [0, n), else
-    TransportError) or a NormedPlane (tuple keys). One block of distances,
-    from every atom to the negative atoms (one ``norm_arr`` call in a plane),
-    gives both the flow arcs and the potential. The potential is 1-Lipschitz,
-    pairs with the molecule to the value (Kantorovich duality), and is defined
-    on the atom keys. The flow is certified by ``check_flow``.
+    ``metric`` is a dense matrix (integer atom keys in [0, n)) or a
+    NormedPlane (point keys); any other key is a TransportError. One block of
+    distances, from every atom to the negative atoms (one ``norm_arr`` call in
+    a plane), gives both the flow arcs and the potential. The potential is
+    1-Lipschitz, pairs with the molecule to the value (Kantorovich duality),
+    and is defined on the atom keys. The flow is certified by ``check_flow``.
     """
     pos = m.positive_part()
     neg = m.negative_part()
@@ -66,7 +66,10 @@ def ae_norm(m: Molecule, metric) -> AeResult:
                 raise TransportError(f"molecule atom {p!r} is not a point of the space")
         block = metric[np.ix_(keys, neg_keys)].astype(float, copy=False)
     elif isinstance(metric, NormedPlane):
-        pts = np.array(keys, dtype=float).reshape(len(keys), 2)  # ValueError unless points
+        for p in keys:
+            if not isinstance(p, tuple):
+                raise TransportError(f"molecule atom {p!r} is not a point of the plane")
+        pts = np.array(keys, dtype=float)
         block = metric.norm_arr(pts[[w < 0 for _, w in m.atoms]] - pts[:, None])
     else:
         raise TransportError(f"unsupported metric object {type(metric)}")

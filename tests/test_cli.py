@@ -604,6 +604,27 @@ class TestErrorHandling:
         assert out["restricted_mass"] == 1e200 and out["mass_identity_residual"] == 0
         assert out["curves"][0]["fragment_mass"] == 1e200 and out["ok"]
 
+    def test_a_flat_norm_that_overflows_exits_one(self, tmp_path, capsys):
+        chain = tmp_path / "c.json"
+        chain.write_text(json.dumps({"pieces": [
+            {"start": [0, 0], "end": [1, 0], "weight": 1e308},
+            {"start": [1, 0], "end": [2, 0], "weight": 1e308}]}))
+        assert run_cli(["flatnorm", "--grid", "2,2,1", "--chain", str(chain)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "SolverError" and "duality gap" in err["message"]
+
+    def test_ae_norm_of_vertices_in_a_plane_exits_one(self, capsys):
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        assert run_cli(["ae-norm", "--space", os.path.join(golden, "plane_l2.json"),
+                        "--molecule", os.path.join(golden, "mol_graph.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err == {"error": "TransportError",
+                       "message": "molecule atom 0 is not a point of the plane"}
+
     def test_infeasible_molecule_is_input_error(self, tmp_path, fixtures, capsys):
         iso = tmp_path / "iso.json"
         iso.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from current1d import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
-                       CurveArray, HalfPlane, Molecule, NormedPlane, Polyline,
-                       ScalarField, Slab, ae_norm, d_inf, d_inf_many, evaluate,
+                       CurveArray, HalfPlane, MetricGraph, Molecule, NormedPlane, Piece,
+                       Polyline, ScalarField, Slab, ae_norm, d_inf, d_inf_many, evaluate,
                        fat_cantor_intervals, pushforward, restrict, standard_panel)
 from current1d import currents
+from current1d.io import load_chain
 from current1d import TestForm as Form
 from current1d.currents import Fragment, FragmentChain, intervals_measure
 
@@ -72,6 +73,36 @@ class TestBoundary:
         x, y, z = (0.0, 0.0), (1.0, 0.0), (2.0, 0.0)
         c = seg_chain((x, y, 2.0), (y, z, 2.0))
         assert c.boundary().atoms == ((x, -2.0), (z, 2.0))
+
+
+class TestChainValidation:
+    """Lengths from outside are checked against the endpoint distance; lengths
+    the package measured itself, or the graph already checked, are not."""
+
+    def graph(self):
+        return MetricGraph([[0, 0], [1, 0], [1, 1]], [(0, 1, 1.0), (1, 2, 1.0)])
+
+    def test_graph_edges_are_not_measured_again(self, monkeypatch):
+        g = self.graph()
+
+        def no_distance(self, u, v):
+            raise AssertionError("MetricGraph.d was called")
+
+        monkeypatch.setattr(MetricGraph, "d", no_distance)
+        c = Chain1.from_graph_edges(g, [(0, 1, 2.0), (2, 1, -1.0)])
+        assert c.mass() == 3.0
+
+    def test_segments_take_their_measured_lengths(self):
+        c = Chain1.from_segments(NormedPlane("l1"), [((0.0, 0.0), (3.0, 4.0), -2.0)])
+        assert c.pieces == (Piece((0.0, 0.0), (3.0, 4.0), -2.0, 7.0),)
+
+    def test_pieces_from_outside_are_validated(self):
+        with pytest.raises(CurrentError, match="below endpoint distance"):
+            Chain1(self.graph(), [Piece(0, 2, 1.0, 1.0)])
+        with pytest.raises(CurrentError, match="below endpoint distance"):
+            Chain1(PL, [Piece((0.0, 0.0), (3.0, 4.0), 1.0, 4.0)])
+        with pytest.raises(CurrentError, match="below endpoint distance"):
+            load_chain({"pieces": [{"start": [0, 0], "end": [3, 4], "weight": 1, "length": 4}]})
 
 
 class TestMass:

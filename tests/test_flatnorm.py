@@ -179,6 +179,13 @@ class TestFlatNorm:
         with pytest.raises(GridError):
             flat_norm(t, cx)
 
+    def test_a_value_that_overflows_is_rejected(self):
+        cx = CubicalComplex(h=1.0, nx=2, ny=2)
+        t = np.zeros(cx.n_edges)
+        t[[cx.h_edge(0, 0), cx.h_edge(1, 0)]] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="duality gap"):
+            flat_norm(t, cx)
+
     def test_unit_square_fills_the_face(self):
         cx = CubicalComplex(h=1.0, nx=3, ny=3)
         t = snap(square_loop(1, 1), cx)

@@ -462,6 +462,17 @@ class TestCheckFlow:
         with pytest.raises(SolverError, match="reduced cost|duality gap"):
             check_flow(net, dataclasses.replace(res, potentials=pi))
 
+    @pytest.mark.parametrize("engine", [min_cost_flow, network_simplex])
+    def test_rejects_a_cost_that_overflows(self, engine):
+        # 1e308 units at cost 2 cost inf; primal and dual are both inf, and
+        # their gap inf - inf is NaN, which no tolerance may accept
+        with np.errstate(over="ignore"):
+            net = FlowNetwork(2, ((0, 1, 2.0, INF),), (1e308, -1e308))
+            res = engine(net)
+            assert res.total_cost == INF
+            with pytest.raises(SolverError, match="duality gap: primal inf, dual inf"):
+                check_flow(net, res)
+
 
 def assert_simplex_agrees(net: FlowNetwork) -> FlowResult:
     """``network_simplex`` matches ``min_cost_flow``'s cost to 1e-12 relative,

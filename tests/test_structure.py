@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from current1d import (Chain1, ConvexBox, CurveMeasure, Line, MetricGraph, Molecule,
-                       NormalizeResult, NormedPlane, Polyline, ae_norm, approximate,
-                       fat_cantor_chain, lift_off_line, minimal_filling, normalize,
-                       rectifiable_filling, rescale_interior, restrict,
+from current1d import (Chain1, ClosedSet, ConvexBox, CurveMeasure, Line, MetricGraph,
+                       Molecule, NormalizeResult, NormedPlane, Polyline, Slab, ae_norm,
+                       approximate, fat_cantor_chain, lift_off_line, minimal_filling,
+                       normalize, rectifiable_filling, rescale_interior, restrict,
                        translate_singular)
-from current1d.structure import (NoAdmissibleShift, StructureError, clears, is_admissible,
-                                 line_filling)
+from current1d.structure import (GEOM_EPS, NoAdmissibleShift, StructureError, clears,
+                                 is_admissible, line_filling, sample_support_measure)
 
 PL = NormedPlane("l2")
 AXIS = Line(0.0, 1.0, 0.0)
+
+
+def line_slab(line: Line) -> ClosedSet:
+    """The line thickened to half-width 1e-12 (1 + |c|): an independent route to
+    N restricted to the line, through ``restrict``, for the cross-checks."""
+    th = 1e-12 * (1.0 + abs(line.c))
+    return ClosedSet.of(Slab(line.a, line.b, line.c - th, line.c + th))
 
 
 def unit_segment(w=1.0):
@@ -259,7 +266,7 @@ class TestNormalize:
         res = normalize(t, AXIS, eps=0.1)
         assert res.boundary_residual <= 1e-9
         assert res.mass_ratio <= 2.1 + 1e-9
-        frag = restrict(res.n_chain, res.b_set)
+        frag = restrict(res.n_chain, line_slab(AXIS))
         assert abs(frag.mass() - t.mass()) <= 1e-9
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
@@ -269,7 +276,7 @@ class TestNormalize:
         res = normalize(t, AXIS, eps=0.1)
         assert res.boundary_residual <= 1e-9
         assert res.n_chain.mass() <= 2.1 * t.mass() + 1e-9
-        frag = restrict(res.n_chain, res.b_set)
+        frag = restrict(res.n_chain, line_slab(AXIS))
         assert abs(frag.mass() - t.mass()) <= 1e-9
 
     # off the axes a fragment's l1 and linf lengths differ from its euclidean
@@ -341,10 +348,29 @@ class TestNormalize:
                 assert abs(AXIS.signed_dist(q)) > 0
                 assert q not in mu_pts
 
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_deep_fat_cantor_stages_are_ok(self, k):
+        # every tent foot touches the line at one point, which carries no length
+        t = fat_cantor_chain(k)
+        res = normalize(t, AXIS, eps=0.1)
+        assert res.ok
+        assert res.restriction_error == 0.0
+        assert res.boundary_residual <= 1e-9
+        assert res.mass_ratio <= 2.1 + 1e-9
+
+    def test_the_pieces_inside_the_line_are_the_chain(self):
+        t = Chain1.from_segments(PL, [((0.0, 0.0), (1.0, 0.0), 1.0),
+                                      ((2.0, 0.0), (2.5, 0.0), -3.0)])
+        res = normalize(t, AXIS, eps=0.1)
+        inside = [p for p in res.n_chain.pieces
+                  if p.start != p.end and p.start[1] == 0.0 and p.end[1] == 0.0]
+        assert inside == list(t.pieces)
+        assert res.restriction_error == 0.0
+
     def test_restriction_reproduces_pieces(self):
         t = fat_cantor_chain(1)
         res = normalize(t, AXIS, eps=0.1)
-        frag = restrict(res.n_chain, res.b_set)
+        frag = restrict(res.n_chain, line_slab(AXIS))
         whole = [f for f in frag.fragments
                  if f.domain and f.domain[0][1] - f.domain[0][0] >= 1.0 - 1e-12]
         assert len(whole) == len(t.pieces)
@@ -412,6 +438,53 @@ class TestClears:
         assert not is_admissible(c, [(0.5, 1.0)], AXIS)
 
 
+def seg_point_dist(p, a, b) -> float:
+    """Scalar euclidean distance from p to the segment [a, b]: the reference for ``clears``."""
+    ax, ay = b[0] - a[0], b[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    den = ax * ax + ay * ay
+    if den == 0.0:
+        return math.hypot(px, py)
+    t = max(0.0, min(1.0, (px * ax + py * ay) / den))
+    return math.hypot(px - t * ax, py - t * ay)
+
+
+def reference_clears(a, b, mu, spare=()) -> bool:
+    return not any(seg_point_dist(p, a, b) <= GEOM_EPS
+                   and all(math.hypot(p[0] - q[0], p[1] - q[1]) > GEOM_EPS for q in spare)
+                   for p in mu)
+
+
+class TestClearsAgainstScalar:
+    def test_seeded_segments_and_atoms(self):
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for _ in range(400):
+            a = tuple(rng.integers(-3, 4, size=2).astype(float))
+            b = a if rng.random() < 0.2 else tuple(rng.integers(-3, 4, size=2).astype(float))
+            on = [(a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+                  for s in rng.choice([0.0, 0.25, 0.5, 1.0], size=int(rng.integers(0, 3)))]
+            near = [(p[0], p[1] + d) for p in on for d in (GEOM_EPS / 2, 4 * GEOM_EPS)]
+            loose = [tuple(q) for q in rng.uniform(-3.0, 3.0, size=(int(rng.integers(0, 6)), 2))]
+            mu = on + near + loose
+            rng.shuffle(mu)
+            spare = [(), (a,), (b,), (a, b), tuple(loose[:1]) + (a,)][int(rng.integers(0, 5))]
+            want = reference_clears(a, b, mu, spare)
+            assert clears(a, b, mu, spare=spare) == want
+            assert clears(a, b, np.array(mu).reshape(-1, 2), spare=spare) == want
+            verdicts.append(want)
+        assert 50 <= sum(verdicts) <= 350  # both verdicts are well represented
+
+    def test_support_measure_lists_each_atom_once_in_order(self):
+        c = Chain1.from_segments(PL, [((0.0, 0.0), (1.0, 0.0), 1.0), ((1.0, 0.0), (2.0, 0.0), 1.0),
+                                      ((0.5, 0.0), (1.0, 0.0), 1.0)])
+        mu = sample_support_measure(c)
+        assert mu.shape == (6, 2)
+        assert mu.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [2.0, 0.0], [1.5, 0.0],
+                               [0.75, 0.0]]
+        assert sample_support_measure(Chain1.empty(PL)).shape == (0, 2)
+
+
 class TestRelaxedMassSanity:
     def test_approximation_of_own_pieces_preserves_mass(self):
         t = fat_cantor_chain(2)
@@ -432,5 +505,5 @@ class TestNonAxisLine:
         res = normalize(t, line, eps=0.1)
         assert res.boundary_residual <= 1e-9
         assert res.n_chain.mass() <= 2.1 * t.mass() + 1e-9
-        frag = restrict(res.n_chain, res.b_set)
+        frag = restrict(res.n_chain, line_slab(line))
         assert abs(frag.mass() - t.mass()) <= 1e-9

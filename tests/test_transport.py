@@ -59,6 +59,12 @@ class TestAeNorm:
         with pytest.raises(TransportError, match="not a point of the space"):
             ae_norm(Molecule([(key, 1.0), (0, -1.0)]), dist)
 
+    def test_vertex_key_in_a_plane_raises(self):
+        # integer keys sort first, so the first non-point is vertex 0
+        m = Molecule([((1.0, 0.0), 1.0), (2, -0.5), (0, -0.5)])
+        with pytest.raises(TransportError, match=r"^molecule atom 0 is not a point of the plane$"):
+            ae_norm(m, PL)
+
     def test_planar_molecule(self):
         m = Molecule([((0.0, 0.0), -1.0), ((3.0, 4.0), 1.0)])
         res = ae_norm(m, PL)
