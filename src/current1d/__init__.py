@@ -18,7 +18,7 @@ from .currents import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
 from .solvers import (FlowNetwork, Infeasible, IterationLimit, LinearProgram,
                       SolverError, Unbounded, check_flow, min_cost_flow,
                       network_simplex, simplex_lp)
-from .transport import (AeResult, FillingResult, IsoReport, ae_norm,
+from .transport import (AeResult, FillingResult, IsoReport, ae_norm, check_filling,
                         isomorphism_check, minimal_filling)
 from .flatnorm import CubicalComplex, FlatResult, flat_norm, snap
 from .homotopy import (AffineBicombing, FillResult, GraphBicombing,

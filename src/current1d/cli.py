@@ -179,13 +179,11 @@ def _cmd_filling(args) -> int:
         raise CliInputError("filling needs a graph space")
     m = cio.load_molecule(_load_json(args.molecule))
     fill = minimal_filling(m, g)
-    ae_intr = ae_norm(m, g.path_dist).value
-    identity_ok = abs(fill.mass_value - ae_intr) <= 1e-7 * max(1.0, fill.mass_value)
-    bnd = fill.chain.boundary()
-    bnd_ok = bnd == m
+    identity_ok = abs(fill.mass_value - fill.ae.value) <= 1e-7 * max(1.0, fill.mass_value)
+    bnd_ok = fill.chain.boundary() == m
     report = {
         "mass": fill.mass_value,
-        "ae_intrinsic": ae_intr,
+        "ae_intrinsic": fill.ae.value,
         "identity_ok": bool(identity_ok),
         "boundary_ok": bool(bnd_ok),
         "chain": cio.dump_chain(fill.chain),

@@ -5,12 +5,11 @@ ties by lowest index; the simplex uses Bland's rule, which also precludes
 cycling. Desk-scale instances only (a few thousand variables).
 
 Each flow caller picks its engine by measurement (best of 3 per network on
-the benchmark's flows, 2-vCPU host). Both transport callers use
-``network_simplex``: 0.14 s against the phases' 0.98 s on ``ae_norm``'s 36
-dense networks (seeds 1-2), and 0.55 s against 1.01 s on ``minimal_filling``'s
-90 sparse ones (seeds 1-10; 0.21-2.20x each, slower only at k = 16 atoms).
-The phases serve ``flat_norm``: degenerate pivots made the simplex take
-0.072 s against their 0.039 s on its 18 dual grids (seeds 1-2).
+the benchmark's flows, 2-vCPU host). ``ae_norm`` uses ``network_simplex``:
+0.14 s against the phases' 0.98 s on its 36 dense networks (seeds 1-2);
+``minimal_filling`` routes its coupling and solves no flow. The phases serve
+``flat_norm``: degenerate pivots made the simplex take 0.072 s against their
+0.039 s on its 18 dual grids (seeds 1-2).
 
 ``min_cost_flow`` is primal-dual (Ahuja, Magnanti and Orlin, *Network Flows*,
 1993, ch. 9): successive shortest paths with Johnson potentials, where each
@@ -108,8 +107,11 @@ class FlowNetwork:
             raise SolverError(f"arcs must be an (m, 4) table, not {arcs.shape}")
         if div.shape != (n,) or not np.all(np.isfinite(div)):
             raise SolverError(f"need {n} finite divergences")
-        tot = float(div.sum())
-        if abs(tot) > TOL * max(1.0, float(np.abs(div).sum())):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum fails below
+            supply, tot, size = float(div[div > 0].sum()), float(div.sum()), np.abs(div).sum()
+        if not supply < math.inf:  # else eps, and every test against it, is vacuous
+            raise SolverError(f"total supply {supply!r} is not finite")
+        if not abs(tot) <= TOL * max(1.0, size) or tot == -math.inf:  # the demand overflowed
             raise SolverError(f"divergences sum to {tot}, not 0")
         ends, cost, cap = arcs[:, :2], arcs[:, 2], arcs[:, 3]
         if np.any((ends != np.floor(ends)) | (ends < 0) | (ends >= n)):
@@ -120,7 +122,7 @@ class FlowNetwork:
         self.cost, self.cap = cost.copy(), cap
         for col in (self.tail, self.head, self.cost):
             col.flags.writeable = False
-        self.eps = TOL * max(1.0, float(div[div > 0].sum()))
+        self.eps = TOL * max(1.0, supply)
         self.floor = self.eps * 1e-3
 
 

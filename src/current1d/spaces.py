@@ -174,8 +174,8 @@ class MetricGraph:
     Everything is built eagerly at construction; instances are immutable
     afterwards and safe for concurrent reads. ``arcs`` is the one read-only
     (2m, 3) table of rows (tail, head, length), arc 2k being edge k as listed
-    and 2k + 1 its reverse; the all-pairs pass, the shortest-path trees and
-    the filling's flow network all read it. The signed edge table maps
+    and 2k + 1 its reverse; the all-pairs pass and the shortest-path trees,
+    which route a minimal filling, read it. The signed edge table maps
     ``(u, v)`` to ``(k, +1)`` and ``(v, u)`` to ``(k, -1)`` for edge
     ``k = (u, v)``.
     """

@@ -11,10 +11,10 @@ The dual potential is recovered from the flow's node potentials on the
 negative atoms and extended with the McShane formula
 ``u(x) = min_y (u(y) + d(x, y))``, which is 1-Lipschitz by construction.
 
-Minimal fillings run on ``network_simplex`` too, so both sides of the
-isomorphism check share one engine; the primal-dual phases serve ``flat_norm``.
-On the benchmark's 90 filling networks of seeds 1-10 (best of 3 each, 2-vCPU
-host) the simplex took 0.55 s against the phases' 1.01 s.
+A minimal filling on a graph is the path-metric coupling routed along shortest
+paths, an optimal flow of Beckmann's problem (Santambrogio, *Optimal Transport
+for Applied Mathematicians*, 2015, ch. 4); ``check_filling`` certifies it by
+Beckmann's dual, without the flow engine.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .currents import Chain1, Molecule
+from .decomposition import edge_weights, route_chain
 from .spaces import MetricGraph, NormedPlane, qc_constants
 from .solvers import FlowNetwork, Infeasible, check_flow, network_simplex
 from .solvers import min_cost_flow  # noqa: F401 (bench/tracing.py wraps this name)
@@ -84,7 +85,8 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     res = network_simplex(net)
     check_flow(net, res)
 
-    used = np.flatnonzero(res.flows > TOL)
+    # the arc floor, not TOL, which at weights near 1e-9 drops every routed flow
+    used = np.flatnonzero(res.flows > net.floor)
     coupling = tuple((pos[i][0], neg_keys[j], f) for i, j, f in
                      zip(ii[used].tolist(), jj[used].tolist(), res.flows[used].tolist()))
     # McShane extension from the negative atoms: u(x) = min_q d(x, q) - pi(q)
@@ -97,32 +99,53 @@ def ae_norm(m: Molecule, metric) -> AeResult:
 class FillingResult:
     chain: Chain1
     mass_value: float
+    ae: AeResult = field(repr=False)  # the coupling routed into ``chain``
 
 
 def minimal_filling(m: Molecule, g: MetricGraph) -> FillingResult:
-    """Least-mass chain on graph edges with the prescribed boundary.
-
-    The Beckmann problem: a min-cost flow over both orientations of each edge at
-    cost = length and divergence = the molecule, of cost the path-metric AE norm.
-    """
-    for p, _ in m.atoms:
-        if not isinstance(p, (int, np.integer)) or not (0 <= p < g.n):
-            raise TransportError(f"molecule atom {p!r} is not a vertex of the graph")
-    # flow sources sit at the negative part so that boundary(chain) = m
-    # (a piece u -> v contributes weight at v and -weight at u)
-    divergence = np.zeros(g.n)
-    for p, w in m.atoms:
-        divergence[p] -= w
-    net = FlowNetwork(g.n, np.column_stack([g.arcs, np.full(len(g.arcs), math.inf)]), divergence)
+    """Least-mass chain on graph edges with boundary m: each pair (p, q, f) of
+    ``ae_norm(m, g.path_dist)``'s coupling routed from q to p on q's shortest-path
+    tree (``MetricGraph.predecessors``), certified by ``check_filling``."""
     try:
-        res = network_simplex(net)
+        ae = ae_norm(m, g.path_dist)
     except Infeasible as exc:
         raise Infeasible(f"molecule not balanceable within components: {exc}") from exc
-    check_flow(net, res)
-    netw = (res.flows[0::2] - res.flows[1::2]).tolist()  # arc 2k is edge k, 2k + 1 its reverse
-    chain = Chain1.from_graph_edges(g, [(u, v, w) for (u, v, _), w in zip(g.edges, netw)
-                                        if abs(w) > 1e-12])
-    return FillingResult(chain=chain, mass_value=chain.mass())
+    trees = {q: g.predecessors(q).tolist() for q in {q for _, q, _ in ae.coupling}}
+    routes = []
+    for p, q, f in ae.coupling:
+        verts = [p]
+        while verts[-1] != q:
+            verts.append(trees[q][verts[-1]])
+        routes.append((f, verts[::-1]))
+    weights = edge_weights(route_chain(g, routes)).tolist()
+    chain = Chain1.from_graph_edges(g, [(u, v, w) for (u, v, _), w in zip(g.edges, weights)
+                                        if w != 0.0])
+    fill = FillingResult(chain, chain.mass(), ae)
+    check_filling(m, g, fill)
+    return fill
+
+
+def check_filling(m: Molecule, g: MetricGraph, fill: FillingResult) -> None:
+    """Certify ``fill`` by Beckmann's dual, or raise TransportError: the chain's
+    boundary is m to TOL * mass0(m), and U(v) = min over atoms a of
+    pi(a) + d_l(v, a), the coupling potential pi extended by McShane, is
+    1-Lipschitz on every edge and pairs with m to the chain's mass. Then every
+    T with boundary m has mass(T) >= <dT, U> = <m, U>. A NaN fails each check."""
+    keys, w = np.array([p for p, _ in m.atoms], dtype=np.intp), np.array([x for _, x in m.atoms])
+    x, (tail, head) = edge_weights(fill.chain), g.arcs[0::2, :2].T.astype(np.intp)
+    miss = np.bincount(np.r_[head, tail, keys], np.r_[x, -x, -w], g.n)  # boundary - m
+    worst = float(np.max(np.abs(miss), initial=0.0))
+    if not worst <= TOL * m.mass0():
+        raise TransportError(f"filling boundary misses the molecule by {worst!r}")
+    pi = np.array([fill.ae.potential[p] for p, _ in m.atoms])
+    u = (g.path_dist[:, keys] + pi).min(axis=1, initial=math.inf)
+    u[u == math.inf] = 0.0  # on a component with no atom, where the chain has no edge
+    slack = float(np.max(np.abs(u[tail] - u[head]) - g.arcs[0::2, 2], initial=-math.inf))
+    if not slack <= TOL * float(np.max(np.abs(u), initial=0.0)):
+        raise TransportError(f"filling potential exceeds an edge length by {slack!r}")
+    pairing, mass = float(w @ u[keys]), fill.chain.mass()
+    if not abs(pairing - mass) <= TOL * max(mass, float(np.abs(w) @ np.abs(u[keys]))):
+        raise TransportError(f"filling mass {mass!r} is not its dual pairing {pairing!r}")
 
 
 @dataclass(frozen=True)
@@ -144,15 +167,15 @@ class IsoReport:
 def isomorphism_check(m: Molecule, g: MetricGraph, tol: float = IDENT_TOL) -> IsoReport:
     """Verify the quasiconvexity sandwich for a molecule on a connected graph.
 
-    Checks qc^-1 * ae(d) <= filling <= qc * ae(d), the solver identity
-    filling = ae(d_l), and the unconditional lower bound ae(d) <= filling
+    Checks qc^-1 * ae(d) <= filling <= qc * ae(d), the routed chain's mass against
+    its coupling's cost ae(d_l), and the unconditional lower bound ae(d) <= filling
     (the boundary operator has norm one), each to ``tol * max(1, filling)``.
     """
     if np.any(np.isinf(g.path_dist)):
         raise TransportError("isomorphism check needs a connected graph")
     ae_amb = ae_norm(m, g.ambient_dist).value
-    ae_intr = ae_norm(m, g.path_dist).value
-    filling = minimal_filling(m, g).mass_value
+    fill = minimal_filling(m, g)
+    filling, ae_intr = fill.mass_value, fill.ae.value
     qc = qc_constants(g).qc_space
     scale = max(1.0, filling)
     lower_ok = (ae_amb / qc) <= filling + tol * scale

@@ -4,12 +4,13 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_engine_digests.py
 
-It builds seeded min-cost-flow networks the way the package's callers build
-them (the dense bipartite network of ``ae_norm``, the sparse graph network of
-``minimal_filling``, the flat-norm dual grid with finite capacities), a random
-network with finite and infinite capacities and an infeasible one, plus
-seeded ``MetricGraph``s, and records SHA-256 digests of the flows,
-potentials and total cost of both flow engines on every network, with
+It builds seeded min-cost-flow networks: the dense bipartite network of
+``ae_norm`` and the flat-norm dual grid with finite capacities, as those
+callers build them; the sparse Beckmann network of a molecule on a graph
+(``beckmann``), the reference that ``minimal_filling``'s routed coupling is
+tested against; a random network with finite and infinite capacities and an
+infeasible one; plus seeded ``MetricGraph``s. It records SHA-256 digests of
+the flows, potentials and total cost of both flow engines on every network, with
 ``min_cost_flow``'s augmentation count ("networks") and ``network_simplex``'s
 pivot count ("simplex"), and of every graph's ``path_dist``, in
 ``engine_digests.json``. The "quadrature" section holds, for seeded curve
@@ -109,12 +110,22 @@ def _graph(seed: int, n: int, parts: int = 1) -> MetricGraph:
     return MetricGraph(pts.tolist(), edges, ambient="euclidean")
 
 
+def beckmann(m: Molecule, g: MetricGraph) -> FlowNetwork:
+    """Beckmann's network of a molecule on a graph: arc 2k is edge k and
+    2k + 1 its reverse, at cost = length and uncapacitated, with divergence
+    -m so that the flow, read as a chain, has boundary m. Its least cost is
+    the mass of ``minimal_filling(m, g)``."""
+    divergence = np.zeros(g.n)
+    for p, w in m.atoms:
+        divergence[p] -= w
+    return FlowNetwork(g.n, np.column_stack([g.arcs, np.full(len(g.arcs), INF)]), divergence)
+
+
 def _sparse(seed: int, n: int, k: int) -> FlowNetwork:
     g = _graph(seed, n)
     rng = _rng(seed + 1)
     verts = rng.choice(n, size=k, replace=False).tolist()
-    mol = Molecule(list(zip(verts, _balanced(rng, k).tolist())))
-    return _captured(transport, "network_simplex", lambda: transport.minimal_filling(mol, g))
+    return beckmann(Molecule(list(zip(verts, _balanced(rng, k).tolist()))), g)
 
 
 def _dual_grid(seed: int, n: int, staircase: bool) -> FlowNetwork:

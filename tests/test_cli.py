@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from current1d import cli
+from current1d import cli, transport
 from current1d.cli import main
 from current1d.io import canonical_json, load_chain, load_closedset, load_molecule
 
@@ -109,6 +109,18 @@ class TestSubcommands:
         assert code == 0
         assert out["mass"] == pytest.approx(2.0)
         assert out["identity_ok"] and out["boundary_ok"]
+
+    def test_filling_solves_one_flow(self, fixtures, capsys, monkeypatch):
+        nets, solve = [], transport.network_simplex
+
+        def counted(net):
+            nets.append(net)
+            return solve(net)
+        monkeypatch.setattr(transport, "network_simplex", counted)
+        assert run_cli(["filling", "--space", fixtures["vdetour.json"],
+                        "--molecule", fixtures["mol.json"]]) == 0
+        assert len(nets) == 1
+        assert json.loads(capsys.readouterr().out)["ae_intrinsic"] == pytest.approx(2.0)
 
     def test_flatnorm(self, fixtures, capsys):
         code = run_cli(["flatnorm", "--grid", "3,3,1",
@@ -614,6 +626,18 @@ class TestErrorHandling:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "SolverError" and "duality gap" in err["message"]
+
+    def test_an_ae_norm_whose_supply_overflows_exits_one(self, tmp_path, capsys):
+        mol = tmp_path / "mol.json"
+        mol.write_text(json.dumps({"atoms": [[[0, 0], 1e308], [[0, 1], 1e308],
+                                             [[5, 0], -1e308], [[5, 1], -1e308]]}))
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        assert run_cli(["ae-norm", "--space", os.path.join(golden, "plane_l2.json"),
+                        "--molecule", str(mol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "SolverError",
+                                            "message": "total supply inf is not finite"}
 
     def test_ae_norm_of_vertices_in_a_plane_exits_one(self, capsys):
         golden = os.path.join(os.path.dirname(__file__), "golden")

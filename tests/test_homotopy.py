@@ -209,9 +209,10 @@ def panel_in(seed: int, plane) -> list:
             for form in standard_panel(seed, count=20, scale=2.0)]
 
 
-class TestDomainCache:
-    """A fill and a chain build their quadrature domain once: the same values
-    (bit for bit), node and cap counts as the integrands evaluated afresh."""
+class TestGeometryPerPass:
+    """A fill and a chain evaluate the geometry of their boxes once per panel
+    pass: the same values (bit for bit), node and cap counts as the integrands
+    evaluated afresh."""
 
     PLANES = (NormedPlane("l1"), PL, NormedPlane("linf"))
 

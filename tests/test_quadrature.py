@@ -294,10 +294,10 @@ class TestCalls:
 
 
 
-class TestDomain:
-    """One pass over a panel of form parts evaluates the geometry of each call
-    once for all its rows, and each row is ``integrate`` with the geometry
-    evaluated inside the integrand."""
+class TestSharedGeometry:
+    """One ``integrate`` pass over a panel of form parts evaluates the geometry
+    of each call once for all its rows, and each row equals ``integrate`` of its
+    part with the geometry evaluated inside the integrand."""
 
     PARTS = (lambda g: g[2], lambda g: g[2] * np.cos(3.0 * g[0][:, -1]),
              lambda g: np.exp(-g[2] ** 2) + g[1] % 2)

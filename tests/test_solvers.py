@@ -136,6 +136,16 @@ class TestFlowNetwork:
         with pytest.raises(SolverError, match=re.escape(needle)):
             FlowNetwork(2, arcs, div)
 
+    @pytest.mark.parametrize("div, needle", [
+        ((1e308, 1e308, -1e308, -1e308), "total supply inf is not finite"),
+        ((1e308, -1e308, -1e308, -1e308), "divergences sum to -inf"),
+    ], ids=["supply", "demand"])
+    def test_rejects_a_sum_that_overflows(self, div, needle):
+        """An infinite supply would make eps, and every test against it, vacuous;
+        an infinite demand would pass the zero-sum test against an infinite size."""
+        with pytest.raises(SolverError, match=re.escape(needle)):
+            FlowNetwork(4, ((0, 2, 1.0, INF), (1, 3, 1.0, INF)), div)
+
 
 class TestSearches:
     """One shortest-path search serves several sinks; each augmentation still

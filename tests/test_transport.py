@@ -1,16 +1,25 @@
+import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from current1d import (Chain1, FiniteMetricSpace, Infeasible, MetricGraph,
-                       Molecule, NormedPlane, ae_norm, isomorphism_check,
-                       minimal_filling, qc_constants)
+from current1d import (Chain1, FiniteMetricSpace, FillingResult, Infeasible, MetricGraph,
+                       Molecule, NormedPlane, ae_norm, check_filling, edge_weights,
+                       isomorphism_check, minimal_filling, network_simplex, qc_constants,
+                       transport)
 from current1d.transport import TransportError
 
 from conftest import make_v_detour, random_connected_graph
+
+_spec = importlib.util.spec_from_file_location(
+    "make_engine_digests", Path(__file__).resolve().parent / "golden" / "make_engine_digests.py")
+engine_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(engine_digests)
 
 PL = NormedPlane("l2")
 
@@ -238,6 +247,107 @@ class TestHighsOracle:
             assert lp.status == 0
             assert minimal_filling(m, g).mass_value == pytest.approx(lp.fun, rel=1e-9,
                                                                      abs=1e-12)
+
+
+def seeded_filling(seed: int, scale: float = 1.0):
+    """Seeded graph, molecule of weights times ``scale``, and its minimal filling."""
+    rng = np.random.Generator(np.random.Philox(key=(41, seed)))
+    g = random_connected_graph(rng, max_n=60)
+    k = int(rng.integers(2, min(g.n, 16) + 1))
+    m = Molecule(list(zip(rng.choice(g.n, size=k, replace=False).tolist(),
+                          (scale * balanced_weights(rng, k)).tolist())))
+    return g, m, minimal_filling(m, g)
+
+
+def corrupted(m: Molecule, g: MetricGraph, fill: FillingResult, how: str) -> FillingResult:
+    """``fill`` with its heaviest piece scaled by 1 + 1e-6, sign-flipped or
+    dropped, or with the potential of its heaviest positive atom lowered by
+    1e-6 times the graph's diameter."""
+    pieces = list(fill.chain.pieces)
+    i = max(range(len(pieces)), key=lambda j: abs(pieces[j].weight))
+    ae = fill.ae
+    if how == "scaled":
+        pieces[i] = pieces[i]._replace(weight=pieces[i].weight * (1 + 1e-6))
+    elif how == "flipped":
+        pieces[i] = pieces[i]._replace(weight=-pieces[i].weight)
+    elif how == "dropped":
+        del pieces[i]
+    else:
+        p = max(m.atoms, key=lambda pw: pw[1])[0]
+        moved = ae.potential[p] - 1e-6 * float(np.max(g.path_dist))
+        ae = dataclasses.replace(ae, potential={**ae.potential, p: moved})
+    return FillingResult(Chain1(g, pieces, validate=False), fill.mass_value, ae)
+
+
+class TestRoutedFilling:
+    """``minimal_filling`` routes ``ae_norm``'s coupling on shortest paths;
+    Beckmann's network solved by the flow engine is its reference, and
+    ``check_filling`` its certificate."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_beckmann_network(self, seed):
+        g, m, fill = seeded_filling(seed)
+        res = network_simplex(engine_digests.beckmann(m, g))
+        assert fill.mass_value == pytest.approx(res.total_cost, rel=1e-12)
+        flow = res.flows[0::2] - res.flows[1::2]  # arc 2k is edge k, 2k + 1 its reverse
+        weights = edge_weights(fill.chain)
+        assert (np.flatnonzero(weights).tolist()
+                == np.flatnonzero(np.abs(flow) > 1e-12).tolist())
+        np.testing.assert_allclose(weights, flow, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [-30, 0, 30])
+    @pytest.mark.parametrize("how", ["scaled", "flipped", "dropped", "potential"])
+    def test_the_certificate_rejects_a_corrupted_filling(self, how, k):
+        for seed in range(6):
+            g, m, fill = seeded_filling(seed, 2.0 ** k)
+            check_filling(m, g, fill)
+            with pytest.raises(TransportError, match="filling"):
+                check_filling(m, g, corrupted(m, g, fill, how))
+
+    def test_the_certificate_rejects_a_path_metric_above_the_edges(self):
+        """A potential 1-Lipschitz for a path metric 1e-6 too long breaks an edge."""
+        for seed in range(6):
+            g, m, fill = seeded_filling(seed)
+            g.path_dist = g.path_dist * (1 + 1e-6)
+            with pytest.raises(TransportError, match="exceeds an edge length"):
+                check_filling(m, g, fill)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-10])
+    def test_boundary_is_the_molecule_at_small_weights(self, scale):
+        """At weights near 1e-9 and below, every coupled flow is under TOL, so a
+        coupling cut at TOL instead of the engine's arc floor routes nothing."""
+        for seed in range(6):
+            g, m, fill = seeded_filling(seed, scale)
+            got, want = dict(fill.chain.boundary().atoms), dict(m.atoms)
+            for p in got.keys() | want.keys():
+                assert got.get(p, 0.0) == pytest.approx(want.get(p, 0.0), rel=1e-9,
+                                                        abs=1e-12 * scale)
+            assert fill.mass_value == pytest.approx(scale * seeded_filling(seed)[2].mass_value,
+                                                    rel=1e-9)
+
+    def test_an_empty_filling_is_checked(self):
+        g, m, _ = seeded_filling(0)
+        fill = minimal_filling(Molecule([]), g)
+        assert fill.chain.pieces == () and fill.mass_value == 0.0
+        with pytest.raises(TransportError, match="boundary misses the molecule"):
+            check_filling(m, g, fill)
+
+    def test_one_flow_solve_per_filling(self, monkeypatch):
+        """The filling and its identity come from one solve; iso-check adds the
+        ambient one."""
+        nets, solve = [], transport.network_simplex
+
+        def counted(net):
+            nets.append(net)
+            return solve(net)
+        monkeypatch.setattr(transport, "network_simplex", counted)
+        g, m, _ = seeded_filling(0)
+        nets.clear()
+        minimal_filling(m, g)
+        assert len(nets) == 1
+        nets.clear()
+        assert isomorphism_check(m, g).all_ok()
+        assert len(nets) == 2
 
 
 class TestIsomorphismCheck:
