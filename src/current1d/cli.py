@@ -20,7 +20,7 @@ import numpy as np
 from . import io as cio
 from .approximation import approximate, truncate
 from .currents import Chain1, CurrentError, Polyline, standard_panel
-from .decomposition import decompose_flow, fragment_representation
+from .decomposition import TOL as DECOMPOSITION_TOL, decompose_flow, fragment_representation
 from .flatnorm import CubicalComplex, GridError, flat_norm, snap
 from .homotopy import AffineBicombing, check_fill, homotopy_fill
 from .quadrature import QUAD_TOL
@@ -179,7 +179,7 @@ def _cmd_filling(args) -> int:
         raise CliInputError("filling needs a graph space")
     m = cio.load_molecule(_load_json(args.molecule))
     fill = minimal_filling(m, g)
-    identity_ok = abs(fill.mass_value - fill.ae.value) <= 1e-7 * max(1.0, fill.mass_value)
+    identity_ok = abs(fill.mass_value - fill.ae.value) <= IDENT_TOL * max(1.0, fill.mass_value)
     bnd_ok = fill.chain.boundary() == m
     report = {
         "mass": fill.mass_value,
@@ -310,7 +310,7 @@ def _load_flow(args) -> Chain1:
 
 def _cmd_decompose(args) -> int:
     d = decompose_flow(_load_flow(args))
-    ok = d.reassembly_error <= 1e-9 and abs(d.mass_defect) <= 1e-9
+    ok = d.reassembly_error <= DECOMPOSITION_TOL and abs(d.mass_defect) <= DECOMPOSITION_TOL
     rows = [{"kind": kind, "weight": w, "length": d.graph.route_length(v),
              "n_vertices": len(v)}
             for kind, routes in (("path", d.paths), ("cycle", d.cycles))
@@ -330,7 +330,7 @@ def _cmd_fragments(args) -> int:
     flow = _load_flow(args)
     e = cio.load_closedset(_load_json(args.closedset))
     rep = fragment_representation(decompose_flow(flow), e)
-    ok = rep.mass_identity_residual <= 1e-9
+    ok = rep.mass_identity_residual <= DECOMPOSITION_TOL
     rows = []
     for w, frag in rep.fragments:
         fl = frag.fragments[0] if frag.fragments else None

@@ -45,11 +45,7 @@ class Decomposition:
     paths: tuple[tuple[float, tuple[int, ...]], ...]
     cycles: tuple[tuple[float, tuple[int, ...]], ...]
     mass_defect: float
-    reassembly_error: float  # max |reassembled() - flow weights| over the edges
-
-    def reassembled(self) -> np.ndarray:
-        """Signed edge-weight vector reconstructed from the paths and cycles."""
-        return edge_weights(route_chain(self.graph, self.paths + self.cycles))
+    reassembly_error: float  # max |edge weights of paths + cycles - flow weights|
 
 
 def decompose_flow(chain: Chain1) -> Decomposition:

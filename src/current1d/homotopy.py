@@ -18,10 +18,9 @@ exact, since det DH is piecewise polynomial on each cell.
 ``affine_homotopy_current`` is the package's one implementation of the
 homotopy formula phi_# T - psi_# T = dH(T) + H(dT) for affine maps, and
 ``structure`` takes its rescaling and translation certificates from it. H(dT)
-is an exact chain of connector segments, and H(T) is checked on a panel
-through the fills of the pieces' images. Its mass bound uses the trapezoid
-rule on |phi - psi|, which is convex along each piece, so the bound holds
-without a quadrature tolerance.
+is an exact chain of connector segments. The mass bound on H(T) uses the
+trapezoid rule on |phi - psi|, which is convex along each piece, so the bound
+holds without a quadrature tolerance.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .currents import (AffineMap, Chain1, CurrentError, Panel, Polyline, TestForm,
-                       action, d_inf, evaluate, panel_row, pushforward)
+                       action, d_inf, panel_row)
 from .quadrature import NODES, QUAD_TOL, WEIGHTS, Quad, integrate
 from .spaces import MetricGraph, NormedPlane
 
@@ -331,11 +330,10 @@ class HomotopyCurrentResult:
     connectors: Chain1  # H(dT), exactly
     cert_mass: float  # bound on the mass of H(T)
     flat_bound: float  # cert_mass + mass(connectors), a flat-norm bound on phi_# T - psi_# T
-    boundary_residual: float = 0.0
 
 
-def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
-                            panel: Optional[Sequence[TestForm]] = None) -> HomotopyCurrentResult:
+def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap
+                            ) -> HomotopyCurrentResult:
     """The homotopy current of h(t, x) = t phi(x) + (1-t) psi(x) on a planar chain T.
 
     phi_# T - psi_# T = dH(T) + H(dT). The 1-current H(dT) is the exact chain
@@ -348,11 +346,6 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
     |delta| is convex along a segment; it is exact where |delta| is affine
     along each piece, as for translations. ``flat_bound`` adds the mass of the
     connectors.
-
-    With a panel, the formula is checked on each test form, with
-    H(T) = -sum_k w_k S_k: S_k is the fill of ``homotopy_fill`` from the curve
-    psi o piece_k to phi o piece_k, whose homotopy square runs the other way
-    round. ``boundary_residual`` is the largest misfit.
     """
     if not isinstance(phi, AffineMap) or not isinstance(psi, AffineMap):
         raise CurrentError("homotopy current needs affine maps")
@@ -369,22 +362,8 @@ def affine_homotopy_current(t_chain: Chain1, phi: AffineMap, psi: AffineMap,
     atoms = [(t_chain.coords_of(p), w) for p, w in t_chain.boundary().atoms]
     connectors = Chain1.from_segments(plane, [(psi.apply_pt(x), phi.apply_pt(x), w)
                                               for x, w in atoms])
-
-    residual = 0.0
-    if panel:
-        bic = AffineBicombing(plane)
-        fills = [homotopy_fill(Polyline([psi.apply_pt(a), psi.apply_pt(b)]),
-                               Polyline([phi.apply_pt(a), phi.apply_pt(b)]), bic)
-                 for a, b in ends]
-        phi_t, psi_t = pushforward(t_chain, phi), pushforward(t_chain, psi)
-        for form in panel:
-            lhs = evaluate(phi_t, form) - evaluate(psi_t, form)
-            h_t = -sum(w * fill.boundary_eval(form) for w, fill in zip(weights, fills))
-            residual = max(residual, abs(lhs - (h_t + evaluate(connectors, form))))
-
     return HomotopyCurrentResult(connectors=connectors, cert_mass=cert,
-                                 flat_bound=cert + connectors.mass(),
-                                 boundary_residual=residual)
+                                 flat_bound=cert + connectors.mass())
 
 
 # ---------------------------------------------------------------------------

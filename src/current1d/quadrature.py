@@ -78,23 +78,17 @@ def _calls(n: int, dim: int, seams=(0,)) -> list[tuple[int, int, list]]:
     return [(0, n, blocks)] if 0 < n <= step else [(a, b, [(a, b)]) for a, b in blocks]
 
 
-def integrate(fn, lo, width, tol: float, rows=None, geometry=None) -> Quad:
-    """Integrals of ``fn(*geometry(x, owner))``, N values, over each box
-    [lo, lo + width], both (B, dim); their errors sum to about ``tol`` at most,
-    unless some box is capped. ``geometry`` maps nodes x (N, dim) and the input
-    box (N,) of each to the tuple of arrays a form part reads, each entry a
-    function of its own node and owner only; without rows, it may be left out
-    for (x, owner).
-
-    With ``rows`` (R,), one pass integrates R form parts, the rows of a panel:
-    ``fn(g, r)`` gives rows r at the nodes of g, with r a column (k, 1)
-    against every node at depths 0/1 and the row of each node, (N,), deeper.
-    Each call evaluates the geometry once for all its rows. Every row refines
-    as if it were alone, its values, node and cap counts bit for bit, and the
-    Quad holds (R, B) values and (R,) counts."""
-    if rows is None:
-        return integrate(lambda g, r: fn(*g), lo, width, tol, np.zeros(1, dtype=int),
-                         geometry or (lambda x, owner: (x, owner))).row(0)
+def integrate(fn, lo, width, tol: float, rows, geometry) -> Quad:
+    """Integrals of R form parts, the ``rows`` (R,) of a panel, over each box
+    [lo, lo + width], both (B, dim); each row's errors sum to about ``tol`` at
+    most, unless some box is capped. ``geometry`` maps nodes x (N, dim) and
+    the input box (N,) of each to the tuple g of arrays a form part reads,
+    each entry a function of its own node and owner only. ``fn(g, r)`` gives
+    rows r at the nodes of g, with r a column (k, 1) against every node at
+    depths 0/1 and the row of each node, (N,), deeper. Each call evaluates
+    the geometry once for all its rows. Every row refines as if it were
+    alone, its values, node and cap counts bit for bit, and the Quad holds
+    (R, B) values and (R,) counts."""
     lo, width, rows = np.asarray(lo, dtype=float), np.asarray(width, dtype=float), np.asarray(rows)
     (n_box, dim), n_rows = lo.shape, len(rows)
     vol = width.prod(axis=1)

@@ -108,10 +108,11 @@ class FlowNetwork:
         if div.shape != (n,) or not np.all(np.isfinite(div)):
             raise SolverError(f"need {n} finite divergences")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum fails below
-            supply, tot, size = float(div[div > 0].sum()), float(div.sum()), np.abs(div).sum()
+            supply, tot = float(div[div > 0].sum()), float(div.sum())
         if not supply < math.inf:  # else eps, and every test against it, is vacuous
             raise SolverError(f"total supply {supply!r} is not finite")
-        if not abs(tot) <= TOL * max(1.0, size) or tot == -math.inf:  # the demand overflowed
+        size = float((TOL * np.abs(div)).sum())  # TOL sum |div| may overflow; this cannot
+        if not abs(tot) <= max(TOL, size) or tot == -math.inf:  # the demand overflowed
             raise SolverError(f"divergences sum to {tot}, not 0")
         ends, cost, cap = arcs[:, :2], arcs[:, 2], arcs[:, 3]
         if np.any((ends != np.floor(ends)) | (ends < 0) | (ends >= n)):
@@ -333,7 +334,7 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
 def check_flow(net: FlowNetwork, res: FlowResult) -> None:
     """Certify ``res`` as an optimal flow of ``net`` in O(m), or raise SolverError.
 
-    Checks conservation to TOL * max(1, sum |div|), 0 <= flow <= capacity,
+    Checks conservation to max(TOL, sum TOL |div|), 0 <= flow <= capacity,
     reduced cost c + pi(u) - pi(v) >= -tol on every residual arc (forward while
     the flow is below capacity, reverse while it is positive; a residual at or
     below ``net.floor`` counts as none), and strong duality: the cost equals
@@ -346,7 +347,7 @@ def check_flow(net: FlowNetwork, res: FlowResult) -> None:
         raise SolverError("flow result does not match the network")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(pi))):
         raise SolverError("flow result has non-finite entries")
-    eps = TOL * max(1.0, float(np.abs(div).sum()))
+    eps = max(TOL, float((TOL * np.abs(div)).sum()))  # cannot overflow
     imbalance = np.bincount(net.tail, x, n) - np.bincount(net.head, x, n) - div
     worst = float(np.max(np.abs(imbalance), initial=0.0))
     if not worst <= eps:

@@ -308,15 +308,21 @@ class MetricGraph:
         """Shortest-path tree from ``src`` read off ``path_dist``, as a predecessor array.
 
         The predecessor of v is the lowest-index u with d(src, u) < d(src, v)
-        and d(src, u) + w(u, v) <= d(src, v) + 1e-12; the strict ``<`` keeps
-        every chain acyclic. It is -1 at ``src`` and at unreachable vertices.
+        and fl(d(src, u) + w(u, v)) == d(src, v), the sum the all-pairs pass
+        forms on v's relaxing arc, so the test needs no tolerance; the strict
+        ``<`` keeps every chain acyclic. It is -1 at ``src`` and at unreachable
+        vertices. A reachable vertex with no such arc (its edge too short to
+        change the sum) raises GeometryError: a walk up the tree would not end.
         """
         d = self.path_dist[src]
         tail, head = self.arcs[:, :2].astype(np.intp).T
         du, dv = d[tail], d[head]
-        tight = (du < dv) & (du + self.arcs[:, 2] <= dv + 1e-12)
+        tight = (du < dv) & (du + self.arcs[:, 2] == dv)
         pred = np.full(self.n, self.n)
         np.minimum.at(pred, head[tight], tail[tight])
+        orphan = np.flatnonzero((pred == self.n) & (d < INF) & (np.arange(self.n) != src))
+        if orphan.size:
+            raise GeometryError(f"vertex {orphan[0]} has no shortest-path predecessor from {src}")
         pred[pred == self.n] = -1
         return pred
 

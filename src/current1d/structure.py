@@ -93,9 +93,9 @@ class ConvexBox:
         if min(self.half_widths) <= 0:
             raise StructureError("half-widths must be positive")
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        return (abs(p[0] - self.center[0]) <= self.half_widths[0] - margin
-                and abs(p[1] - self.center[1]) <= self.half_widths[1] - margin)
+    def contains(self, p) -> bool:
+        return (abs(p[0] - self.center[0]) <= self.half_widths[0]
+                and abs(p[1] - self.center[1]) <= self.half_widths[1])
 
 
 def _piece_coords(chain: Chain1, piece: Piece):

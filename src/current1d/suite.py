@@ -19,7 +19,8 @@ import numpy as np
 from .approximation import CurveMeasure, approximate, measure_as_chain
 from .currents import (Ball, Box, Chain1, ClosedSet, HalfPlane, Molecule,
                        Polyline, fat_cantor_intervals, standard_panel)
-from .decomposition import boundary_marginals, decompose_flow, fragment_representation
+from .decomposition import (TOL as DECOMPOSITION_TOL, boundary_marginals, decompose_flow,
+                            fragment_representation)
 from .flatnorm import CubicalComplex, complex_covering, flat_norm, snap
 from .homotopy import AffineBicombing, check_fill, homotopy_fill
 from .rickman import rug_grid
@@ -267,15 +268,15 @@ def criterion_7_decomposition():
         fill = minimal_filling(m, g)
         d = decompose_flow(fill.chain)
         worst = max(worst, d.reassembly_error)
-        ok &= d.reassembly_error <= 1e-9
-        ok &= abs(d.mass_defect) <= 1e-9
+        ok &= d.reassembly_error <= DECOMPOSITION_TOL
+        ok &= abs(d.mass_defect) <= DECOMPOSITION_TOL
         starts, ends = boundary_marginals(d)
         neg = {p: w for p, w in m.atoms if w < 0}
         pos = {p: w for p, w in m.atoms if w > 0}
         for p, w in starts.atoms:
-            ok &= abs(w - (-neg.get(p, 0.0))) <= 1e-9
+            ok &= abs(w - (-neg.get(p, 0.0))) <= DECOMPOSITION_TOL
         for p, w in ends.atoms:
-            ok &= abs(w - pos.get(p, 0.0)) <= 1e-9
+            ok &= abs(w - pos.get(p, 0.0)) <= DECOMPOSITION_TOL
         flows.append(d)
     # fragment identity on 20 closed sets (incl. fat-Cantor boxes)
     worst_frag = 0.0
@@ -296,7 +297,7 @@ def criterion_7_decomposition():
                              Ball((8.0, 8.0), 2.0))
         rep = fragment_representation(d, e)
         worst_frag = max(worst_frag, rep.mass_identity_residual)
-        ok &= rep.mass_identity_residual <= 1e-9
+        ok &= rep.mass_identity_residual <= DECOMPOSITION_TOL
     return ok, {"worst_reassembly": worst, "worst_fragment_residual": worst_frag}
 
 

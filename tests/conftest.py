@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from current1d import MetricGraph, NormedPlane
+from current1d.quadrature import Quad, integrate
 
 
 @pytest.fixture
 def plane():
     return NormedPlane("l2")
+
+
+def integrate_one(fn, lo, width, tol: float) -> Quad:
+    """``integrate`` of one form part ``fn(x, owner)``, as row 0 of a panel
+    whose geometry is the nodes and owners themselves."""
+    return integrate(lambda g, r: fn(*g), lo, width, tol, np.zeros(1, dtype=int),
+                     lambda x, owner: (x, owner)).row(0)
 
 
 def make_v_detour(factor: float = 2.0) -> MetricGraph:

@@ -21,9 +21,11 @@ plane, where cones send boxes to the cap, and a fragment chain closes the
 section. The "decomposition" section holds, per kind of seeded graph flow
 (minimal fillings, normal signed weights, integer weights with zeros), one
 digest of the paths, cycles, mass defect, reassembly error and reassembled
-weights of every flow's ``decompose_flow`` and of its fragment representation
-in a seeded closed set. Regenerate only when an engine is meant to change its floating-point
-results, and say which digests changed.
+weights (``reassembled``, the edge weights of the paths and cycles, which
+``tests/test_decomposition.py`` also reads) of every flow's ``decompose_flow``
+and of its fragment representation in a seeded closed set. Regenerate only
+when an engine is meant to change its floating-point results, and say which
+digests changed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from current1d import (AffineBicombing, Ball, Box, Chain1, ClosedSet,
                        snap, standard_panel)
 from current1d import flatnorm, transport
 from current1d.currents import Panel, action
+from current1d.decomposition import Decomposition, edge_weights, route_chain
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "engine_digests.json"
@@ -280,6 +283,11 @@ def _flow(k: int) -> Chain1:
                                        if x != 0.0])
 
 
+def reassembled(d: Decomposition) -> np.ndarray:
+    """The signed edge weights of a decomposition's paths and cycles together."""
+    return edge_weights(route_chain(d.graph, d.paths + d.cycles))
+
+
 def decomposition_digests() -> dict:
     """Per flow kind, one digest of every flow's decomposition and of its
     fragment representation in a seeded ball, box and half-plane."""
@@ -289,7 +297,7 @@ def decomposition_digests() -> dict:
         d = decompose_flow(_flow(k))
         h.update(repr((d.paths, d.cycles)).encode())
         h.update(np.array([d.mass_defect, d.reassembly_error], dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(d.reassembled(), dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(reassembled(d), dtype="<f8").tobytes())
         x, y, r, side, c = _rng(5000 + k).uniform(0.0, 10.0, size=5).tolist()
         e = ClosedSet.of(Ball((x, y), r / 2), Box((0.0, 0.0), (side, side)),
                          HalfPlane(1.0, y / 5 - 1, c))

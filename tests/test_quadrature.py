@@ -6,17 +6,19 @@ import pytest
 
 from current1d.quadrature import CHUNK_NODES, MAX_PANELS, QUAD_TOL, Quad, _TENSORS, integrate
 
+from conftest import integrate_one
+
 UNIT = np.array([[0.0]]), np.array([[1.0]])
 
 
 def integral_1d(fn):
-    q = integrate(lambda x, owner: fn(x[:, 0]), *UNIT, QUAD_TOL)
+    q = integrate_one(lambda x, owner: fn(x[:, 0]), *UNIT, QUAD_TOL)
     return float(q.value[0])
 
 
 def integral_2d(fn, sa, sb):
-    q = integrate(lambda x, owner: fn(x[:, 0], x[:, 1]),
-                  np.array([[sa, 0.0]]), np.array([[sb - sa, 1.0]]), QUAD_TOL)
+    q = integrate_one(lambda x, owner: fn(x[:, 0], x[:, 1]),
+                      np.array([[sa, 0.0]]), np.array([[sb - sa, 1.0]]), QUAD_TOL)
     return float(q.value[0])
 
 
@@ -148,10 +150,11 @@ class TestBatch:
         lo = np.array([[0.0], [0.5], [-1.0]])
         width = np.array([[1.0], [2.0], [0.25]])
         rate = np.array([1.0, -0.5, 3.0])
-        q = integrate(lambda x, owner: np.exp(rate[owner] * x[:, 0]), lo, width, 3 * QUAD_TOL)
+        q = integrate_one(lambda x, owner: np.exp(rate[owner] * x[:, 0]), lo, width,
+                          3 * QUAD_TOL)
         for k in range(3):
-            alone = integrate(lambda x, owner: np.exp(rate[k] * x[:, 0]),
-                              lo[k:k + 1], width[k:k + 1], QUAD_TOL)
+            alone = integrate_one(lambda x, owner: np.exp(rate[k] * x[:, 0]),
+                                  lo[k:k + 1], width[k:k + 1], QUAD_TOL)
             exact = (math.exp(rate[k] * (lo[k, 0] + width[k, 0]))
                      - math.exp(rate[k] * lo[k, 0])) / rate[k]
             assert q.value[k] == pytest.approx(alone.value[0], abs=1e-14)
@@ -159,7 +162,7 @@ class TestBatch:
         assert q.capped == 0
 
     def test_empty_batch(self):
-        q = integrate(lambda x, owner: x[:, 0], np.zeros((0, 2)), np.ones((0, 2)), QUAD_TOL)
+        q = integrate_one(lambda x, owner: x[:, 0], np.zeros((0, 2)), np.ones((0, 2)), QUAD_TOL)
         assert q.value.shape == (0,)
         assert (q.nodes, q.capped) == (0, 0)
 
@@ -169,7 +172,7 @@ class TestPanelCap:
 
     def test_1d_step(self, caplog):
         caplog.set_level(logging.DEBUG, logger="current1d.quadrature")
-        q = integrate(lambda x, owner: step(x[:, 0]), *UNIT, QUAD_TOL)
+        q = integrate_one(lambda x, owner: step(x[:, 0]), *UNIT, QUAD_TOL)
         assert math.isfinite(q.value[0])
         assert abs(q.value[0] - 2.0 / 3.0) <= 1e-3
         assert q.capped > 0
@@ -193,7 +196,7 @@ class TestPanelCap:
 
         n = 50
         lo = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
-        q = integrate(fn, lo, np.ones((n, 2)), QUAD_TOL)
+        q = integrate_one(fn, lo, np.ones((n, 2)), QUAD_TOL)
         assert q.capped > 0
         assert np.all(np.isfinite(q.value))
         assert max(sizes) <= CHUNK_NODES
@@ -202,7 +205,7 @@ class TestPanelCap:
 
     def test_converged_rule_logs_nothing(self, caplog):
         caplog.set_level(logging.DEBUG, logger="current1d.quadrature")
-        q = integrate(lambda x, owner: np.exp(x[:, 0]), *UNIT, QUAD_TOL)
+        q = integrate_one(lambda x, owner: np.exp(x[:, 0]), *UNIT, QUAD_TOL)
         assert q.capped == 0
         assert caplog.records == []
 
@@ -237,7 +240,8 @@ class TestAgainstLevelByLevel:
     def test_random_batches(self, seed, dim, n):
         fn, lo, width = owner_batch(np.random.default_rng([seed, dim, n]), dim, n)
         for tol in (QUAD_TOL * n, 1e-4):
-            assert_same_quad(integrate(fn, lo, width, tol), reference_integrate(fn, lo, width, tol))
+            assert_same_quad(integrate_one(fn, lo, width, tol),
+                             reference_integrate(fn, lo, width, tol))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_depths_one_to_three_and_the_cap(self, dim):
@@ -252,7 +256,7 @@ class TestAgainstLevelByLevel:
             reference_integrate(alone, lo[:1], width[:1], QUAD_TOL)
             depths.append(len(alone.sizes) - 1)
         assert depths == [1, 2, 3]
-        q = integrate(fn, lo, width, 4 * QUAD_TOL)
+        q = integrate_one(fn, lo, width, 4 * QUAD_TOL)
         assert q.capped > 0
         assert_same_quad(q, reference_integrate(fn, lo, width, 4 * QUAD_TOL))
 
@@ -261,7 +265,7 @@ class TestAgainstLevelByLevel:
         # a width of -0.0 gives a box and its halves the rule -0.0; the value is +0.0
         lo, width = np.zeros((2, dim)), np.ones((2, dim))
         width[0, 0] = -0.0
-        q = integrate(lambda x, owner: np.exp(x[:, 0]), lo, width, QUAD_TOL)
+        q = integrate_one(lambda x, owner: np.exp(x[:, 0]), lo, width, QUAD_TOL)
         assert_same_quad(q, reference_integrate(lambda x, owner: np.exp(x[:, 0]),
                                                 lo, width, QUAD_TOL))
         assert q.value[0] == 0.0 and not np.signbit(q.value[0])
@@ -271,7 +275,7 @@ class TestAgainstLevelByLevel:
         fn, lo, width = owner_batch(np.random.default_rng(n), dim, n)
         assert n * (1 + 2 ** dim) * 5 ** dim > CHUNK_NODES
         calls = recorded(fn)
-        q = integrate(calls, lo, width, QUAD_TOL * n)
+        q = integrate_one(calls, lo, width, QUAD_TOL * n)
         assert q.capped > 0
         assert max(calls.sizes) <= CHUNK_NODES
         assert sum(calls.sizes) == q.nodes
@@ -285,7 +289,7 @@ class TestCalls:
         lo, width = np.repeat(np.arange(n, dtype=float)[:, None], dim, axis=1), np.ones((n, dim))
         fn = recorded(lambda x, owner: x[:, 0] - owner)
         ref = recorded(lambda x, owner: x[:, 0] - owner)
-        q = integrate(fn, lo, width, QUAD_TOL * n)
+        q = integrate_one(fn, lo, width, QUAD_TOL * n)
         assert_same_quad(q, reference_integrate(ref, lo, width, QUAD_TOL * n))
         assert q.nodes == n * (1 + 2 ** dim) * 5 ** dim
         assert len(fn.sizes) == chunks == math.ceil(q.nodes / CHUNK_NODES)
@@ -318,8 +322,8 @@ class TestSharedGeometry:
             return out
         q = integrate(panel, lo, width, QUAD_TOL * n, np.arange(len(self.PARTS)), built)
         for i, part in enumerate(self.PARTS):
-            assert_same_quad(q.row(i), integrate(lambda x, owner: part(geometry(x, owner)),
-                                                 lo, width, QUAD_TOL * n))
+            assert_same_quad(q.row(i), integrate_one(lambda x, owner: part(geometry(x, owner)),
+                                                     lo, width, QUAD_TOL * n))
         # depths 0 and 1 evaluate the geometry once for every row, deeper one node is one row
         shallow = n * (1 + 2 ** dim) * 5 ** dim
         assert q.nodes.sum() > len(self.PARTS) * shallow  # some part refined deeper

@@ -484,6 +484,18 @@ class TestCheckFlow:
                 check_flow(net, res)
 
 
+    def test_tolerances_do_not_overflow(self):
+        """Each conservation tolerance is a sum of TOL |div|, which stays finite
+        where TOL sum |div| overflows to inf and accepts any imbalance."""
+        with pytest.raises(SolverError, match="divergences sum to"):
+            FlowNetwork(2, ((0, 1, 1.0, INF),), (1e308, -9e307))
+        net = FlowNetwork(2, ((0, 1, 1.0, INF),), (1e308, -1e308))
+        res = min_cost_flow(net)
+        check_flow(net, res)
+        with pytest.raises(SolverError, match="conservation"):
+            check_flow(net, dataclasses.replace(res, flows=np.zeros(1)))
+
+
 def assert_simplex_agrees(net: FlowNetwork) -> FlowResult:
     """``network_simplex`` matches ``min_cost_flow``'s cost to 1e-12 relative,
     passes ``check_flow`` with potentials |pi| <= n * max cost, and a rerun

@@ -15,6 +15,10 @@ SCRIPTS = sorted((SRC.parent.parent / "scripts").glob("*.py"))
 # the code that may call a package definition: the package, tests, scripts, bench
 READERS = MODULES + sorted(p for d in ("tests", "scripts", "bench")
                            for p in (SRC.parent.parent / d).rglob("*.py"))
+# the code the package runs for its users: the package, scripts, bench
+RUNNERS = [p for p in READERS if SRC.parent.parent / "tests" not in p.parents]
+# the paper's lemmas, which only their tests run
+LEMMAS = {"homotopy.conical_defect", "structure.rescale_interior"}
 
 
 def imports(path: Path) -> list[tuple[str, int, bool]]:
@@ -64,9 +68,14 @@ def test_unused_import_is_found(tmp_path):
 
 
 def _defined(stmt: ast.stmt) -> list[str]:
-    """The names a top-level statement defines: a function, a class or the
-    names a module-level assignment binds."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    """The names a top-level statement defines: a function, a class and its
+    methods other than the dunder ones, as ``Class.method``, or the names a
+    module-level assignment binds."""
+    if isinstance(stmt, ast.ClassDef):
+        return [stmt.name] + [f"{stmt.name}.{node.name}" for node in stmt.body
+                              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                              and not node.name.startswith("__")]
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return [stmt.name]
     targets = (stmt.targets if isinstance(stmt, ast.Assign)
                else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
@@ -74,9 +83,9 @@ def _defined(stmt: ast.stmt) -> list[str]:
 
 
 def unreferenced_definitions(modules: list[Path], readers: list[Path]) -> list[str]:
-    """Top-level functions, classes and assigned names of ``modules`` that no
-    code in ``readers`` reads (as a name, an attribute or an import) outside
-    their own definition."""
+    """Top-level functions, classes, their methods and assigned names of
+    ``modules`` that no code in ``readers`` reads (as a name, an attribute or
+    an import) outside their own top-level definition."""
     used = set()
     for path in readers:
         for stmt in ast.parse(path.read_text()).body:
@@ -93,11 +102,26 @@ def unreferenced_definitions(modules: list[Path], readers: list[Path]) -> list[s
             used |= names
     return sorted(f"{path.stem}.{name}" for path in modules
                   for stmt in ast.parse(path.read_text()).body
-                  for name in _defined(stmt) if name not in used)
+                  for name in _defined(stmt) if name.rpartition(".")[2] not in used)
 
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions(MODULES, READERS) == []
+
+
+def test_unreferenced_method_is_found(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("class Box:\n    def __init__(self):\n        self.size()\n\n"
+                   "    def size(self):\n        pass\n\n    def spare(self):\n        pass\n\n\n"
+                   "Box()\n")
+    assert unreferenced_definitions([mod], [mod]) == ["mod.Box.spare"]
+
+
+def test_package_code_runs_outside_the_tests():
+    """Every definition and method of the package is read by the package, a
+    script or the bench, except the paper's lemmas: code that only the tests
+    run belongs in the tests."""
+    assert [name for name in unreferenced_definitions(MODULES, RUNNERS) if name not in LEMMAS] == []
 
 
 def test_unreferenced_definition_is_found(tmp_path):

@@ -190,7 +190,7 @@ class TestShortestPathTrees:
                 pred = g.predecessors(src)
                 for v in range(g.n):
                     tight = [a for a, b, w in g.edges + [(b, a, w) for a, b, w in g.edges]
-                             if b == v and d[a] < d[v] and d[a] + w <= d[v] + 1e-12]
+                             if b == v and d[a] < d[v] and d[a] + w == d[v]]
                     assert pred[v] == (min(tight) if tight else -1)
                     if not math.isfinite(d[v]):
                         continue
@@ -199,6 +199,15 @@ class TestShortestPathTrees:
                         chain.append(int(pred[chain[-1]]))
                         assert len(chain) <= g.n
                     assert g.route_length(chain) == d[v]
+
+
+    def test_a_vertex_no_arc_reaches_at_its_distance_raises(self):
+        """fl(1 + 1e-20) = 1, so vertex 2 lies at distance 1 from vertex 0 like
+        vertex 1, and no tight arc enters it: a walk up the tree would not end."""
+        g = MetricGraph([[0, 0], [1, 0], [1, 0]], [(0, 1, 1.0), (1, 2, 1e-20)])
+        with pytest.raises(GeometryError, match="vertex 2 has no shortest-path predecessor"):
+            g.predecessors(0)
+        assert g.predecessors(2).tolist() == [1, 2, -1]
 
 
 class TestQuasiconvexity:

@@ -39,9 +39,11 @@ class TestRescaleInterior:
         c = unit_segment()
         p2, cert = rescale_interior(c, box, eps=0.5)
         assert p2.mass() < c.mass()
+        # strictly inside: at least 1e-12 from each side of the box
         for piece in p2.pieces:
-            assert box.contains(piece.start, margin=1e-12)
-            assert box.contains(piece.end, margin=1e-12)
+            for p in (piece.start, piece.end):
+                assert abs(p[0] - box.center[0]) <= box.half_widths[0] - 1e-12
+                assert abs(p[1] - box.center[1]) <= box.half_widths[1] - 1e-12
 
     def test_large_eps_is_capped(self):
         box = ConvexBox((0.5, 0.0), (1.0, 1.0))

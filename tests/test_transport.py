@@ -325,6 +325,20 @@ class TestRoutedFilling:
             assert fill.mass_value == pytest.approx(scale * seeded_filling(seed)[2].mass_value,
                                                     rel=1e-9)
 
+    def test_routes_on_a_graph_scaled_by_2_to_the_minus_40(self):
+        """The shortest-path trees take exact ties. Edges here are about 1e-11
+        long, so a tie margin of 1e-12 let arcs off every shortest path into
+        the trees, and the certificate rejected the routed filling."""
+        for seed in range(40):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            g = random_connected_graph(rng, max_n=30)
+            g = MetricGraph((g.coords * 2.0 ** -40).tolist(),
+                            [(u, v, w * 2.0 ** -40) for u, v, w in g.edges])
+            m = Molecule(list(zip(rng.choice(g.n, size=4, replace=False).tolist(),
+                                  balanced_weights(rng, 4).tolist())))
+            fill = minimal_filling(m, g)
+            assert fill.mass_value == pytest.approx(fill.ae.value, rel=1e-9)
+
     def test_an_empty_filling_is_checked(self):
         g, m, _ = seeded_filling(0)
         fill = minimal_filling(Molecule([]), g)
