@@ -15,9 +15,8 @@ from .currents import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
                        Piece, Polyline, ScalarField, Slab, TestForm, d_inf,
                        d_inf_many, evaluate, fat_cantor_intervals, pushforward,
                        restrict, standard_panel)
-from .solvers import (FlowNetwork, Infeasible, IterationLimit, LinearProgram,
-                      SolverError, Unbounded, check_flow, min_cost_flow,
-                      network_simplex, simplex_lp)
+from .solvers import (FlowNetwork, Infeasible, IterationLimit, SolverError, Unbounded,
+                      check_flow, min_cost_flow, network_simplex, simplex_lp)
 from .transport import (AeResult, FillingResult, IsoReport, ae_norm, check_filling,
                         isomorphism_check, minimal_filling)
 from .flatnorm import CubicalComplex, FlatResult, flat_norm, snap

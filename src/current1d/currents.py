@@ -755,11 +755,12 @@ def panel_row(owner, form: TestForm, run: Callable[[Panel], Quad]) -> Quad:
     """Row ``form.row`` of ``run(form.panel)``, the quads of the whole panel. The
     owner, a (fragment) chain or a fill, keeps them in one slot, ``_quads``, for
     the last panel it saw, so the other forms of that panel run no quadrature."""
-    if owner._quads is None or owner._quads[0] is not form.panel:
-        q = run(form.panel)
-        q.value.flags.writeable = False
-        object.__setattr__(owner, "_quads", (form.panel, q))
-    return owner._quads[1].row(form.row)
+    # the slot is read once: another panel may take it before this one returns
+    if (quads := owner._quads) is None or quads[0] is not form.panel:
+        quads = (form.panel, run(form.panel))
+        quads[1].value.flags.writeable = False
+        object.__setattr__(owner, "_quads", quads)
+    return quads[1].row(form.row)
 
 
 def standard_panel(seed: int, count: int = 20, scale: float = 2.0) -> list[TestForm]:

@@ -126,6 +126,26 @@ class FlowNetwork:
         self.eps = TOL * max(1.0, supply)
         self.floor = self.eps * 1e-3
 
+    @classmethod
+    def transportation(cls, cost, supply, demand) -> FlowNetwork:
+        """Sources 0..ns-1 with ``supply``, then sinks ns..ns+nd-1 with ``demand``,
+        and one uncapacitated arc from source i to sink ns + j per finite entry
+        of the (ns, nd) ``cost``, in row-major order: a transportation network."""
+        cost, ns = np.asarray(cost, dtype=float), len(supply)
+        i, j = np.nonzero(np.isfinite(cost))
+        arcs = np.column_stack([i, j + ns, cost[i, j], np.full(len(i), math.inf)])
+        return cls(ns + len(demand), arcs, np.concatenate([supply, np.negative(demand)]))
+
+    def program(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(c, a, b)`` of the node-arc program min c.x s.t. a x = b, x >= 0: the
+        costs, +1 at each arc's tail and -1 at its head (a self-loop's column is
+        0) and the divergences. Callers pass the capacities as bounds."""
+        k = np.arange(len(self.arcs))
+        a = np.zeros((self.n, len(k)))
+        a[self.tail, k] += 1.0
+        a[self.head, k] -= 1.0
+        return self.cost, a, self.divergence
+
 
 @dataclass(frozen=True, eq=False)
 class FlowResult:
@@ -503,15 +523,6 @@ def network_simplex(net: FlowNetwork) -> FlowResult:
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """min c.x  s.t.  A x = b, x >= 0 (free variables must be pre-split)."""
-
-    c: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class LpResult:
     optimum: float
     x: np.ndarray = field(repr=False)
@@ -566,8 +577,9 @@ def _run_phase(t: np.ndarray, cols: list[int], c: np.ndarray, allow: np.ndarray,
         it += 1
 
 
-def simplex_lp(lp: LinearProgram) -> LpResult:
-    """Two-phase tableau simplex with Bland's rule.
+def simplex_lp(c, a, b) -> LpResult:
+    """min c.x s.t. a x = b, x >= 0 (free variables must be pre-split) by a
+    two-phase tableau simplex with Bland's rule.
 
     Returns the optimum, primal solution, and dual vector y = c_B B^-1, read
     off the artificial columns (sign adjusted for rows flipped to nonnegative
@@ -575,8 +587,7 @@ def simplex_lp(lp: LinearProgram) -> LpResult:
     reported solution. Redundant equality rows leave an artificial pinned at
     zero in the basis; the optimum matches the program with the row removed.
     """
-    c = np.asarray(lp.c, dtype=float)
-    a, b = np.asarray(lp.a, dtype=float), np.asarray(lp.b, dtype=float)
+    c, a, b = (np.asarray(v, dtype=float) for v in (c, a, b))
     sign = np.where(b < 0, -1.0, 1.0)  # rows flipped to a nonnegative rhs
     m, n = a.shape
     t = np.hstack([a * sign[:, None], np.eye(m), (b * sign)[:, None]])

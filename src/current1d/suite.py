@@ -26,7 +26,7 @@ from .homotopy import AffineBicombing, check_fill, homotopy_fill
 from .rickman import rug_grid
 from .spaces import MetricGraph, NormedPlane
 from .structure import Line, fat_cantor_chain, normalize
-from .solvers import FlowNetwork, LinearProgram, min_cost_flow, network_simplex, simplex_lp
+from .solvers import FlowNetwork, min_cost_flow, network_simplex, simplex_lp
 from .transport import isomorphism_check, minimal_filling
 
 
@@ -221,7 +221,7 @@ def criterion_5_geodesic_approximation():
             eps = 0.4
             mesh = 0.25
             cm = _translate_family(rng, base, count=80, span=5.0 * eps)
-        assert cm.length_bound <= 4.0 + 1e-12
+        ok &= cm.length_bound <= 4.0 + 1e-12
         p, cert = approximate(cm, eps=eps, mesh=mesh, plane=plane)
         ok &= p.mass() <= cm.induced_mass + 1e-9
         _, cert_half = approximate(cm, eps=eps / 2.0, mesh=mesh, plane=plane)
@@ -315,27 +315,20 @@ def criterion_8_solver_cross_validation():
         sup = rng.uniform(0.1, 2.0, size=ns)
         dem = rng.uniform(0.1, 2.0, size=nd)
         dem *= sup.sum() / dem.sum()
-        k = np.arange(ns * nd)
-        i, j = divmod(k, nd)  # arc k runs from source i to sink ns + j
-        arcs = np.column_stack([i, ns + j, cost.ravel(), np.full(ns * nd, math.inf)])
-        net = FlowNetwork(ns + nd, arcs, np.concatenate([sup, -dem]))
-        a = np.zeros((ns + nd, ns * nd))
-        a[i, k] = a[ns + j, k] = 1.0
-        lres = simplex_lp(LinearProgram(c=cost.flatten(), a=a,
-                                        b=np.concatenate([sup, dem])))
+        net = FlowNetwork.transportation(cost, sup, dem)
+        c, a, b = net.program()
+        lres = simplex_lp(c, a, b)
         scale = max(1.0, abs(lres.optimum))
-        dual_gap = abs(lres.optimum
-                       - float(np.concatenate([sup, dem]) @ lres.y)) / scale
+        dual_gap = abs(lres.optimum - float(b @ lres.y)) / scale
         worst = max(worst, dual_gap)
         ok &= dual_gap <= 1e-7
         for fres in (min_cost_flow(net), network_simplex(net)):
             gap = abs(fres.total_cost - lres.optimum) / scale
             worst = max(worst, gap)
             ok &= gap <= 1e-7
-            ok &= bool(np.all(cost.ravel() + fres.potentials[i] - fres.potentials[ns + j]
-                              >= -1e-9))
-        red = cost.flatten() - a.T @ lres.y
-        ok &= float(red.min()) >= -1e-7
+            pi = fres.potentials
+            ok &= bool(np.all(c + pi[net.tail] - pi[net.head] >= -1e-9))
+        ok &= float((c - a.T @ lres.y).min()) >= -1e-7
     return ok, {"worst_gap": worst}
 
 

@@ -75,20 +75,16 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     else:
         raise TransportError(f"unsupported metric object {type(metric)}")
 
-    # arcs in row-major order: positive atom i to negative atom j where finite
     np_ = len(pos)
-    costs = block[[w > 0 for _, w in m.atoms]]
-    ii, jj = np.nonzero(np.isfinite(costs))
-    arcs = np.column_stack([ii, jj + np_, costs[ii, jj], np.full(len(ii), math.inf)])
-    divergence = [w for _, w in pos] + [-w for _, w in neg]
-    net = FlowNetwork(np_ + len(neg), arcs, divergence)
+    net = FlowNetwork.transportation(block[[w > 0 for _, w in m.atoms]],
+                                     [w for _, w in pos], [w for _, w in neg])
     res = network_simplex(net)
     check_flow(net, res)
 
     # the arc floor, not TOL, which at weights near 1e-9 drops every routed flow
     used = np.flatnonzero(res.flows > net.floor)
-    coupling = tuple((pos[i][0], neg_keys[j], f) for i, j, f in
-                     zip(ii[used].tolist(), jj[used].tolist(), res.flows[used].tolist()))
+    coupling = tuple((pos[i][0], neg_keys[j - np_], f) for i, j, f in zip(
+        net.tail[used].tolist(), net.head[used].tolist(), res.flows[used].tolist()))
     # McShane extension from the negative atoms: u(x) = min_q d(x, q) - pi(q)
     u = (block - res.potentials[np_:]).min(axis=1)
     pot = {x: float(v) for x, v in zip(keys, u - u[0])}

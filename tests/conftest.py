@@ -1,10 +1,18 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from current1d import MetricGraph, NormedPlane
 from current1d.quadrature import Quad, integrate
+
+# the seeded networks, graphs and flows that golden/engine_digests.json pins
+_spec = importlib.util.spec_from_file_location(
+    "make_engine_digests", Path(__file__).resolve().parent / "golden" / "make_engine_digests.py")
+engine_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(engine_digests)
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from current1d.suite import ALL_CRITERIA, _criterion
+from current1d.approximation import CurveMeasure
+from current1d.suite import ALL_CRITERIA, _criterion, criterion_5_geodesic_approximation
 
 
 @pytest.mark.parametrize("runner", ALL_CRITERIA, ids=lambda r: r.__name__)
@@ -16,6 +17,12 @@ def test_acceptance_criterion(runner):
     result = runner()
     print(result.line(), flush=True)
     assert result.passed, f"criterion {result.index} failed: {result.details}"
+
+
+def test_criterion_5_fails_on_a_family_longer_than_4(monkeypatch):
+    """The length bound on its generated family is part of the verdict, not an assert."""
+    monkeypatch.setattr(CurveMeasure, "length_bound", property(lambda self: 4.0 + 1e-9))
+    assert not criterion_5_geodesic_approximation().passed
 
 
 def test_all_criteria_are_listed_in_order():

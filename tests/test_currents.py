@@ -149,6 +149,24 @@ class TestEvaluate:
         expected = intervals_measure(fat_cantor_intervals(k))
         assert evaluate(frag, form) == pytest.approx(expected, abs=1e-12)
 
+    def test_panel_row_keeps_its_row_when_another_panel_takes_the_slot(self):
+        c = seg_chain(((0.0, 0.0), (1.0, 2.0), 2.0), ((1.0, 2.0), (3.0, 1.0), -1.0))
+        first, second = standard_panel(5, count=4)[1], standard_panel(6, count=4)[0]
+
+        def act(panel):
+            return panel.act(*currents._pieces(c))
+
+        class Owner:  # its slot, once written, is taken by the second panel's quads
+            def take(self, quads):
+                self.slot = quads
+                if quads[0] is first.panel:
+                    currents.panel_row(self, second, act)
+
+            slot, _quads = None, property(lambda self: self.slot, take)
+
+        row = currents.panel_row(Owner(), first, act).value
+        assert row.tolist() == currents.action(c, first).value.tolist()
+
     def test_linearity_in_weights(self):
         rng = np.random.Generator(np.random.Philox(key=3))
         pts = rng.uniform(-1, 1, size=(4, 2))

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,12 +8,8 @@ from current1d import (Box, Chain1, ClosedSet, CurrentError, MetricGraph,
                        standard_panel)
 from current1d.decomposition import boundary_marginals, route_chain
 
-from conftest import random_connected_graph
+from conftest import engine_digests, random_connected_graph
 
-_spec = importlib.util.spec_from_file_location(
-    "make_engine_digests", Path(__file__).resolve().parent / "golden" / "make_engine_digests.py")
-engine_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(engine_digests)
 reassembled = engine_digests.reassembled
 
 PL = NormedPlane("l2")

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import current1d.flatnorm as flatnorm
-from current1d import (Chain1, CubicalComplex, LinearProgram, NormedPlane, Polyline,
-                       SolverError, d_inf, flat_norm, simplex_lp, snap)
+from current1d import (Chain1, CubicalComplex, NormedPlane, Polyline, SolverError, d_inf,
+                       flat_norm, simplex_lp, snap)
 from current1d.flatnorm import FlatResult, GridError, complex_covering
 
 PL = NormedPlane("l2")
@@ -22,7 +22,7 @@ def flat_norm_lp(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     a = np.hstack([np.eye(ne), -np.eye(ne), d2, -d2])
     h = complex_.h
     c = np.concatenate([np.full(2 * ne, h), np.full(2 * nf, h * h)])
-    res = simplex_lp(LinearProgram(c=c, a=a, b=np.asarray(t, dtype=float)))
+    res = simplex_lp(c, a, t)
     x = res.x
     r = x[:ne] - x[ne:2 * ne]
     s = x[2 * ne:2 * ne + nf] - x[2 * ne + nf:]

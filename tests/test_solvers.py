@@ -1,6 +1,5 @@
 import dataclasses
 import heapq
-import importlib.util
 import json
 import logging
 import math
@@ -12,18 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from current1d import (FlowNetwork, Infeasible, IterationLimit, LinearProgram, Molecule,
-                       SolverError, Unbounded, ae_norm, check_flow, decompose_flow,
-                       min_cost_flow, network_simplex, simplex_lp)
+from current1d import (FlowNetwork, Infeasible, IterationLimit, Molecule, SolverError,
+                       Unbounded, ae_norm, check_flow, decompose_flow, min_cost_flow,
+                       network_simplex, simplex_lp)
 from current1d.solvers import TOL, FlowResult
+
+from conftest import engine_digests
 
 INF = math.inf
 GOLDEN = Path(__file__).parent / "golden"
-_spec = importlib.util.spec_from_file_location("make_engine_digests",
-                                               GOLDEN / "make_engine_digests.py")
-engine_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(engine_digests)
 DIGESTS = json.loads((GOLDEN / "engine_digests.json").read_text())
+
+
+def random_transportation(rng, sides: int, top: float) -> FlowNetwork:
+    """Suite criterion 8's draw: ns and nd in [2, sides), costs in [0.1, top),
+    supplies and demands in [0.1, 2) with the demands scaled to balance."""
+    ns, nd = int(rng.integers(2, sides)), int(rng.integers(2, sides))
+    cost = rng.uniform(0.1, top, size=(ns, nd))
+    sup = rng.uniform(0.1, 2.0, size=ns)
+    dem = rng.uniform(0.1, 2.0, size=nd)
+    return FlowNetwork.transportation(cost, sup, dem * (sup.sum() / dem.sum()))
 
 
 class TestMinCostFlow:
@@ -135,6 +142,13 @@ class TestFlowNetwork:
     def test_rejects_a_malformed_table(self, arcs, div, needle):
         with pytest.raises(SolverError, match=re.escape(needle)):
             FlowNetwork(2, arcs, div)
+
+    def test_builds_a_transportation_network_and_its_node_arc_program(self):
+        net = FlowNetwork.transportation([[1.0, INF], [2.0, 3.0]], [1.0, 2.0], [2.5, 0.5])
+        assert net.arcs.tolist() == [[0, 2, 1.0, INF], [1, 2, 2.0, INF], [1, 3, 3.0, INF]]
+        assert net.divergence.tolist() == [1.0, 2.0, -2.5, -0.5]
+        c, a, b = FlowNetwork(2, ((0, 1, 1.0, INF), (1, 1, 2.0, 0.5)), (1.0, -1.0)).program()
+        assert (c.tolist(), a.tolist(), b.tolist()) == ([1, 2], [[1, 0], [-1, 0]], [1, -1])
 
     @pytest.mark.parametrize("div, needle", [
         ((1e308, 1e308, -1e308, -1e308), "total supply inf is not finite"),
@@ -472,6 +486,23 @@ class TestCheckFlow:
         with pytest.raises(SolverError, match="reduced cost|duality gap"):
             check_flow(net, dataclasses.replace(res, potentials=pi))
 
+    @pytest.mark.parametrize("field", ["flows", "potentials"])
+    def test_rejects_a_result_of_the_wrong_length(self, field):
+        net = engine_digests.NETWORKS["mixed_caps_n30"]()
+        res = min_cost_flow(net)
+        with pytest.raises(SolverError, match="does not match the network"):
+            check_flow(net, dataclasses.replace(res, **{field: getattr(res, field)[1:]}))
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    @pytest.mark.parametrize("field", ["flows", "potentials"])
+    def test_rejects_non_finite_entries(self, field, bad):
+        net = engine_digests.NETWORKS["mixed_caps_n30"]()
+        res = min_cost_flow(net)
+        values = getattr(res, field).copy()
+        values[-1] = bad
+        with pytest.raises(SolverError, match="non-finite entries"):
+            check_flow(net, dataclasses.replace(res, **{field: values}))
+
     @pytest.mark.parametrize("engine", [min_cost_flow, network_simplex])
     def test_rejects_a_cost_that_overflows(self, engine):
         # 1e308 units at cost 2 cost inf; primal and dual are both inf, and
@@ -615,37 +646,30 @@ class TestNetworkSimplex:
 
 class TestSimplex:
     def test_fixed_variable(self):
-        lp = LinearProgram(c=np.array([1.0]), a=np.array([[1.0]]), b=np.array([1.0]))
-        res = simplex_lp(lp)
+        res = simplex_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
         assert res.optimum == pytest.approx(1.0, abs=1e-12)
 
     def test_transportation_matches_flow_example(self):
         # same instance as the 3-node line: supplies (1, 1), demand 2
-        c = np.array([1.0, 2.0])
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        b = np.array([1.0, 1.0, 2.0])
-        res = simplex_lp(LinearProgram(c=c, a=a, b=b))
+        net = FlowNetwork.transportation([[1.0], [2.0]], [1.0, 1.0], [2.0])
+        res = simplex_lp(*net.program())
         assert res.optimum == pytest.approx(3.0, abs=1e-9)
 
     def test_redundant_row_same_optimum(self):
         c = np.array([1.0, 1.0])
         a = np.array([[1.0, 1.0], [2.0, 2.0]])
         b = np.array([1.0, 2.0])
-        full = simplex_lp(LinearProgram(c=c, a=a, b=b))
-        reduced = simplex_lp(LinearProgram(c=c, a=a[:1], b=b[:1]))
+        full = simplex_lp(c, a, b)
+        reduced = simplex_lp(c, a[:1], b[:1])
         assert full.optimum == pytest.approx(reduced.optimum, abs=1e-9)
 
     def test_infeasible(self):
-        lp = LinearProgram(c=np.array([1.0]), a=np.array([[1.0], [1.0]]),
-                           b=np.array([1.0, 2.0]))
         with pytest.raises(Infeasible):
-            simplex_lp(lp)
+            simplex_lp(np.array([1.0]), np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
 
     def test_unbounded(self):
-        lp = LinearProgram(c=np.array([-1.0, 0.0]), a=np.array([[1.0, -1.0]]),
-                           b=np.array([0.0]))
         with pytest.raises(Unbounded):
-            simplex_lp(lp)
+            simplex_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
 
     def test_beale_cycling_example(self):
         # Beale (1955): Dantzig's largest-coefficient rule cycles here; Bland's does not
@@ -653,9 +677,17 @@ class TestSimplex:
         a = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
                       [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
                       [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
-        res = simplex_lp(LinearProgram(c=c, a=a, b=np.array([0.0, 0.0, 1.0])))
+        res = simplex_lp(c, a, np.array([0.0, 0.0, 1.0]))
         assert res.optimum == pytest.approx(-1.25, abs=1e-12)
         assert res.x == pytest.approx([0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0), (-1.0, 1.0)])
+    def test_drives_an_artificial_at_level_0_out_of_the_basis(self, c):
+        """Phase 1 leaves an artificial basic at level 0 with a real entry in its row."""
+        a, b = np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2)
+        res = simplex_lp(c, a, b)
+        assert res.x.tolist() == [0.0, 0.0] and res.optimum == 0.0
+        assert np.min(c - a.T @ res.y) >= -1e-12 and b @ res.y == res.optimum
 
     def test_criterion_8_pivot_path_is_pinned(self):
         """The 100 transportation LPs of suite criterion 8 (Philox key 808) keep
@@ -664,17 +696,7 @@ class TestSimplex:
         rng = np.random.Generator(np.random.Philox(key=808))
         iterations, optima = [], []
         for _ in range(100):
-            ns, nd = int(rng.integers(2, 11)), int(rng.integers(2, 11))
-            cost = rng.uniform(0.1, 5.0, size=(ns, nd))
-            sup = rng.uniform(0.1, 2.0, size=ns)
-            dem = rng.uniform(0.1, 2.0, size=nd)
-            dem *= sup.sum() / dem.sum()
-            k = np.arange(ns * nd)
-            i, j = divmod(k, nd)
-            a = np.zeros((ns + nd, ns * nd))
-            a[i, k] = a[ns + j, k] = 1.0
-            res = simplex_lp(LinearProgram(c=cost.flatten(), a=a,
-                                           b=np.concatenate([sup, dem])))
+            res = simplex_lp(*random_transportation(rng, 11, 5.0).program())
             iterations.append(res.iterations)
             optima.append(res.optimum)
         assert iterations == pins["iterations"]
@@ -690,7 +712,7 @@ class TestSimplex:
             x0 = rng.uniform(0, 1, size=n)
             b = a @ x0  # feasible by construction
             c = rng.uniform(0.1, 1.0, size=n)
-            res = simplex_lp(LinearProgram(c=c, a=a, b=b))
+            res = simplex_lp(c, a, b)
             assert np.max(np.abs(a @ res.x - b)) <= 1e-8
             assert np.min(res.x) >= -1e-9
             gap = abs(res.optimum - float(b @ res.y))
@@ -701,23 +723,9 @@ class TestCrossValidation:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_flow_equals_lp_on_transportation(self, seed):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        ns, nd = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        cost = rng.uniform(0.1, 3.0, size=(ns, nd))
-        sup = rng.uniform(0.1, 2.0, size=ns)
-        dem = rng.uniform(0.1, 2.0, size=nd)
-        dem *= sup.sum() / dem.sum()
-        arcs = tuple((i, ns + j, float(cost[i, j]), INF)
-                     for i in range(ns) for j in range(nd))
-        net = FlowNetwork(ns + nd, arcs, tuple(np.concatenate([sup, -dem])))
+        net = random_transportation(np.random.Generator(np.random.Philox(key=seed)), 6, 3.0)
         fres = min_cost_flow(net)
-        a = np.zeros((ns + nd, ns * nd))
-        for i in range(ns):
-            for j in range(nd):
-                a[i, i * nd + j] = 1.0
-                a[ns + j, i * nd + j] = 1.0
-        lres = simplex_lp(LinearProgram(c=cost.flatten(), a=a,
-                                        b=np.concatenate([sup, dem])))
+        lres = simplex_lp(*net.program())
         assert fres.total_cost == pytest.approx(lres.optimum, abs=1e-7)
 
 
@@ -728,9 +736,8 @@ class TestIterationLimit:
         rng = np.random.Generator(np.random.Philox(key=77))
         a = rng.uniform(0.5, 1.5, size=(4, 12))
         x0 = rng.uniform(0.5, 1.0, size=12)
-        lp = LinearProgram(c=rng.uniform(1, 2, size=12), a=a, b=a @ x0)
         with pytest.raises(IterationLimit):
-            solvers.simplex_lp(lp)
+            solvers.simplex_lp(rng.uniform(1, 2, size=12), a, a @ x0)
 
 
 class TestFlowProgressGuard:
@@ -796,14 +803,10 @@ class TestHighsOracle:
         solved = infeasible = 0
         for _ in range(60):
             net = self._random_network(rng)
-            tail, head, cost, caps = net.arcs.T
-            k = np.arange(len(net.arcs))
-            a_eq = np.zeros((net.n, len(net.arcs)))
-            np.add.at(a_eq, (tail.astype(int), k), 1.0)
-            np.add.at(a_eq, (head.astype(int), k), -1.0)
-            lp = optimize.linprog(cost, A_eq=a_eq, b_eq=net.divergence, method="highs",
+            cost, a_eq, b_eq = net.program()
+            lp = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, method="highs",
                                   bounds=[(0.0, None if cap == INF else cap)
-                                          for cap in caps.tolist()])
+                                          for cap in net.cap.tolist()])
             assert lp.status in (0, 2)
             if lp.status == 2:
                 with pytest.raises(Infeasible):

@@ -1,25 +1,18 @@
 import dataclasses
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from current1d import (Chain1, FiniteMetricSpace, FillingResult, Infeasible, MetricGraph,
-                       Molecule, NormedPlane, ae_norm, check_filling, edge_weights,
-                       isomorphism_check, minimal_filling, network_simplex, qc_constants,
-                       transport)
+from current1d import (Chain1, FiniteMetricSpace, FillingResult, FlowNetwork, Infeasible,
+                       MetricGraph, Molecule, NormedPlane, ae_norm, check_filling,
+                       edge_weights, isomorphism_check, minimal_filling, network_simplex,
+                       qc_constants, transport)
 from current1d.transport import TransportError
 
-from conftest import make_v_detour, random_connected_graph
-
-_spec = importlib.util.spec_from_file_location(
-    "make_engine_digests", Path(__file__).resolve().parent / "golden" / "make_engine_digests.py")
-engine_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(engine_digests)
+from conftest import engine_digests, make_v_detour, random_connected_graph
 
 PL = NormedPlane("l2")
 
@@ -179,30 +172,16 @@ class TestMinimalFilling:
                 assert got[k] == pytest.approx(want[k], abs=1e-9)
 
 
-def balanced_weights(rng, k: int) -> np.ndarray:
-    w = rng.uniform(-2.0, 2.0, size=k)
-    w[-1] -= w.sum()
-    return w
-
-
 class TestHighsOracle:
-    """``ae_norm`` and ``minimal_filling`` against HiGHS on their node-arc LPs:
-    the bipartite transport LP between the positive and negative atoms, and
-    the edge LP min sum l(e) x(e) over both orientations of every edge with
-    boundary = molecule."""
+    """``ae_norm`` and ``minimal_filling`` against HiGHS on the node-arc LPs
+    (``FlowNetwork.program``) of the transportation network between the positive
+    and negative atoms and of Beckmann's network, min sum l(e) x(e) over both
+    orientations of every edge with boundary = molecule."""
 
     @staticmethod
-    def _transport_lp(optimize, m: Molecule, dist: np.ndarray) -> float:
-        pos = [(p, w) for p, w in m.atoms if w > 0]
-        neg = [(q, -w) for q, w in m.atoms if w < 0]
-        a_eq = np.zeros((len(pos) + len(neg), len(pos) * len(neg)))
-        cost = np.zeros(len(pos) * len(neg))
-        for i, (p, _) in enumerate(pos):
-            for j, (q, _) in enumerate(neg):
-                col = i * len(neg) + j
-                a_eq[i, col] = a_eq[len(pos) + j, col] = 1.0
-                cost[col] = dist[p, q]
-        b_eq = [w for _, w in pos] + [w for _, w in neg]
+    def _node_arc_lp(optimize, net: FlowNetwork) -> float:
+        """HiGHS's optimum of the program of ``net``, whose arcs are uncapacitated."""
+        cost, a_eq, b_eq = net.program()
         lp = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
         assert lp.status == 0
         return lp.fun
@@ -220,8 +199,10 @@ class TestHighsOracle:
                 pts = rng.uniform(0.0, 10.0, size=(k, 2))
                 dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
             m = Molecule(list(zip(rng.permutation(k).tolist(),
-                                  balanced_weights(rng, k).tolist())))
-            want = self._transport_lp(optimize, m, dist)
+                                  engine_digests._balanced(rng, k).tolist())))
+            (pos, sup), (neg, dem) = zip(*m.positive_part()), zip(*m.negative_part())
+            want = self._node_arc_lp(
+                optimize, FlowNetwork.transportation(dist[np.ix_(pos, neg)], sup, dem))
             assert ae_norm(m, dist).value == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_minimal_filling_matches_linprog(self):
@@ -231,22 +212,9 @@ class TestHighsOracle:
             g = random_connected_graph(rng, max_n=40)
             k = int(rng.integers(2, g.n + 1))
             m = Molecule(list(zip(rng.choice(g.n, size=k, replace=False).tolist(),
-                                  balanced_weights(rng, k).tolist())))
-            # column 2i is edge i from u to v, 2i + 1 from v to u; a unit on
-            # u -> v adds +1 to the boundary at v and -1 at u
-            a_eq = np.zeros((g.n, 2 * len(g.edges)))
-            for i, (u, v, _) in enumerate(g.edges):
-                a_eq[v, 2 * i] = a_eq[u, 2 * i + 1] = 1.0
-                a_eq[u, 2 * i] = a_eq[v, 2 * i + 1] = -1.0
-            b_eq = np.zeros(g.n)
-            for p, w in m.atoms:
-                b_eq[p] += w
-            cost = np.repeat([length for _, _, length in g.edges], 2)
-            lp = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
-                                  method="highs")
-            assert lp.status == 0
-            assert minimal_filling(m, g).mass_value == pytest.approx(lp.fun, rel=1e-9,
-                                                                     abs=1e-12)
+                                  engine_digests._balanced(rng, k).tolist())))
+            want = self._node_arc_lp(optimize, engine_digests.beckmann(m, g))
+            assert minimal_filling(m, g).mass_value == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def seeded_filling(seed: int, scale: float = 1.0):
@@ -255,7 +223,7 @@ def seeded_filling(seed: int, scale: float = 1.0):
     g = random_connected_graph(rng, max_n=60)
     k = int(rng.integers(2, min(g.n, 16) + 1))
     m = Molecule(list(zip(rng.choice(g.n, size=k, replace=False).tolist(),
-                          (scale * balanced_weights(rng, k)).tolist())))
+                          (scale * engine_digests._balanced(rng, k)).tolist())))
     return g, m, minimal_filling(m, g)
 
 
@@ -335,7 +303,7 @@ class TestRoutedFilling:
             g = MetricGraph((g.coords * 2.0 ** -40).tolist(),
                             [(u, v, w * 2.0 ** -40) for u, v, w in g.edges])
             m = Molecule(list(zip(rng.choice(g.n, size=4, replace=False).tolist(),
-                                  balanced_weights(rng, 4).tolist())))
+                                  engine_digests._balanced(rng, 4).tolist())))
             fill = minimal_filling(m, g)
             assert fill.mass_value == pytest.approx(fill.ae.value, rel=1e-9)
 
@@ -462,7 +430,7 @@ class TestTreeClosedForm:
         n = int(rng.integers(20, 200))
         g, parent = random_tree(rng, n, reach)
         k = int(rng.integers(2, min(n, 60) + 1))
-        w = balanced_weights(rng, k)
+        w = engine_digests._balanced(rng, k)
         m = Molecule(list(zip(rng.choice(n, size=k, replace=False).tolist(), w.tolist())))
         below = np.zeros(n)  # m(subtree of i); parents precede children
         for p, x in m.atoms:
