@@ -9,8 +9,12 @@ representatives by chord chains. The certificate splits into a clustering term
 2 (L+1) eta(A) diam(A) per cluster and a per-representative interpolation term
 from the homotopy pair bound (l0 + l1 + 2) d_inf. Masses, L and the lengths
 l0, l1 are taken in the plane's norm. Interpolation is batched: the nodes of
-all representatives come from one evaluation on the measure's curve array, and
-their distances to their chord polylines from one ``d_inf_many`` call.
+all representatives come from one evaluation on the measure's curve array, the
+chords' own arc lengths from one row-wise accumulate over the nodes (the l2
+sums a chord ``Polyline`` forms, so no chord polyline is built), and their
+distances to the representatives from one ``d_inf_many`` call on one curve
+array built from those flat arrays. A measure whose mass in the plane is not
+finite, or a certificate term that is not, is a ``CurrentError``.
 
 The net takes every uniform distance it needs from one ``currents.CurveArray``
 of the curves, many pairs per vectorized ``d_inf_many`` call. The measure
@@ -194,8 +198,9 @@ def cluster(cm: CurveMeasure, eps: float,
         k = rows[p:p + currents.CHUNK_SAMPLES]
         s[k] = d_inf_many(curves, members[pivot[gid[k]]], members[k])
     diam = np.maximum.reduceat(np.maximum(r, s), start)
-    tau = (2.0 ** -40 * max(1.0, *curves.plane.weights)
-           * (1.0 + np.abs(curves.points).max(initial=0.0) + curves.length.max(initial=0.0)))
+    with np.errstate(over="ignore"):  # a scale past the float range leaves tau inf: no pruning
+        tau = (2.0 ** -40 * max(1.0, *curves.plane.weights)
+               * (1.0 + np.abs(curves.points).max(initial=0.0) + curves.length.max(initial=0.0)))
     bound = diam - tau
     r[start] = s[pivot] = -np.inf  # pairs with the center or the pivot are known
     later = start[gid] + sizes[gid] - np.arange(n) - 1  # partners after each member
@@ -255,22 +260,41 @@ def approximate(cm: CurveMeasure, eps: float, mesh: float,
     All representatives are interpolated at once: their nodes in one
     ``CurveArray.at`` call on the measure's curve array, and their uniform
     distances to their chord polylines (``d_inf``, bit for bit) in one
-    ``d_inf_many`` call on an array of the representatives followed by the
-    chord polylines. Each cluster adds, in node order, one chord of its
-    weight per partition cell whose ends differ.
+    ``d_inf_many`` call on an array of the representatives followed by their
+    chords, built by ``CurveArray.from_arrays`` with each chord's own arc
+    lengths those of ``Polyline(nodes)``. Each cluster adds, in node order,
+    one chord of its weight per partition cell whose ends differ.
+
+    Raises ``CurrentError`` before clustering when the measure's mass in the
+    plane is not finite, and after it when a certificate term is not.
     """
     _require_positive("interpolation mesh", mesh)
     plane = plane or NormedPlane("l2")
-    clusters = cluster(cm, eps, plane)
     curves = cm.curves(plane)
     lengths = curves.plane_length.tolist()
+    mass_n = float(sum(w * length for (w, _), length in zip(cm.entries, lengths)))
+    if not math.isfinite(mass_n):
+        raise CurrentError(f"curve-measure mass in the plane is not finite: {mass_n!r}")
+    clusters = cluster(cm, eps, plane)
     cap = max(lengths, default=0.0)
     part = _uniform_partition(mesh)
     reps = [cl.representative for cl in clusters]
     k = len(reps)
     nodes = curves.at(np.repeat(np.array(reps, dtype=int), len(part)), np.tile(part, k),
                       exact=True).reshape(k, len(part), 2)
-    chords = CurveArray([cm.entries[r][1] for r in reps] + [Polyline(c) for c in nodes], plane)
+    # each chord's own arc lengths, the l2 sums Polyline(nodes[i]) forms
+    cum = np.zeros((k, len(part)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.accumulate(NormedPlane("l2").norm_arr(nodes[:, 1:] - nodes[:, :-1]), axis=1,
+                          out=cum[:, 1:])
+    if not np.isfinite(cum[:, -1]).all():
+        raise CurrentError("polyline points and length must be finite")
+    polys = [cm.entries[r][1] for r in reps]
+    chords = CurveArray.from_arrays(
+        np.concatenate([p.points for p in polys] + [nodes.reshape(-1, 2)]),
+        np.concatenate([p.cum for p in polys] + [cum.reshape(-1)]),
+        [len(p.cum) for p in polys] + [len(part)] * k,
+        [p.length for p in polys] + cum[:, -1].tolist(), plane)
     dist = d_inf_many(chords, np.arange(k), np.arange(k, 2 * k)).tolist()
     pieces = []
     clustering_term = 0.0
@@ -282,6 +306,9 @@ def approximate(cm: CurveMeasure, eps: float, mesh: float,
                    for s, e in zip(path, path[1:]) if s != e]
         clustering_term += 2.0 * (cap + 1.0) * w * cl.diameter
         interp_term += w * ((lengths[cl.representative] + chord_length + 2.0) * d)
+    if not math.isfinite(clustering_term + interp_term):
+        raise CurrentError(f"approximation certificate is not finite: clustering term "
+                           f"{clustering_term!r}, interpolation term {interp_term!r}")
     chain = Chain1(plane, pieces, validate=False)
     cert = ApproxCertificate(
         epsilon=eps,
@@ -290,7 +317,7 @@ def approximate(cm: CurveMeasure, eps: float, mesh: float,
         interpolation_term=interp_term,
         flat_bound=clustering_term + interp_term,
         mass_p=chain.mass(),
-        mass_n=float(sum(w * length for (w, _), length in zip(cm.entries, lengths))),
+        mass_n=mass_n,
     )
     return chain, cert
 

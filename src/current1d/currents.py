@@ -254,7 +254,6 @@ class Polyline:
 # uniform distance
 
 CHUNK_SAMPLES = 2 ** 12  # curve samples evaluated at once by d_inf_many
-_UNIT = np.array([0.0, 1.0])
 
 
 class CurveArray:
@@ -270,48 +269,74 @@ class CurveArray:
     member's own length, which sets its parametrization, and
     ``plane_length`` its length in the array's plane, the float that
     ``Polyline(points, plane).length`` gives.
+
+    One construction path builds every array from the members' points, own
+    arc lengths and lengths, given flat: ``from_arrays`` takes them as they
+    are, and ``CurveArray(polys, plane)`` gathers them from the polylines in
+    one pass.
     """
 
     __slots__ = ("plane", "keys", "cum", "points", "slope", "length", "plane_length",
                  "breaks", "bstart", "nbreaks", "max_breaks", "own")
 
     def __init__(self, polys: Sequence[Polyline], plane: Optional[NormedPlane] = None):
+        points, cum, length = [np.zeros((0, 2))], [np.zeros(0)], []
+        for p in polys:
+            points.append(p.points)
+            cum.append(p.cum)
+            length.append(p.length)
+        self._build(np.concatenate(points), np.concatenate(cum), list(map(len, cum[1:])), length,
+                    plane)
+
+    @classmethod
+    def from_arrays(cls, points: np.ndarray, cum: np.ndarray, counts, length,
+                    plane: Optional[NormedPlane] = None) -> "CurveArray":
+        """The array of members given flat: member k has the next ``counts[k]``
+        rows of ``points`` (at least one), their arc lengths in ``cum`` from
+        0.0 in its own norm, as ``Polyline.cum``, and its length ``length[k]``,
+        the last of them."""
+        curves = cls.__new__(cls)
+        curves._build(points, cum, counts, length, plane)
+        return curves
+
+    def _build(self, points, cum, counts, length, plane) -> None:
         self.plane = plane or _L2
-        polys = list(polys)
-        verts = [len(p.cum) if p.length else 1 for p in polys]
-        self.cum = np.concatenate([p.cum[:k] for p, k in zip(polys, verts)] + [[]])
-        self.points = np.concatenate([p.points[:k] for p, k in zip(polys, verts)]
-                                     + [np.zeros((0, 2))])
-        member = np.arange(len(polys))
+        counts = np.asarray(counts, dtype=int)
+        self.length = length = np.asarray(length, dtype=float)
+        member = np.arange(len(counts))
+        owner = np.repeat(member, counts)
+        first = np.cumsum(counts) - counts
+        local = np.arange(len(cum)) - first[owner]
+        zero = length == 0
+        verts = np.where(zero, 1, counts)
+        keep = np.flatnonzero(local < verts[owner])
+        self.cum, self.points = cum.take(keep), points.take(keep, axis=0)
         self.keys = np.repeat(member, verts) + 1j * self.cum
-        # np.interp's slopes; 0 at a member's last vertex and at a vertex with
-        # the arc length of the next, which searchsorted never returns
-        last = np.cumsum(verts, dtype=int) - 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.slope = (np.diff(self.points, axis=0, append=0.0)
-                          / np.diff(self.cum, append=0.0)[:, None])
+        last = np.cumsum(verts) - 1
+        steps, self.slope = np.zeros(len(points)), np.zeros_like(self.points)
+        # a difference across two members, which may overflow, is dropped below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            steps[1:] = self.plane.norm_arr(points[1:] - points[:-1])
+            # np.interp's slopes; 0 at a member's last vertex and at a vertex
+            # with the arc length of the next, which searchsorted never returns
+            np.divide(self.points[1:] - self.points[:-1], (self.cum[1:] - self.cum[:-1])[:, None],
+                      out=self.slope[:-1])
         self.slope[last] = 0.0
         self.slope[~np.isfinite(self.slope)] = 0.0
-        self.length = np.array([p.length for p in polys])
         # the segment norms of member k in row k, padded with zeros, and
         # summed in order along the row as Polyline sums them
-        counts = np.array([len(p.points) for p in polys], dtype=int)
-        pts = np.concatenate([p.points for p in polys] + [np.zeros((0, 2))])
-        local = np.arange(len(pts)) - np.repeat(np.cumsum(counts) - counts, counts)
-        inner = np.flatnonzero(local > 0)
-        norms = np.zeros((len(polys), counts.max(initial=1)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms[np.repeat(member, counts)[inner], local[inner]] = \
-                self.plane.norm_arr(pts[inner] - pts[inner - 1])
+        steps[first] = 0.0
+        norms = np.zeros((len(counts), counts.max(initial=1)))
+        norms[owner, local] = steps
         self.plane_length = np.add.accumulate(norms, axis=1)[:, -1]
         # Polyline.breaks of every member in one division: cum / length, and
         # [0, 1] / 1 for a member of length zero
-        self.nbreaks = np.array([len(p.cum) if p.length else 2 for p in polys], dtype=int)
-        self.breaks = (np.concatenate([p.cum if p.length else _UNIT for p in polys] + [[]])
-                       / np.repeat(np.where(self.length > 0, self.length, 1.0), self.nbreaks))
+        self.nbreaks = np.where(zero, 2, counts)
+        self.breaks = (np.insert(self.cum, last[zero] + 1, 1.0)
+                       / np.repeat(np.where(zero, 1.0, length), self.nbreaks))
         self.bstart = np.concatenate([[0], np.cumsum(self.nbreaks)])
         self.max_breaks = int(self.nbreaks.max(initial=0))
-        self.own = self.at(np.repeat(member, self.nbreaks), self.breaks)
+        self.own = self._at(np.repeat(member, self.nbreaks), self.breaks)
 
     def at(self, rows: np.ndarray, ts: np.ndarray, exact: bool = False) -> np.ndarray:
         """Point of member ``rows[k]`` at parameter ``ts[k]``, shape (len(ts), 2).
@@ -322,8 +347,12 @@ class CurveArray:
         on a vertex takes that vertex's point, as ``np.interp`` does, and the
         values are the same bit for bit, signed zeros too.
         """
-        s = np.clip(ts, 0.0, 1.0) * self.length[rows]
-        j = np.searchsorted(self.keys, rows + 1j * s, side="right") - 1
+        return self._at(rows, np.clip(ts, 0.0, 1.0), exact)
+
+    def _at(self, rows: np.ndarray, ts: np.ndarray, exact: bool = False) -> np.ndarray:
+        """``at`` for parameters that already lie in [0, 1]."""
+        s = ts * self.length[rows]
+        j = self.keys.searchsorted(rows + 1j * s, side="right") - 1
         # take gathers whole rows several times faster than indexing with j
         base = self.points.take(j, axis=0)
         out = self.slope.take(j, axis=0) * (s - self.cum[j])[:, None] + base
@@ -333,10 +362,12 @@ class CurveArray:
 
     def gap(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """max over the breakpoints t of member y[k] of |x[k](t) - y[k](t)|, per k."""
+        # the array methods, not their np.* wrappers: this runs once per block
         sizes = self.nbreaks[y]
-        firsts = np.cumsum(sizes) - sizes
-        idx = np.repeat(self.bstart[y] - firsts, sizes) + np.arange(sizes.sum())
-        diff = self.at(np.repeat(x, sizes), self.breaks[idx]) - self.own.take(idx, axis=0)
+        firsts = sizes.cumsum() - sizes
+        idx = (self.bstart[y] - firsts).repeat(sizes) + np.arange(sizes.sum())
+        diff = self._at(x.repeat(sizes), self.breaks[idx])
+        diff -= self.own.take(idx, axis=0)
         return np.maximum.reduceat(self.plane.norm_arr(diff), firsts)
 
 
@@ -350,18 +381,21 @@ def d_inf_many(curves: CurveArray, a, b) -> np.ndarray:
     Both directions of a block of pairs are sampled in one ``gap`` pass, and
     each pair takes the larger of its two halves. The pairs are taken in
     blocks of at most CHUNK_SAMPLES samples; a single pair is never split.
+    A difference that overflows makes its distance inf.
     """
-    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=int)),
-                               np.atleast_1d(np.asarray(b, dtype=int)))
-    out = np.empty(a.shape)
+    out = np.empty(np.broadcast(a, b).shape or (1,))
     flat = out.reshape(-1)
     if flat.size:
-        a, b = a.reshape(-1), b.reshape(-1)
+        # both index arrays broadcast into one block by assignment, flat
+        pairs = np.empty((2,) + out.shape, dtype=int)
+        pairs[0], pairs[1] = a, b
+        a, b = pairs.reshape(2, -1)
         step = max(1, CHUNK_SAMPLES // (2 * curves.max_breaks))
-        for p in range(0, flat.size, step):
-            x, y = a[p:p + step], b[p:p + step]
-            both = curves.gap(np.concatenate([x, y]), np.concatenate([y, x]))
-            np.maximum(both[:len(x)], both[len(x):], out=flat[p:p + len(x)])
+        with np.errstate(over="ignore"):
+            for p in range(0, flat.size, step):
+                x, y = a[p:p + step], b[p:p + step]
+                both = curves.gap(np.concatenate([x, y]), np.concatenate([y, x]))
+                np.maximum(both[:len(x)], both[len(x):], out=flat[p:p + len(x)])
     return out
 
 
@@ -370,10 +404,12 @@ def d_inf(a: Polyline, b: Polyline, plane: Optional[NormedPlane] = None) -> floa
 
     On the merged breakpoint partition the pointwise difference is affine per
     subinterval, so its norm is convex there and attains its max at breakpoints.
+    A difference that overflows makes the distance inf.
     """
     plane = plane or NormedPlane("l2")
     ts = np.union1d(a.breaks(), b.breaks())
-    return float(np.max(plane.norm_arr(a.at(ts) - b.at(ts))))
+    with np.errstate(over="ignore"):
+        return float(np.max(plane.norm_arr(a.at(ts) - b.at(ts))))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     else:
         raise TransportError(f"unsupported metric object {type(metric)}")
 
+    if not pos or not neg:  # one-signed, so zero within TOL by Molecule's test
+        return AeResult(0.0, (), dict.fromkeys(keys, 0.0))
     np_ = len(pos)
     net = FlowNetwork.transportation(block[[w > 0 for _, w in m.atoms]],
                                      [w for _, w in pos], [w for _, w in neg])

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -341,14 +342,16 @@ class TestNetBlocks:
 class TestSharedCurveArray:
     @staticmethod
     def count_builds(monkeypatch):
-        """Record (members, plane) of every curve array built."""
+        """Record (members, plane) of every curve array built, from polylines
+        or from flat arrays: both constructors build through ``_build``."""
         built = []
+        build = currents.CurveArray._build
 
-        def counting(polys, plane=None):
-            built.append((len(polys), plane))
-            return currents.CurveArray(polys, plane)
+        def counting(self, points, cum, counts, length, plane):
+            built.append((len(counts), plane))
+            build(self, points, cum, counts, length, plane)
 
-        monkeypatch.setattr(approximation, "CurveArray", counting)
+        monkeypatch.setattr(currents.CurveArray, "_build", counting)
         return built
 
     def test_two_approximate_calls_build_one_array(self, monkeypatch):
@@ -357,7 +360,7 @@ class TestSharedCurveArray:
         cm = translates(rng, 80, 2.0, PL)
         first = [approximate(cm, eps=eps, mesh=0.25, plane=PL)[1] for eps in (0.4, 0.2)]
         # the measure's array once, and per call one array of its
-        # representatives followed by their chord polylines
+        # representatives followed by their chords
         chords = [(2 * len(cert.clusters), PL) for cert in first]
         assert len(first[1].clusters) > len(first[0].clusters) > 1
         assert built == [(80, PL)] + chords
@@ -365,6 +368,19 @@ class TestSharedCurveArray:
         again = CurveMeasure(cm.entries)
         assert [approximate(again, eps=eps, mesh=0.25, plane=PL)[1] for eps in (0.4, 0.2)] == first
         assert built == ([(80, PL)] + chords) * 2
+
+    def test_no_chord_polyline_is_built(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=108))
+        cm = translates(rng, 80, 2.0, PL)
+        init, made = Polyline.__init__, []
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polyline, "__init__", counting)
+        _, cert = approximate(cm, eps=0.2, mesh=0.25, plane=PL)
+        assert len(cert.clusters) > 1 and made == []
 
     def test_one_array_per_plane(self, monkeypatch):
         built = self.count_builds(monkeypatch)
@@ -376,6 +392,58 @@ class TestSharedCurveArray:
         assert built == [(30, plane) for plane in PLANES]
         cluster(cm, 0.3)  # the default plane is l2
         assert len(built) == len(PLANES)
+
+    @staticmethod
+    def chord_arrays(monkeypatch):
+        """Capture every curve array built from flat arrays."""
+        arrays = []
+        from_arrays = currents.CurveArray.from_arrays.__func__
+
+        def capturing(cls, *args):
+            arrays.append(from_arrays(cls, *args))
+            return arrays[-1]
+
+        monkeypatch.setattr(currents.CurveArray, "from_arrays", classmethod(capturing))
+        return arrays
+
+    @staticmethod
+    def assert_same_arrays(got, want):
+        for name in currents.CurveArray.__slots__:
+            a, b = getattr(got, name), getattr(want, name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            else:
+                assert type(a) is type(b) and a == b, name
+
+    def assert_chords_from_polylines(self, cm, eps, mesh, plane, arrays):
+        """The chord array of one approximate call equals the array of its
+        representatives and their chord polylines, field by field."""
+        arrays.clear()
+        _, cert = approximate(cm, eps=eps, mesh=mesh, plane=plane)
+        reps = [cm.entries[cl.representative][1] for cl in cert.clusters]
+        part = approximation._uniform_partition(mesh)
+        want = currents.CurveArray(reps + [Polyline(p.at(part)) for p in reps], plane)
+        assert len(arrays) == 1
+        self.assert_same_arrays(arrays[0], want)
+        return want
+
+    @pytest.mark.parametrize("plane", PLANES[:3], ids=lambda p: p.tag)
+    def test_chord_array_equals_the_polyline_array(self, plane, monkeypatch):
+        arrays = self.chord_arrays(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=109))
+        for count in (80, 160, 320):  # the bench's approx sizes
+            for own in (PL, plane):
+                cm = translates(rng, count, 2.0, own)
+                for eps in (0.4, 0.2):
+                    self.assert_chords_from_polylines(cm, eps, 0.25, plane, arrays)
+        # a zero-length representative, and chords whose nodes coincide
+        square = Polyline([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], plane)
+        back = Polyline([[2, 0], [3, 0], [2, 0], [3, 0], [2, 0]])
+        cm = CurveMeasure.of([(1.0, Polyline([[5.0, -0.25]])), (1.0, square), (0.5, back),
+                              (2.0, Polyline([[7.0, 1.0], [7.0, 1.0]], plane))])
+        for mesh in (1.0, 0.5, 0.25):
+            want = self.assert_chords_from_polylines(cm, 0.1, mesh, plane, arrays)
+            assert 0.0 in want.length[4:]
 
     def test_the_array_is_not_part_of_the_value(self):
         rng = np.random.Generator(np.random.Philox(key=107))
@@ -555,6 +623,59 @@ class TestApproximateAgainstReference:
         for mesh in (1.0, 0.5):
             p, _ = assert_same_approximation(cm, 0.1, mesh, plane)
             assert "-0.0" in repr(p.pieces)
+
+
+class TestOverflow:
+    """Curves near the float range: distances past it are inf, no numpy
+    warning is raised, and a certificate that cannot be finite is an error."""
+
+    @staticmethod
+    def vertical(x, own=PL):
+        return Polyline([[x, 0.0], [x, 1.0]], own)
+
+    def test_distances_past_the_float_range_are_inf(self):
+        a, b = self.vertical(1e308), self.vertical(-1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d_inf(a, b) == d_inf(b, a) == math.inf
+            curves = currents.CurveArray([a, b, self.vertical(1.5e308)])
+            assert d_inf_many(curves, [0, 1, 2], [1, 2, 0]).tolist() == [math.inf, math.inf, 5e307]
+
+    def test_a_valid_far_pair_runs_without_warnings(self):
+        cm = CurveMeasure.of([(1.0, self.vertical(1e308)), (1.0, self.vertical(-1e308))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, cert = approximate(cm, eps=0.1, mesh=0.25)
+        assert len(cert.clusters) == 2 and cert.flat_bound == 0.0
+        assert cert.mass_p == cert.mass_n == 2.0 and len(p.pieces) == 8
+
+    def test_an_infinite_mass_raises_before_clustering(self, monkeypatch):
+        cm = CurveMeasure.of([(1.0, Polyline([[0, 0], [1e308, 0]])),
+                              (1.0, Polyline([[0, 1], [-1e308, 1]]))])
+        monkeypatch.setattr(approximation, "cluster", None)  # not reached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CurrentError, match="^curve-measure mass in the plane is not "
+                                                   "finite: inf$"):
+                approximate(cm, eps=0.1, mesh=0.25)
+
+    def test_an_infinite_certificate_term_raises(self):
+        # one cluster of diameter 1.6e308, so the clustering term overflows
+        cm = CurveMeasure.of([(1.0, self.vertical(0.8e308)), (1.0, self.vertical(-0.8e308))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CurrentError, match="^approximation certificate is not finite: "
+                                                   "clustering term inf"):
+                approximate(cm, eps=1.7e308, mesh=0.25)
+
+    def test_a_chord_longer_than_the_float_range_raises(self):
+        # 1.6e308 long in linf, but its chords' own lengths are euclidean
+        linf = NormedPlane("linf")
+        cm = CurveMeasure.of([(1.0, Polyline([[-0.8e308, -0.8e308], [0.8e308, 0.8e308]], linf))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CurrentError, match="^polyline points and length must be finite$"):
+                approximate(cm, eps=0.1, mesh=0.25, plane=linf)
 
 
 class TestPlaneLengths:

@@ -1,5 +1,5 @@
-"""The benchmark's workloads in-process: every homotopy cycle entry and one
-small instance of each other workload, through its pipeline and its check.
+"""The benchmark's workloads in-process: every homotopy and approx cycle entry
+and one small instance of each other workload, through its pipeline and its check.
 ``bench/workloads.py`` is loaded from its file and not changed."""
 
 import importlib.util
@@ -22,10 +22,11 @@ class NoTracer:
         return fn(*args, **kwargs)
 
 
-INSTANCES = ([("homotopy", i, sizes) for i, sizes in enumerate(WORKLOADS["homotopy"].cycle)]
+INSTANCES = ([(name, i, sizes) for name in ("homotopy", "approx")
+              for i, sizes in enumerate(WORKLOADS[name].cycle)]
              + [("transport", 0, {"n": 40, "k": 8}), ("flatnorm", 0, {"n": 8, "kind": "field"}),
                 ("flatnorm", 1, {"n": 8, "kind": "staircase"}),
-                ("flatnorm", 2, {"n": 8, "kind": "rectangle"}), ("approx", 0, {"count": 80})])
+                ("flatnorm", 2, {"n": 8, "kind": "rectangle"})])
 
 
 @pytest.mark.parametrize("name, i, sizes", INSTANCES,

@@ -296,6 +296,33 @@ class TestSubcommands:
         assert json.loads(proc.stderr) == {
             "error": "CurrentError", "message": "polyline points and length must be finite"}
 
+    def test_approx_whose_mass_overflows_writes_only_the_error(self, tmp_path):
+        # each curve's length is finite, their mass is not
+        doc = tmp_path / "cm.json"
+        doc.write_text(json.dumps({"entries": [{"w": 1.0, "polyline": [[0, 0], [1e308, 0]]},
+                                               {"w": 1.0, "polyline": [[0, 1], [-1e308, 1]]}]}))
+        proc = subprocess.run([sys.executable, "-m", "current1d.cli", "approx", "--input",
+                               str(doc)], capture_output=True, text=True,
+                              env=dict(os.environ, CURRENT1D_LOG="off"))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "CurrentError",
+            "message": "curve-measure mass in the plane is not finite: inf"}
+
+    def test_ae_norm_of_a_one_signed_molecule_is_zero(self, tmp_path):
+        mol = tmp_path / "m.json"
+        mol.write_text('{"atoms": [[[0.5, 0.0], 1e-17]]}')
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        proc = subprocess.run([sys.executable, "-m", "current1d.cli", "ae-norm", "--space",
+                               os.path.join(golden, "plane_l2.json"), "--molecule", str(mol)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, CURRENT1D_LOG="off"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = json.loads(proc.stdout)
+        assert out["value"] == 0 and out["coupling"] == []
+        assert out["potential"] == {"(0.5, 0.0)": 0}
+        assert out["lipschitz_ok"] and out["duality_ok"]
+
     def test_ae_norm_names_the_violating_triple(self, fixtures, tmp_path, capsys):
         space = tmp_path / "finite.json"
         space.write_text(json.dumps({"kind": "finite", "points": ["a", "b", "c"],

@@ -55,6 +55,20 @@ class TestAeNorm:
     def test_zero_molecule(self):
         assert ae_norm(Molecule([]), PL).value == 0.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_signed_molecule_is_zero(self, sign):
+        # within TOL of zero total, so Molecule accepts it: nothing to transport
+        dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        m = Molecule([(0, sign * 1e-17), (2, sign * 3e-18)])
+        assert ae_norm(m, dist) == transport.AeResult(0.0, (), {0: 0.0, 2: 0.0})
+        m = Molecule([((0.5, 0.0), sign * 1e-17), ((1.0, 2.0), sign * 1e-18)])
+        res = ae_norm(m, PL)
+        assert res == transport.AeResult(0.0, (), {(0.5, 0.0): 0.0, (1.0, 2.0): 0.0})
+        check_ae_invariants(m, PL, res)
+        # the keys are still checked against the space
+        with pytest.raises(TransportError, match="not a point of the space"):
+            ae_norm(Molecule([(3, sign * 1e-17)]), dist)
+
     @pytest.mark.parametrize("key", [-1, 2, 5, (0.0, 0.0)])
     def test_atom_key_outside_the_matrix_raises(self, key):
         dist = np.array([[0.0, 1.0], [1.0, 0.0]])
