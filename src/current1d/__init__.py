@@ -17,9 +17,9 @@ from .currents import (AffineMap, Ball, Box, Chain1, ClosedSet, CurrentError,
                        restrict, standard_panel)
 from .solvers import (FlowNetwork, Infeasible, IterationLimit, SolverError, Unbounded,
                       check_flow, min_cost_flow, network_simplex, simplex_lp)
-from .transport import (AeResult, FillingResult, IsoReport, ae_norm, check_filling,
+from .transport import (AeResult, FillingResult, IsoReport, ae_norm, check_ae, check_filling,
                         isomorphism_check, minimal_filling)
-from .flatnorm import CubicalComplex, FlatResult, flat_norm, snap
+from .flatnorm import CubicalComplex, FlatResult, check_flat, flat_norm, snap
 from .homotopy import (AffineBicombing, FillResult, GraphBicombing,
                        affine_homotopy_current, conical_defect, homotopy_fill,
                        interpolate_geodesic)

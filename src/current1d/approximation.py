@@ -84,10 +84,6 @@ class CurveMeasure:
     def length_bound(self) -> float:
         return max((p.length for _, p in self.entries), default=0.0)
 
-    @property
-    def induced_mass(self) -> float:
-        return float(sum(w * p.length for w, p in self.entries))
-
 
 def _require_positive(what: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
@@ -95,10 +91,12 @@ def _require_positive(what: str, value: float) -> None:
 
 
 def truncate(cm: CurveMeasure, cap: float) -> tuple[CurveMeasure, float]:
-    """Drop entries longer than the cap; the mass error is the dropped mass."""
+    """Drop entries longer than the cap; the error, the dropped mass, must be finite."""
     _require_positive("length cap", cap)
     kept = [(w, p) for w, p in cm.entries if p.length <= cap + 1e-12]
     err = float(sum(w * p.length for w, p in cm.entries if p.length > cap + 1e-12))
+    if not math.isfinite(err):
+        raise CurrentError(f"truncated curve-measure mass is not finite: {err!r}")
     return CurveMeasure(tuple(kept)), err
 
 
@@ -240,6 +238,10 @@ class ApproxCertificate:
     flat_bound: float = 0.0
     mass_p: float = 0.0
     mass_n: float = 0.0
+
+    @property
+    def mass_ok(self) -> bool:  # mass(P) <= the measure's mass, both in the plane, to 1e-9
+        return self.mass_p <= self.mass_n + 1e-9
 
 
 def _uniform_partition(mesh: float) -> np.ndarray:

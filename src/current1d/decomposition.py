@@ -47,6 +47,10 @@ class Decomposition:
     mass_defect: float
     reassembly_error: float  # max |edge weights of paths + cycles - flow weights|
 
+    @property
+    def ok(self) -> bool:  # the routes reassemble the flow and its mass, each to TOL
+        return self.reassembly_error <= TOL and abs(self.mass_defect) <= TOL
+
 
 def decompose_flow(chain: Chain1) -> Decomposition:
     """Peel the per-edge sum of a graph chain into source-to-sink paths and cycles.
@@ -132,6 +136,10 @@ class FragmentRepresentation:
     fragments: tuple[tuple[float, FragmentChain], ...]
     mass_identity_residual: float
     restricted_mass: float
+
+    @property
+    def ok(self) -> bool:  # the fragments carry the flow's restricted mass, to TOL
+        return self.mass_identity_residual <= TOL
 
 
 def fragment_representation(d: Decomposition, e: ClosedSet) -> FragmentRepresentation:

@@ -193,6 +193,14 @@ def flat_norm(t: np.ndarray, complex_: CubicalComplex) -> FlatResult:
     return FlatResult(value=value, r=r, s=s, iterations=res.augmentations)
 
 
+def check_flat(t: np.ndarray, complex_: CubicalComplex, res: FlatResult) -> dict[str, bool]:
+    """The splitting's verdicts, named like the ``flatnorm`` report keys: t = r + d2 s
+    on every edge (``reconstruction_ok``) and value <= mass(t) (``mass_bound_ok``), to 1e-8."""
+    recon = np.max(np.abs(t - (res.r + complex_.apply_d2(res.s))))
+    return {"reconstruction_ok": bool(recon <= 1e-8),
+            "mass_bound_ok": bool(res.value <= float(np.sum(np.abs(t)) * complex_.h) + 1e-8)}
+
+
 def complex_covering(polys: list[Polyline]) -> CubicalComplex:
     """Smallest unit grid complex, with a margin of one cell, containing the given polylines."""
     pts = np.vstack([p.points for p in polys])

@@ -238,7 +238,8 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
 
     The evaluator integrates over the cells of the square between the merged
     breakpoints, one box each of a single ``integrate`` call, to ``quad_tol``
-    over the whole square. ``measured_s``, the mass of S, is exact.
+    over the whole square. ``measured_s``, the mass of S, is exact. A pair
+    whose certificate ``cert_s`` is not finite is a CurrentError.
     """
     if isinstance(bic, GraphBicombing):
         u0, v0 = int(g0[0]), int(g1[0])
@@ -256,6 +257,8 @@ def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillRes
     len0, len1 = (g.length if g.plane == plane else Polyline(g.points, plane).length
                   for g in (g0, g1))
     cert_s = (len0 + len1) * dinf
+    if not math.isfinite(cert_s):  # before any quadrature, which would overflow
+        raise CurrentError(f"homotopy certificate is not finite: cert_s = {cert_s!r}")
     cert_r = plane.dist(g0.start(), g1.start()) + plane.dist(g0.end(), g1.end())
     r_segs = [(a, b, w) for a, b, w in ((g0.start(), g1.start(), 1.0),
                                         (g0.end(), g1.end(), -1.0)) if a != b]

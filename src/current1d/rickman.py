@@ -46,6 +46,10 @@ class RugRow:
     mass: float
     qc: float
 
+    @property
+    def lower_bound_ok(self) -> bool:  # not a field, so the ``asdict`` rows leave it out
+        return abs(self.ae_intrinsic - 2.0) <= 1e-6
+
 
 def rug_row(s: float, n: int = 32, alpha: float = 0.5) -> RugRow:
     g, t = build_rug(s, n, alpha)

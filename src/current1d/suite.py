@@ -130,9 +130,8 @@ def criterion_2_optimal_constant_witness():
 def criterion_3_rickman():
     """Rug regression: intrinsic AE bound = 2 at every s while mass = 2."""
     rows = rug_grid(s_count=32, n=32, alpha=0.5)
-    worst = max(abs(r.ae_intrinsic - 2.0) for r in rows)
-    mass_ok = all(abs(r.mass - 2.0) <= 1e-12 for r in rows)
-    return worst <= 1e-6 and mass_ok, {"worst_deviation": worst}
+    ok = all(r.lower_bound_ok and abs(r.mass - 2.0) <= 1e-12 for r in rows)
+    return ok, {"worst_deviation": max(abs(r.ae_intrinsic - 2.0) for r in rows)}
 
 
 def _random_polyline(rng, scale: float = 2.0) -> Polyline:
@@ -223,7 +222,7 @@ def criterion_5_geodesic_approximation():
             cm = _translate_family(rng, base, count=80, span=5.0 * eps)
         ok &= cm.length_bound <= 4.0 + 1e-12
         p, cert = approximate(cm, eps=eps, mesh=mesh, plane=plane)
-        ok &= p.mass() <= cm.induced_mass + 1e-9
+        ok &= cert.mass_ok
         _, cert_half = approximate(cm, eps=eps / 2.0, mesh=mesh, plane=plane)
         if cert.clustering_term > 0:
             ratio = cert_half.clustering_term / cert.clustering_term
@@ -268,8 +267,7 @@ def criterion_7_decomposition():
         fill = minimal_filling(m, g)
         d = decompose_flow(fill.chain)
         worst = max(worst, d.reassembly_error)
-        ok &= d.reassembly_error <= DECOMPOSITION_TOL
-        ok &= abs(d.mass_defect) <= DECOMPOSITION_TOL
+        ok &= d.ok
         starts, ends = boundary_marginals(d)
         neg = {p: w for p, w in m.atoms if w < 0}
         pos = {p: w for p, w in m.atoms if w > 0}
@@ -297,7 +295,7 @@ def criterion_7_decomposition():
                              Ball((8.0, 8.0), 2.0))
         rep = fragment_representation(d, e)
         worst_frag = max(worst_frag, rep.mass_identity_residual)
-        ok &= rep.mass_identity_residual <= DECOMPOSITION_TOL
+        ok &= rep.ok
     return ok, {"worst_reassembly": worst, "worst_fragment_residual": worst_frag}
 
 

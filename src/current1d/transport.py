@@ -45,6 +45,23 @@ class AeResult:
     potential: dict = field(default_factory=dict, repr=False)
 
 
+def _distances(metric, keys: list, cols) -> np.ndarray:
+    """d(keys[i], keys[cols][j]) as ``ae_norm`` takes ``metric`` and its keys;
+    ``cols`` is a mask or index of ``keys``."""
+    if isinstance(metric, np.ndarray):
+        for p in keys:
+            if not isinstance(p, (int, np.integer)) or not (0 <= p < len(metric)):
+                raise TransportError(f"molecule atom {p!r} is not a point of the space")
+        return metric[np.ix_(keys, np.array(keys, dtype=np.intp)[cols])].astype(float, copy=False)
+    if isinstance(metric, NormedPlane):
+        for p in keys:
+            if not isinstance(p, tuple):
+                raise TransportError(f"molecule atom {p!r} is not a point of the plane")
+        pts = np.array(keys, dtype=float).reshape(-1, 2)  # (0, 2) for no atoms
+        return metric.norm_arr(pts[cols] - pts[:, None])
+    raise TransportError(f"unsupported metric object {type(metric)}")
+
+
 def ae_norm(m: Molecule, metric) -> AeResult:
     """Arens-Eells norm of a molecule with an optimal coupling and a dual certificate.
 
@@ -60,20 +77,7 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     if not pos and not neg:
         return AeResult(0.0, (), {})
     keys = [p for p, _ in m.atoms]
-    neg_keys = [q for q, _ in neg]
-    if isinstance(metric, np.ndarray):
-        for p in keys:
-            if not isinstance(p, (int, np.integer)) or not (0 <= p < len(metric)):
-                raise TransportError(f"molecule atom {p!r} is not a point of the space")
-        block = metric[np.ix_(keys, neg_keys)].astype(float, copy=False)
-    elif isinstance(metric, NormedPlane):
-        for p in keys:
-            if not isinstance(p, tuple):
-                raise TransportError(f"molecule atom {p!r} is not a point of the plane")
-        pts = np.array(keys, dtype=float)
-        block = metric.norm_arr(pts[[w < 0 for _, w in m.atoms]] - pts[:, None])
-    else:
-        raise TransportError(f"unsupported metric object {type(metric)}")
+    block = _distances(metric, keys, [w < 0 for _, w in m.atoms])
 
     if not pos or not neg:  # one-signed, so zero within TOL by Molecule's test
         return AeResult(0.0, (), dict.fromkeys(keys, 0.0))
@@ -85,7 +89,7 @@ def ae_norm(m: Molecule, metric) -> AeResult:
 
     # the arc floor, not TOL, which at weights near 1e-9 drops every routed flow
     used = np.flatnonzero(res.flows > net.floor)
-    coupling = tuple((pos[i][0], neg_keys[j - np_], f) for i, j, f in zip(
+    coupling = tuple((pos[i][0], neg[j - np_][0], f) for i, j, f in zip(
         net.tail[used].tolist(), net.head[used].tolist(), res.flows[used].tolist()))
     # McShane extension from the negative atoms: u(x) = min_q d(x, q) - pi(q)
     u = (block - res.potentials[np_:]).min(axis=1)
@@ -93,11 +97,29 @@ def ae_norm(m: Molecule, metric) -> AeResult:
     return AeResult(float(res.total_cost), coupling, pot)
 
 
+def check_ae(m: Molecule, metric, res: AeResult) -> dict[str, bool]:
+    """The dual certificate's verdicts, named like the ``ae-norm`` report keys:
+    ``lipschitz_ok``, the potential is 1-Lipschitz to 1e-9 on every pair of its
+    keys with a finite distance and a finite potential at the first key, and
+    ``duality_ok``, it pairs with m to at least the value, to 1e-7 * max(1, value)."""
+    keys, pot = list(res.potential), np.array(list(res.potential.values()), dtype=float)
+    dist = _distances(metric, keys, slice(None))
+    checked = np.isfinite(dist) & np.isfinite(pot)[:, None]
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(pot[:, None] - pot[None, :])
+    pairing = m.pairing(res.potential.__getitem__)
+    return {"lipschitz_ok": bool(np.all(gap[checked] <= dist[checked] + 1e-9)),
+            "duality_ok": bool(pairing >= res.value - 1e-7 * max(1.0, res.value))}
+
+
 @dataclass(frozen=True)
 class FillingResult:
     chain: Chain1
     mass_value: float
     ae: AeResult = field(repr=False)  # the coupling routed into ``chain``
+
+    def identity_ok(self, tol: float = IDENT_TOL) -> bool:  # mass = the coupling's cost
+        return abs(self.mass_value - self.ae.value) <= tol * max(1.0, self.mass_value)
 
 
 def minimal_filling(m: Molecule, g: MetricGraph) -> FillingResult:
@@ -179,8 +201,7 @@ def isomorphism_check(m: Molecule, g: MetricGraph, tol: float = IDENT_TOL) -> Is
     lower_ok = (ae_amb / qc) <= filling + tol * scale
     upper_ok = filling <= qc * ae_amb + tol * scale
     ae_lower_ok = ae_amb <= filling + tol * scale
-    identity_ok = abs(filling - ae_intr) <= tol * scale
     ratio = filling / ae_amb if ae_amb > 0 else (1.0 if filling == 0 else math.inf)
     return IsoReport(ae_ambient=ae_amb, ae_intrinsic=ae_intr, filling_mass=filling,
                      qc=qc, ratio=ratio, lower_ok=lower_ok, upper_ok=upper_ok,
-                     ae_lower_ok=ae_lower_ok, identity_ok=identity_ok)
+                     ae_lower_ok=ae_lower_ok, identity_ok=fill.identity_ok(tol))

@@ -5,11 +5,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from current1d import cli, transport
 from current1d.cli import main
 from current1d.io import canonical_json, load_chain, load_closedset, load_molecule
+
+from conftest import random_connected_graph
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture
@@ -109,6 +114,25 @@ class TestSubcommands:
         assert code == 0
         assert out["mass"] == pytest.approx(2.0)
         assert out["identity_ok"] and out["boundary_ok"]
+
+    def test_filling_certifies_the_boundary_of_random_molecules(self, tmp_path, capsys):
+        # the routed boundary can differ from m in the last bit (at the first draw,
+        # -1.687377595747854 against -1.6873775957478543 at vertex 18), which
+        # check_filling's boundary test allows
+        rng = np.random.default_rng(0)
+        space, mol = tmp_path / "g.json", tmp_path / "m.json"
+        for _ in range(50):
+            g = random_connected_graph(rng, max_n=30)
+            verts = rng.choice(g.n, size=min(int(rng.integers(2, 9)), g.n), replace=False)
+            weights = rng.normal(size=len(verts))
+            weights[-1] -= weights.sum()
+            space.write_text(json.dumps({"kind": "graph", "vertices": g.coords.tolist(),
+                                         "edges": [list(e) for e in g.edges]}))
+            mol.write_text(json.dumps({"atoms": [[int(v), float(w)]
+                                                 for v, w in zip(verts, weights)]}))
+            assert run_cli(["filling", "--space", str(space), "--molecule", str(mol)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["boundary_ok"] and out["identity_ok"]
 
     def test_filling_solves_one_flow(self, fixtures, capsys, monkeypatch):
         nets, solve = [], transport.network_simplex
@@ -323,6 +347,43 @@ class TestSubcommands:
         assert out["potential"] == {"(0.5, 0.0)": 0}
         assert out["lipschitz_ok"] and out["duality_ok"]
 
+    @pytest.mark.parametrize("space", ["plane_l2.json", "graph.json"])
+    def test_ae_norm_of_an_empty_molecule_is_zero(self, tmp_path, capsys, space):
+        mol = tmp_path / "m.json"
+        mol.write_text('{"atoms": []}')
+        assert run_cli(["ae-norm", "--space", os.path.join(GOLDEN, space),
+                        "--molecule", str(mol)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["value"] == 0 and out["coupling"] == [] and out["potential"] == {}
+        assert out["lipschitz_ok"] and out["duality_ok"]
+
+    def test_homotopy_at_infinite_distance_writes_only_the_error(self, tmp_path):
+        # the quadrature of such a pair would overflow and warn ahead of the report
+        c0, c1 = tmp_path / "c0.json", tmp_path / "c1.json"
+        c0.write_text('{"polyline": [[0, 0], [1e308, 0]]}')
+        c1.write_text('{"polyline": [[0, 1], [-1e308, 1]]}')
+        proc = subprocess.run([sys.executable, "-m", "current1d.cli", "homotopy", "--curve0",
+                               str(c0), "--curve1", str(c1)], capture_output=True, text=True,
+                              env=dict(os.environ, CURRENT1D_LOG="off"))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "CurrentError", "message": "homotopy certificate is not finite: cert_s = inf"}
+
+    def test_approx_whose_truncated_mass_overflows_writes_only_the_error(self, tmp_path):
+        doc = tmp_path / "cm.json"
+        doc.write_text(json.dumps({"entries": [
+            {"w": 1.0, "polyline": [[0, 0], [1, 0]]},
+            {"w": 1e300, "polyline": [[0, 0], [1e10, 0]]}]}))
+        proc = subprocess.run([sys.executable, "-m", "current1d.cli", "approx", "--input",
+                               str(doc), "--length-cap", "2"], capture_output=True, text=True,
+                              env=dict(os.environ, CURRENT1D_LOG="off"))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "CurrentError",
+            "message": "truncated curve-measure mass is not finite: inf"}
+
     def test_ae_norm_names_the_violating_triple(self, fixtures, tmp_path, capsys):
         space = tmp_path / "finite.json"
         space.write_text(json.dumps({"kind": "finite", "points": ["a", "b", "c"],
@@ -364,6 +425,18 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["ok"]
+
+    @pytest.mark.parametrize("command", ["decompose", "fragments"])
+    def test_a_plane_space_names_the_subcommand(self, capsys, command):
+        argv = [command, "--space", os.path.join(GOLDEN, "plane_l2.json"),
+                "--flow", os.path.join(GOLDEN, "flow_graph.json")]
+        if command == "fragments":
+            argv += ["--closedset", os.path.join(GOLDEN, "closedset.json")]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "CliInputError",
+                                            "message": f"{command} needs a graph space"}
 
     def test_rickman_rows(self, fixtures, capsys):
         code = run_cli(["rickman", "--s-grid", "8", "--n", "16"])

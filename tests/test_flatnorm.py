@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import current1d.flatnorm as flatnorm
-from current1d import (Chain1, CubicalComplex, NormedPlane, Polyline, SolverError, d_inf,
-                       flat_norm, simplex_lp, snap)
+from current1d import (Chain1, CubicalComplex, NormedPlane, Polyline, SolverError, check_flat,
+                       d_inf, flat_norm, simplex_lp, snap)
 from current1d.flatnorm import FlatResult, GridError, complex_covering
 
 PL = NormedPlane("l2")
@@ -237,6 +237,21 @@ class TestFlatNorm:
             diff_c = snap(g0.as_chain(PL), coarse) - snap(g1.as_chain(PL), coarse)
             diff_f = snap(g0.as_chain(PL), fine) - snap(g1.as_chain(PL), fine)
             assert flat_norm(diff_f, fine).value <= flat_norm(diff_c, coarse).value + 1e-7
+
+
+class TestCheckFlat:
+    def test_rejects_a_splitting_changed_after_solving(self):
+        cx = CubicalComplex(h=1.0, nx=3, ny=3)
+        t = snap(square_loop(1, 1), cx)
+        res = flat_norm(t, cx)
+        assert check_flat(t, cx, res) == {"reconstruction_ok": True, "mass_bound_ok": True}
+        s = res.s.copy()
+        s[0] += 1e-3
+        assert check_flat(t, cx, dataclasses.replace(res, s=s)) \
+            == {"reconstruction_ok": False, "mass_bound_ok": True}
+        # the value of t itself (s = 0) is its mass 4, the most a splitting may cost
+        over = dataclasses.replace(res, value=4.0 + 1e-6)
+        assert check_flat(t, cx, over) == {"reconstruction_ok": True, "mass_bound_ok": False}
 
 
 class TestFlowAgainstLp:

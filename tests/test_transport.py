@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from current1d import (Chain1, FiniteMetricSpace, FillingResult, FlowNetwork, Infeasible,
-                       MetricGraph, Molecule, NormedPlane, ae_norm, check_filling,
+                       MetricGraph, Molecule, NormedPlane, ae_norm, check_ae, check_filling,
                        edge_weights, isomorphism_check, minimal_filling, network_simplex,
                        qc_constants, transport)
 from current1d.transport import TransportError
@@ -121,6 +121,43 @@ class TestAeNorm:
             == repr(tuple((pts[i], pts[j], w) for i, j, w in by_index.coupling))
         assert repr(list(by_point.potential.items())) \
             == repr([(pts[i], v) for i, v in by_index.potential.items()])
+
+
+class TestCheckAe:
+    @staticmethod
+    def instance(kind: str):
+        """A seeded molecule and the metric ``ae_norm`` takes for it."""
+        rng = np.random.Generator(np.random.Philox(key=61))
+        if kind == "graph":
+            g = random_connected_graph(rng)  # at least 4 vertices
+            keys, metric = rng.choice(g.n, size=4, replace=False).tolist(), g.path_dist
+        else:
+            keys = list(map(tuple, rng.uniform(-3.0, 3.0, size=(7, 2)).tolist()))
+            metric = NormedPlane("l1")
+        wts = rng.normal(size=len(keys))
+        wts[-1] -= wts.sum()
+        return Molecule(list(zip(keys, wts.tolist()))), metric
+
+    @pytest.mark.parametrize("kind", ["graph", "plane"])
+    def test_rejects_a_corrupted_result(self, kind):
+        m, metric = self.instance(kind)
+        res = ae_norm(m, metric)
+        assert check_ae(m, metric, res) == {"lipschitz_ok": True, "duality_ok": True}
+
+        def d(p, q):
+            return metric[p, q] if isinstance(metric, np.ndarray) else metric.dist(p, q)
+        keys = [p for p, _ in m.atoms]
+        diameter = max(d(p, q) for p in keys for q in keys)
+        # a coupled pair is tight: its potential gap is its distance
+        p, q, _ = res.coupling[0]
+        gap = res.potential[p] - res.potential[q]
+        assert abs(gap) == pytest.approx(d(p, q), rel=1e-12)
+        wide = dict(res.potential)
+        wide[p] += math.copysign(1e-3 * diameter, gap)
+        assert check_ae(m, metric, dataclasses.replace(res, potential=wide)) \
+            == {"lipschitz_ok": False, "duality_ok": True}
+        high = dataclasses.replace(res, value=res.value * (1.0 + 1e-3))
+        assert check_ae(m, metric, high) == {"lipschitz_ok": True, "duality_ok": False}
 
 
 class TestMinimalFilling:
