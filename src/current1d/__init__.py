@@ -20,9 +20,8 @@ from .solvers import (FlowNetwork, Infeasible, IterationLimit, SolverError, Unbo
 from .transport import (AeResult, FillingResult, IsoReport, ae_norm, check_ae, check_filling,
                         isomorphism_check, minimal_filling)
 from .flatnorm import CubicalComplex, FlatResult, check_flat, flat_norm, snap
-from .homotopy import (AffineBicombing, FillResult, GraphBicombing,
-                       affine_homotopy_current, conical_defect, homotopy_fill,
-                       interpolate_geodesic)
+from .homotopy import (AffineBicombing, FillResult, affine_homotopy_current,
+                       conical_defect, homotopy_fill, interpolate_geodesic)
 from .approximation import (ApproxCertificate, Cluster, CurveMeasure,
                             approximate, cluster, truncate)
 from .structure import (ConvexBox, Line, NoAdmissibleShift, NormalizeResult,

@@ -1,5 +1,6 @@
-"""Bicombing homotopies: certified fillings of curve pairs, the affine-homotopy
-current of chain pushforwards, and piecewise-geodesic interpolation.
+"""Homotopies of the affine bicombing, conical in every normed plane: certified
+fillings of curve pairs, the affine-homotopy current of chain pushforwards,
+and piecewise-geodesic interpolation.
 
 The 2-dimensional filling S is never materialized as data. It exists as a weak
 evaluator, since it is only ever needed through its boundary action and its
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .currents import (AffineMap, Chain1, CurrentError, Panel, Polyline, TestForm,
                        action, d_inf, panel_row)
 from .quadrature import NODES, QUAD_TOL, WEIGHTS, Quad, integrate
-from .spaces import MetricGraph, NormedPlane
+from .spaces import NormedPlane
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -42,7 +43,7 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bicombings
+# the affine bicombing
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,6 @@ class AffineBicombing:
     """sigma(x, y, t) = (1-t) x + t y on a normed plane; conical exactly."""
 
     plane: NormedPlane
-
-    tag = "affine"
 
     def point(self, x, y, t: float):
         x = np.asarray(x, dtype=float)
@@ -62,93 +61,18 @@ class AffineBicombing:
         return self.plane.dist(p, q)
 
 
-@dataclass(frozen=True)
-class GraphBicombing:
-    """Shortest-path selection on a metric graph, ties by lowest-index predecessor
-    (``MetricGraph.predecessors``).
-
-    Generic graphs need not satisfy the conical inequality; it is only
-    sample-checked, and the quantitative S bounds are disabled on graphs.
-    """
-
-    g: MetricGraph
-
-    tag = "graphGeodesic"
-
-    def path(self, u: int, v: int) -> list[int]:
-        if not math.isfinite(self.g.path_dist[u, v]):
-            raise CurrentError(f"vertices {u}, {v} are disconnected")
-        pred = self.g.predecessors(u).tolist()
-        out = [v]
-        while out[-1] != u:
-            out.append(pred[out[-1]])
-        return out[::-1]
-
-    def geodesic_chain(self, u: int, v: int, weight: float = 1.0) -> Chain1:
-        p = self.path(u, v)
-        return Chain1.from_graph_edges(self.g, [(p[i], p[i + 1], weight)
-                                                for i in range(len(p) - 1)])
-
-    def point(self, u: int, v: int, t: float):
-        """Position descriptor (a, b, offset) at fraction t along the geodesic."""
-        p = self.path(u, v)
-        lens = [self.g.path_dist[p[i], p[i + 1]] for i in range(len(p) - 1)]
-        total = sum(lens)
-        if total == 0.0:
-            return (u, u, 0.0)
-        target = t * total
-        acc = 0.0
-        for i, ln in enumerate(lens):
-            if target <= acc + ln or i == len(lens) - 1:
-                return (p[i], p[i + 1], max(0.0, min(ln, target - acc)))
-            acc += ln
-        return (p[-1], p[-1], 0.0)
-
-    def dist(self, pos1, pos2) -> float:
-        """Intrinsic distance between two edge-interior position descriptors."""
-        (a1, b1, o1), (a2, b2, o2) = pos1, pos2
-        l1 = self.g.path_dist[a1, b1] if a1 != b1 else 0.0
-        l2 = self.g.path_dist[a2, b2] if a2 != b2 else 0.0
-        best = math.inf
-        if (a1, b1) == (a2, b2):
-            best = abs(o1 - o2)
-        if (a1, b1) == (b2, a2):
-            best = min(best, abs(o1 - (l2 - o2)))
-        d = self.g.path_dist
-        for xv, xo in ((a1, o1), (b1, l1 - o1)):
-            for yv, yo in ((a2, o2), (b2, l2 - o2)):
-                best = min(best, xo + d[xv, yv] + yo)
-        return float(best)
-
-
-Bicombing = Union[AffineBicombing, GraphBicombing]
-
-
-def conical_defect(bic: Bicombing, seed: int = 0, n_samples: int = 1000) -> float:
+def conical_defect(bic: AffineBicombing, seed: int = 0, n_samples: int = 1000) -> float:
     """Max sampled violation of d(s_xy(t), s_x'y'(t)) <= (1-t)d(x,x') + t d(y,y')
-    at t = 0, 1/8, ..., 1; affine samples come from [-2, 2]^2."""
+    at t = 0, 1/8, ..., 1, with x, y, x', y' drawn from [-2, 2]^2."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
     ts = np.linspace(0.0, 1.0, 9)
     for _ in range(n_samples):
-        if bic.tag == "affine":
-            x, y, x2, y2 = rng.uniform(-2.0, 2.0, size=(4, 2))
-            for t in ts:
-                lhs = bic.dist(bic.point(x, y, t), bic.point(x2, y2, t))
-                rhs = (1 - t) * bic.dist(x, x2) + t * bic.dist(y, y2)
-                worst = max(worst, lhs - rhs)
-        else:
-            n = bic.g.n
-            x, y, x2, y2 = rng.integers(0, n, size=4)
-            if not (math.isfinite(bic.g.path_dist[x, y])
-                    and math.isfinite(bic.g.path_dist[x2, y2])
-                    and math.isfinite(bic.g.path_dist[x, x2])
-                    and math.isfinite(bic.g.path_dist[y, y2])):
-                continue
-            for t in ts:
-                lhs = bic.dist(bic.point(x, y, t), bic.point(x2, y2, t))
-                rhs = ((1 - t) * bic.g.path_dist[x, x2] + t * bic.g.path_dist[y, y2])
-                worst = max(worst, lhs - rhs)
+        x, y, x2, y2 = rng.uniform(-2.0, 2.0, size=(4, 2))
+        for t in ts:
+            lhs = bic.dist(bic.point(x, y, t), bic.point(x2, y2, t))
+            rhs = (1 - t) * bic.dist(x, x2) + t * bic.dist(y, y2)
+            worst = max(worst, lhs - rhs)
     return float(worst)
 
 
@@ -187,6 +111,12 @@ def _abs_det_mass(g0: Polyline, g1: Polyline, sa: np.ndarray, sb: np.ndarray,
     cells are split, so the 5-point Gauss-Legendre rule is exact on each piece.
     """
     da = g1.at(sa) - g0.at(sa)
+    # in units of 2^k outside [2^-128, 2^128], where products of four entries
+    # would overflow or lose bits; the area scales back by 4^k exactly
+    top = max(float(np.max(np.abs(a), initial=0.0)) for a in (da, v0, v1))
+    k = 0 if 2.0 ** -128 <= top <= 2.0 ** 128 else math.frexp(top)[1]
+    if k:
+        da, v0, v1 = (np.ldexp(a, -k) for a in (da, v0, v1))
     alpha_a, beta, slope = _cross(v0, da), _cross(v1 - v0, da), _cross(v0, v1)
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = sa[:, None] - np.stack([alpha_a, alpha_a + beta], axis=1) / slope[:, None]
@@ -201,26 +131,24 @@ def _abs_det_mass(g0: Polyline, g1: Polyline, sa: np.ndarray, sb: np.ndarray,
     g = np.where(straddle,
                  (alpha ** 2 + end ** 2) / (2.0 * np.where(straddle, np.abs(beta), 1.0)),
                  np.abs(alpha + 0.5 * beta))
-    return float(np.sum(width * (g @ WEIGHTS)))
+    return math.ldexp(float(np.sum(width * (g @ WEIGHTS))), 2 * k)
 
 
 @dataclass(frozen=True)
 class FillResult:
-    s_evaluator: Optional[Callable] = field(repr=False, default=None)
-    r_chain: Chain1 = None
-    cert_s: Optional[float] = None
-    cert_r: float = 0.0
-    measured_s: Optional[float] = None
-    measured_r: float = 0.0
-    d_inf: float = 0.0
+    s_evaluator: Callable = field(repr=False)
+    r_chain: Chain1
+    cert_s: float
+    cert_r: float
+    measured_s: float
+    measured_r: float
+    d_inf: float
     _quads: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def boundary_quad(self, form: TestForm) -> Quad:
         """dS(f, pi) per cell of the homotopy square, with the quadrature counts.
         The first form of a panel integrates the whole panel in one pass, and
         the fill keeps those quads for that panel (``panel_row``)."""
-        if self.s_evaluator is None:
-            raise CurrentError("quantitative S evaluator is disabled for graph bicombings")
         return panel_row(self, form, self.s_evaluator)
 
     def boundary_eval(self, form: TestForm) -> float:
@@ -228,27 +156,18 @@ class FillResult:
         return float(self.boundary_quad(form).value.sum())
 
 
-def homotopy_fill(g0, g1, bic: Bicombing, quad_tol: float = QUAD_TOL) -> FillResult:
+def homotopy_fill(g0, g1, bic: AffineBicombing, quad_tol: float = QUAD_TOL) -> FillResult:
     """Fill the difference of two curves: [g0] - [g1] = dS + R.
 
-    With the affine bicombing, S = H_*(e1^e2 [0,1]^2) for the linear homotopy
-    H(s,t) between the constant-speed curves, exposed as a weak evaluator; R is
-    the chain of the two endpoint geodesics. Graph bicombings provide only the
-    R side (certR and the geodesic chain).
+    S = H_*(e1^e2 [0,1]^2) for the linear homotopy H(s,t) between the
+    constant-speed curves, exposed as a weak evaluator; R is the chain of the
+    two endpoint segments.
 
     The evaluator integrates over the cells of the square between the merged
     breakpoints, one box each of a single ``integrate`` call, to ``quad_tol``
     over the whole square. ``measured_s``, the mass of S, is exact. A pair
     whose certificate ``cert_s`` is not finite is a CurrentError.
     """
-    if isinstance(bic, GraphBicombing):
-        u0, v0 = int(g0[0]), int(g1[0])
-        u1, v1 = int(g0[-1]), int(g1[-1])
-        r = bic.geodesic_chain(u0, v0, 1.0) + bic.geodesic_chain(u1, v1, -1.0)
-        cert_r = float(bic.g.path_dist[u0, v0] + bic.g.path_dist[u1, v1])
-        return FillResult(s_evaluator=None, r_chain=r, cert_s=None, cert_r=cert_r,
-                          measured_s=None, measured_r=r.mass())
-
     plane = bic.plane
     if not isinstance(g0, Polyline) or not isinstance(g1, Polyline):
         raise CurrentError("affine homotopy fill expects polylines")

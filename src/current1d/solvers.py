@@ -346,7 +346,8 @@ def min_cost_flow(net: FlowNetwork) -> FlowResult:
             raise IterationLimit(f"min_cost_flow moved no flow in search {searches}")
 
     flows = np.array(flow, dtype=float)
-    total = float(np.dot(flows, net.cost)) if m else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, not a warning
+        total = float(np.dot(flows, net.cost)) if m else 0.0
     return FlowResult(flows=flows, total_cost=total, potentials=np.array(pi, dtype=float),
                       augmentations=augmentations, searches=searches, scans=scans)
 
@@ -382,9 +383,11 @@ def check_flow(net: FlowNetwork, res: FlowResult) -> None:
     if not worst >= -tol:
         raise SolverError(f"reduced cost {worst!r} on a residual arc")
     finite = np.isfinite(cap)
-    primal = float(cost @ x)
-    dual = -float(div @ pi) + float(cap[finite] @ np.minimum(rc[finite], 0.0))
-    if not abs(primal - dual) <= TOL * max(1.0, abs(primal), float(np.abs(div) @ np.abs(pi))):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan, not a warning
+        primal = float(cost @ x)
+        dual = -float(div @ pi) + float(cap[finite] @ np.minimum(rc[finite], 0.0))
+        scale = float(np.abs(div) @ np.abs(pi))
+    if not abs(primal - dual) <= TOL * max(1.0, abs(primal), scale):
         raise SolverError(f"flow duality gap: primal {primal!r}, dual {dual!r}")
 
 
@@ -514,8 +517,9 @@ def network_simplex(net: FlowNetwork) -> FlowResult:
     run(1e-12 * max(1.0, top))
     log.debug("network simplex: %d pivots, %d of them degenerate", pivots, degenerate)
     flows = np.array(flow[:m])
-    return FlowResult(flows=flows, total_cost=float(np.dot(flows, net.cost)),
-                      potentials=pi[:n].copy(), pivots=pivots)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, not a warning
+        total = float(np.dot(flows, net.cost))
+    return FlowResult(flows=flows, total_cost=total, potentials=pi[:n].copy(), pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ section. The "decomposition" section holds, per kind of seeded graph flow
 digest of the paths, cycles, mass defect, reassembly error and reassembled
 weights (``reassembled``, the edge weights of the paths and cycles, which
 ``tests/test_decomposition.py`` also reads) of every flow's ``decompose_flow``
-and of its fragment representation in a seeded closed set. Regenerate only
-when an engine is meant to change its floating-point results, and say which
-digests changed.
+and of its fragment representation in a seeded closed set. The "suite" section
+holds the digest of the acceptance suite's verdicts and details
+(``suite_digest`` of ``run_all()``), which ``tests/test_acceptance.py``
+compares against. Regenerate only when an engine is meant to change its
+floating-point results, and say which digests changed.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from current1d import (AffineBicombing, Ball, Box, Chain1, ClosedSet,
 from current1d import flatnorm, transport
 from current1d.currents import Panel, action
 from current1d.decomposition import Decomposition, edge_weights, route_chain
+from current1d.suite import CriterionResult, run_all
 
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "engine_digests.json"
@@ -311,12 +314,19 @@ def decomposition_digests() -> dict:
     return {kind: h.hexdigest() for kind, h in out.items()}
 
 
+def suite_digest(results: list[CriterionResult]) -> str:
+    """One digest of the index, name, verdict and details of every criterion."""
+    return _sha(json.dumps([[r.index, r.name, r.passed, r.details] for r in results],
+                           sort_keys=True).encode())
+
+
 def digests() -> dict:
     return {"networks": {name: flow_digest(make()) for name, make in NETWORKS.items()},
             "simplex": {name: simplex_digest(make()) for name, make in NETWORKS.items()},
             "graphs": {name: graph_digest(make()) for name, make in GRAPHS.items()},
             "quadrature": quadrature_digests(),
-            "decomposition": decomposition_digests()}
+            "decomposition": decomposition_digests(),
+            "suite": {"details": suite_digest(run_all())}}
 
 
 def main() -> None:

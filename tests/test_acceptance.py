@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines;
 the same checks back the `current1d suite` CLI subcommand.
 """
 
+import functools
+import json
 import math
 
 import pytest
@@ -11,12 +13,28 @@ import pytest
 from current1d.approximation import CurveMeasure
 from current1d.suite import ALL_CRITERIA, _criterion, criterion_5_geodesic_approximation
 
+from conftest import engine_digests
+
+
+@pytest.fixture(scope="module")
+def run_once():
+    """Each criterion's result, run at most once in this module, so that the
+    details digest reads the acceptance run."""
+    return functools.cache(lambda runner: runner())
+
 
 @pytest.mark.parametrize("runner", ALL_CRITERIA, ids=lambda r: r.__name__)
-def test_acceptance_criterion(runner):
-    result = runner()
+def test_acceptance_criterion(runner, run_once):
+    result = run_once(runner)
     print(result.line(), flush=True)
     assert result.passed, f"criterion {result.index} failed: {result.details}"
+
+
+def test_details_match_the_pinned_digest(run_once):
+    """The verdicts and details of all nine criteria, as ``suite_digest`` in
+    golden/make_engine_digests.py writes them to golden/engine_digests.json."""
+    pinned = json.loads(engine_digests.OUT.read_text())["suite"]["details"]
+    assert engine_digests.suite_digest([run_once(r) for r in ALL_CRITERIA]) == pinned
 
 
 def test_criterion_5_fails_on_a_family_longer_than_4(monkeypatch):

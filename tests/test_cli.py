@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,33 @@ class TestSubcommands:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert json.loads(proc.stderr) == {
             "error": "CurrentError", "message": "homotopy certificate is not finite: cert_s = inf"}
+
+    def test_homotopy_far_pair_measures_s_without_a_warning(self, tmp_path, capsys):
+        # products of four coordinates near 1e150 overflow unless taken in units of 2^k
+        c0, c1 = tmp_path / "c0.json", tmp_path / "c1.json"
+        c0.write_text('{"polyline": [[0, 0], [1e150, 0]]}')
+        c1.write_text('{"polyline": [[0, 1e150], [-1e150, 1e150]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["homotopy", "--curve0", str(c0), "--curve1", str(c1)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2) and err == ""
+        report = json.loads(out)
+        assert math.isfinite(report["measured_s"])
+        assert report["measured_s"] <= report["cert_s"]
+
+    def test_ae_norm_whose_optimum_overflows_writes_only_the_error(self, tmp_path, capsys):
+        # an AE norm of 1e600: the flow's cost sums overflow, which check_flow rejects
+        mol = tmp_path / "mol.json"
+        mol.write_text('{"atoms": [[[0, 0], 1e300], [[1e300, 0], -1e300]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["ae-norm", "--space", os.path.join(GOLDEN, "plane_l2.json"),
+                            "--molecule", str(mol)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "SolverError",
+                                   "message": "flow duality gap: primal inf, dual inf"}
 
     def test_approx_whose_truncated_mass_overflows_writes_only_the_error(self, tmp_path):
         doc = tmp_path / "cm.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from current1d import (AffineBicombing, AffineMap, Ball, Chain1, ClosedSet,
-                       CurrentError, GraphBicombing, MetricGraph, NormedPlane,
+                       CurrentError, FillResult, MetricGraph, NormedPlane,
                        Polyline, affine_homotopy_current, conical_defect,
                        d_inf, evaluate, flat_norm, homotopy_fill, interpolate_geodesic,
                        pushforward, restrict, snap, standard_panel)
@@ -428,6 +428,82 @@ class TestMeasuredMass:
             assert crosses
             assert abs(homotopy_fill(g0, g1, BIC).measured_s - reference) <= 1e-9
 
+    @pytest.mark.parametrize("k", [-500, -400, -200, -30, 30, 200, 480])
+    def test_scales_exactly_under_dilation(self, k):
+        """The mass of S scales by exactly 4^k when both curves scale by 2^k,
+        far past the range where products of four coordinates stay finite."""
+        for seed in range(50):
+            g0, g1 = random_pair(6000 + seed)
+            big0, big1 = (Polyline(np.ldexp(g.points, k)) for g in (g0, g1))
+            want = math.ldexp(homotopy_fill(g0, g1, BIC).measured_s, 2 * k)
+            assert homotopy_fill(big0, big1, BIC).measured_s == want
+
+
+@dataclasses.dataclass(frozen=True)
+class GraphGeodesics:
+    """Shortest-path selection on a metric graph, ties by lowest-index predecessor
+    (``MetricGraph.predecessors``). A generic graph need not be conical, so the
+    package fills with the affine bicombing only; trees are conical."""
+
+    g: MetricGraph
+
+    def path(self, u: int, v: int) -> list[int]:
+        pred = self.g.predecessors(u).tolist()
+        out = [v]
+        while out[-1] != u:
+            out.append(pred[out[-1]])
+        return out[::-1]
+
+    def geodesic_chain(self, u: int, v: int, weight: float) -> Chain1:
+        p = self.path(u, v)
+        return Chain1.from_graph_edges(self.g, [(p[i], p[i + 1], weight)
+                                                for i in range(len(p) - 1)])
+
+    def point(self, u: int, v: int, t: float):
+        """Position descriptor (a, b, offset) at fraction t along the geodesic."""
+        p = self.path(u, v)
+        lens = [self.g.path_dist[p[i], p[i + 1]] for i in range(len(p) - 1)]
+        total = sum(lens)
+        if total == 0.0:
+            return (u, u, 0.0)
+        target = t * total
+        acc = 0.0
+        for i, ln in enumerate(lens):
+            if target <= acc + ln or i == len(lens) - 1:
+                return (p[i], p[i + 1], max(0.0, min(ln, target - acc)))
+            acc += ln
+        return (p[-1], p[-1], 0.0)
+
+    def dist(self, pos1, pos2) -> float:
+        """Intrinsic distance between two edge-interior position descriptors."""
+        (a1, b1, o1), (a2, b2, o2) = pos1, pos2
+        l1 = self.g.path_dist[a1, b1] if a1 != b1 else 0.0
+        l2 = self.g.path_dist[a2, b2] if a2 != b2 else 0.0
+        best = math.inf
+        if (a1, b1) == (a2, b2):
+            best = abs(o1 - o2)
+        if (a1, b1) == (b2, a2):
+            best = min(best, abs(o1 - (l2 - o2)))
+        d = self.g.path_dist
+        for xv, xo in ((a1, o1), (b1, l1 - o1)):
+            for yv, yo in ((a2, o2), (b2, l2 - o2)):
+                best = min(best, xo + d[xv, yv] + yo)
+        return float(best)
+
+    def conical_defect(self, seed: int, n_samples: int) -> float:
+        """``conical_defect`` on vertex samples, skipping disconnected ones."""
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        worst = 0.0
+        d = self.g.path_dist
+        for _ in range(n_samples):
+            x, y, x2, y2 = rng.integers(0, self.g.n, size=4)
+            if not all(math.isfinite(d[a, b]) for a, b in ((x, y), (x2, y2), (x, x2), (y, y2))):
+                continue
+            for t in np.linspace(0.0, 1.0, 9):
+                lhs = self.dist(self.point(x, y, t), self.point(x2, y2, t))
+                worst = max(worst, lhs - ((1 - t) * d[x, x2] + t * d[y, y2]))
+        return float(worst)
+
 
 class TestBicombing:
     def test_affine_endpoints(self):
@@ -435,35 +511,37 @@ class TestBicombing:
         assert np.allclose(BIC.point(x, y, 0.0), x)
         assert np.allclose(BIC.point(x, y, 1.0), y)
 
-    def test_affine_is_conical(self):
-        assert conical_defect(BIC, seed=1, n_samples=200) <= 1e-9
+    @pytest.mark.parametrize("plane", [NormedPlane("l1"), PL, NormedPlane("linf"),
+                                       NormedPlane("wmax", (1.0, 3.0))],
+                             ids=["l1", "l2", "linf", "wmax"])
+    def test_affine_is_conical(self, plane):
+        assert conical_defect(AffineBicombing(plane), seed=1, n_samples=200) <= 1e-9
 
     def test_tree_geodesic_is_conical(self):
         g = MetricGraph(["r", "a", "b", "c", "d"],
                         [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 1.5), (1, 4, 0.5)],
                         ambient="path")
-        bic = GraphBicombing(g)
-        assert conical_defect(bic, seed=2, n_samples=200) <= 1e-9
+        assert GraphGeodesics(g).conical_defect(seed=2, n_samples=200) <= 1e-9
 
     def test_graph_fill_provides_only_r_side(self):
         g = MetricGraph(["a", "b", "c", "d"],
                         [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
                         ambient="path")
-        bic = GraphBicombing(g)
-        fill = homotopy_fill([0, 1], [3, 2], bic)
-        assert fill.cert_s is None
-        assert fill.cert_r == pytest.approx(2.0, abs=1e-12)
-        assert fill.r_chain.mass() <= fill.cert_r + 1e-9
-        with pytest.raises(CurrentError):
-            fill.boundary_eval(standard_panel(1, count=1)[0])
+        geo = GraphGeodesics(g)
+        r = geo.geodesic_chain(0, 3, 1.0) + geo.geodesic_chain(1, 2, -1.0)
+        cert_r = float(g.path_dist[0, 3] + g.path_dist[1, 2])
+        assert cert_r == pytest.approx(2.0, abs=1e-12)
+        assert r.mass() <= cert_r + 1e-9
+        # a fill without its S side cannot be built
+        with pytest.raises(TypeError):
+            FillResult(r_chain=r, cert_r=cert_r, measured_r=r.mass(), d_inf=0.0)
 
     def test_deterministic_tie_breaking(self):
         # two equal-length routes 0-1-3 and 0-2-3: predecessor rule picks lower index
         g = MetricGraph(["s", "a", "b", "t"],
                         [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
                         ambient="path")
-        bic = GraphBicombing(g)
-        assert bic.path(0, 3) == [0, 1, 3]
+        assert GraphGeodesics(g).path(0, 3) == [0, 1, 3]
 
 
 def homotopy_residual(t_chain, phi, psi, panel):
